@@ -43,7 +43,6 @@ from .errors import (
     AcylSolitonError,
     ConfigError,
     ContinuityStalled,
-    ConvergenceError,
     DomainError,
     NewtonDiverged,
     PositivityLost,

@@ -161,28 +161,12 @@ def ma_residual_radial(model, phi, forcing, s):
 class LinearizedOperator:
     """u -> (1/2) a_phi^{-1} u'' + u', the drift operator of g_phi on radial modes."""
 
-    model: object
     a_phi: np.ndarray = field(repr=False)
-    t_min: float
-    t_max: float
     h: float
 
     def apply(self, u):
         vals = u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float)
         return 0.5 * fd.d2(vals, self.h) / self.a_phi + fd.d1(vals, self.h)
-
-    def mode_problem(self, rhs):
-        """ModeProblem for (Delta_{g_phi} + X) u = 2 * rhs (the factor-1/2 convention)."""
-        from .drift import ModeProblem
-
-        doubled = rhs.like(2.0 * rhs.values)
-        return ModeProblem(model=self.model, mu=0.0, rhs=doubled, coefficient=self.a_phi)
-
-    def solve(self, rhs):
-        """Solve (1/2) Delta_{g_phi} u + u' = rhs with the drift boundary policy."""
-        from .drift import solve_mode
-
-        return solve_mode(self.mode_problem(rhs))
 
 
 def linearized_operator(model, phi):
@@ -192,7 +176,7 @@ def linearized_operator(model, phi):
     if np.any(a_phi <= 0.0):
         i = int(np.argmin(a_phi / a))
         raise PositivityLost(i, t[i], a_phi[i])
-    return LinearizedOperator(model=model, a_phi=a_phi, t_min=phi.t_min, t_max=phi.t_max, h=phi.h)
+    return LinearizedOperator(a_phi=a_phi, h=phi.h)
 
 
 # ---- Newton core on the anchored unknown ----
@@ -413,11 +397,7 @@ def uniqueness_check(model, forcing, config=None, initializations=()):
     for init in initializations:
         if not forcing.same_grid(init):
             raise DomainError("initialization grid mismatch")
-        psi0 = init.values - init.values[0]
-        sup, _, min_ratio = newton.residual(psi0, 1.0)
-        if sup is None:
-            raise PositivityLost(0, newton.t[0], min_ratio)
-        psi, _, _ = newton.solve(psi0, 1.0)
+        psi, _, _ = newton.solve(init.values - init.values[0], 1.0)
         solutions.append(psi - psi[-1])
     worst = 0.0
     for i in range(len(solutions)):

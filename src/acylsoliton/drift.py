@@ -27,7 +27,7 @@ may map over them in parallel; solve_field itself iterates in ascending-mu
 order so results are identical regardless of scheduling.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -69,7 +69,6 @@ class ModeProblem:
     rhs: GridFunction
     mu_circle: float = 0.0
     boundary: Optional[BoundaryPolicy] = None
-    coefficient: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.mu < 0 or self.mu_circle < 0 or self.mu_circle > self.mu + 1e-12:
@@ -82,8 +81,6 @@ class ModeProblem:
         return self.rhs.t_min, self.rhs.t_max, self.rhs.h
 
     def a_values(self, t):
-        if self.coefficient is not None:
-            return self.coefficient
         return self.model.sample_a(t)
 
     def s_mu(self, t):

@@ -57,7 +57,3 @@ class ConfigError(AcylSolitonError):
         if line is not None:
             message = f"{message} (line {line})"
         super().__init__(message)
-
-
-class ConvergenceError(AcylSolitonError):
-    """An iterative method exceeded its iteration budget."""

@@ -89,6 +89,20 @@ class GlueSpec:
         return rho0 * bump_profile((np.asarray(t, dtype=float) - center) / halfwidth)
 
 
+def _fine_derivative(model, t_min, t_max, h):
+    """P' on the refined quadrature grid, with that grid and the slice that
+    samples it back onto the nodes of (t_min, t_max, h)."""
+    h_fine = h / QUAD_REFINE
+    start = min(t_min, TAIL_START)
+    t_fine = uniform_nodes(start, t_max, h_fine)
+    two_a = 2.0 * model.sample_a(t_fine)
+    tail = float(model.sample_a(np.array([start]))[0])  # ~ integral of 2a below start
+    p_prime = tail + cumulative_simpson(two_a, x=t_fine, initial=0.0)
+    stride = int(round(h / h_fine))
+    offset = int(round((t_min - start) / h_fine))
+    return t_fine, p_prime, slice(offset, None, stride)
+
+
 def potential_of(model, grid=(0.0, 6.0, 0.005)):
     """Radial potential P with P'' = 2a, P(0) = 0.
 
@@ -101,19 +115,12 @@ def potential_of(model, grid=(0.0, 6.0, 0.005)):
     t = uniform_nodes(t_min, t_max, h)
     if model.kind is Kind.CYLINDER:
         return GridFunction(t_min, t_max, h, t**2)
-    h_fine = h / QUAD_REFINE
-    start = min(t_min, TAIL_START)
-    t_fine = uniform_nodes(start, t_max, h_fine)
-    two_a = 2.0 * model.sample_a(t_fine)
-    tail = float(model.sample_a(np.array([start]))[0])  # ~ integral of 2a below start
-    p_prime = tail + cumulative_simpson(two_a, x=t_fine, initial=0.0)
+    t_fine, p_prime, coarse = _fine_derivative(model, t_min, t_max, h)
     p_fine = cumulative_simpson(p_prime, x=t_fine, initial=0.0)
     # fix P(0) = 0
     i0 = int(np.argmin(np.abs(t_fine)))
     p_fine -= p_fine[i0]
-    stride = int(round(h / h_fine))
-    offset = int(round((t_min - start) / h_fine))
-    return GridFunction(t_min, t_max, h, p_fine[offset::stride][: len(t)])
+    return GridFunction(t_min, t_max, h, p_fine[coarse][: len(t)])
 
 
 def potential_derivative_of(model, grid=(0.0, 6.0, 0.005)):
@@ -122,15 +129,8 @@ def potential_derivative_of(model, grid=(0.0, 6.0, 0.005)):
     t = uniform_nodes(t_min, t_max, h)
     if model.kind is Kind.CYLINDER:
         return GridFunction(t_min, t_max, h, 2.0 * t)
-    h_fine = h / QUAD_REFINE
-    start = min(t_min, TAIL_START)
-    t_fine = uniform_nodes(start, t_max, h_fine)
-    two_a = 2.0 * model.sample_a(t_fine)
-    tail = float(model.sample_a(np.array([start]))[0])
-    p_prime = tail + cumulative_simpson(two_a, x=t_fine, initial=0.0)
-    stride = int(round(h / h_fine))
-    offset = int(round((t_min - start) / h_fine))
-    return GridFunction(t_min, t_max, h, p_prime[offset::stride][: len(t)])
+    _, p_prime, coarse = _fine_derivative(model, t_min, t_max, h)
+    return GridFunction(t_min, t_max, h, p_prime[coarse][: len(t)])
 
 
 def glue_coefficient(p_inner, spec, inner_model=None, rho0=None):

@@ -3,10 +3,12 @@
 These deliberately avoid the library code paths: spectra by direct box
 enumeration, invariant multiplicities by explicit character projection,
 derivatives by symbolic differentiation (sympy), integrals by mpmath-free
-closed forms where available.
+closed forms where available, and the weighted Poincare constant by a dense
+generalized eigensolve.
 """
 
 import numpy as np
+import scipy.linalg
 import sympy as sp
 
 
@@ -126,3 +128,32 @@ def manufactured_forcing_2d_fn(amplitude=sp.Rational(1, 5)):
         - (sp.diff(phi, _t, 1, u, 1) / 4) ** 2
     expr = sp.log(det / (a / 4)) + sp.diff(phi, _t)
     return sp.lambdify((_t, u), expr, "numpy")
+
+
+# ---- weighted Poincare constant ----
+
+
+def dense_poincare_lambda(a, f, t_min, t_max, h):
+    """Smallest eigenvalue of the weighted Dirichlet pencil by a dense solve.
+
+    The stiffness K is assembled cell by cell from the quadratic form
+    sum_k w_{k+1/2} (u_{k+1} - u_k)^2 / h, with w = e^f / f^2 * a and
+    w_{k+1/2} the mean of the two nodal weights; the mass M is diag(w_i h).
+    Both ends are Dirichlet, so only the interior block enters the dense
+    generalized eigenproblem K x = lambda M x.
+    """
+    n = int(round((t_max - t_min) / h))
+    t = t_min + h * np.arange(n + 1)
+    ft = f(t)
+    w = np.exp(ft) / ft**2 * a(t)
+    K = np.zeros((n + 1, n + 1))
+    for k in range(n):
+        c = 0.5 * (w[k] + w[k + 1]) / h
+        K[k, k] += c
+        K[k + 1, k + 1] += c
+        K[k, k + 1] -= c
+        K[k + 1, k] -= c
+    M = np.diag(w * h)
+    inner = slice(1, n)
+    return float(scipy.linalg.eigh(K[inner, inner], M[inner, inner],
+                                   subset_by_index=[0, 0], eigvals_only=True)[0])

@@ -191,8 +191,15 @@ def test_uniqueness_needs_two_starts(cigar, zero_field):
 
 def test_uniqueness_rejects_inadmissible_start(cigar, zero_field):
     bad = ak.GridFunction.sample(lambda t: 2.0 * (1 + np.exp(2 * t)) ** (-0.75), *GRID)
-    with pytest.raises(ak.PositivityLost):
+    with pytest.raises(ak.PositivityLost) as excinfo:
         ak.uniqueness_check(cigar, zero_field, initializations=[zero_field, bad])
+    # the reported node is an interior node where the bad start has a + phi''/2 <= 0
+    psi = bad.values - bad.values[0]
+    a_phi = cigar.sample_a(bad.t)[1:-1] + 0.5 * np.diff(psi, 2) / GRID[2] ** 2
+    node = excinfo.value.node
+    assert 1 <= node <= len(bad.t) - 2
+    assert excinfo.value.t == bad.t[node]
+    assert a_phi[node - 1] <= 0.0
 
 
 def test_adaptive_schedule_halves_doubles_and_caps(cigar, zero_field, monkeypatch):

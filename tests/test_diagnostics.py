@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import acylsoliton as ak
+from oracles import dense_poincare_lambda
 
 
 def test_poincare_positive_and_stable_cylinder():
@@ -47,6 +48,19 @@ def test_constant_vector_dominates_lambda_min():
     n_interior = len(ak.uniform_nodes(*grid)) - 2
     quotient = ak.rayleigh_quotient(model, grid, np.ones(n_interior))
     assert quotient >= lam
+    # f = 2t + 1 <= 0 for t <= -1/2: the weight e^f / f^2 is not admissible
+    bad_grid = (-1.0, 20.0, 0.01)
+    with pytest.raises(ak.DomainError):
+        ak.rayleigh_quotient(model, bad_grid, np.ones(len(ak.uniform_nodes(*bad_grid)) - 2))
+
+
+def test_poincare_matches_dense_oracle():
+    for model, grid in (
+        (ak.cylinder_model(1), (0.0, 10.0, 0.02)),
+        (ak.cigar_model(2), (-12.0, 20.0, 0.05)),
+    ):
+        expected = dense_poincare_lambda(model.a, model.f, *grid)
+        assert ak.poincare_rayleigh(model, grid) == pytest.approx(expected, rel=1e-10)
 
 
 def test_poincare_determinism():
