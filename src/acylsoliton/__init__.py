@@ -74,7 +74,6 @@ from .norms import WeightedNormSpec, decay_rate_fit, weighted_sup_norm
 from .spectrum import (
     CrossSection,
     CyclicQuotient,
-    Mode,
     hexagonal_lattice,
     hexagonal_rotation_quotient,
     invariant_spectrum,

@@ -133,15 +133,20 @@ def parse_config(text):
         key, value = key.strip(), value.strip()
         if key not in RunConfig.KEYS:
             raise ConfigError(f"unknown key {key!r}", line=lineno)
-        attr, conv, valid = RunConfig.KEYS[key]
         try:
-            parsed = conv(value)
+            parsed = RunConfig.KEYS[key][1](value)
         except ValueError:
             raise ConfigError(f"malformed value for {key!r}: {value!r}", line=lineno)
-        if not valid(parsed):
-            raise ConfigError(f"invalid value for {key!r}: {value!r}", line=lineno)
-        setattr(cfg, attr, parsed)
+        _set_key(cfg, key, parsed, line=lineno)
     return cfg
+
+
+def _set_key(cfg, key, value, line=None):
+    """Validate a parsed value of a config key and store it on cfg."""
+    attr, _, valid = RunConfig.KEYS[key]
+    if not valid(value):
+        raise ConfigError(f"invalid value for {key!r}: {value!r}", line=line)
+    setattr(cfg, attr, value)
 
 
 def _build_model(cfg):
@@ -485,12 +490,9 @@ def run(argv=None):
         model_flag = getattr(args, "model", None)
         if model_flag:
             cfg.model_kind = model_flag
-        if getattr(args, "n", None):
-            cfg.model_n = args.n
-        if getattr(args, "t0", None):
-            cfg.glue_t0 = args.t0
-        if getattr(args, "margin", None):
-            cfg.glue_margin = args.margin
+        for key, flag in (("model.n", "n"), ("glue.t0", "t0"), ("glue.margin", "margin")):
+            if getattr(args, flag, None) is not None:
+                _set_key(cfg, key, getattr(args, flag))
         if getattr(args, "window", None):
             cfg.weights_window_lo, cfg.weights_window_hi = args.window
 

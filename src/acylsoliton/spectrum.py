@@ -3,13 +3,16 @@
 Modes are e^{ij theta} e^{2 pi i <k*, x>} with j an integer circle index and
 k* in the dual lattice; the eigenvalue is mu = (2 pi j / l_theta)^2 +
 |2 pi k*|^2.  Enumeration is a bounded integer-box search over dual-lattice
-coefficients.
+coefficients, held as arrays (j, alpha, mu) with one entry per mode.
 
 A finite cyclic quotient (theta shift by 2 pi/m together with an integer
 lattice map R of order m) acts on a mode by (j, alpha) -> (j, R^T alpha)
 with character e^{2 pi i j/m} per generator application.  The invariant
 subspectrum keeps, for each orbit, the dimension of the trivial-character
-subspace: 1 if m divides j * orbit_size, else 0.
+subspace: 1 if m divides j * orbit_size, else 0.  The orbit size of alpha
+is the least L >= 1 with (R^T)^L alpha = alpha, read off the first m powers
+of R.  Distinct eigenvalues closer than MERGE_TOL are merged into one
+cluster reported at its smallest value.
 """
 
 from dataclasses import dataclass
@@ -79,44 +82,26 @@ class CrossSection:
         return 4.0 * np.pi**2 * np.linalg.inv(B @ B.T)
 
 
-@dataclass(frozen=True)
-class Mode:
-    j: int
-    k_coeffs: tuple
-    mu: float
-
-
 def _enumerate_modes(cs, mu_max):
-    """All modes with mu <= mu_max, deterministic lexicographic order."""
+    """Arrays (j, alpha, mu) of all modes with mu <= mu_max, j-major order."""
     if mu_max <= 0:
         raise DomainError("mu_max must be positive")
-    modes = []
+    bound = mu_max + MERGE_TOL
     circle_unit = (2.0 * np.pi / cs.circle_length) ** 2
-    j_max = int(np.floor(np.sqrt(mu_max / circle_unit)))
+    j_max = int(np.floor(np.sqrt(bound / circle_unit)))
+    js = np.arange(-j_max, j_max + 1)
     gram = cs.dual_gram
     d = gram.shape[0]
     # |alpha| bound from the smallest eigenvalue of the dual Gram matrix
-    lam_min = float(np.linalg.eigvalsh(gram)[0])
-    a_max = int(np.floor(np.sqrt(mu_max / lam_min))) if d > 0 else 0
-    alphas = [()]
-    if d > 0:
-        axes = [range(-a_max, a_max + 1)] * d
-        grids = np.meshgrid(*axes, indexing="ij")
-        alphas = np.stack([g.ravel() for g in grids], axis=1)
-        mus_torus = np.einsum("ki,ij,kj->k", alphas, gram, alphas)
-        keep = mus_torus <= mu_max + MERGE_TOL
-        alphas = [tuple(int(x) for x in row) for row in alphas[keep]]
-        mus_torus = mus_torus[keep]
-    else:
-        mus_torus = np.zeros(1)
-    for j in range(-j_max, j_max + 1):
-        mu_j = circle_unit * j * j
-        for alpha, mu_t in zip(alphas, mus_torus):
-            mu = mu_j + float(mu_t)
-            if mu <= mu_max + MERGE_TOL:
-                modes.append(Mode(j=j, k_coeffs=alpha, mu=mu))
-    modes.sort(key=lambda m: (m.mu, m.j, m.k_coeffs))
-    return modes
+    a_max = int(np.floor(np.sqrt(bound / np.linalg.eigvalsh(gram)[0]))) if d > 0 else 0
+    side = 2 * a_max + 1
+    alphas = np.indices((side,) * d).reshape(d, side**d).T - a_max
+    mus_torus = np.einsum("ki,ij,kj->k", alphas, gram, alphas)
+    keep = mus_torus <= bound
+    alphas, mus_torus = alphas[keep], mus_torus[keep]
+    mu = (circle_unit * js * js)[:, None] + mus_torus
+    j_index, alpha_index = np.nonzero(mu <= bound)
+    return js[j_index], alphas[alpha_index], mu[j_index, alpha_index]
 
 
 def _merge(pairs):
@@ -132,7 +117,8 @@ def _merge(pairs):
 
 def spectrum(cs, mu_max):
     """Sorted list of (mu, multiplicity) with mu <= mu_max."""
-    return _merge((m.mu, 1) for m in _enumerate_modes(cs, mu_max))
+    values, counts = np.unique(_enumerate_modes(cs, mu_max)[2], return_counts=True)
+    return _merge(zip(values.tolist(), counts.tolist()))
 
 
 def invariant_spectrum(cs, mu_max):
@@ -143,28 +129,21 @@ def invariant_spectrum(cs, mu_max):
     if cs.quotient is None:
         return spectrum(cs, mu_max)
     m = cs.quotient.order
-    RT = cs.quotient.lattice_map.astype(np.int64).T
-    modes = _enumerate_modes(cs, mu_max)
-    seen = set()
-    pairs = []
-    for mode in modes:
-        key = (mode.j, mode.k_coeffs)
-        if key in seen:
-            continue
-        # orbit of the dual-lattice coefficients under R^T
-        orbit = [np.array(mode.k_coeffs, dtype=np.int64)]
-        seen.add(key)
-        while True:
-            nxt = RT @ orbit[-1]
-            nxt_key = (mode.j, tuple(int(x) for x in nxt))
-            if nxt_key in seen:
-                break
-            seen.add(nxt_key)
-            orbit.append(nxt)
-        # trivial-character dimension of the phased permutation on the orbit
-        if (mode.j * len(orbit)) % m == 0:
-            pairs.append((mode.mu, 1))
-    return _merge(pairs)
+    R = cs.quotient.lattice_map.astype(np.int64)
+    js, alphas, mu = _enumerate_modes(cs, mu_max)
+    # orbit size: least L >= 1 with (R^T)^L alpha = alpha (rows: alpha R^L)
+    size = np.zeros(len(js), dtype=np.int64)
+    image = alphas
+    for power in range(1, m + 1):
+        image = image @ R
+        size[(size == 0) & (image == alphas).all(axis=1)] = power
+    # an invariant orbit (m | j L) weighs m in total, m // L per member
+    weight = np.where(js * size % m == 0, m // size, 0)
+    values, inverse = np.unique(mu, return_inverse=True)
+    totals = np.bincount(inverse, weights=weight).astype(np.int64)
+    kept = totals > 0
+    merged = _merge(zip(values[kept].tolist(), totals[kept].tolist()))
+    return [(value, total // m) for value, total in merged]
 
 
 def spectrum_to_csv(pairs, path):

@@ -107,6 +107,19 @@ def test_glue_outputs(tmp_path):
     assert np.min(coeff.values) >= 0.01
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["solve-ma", "--rhs", "manufactured", "--n", "0"],
+        ["glue", "--t0", "0"],
+        ["glue", "--margin", "0"],
+    ],
+)
+def test_zero_valued_flags_are_validated(tmp_path, args):
+    assert run_cli(args, tmp_path) == 1
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_verify_decay_and_poincare(tmp_path):
     u = ak.GridFunction.sample(lambda t: np.exp(-1.2 * t), 0.0, 20.0, 0.01)
     u_path = tmp_path / "field.csv"

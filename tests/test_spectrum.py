@@ -1,10 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import acylsoliton as ak
+from acylsoliton.spectrum import spectrum_to_csv
 from oracles import brute_force_spectrum, character_projection_spectrum
 
 TWO_PI = 2 * np.pi
+FOUR_TORUS = TWO_PI * np.eye(4)
+FOUR_TORUS_NEGATION = ak.CyclicQuotient(order=2, lattice_map=-np.eye(4, dtype=int))
 
 
 def as_dict(pairs):
@@ -80,6 +85,55 @@ def test_invariant_spectrum_matches_character_projection(lattice_name, quotient_
                                       quotient.lattice_map, 9.0)
     )
     assert got == want
+
+
+def test_four_torus_negation_quotient_matches_character_projection():
+    cs = ak.CrossSection(TWO_PI, FOUR_TORUS, FOUR_TORUS_NEGATION)
+    got = as_dict(ak.invariant_spectrum(cs, 5.0))
+    want = as_dict(character_projection_spectrum(TWO_PI, FOUR_TORUS, 2,
+                                                 FOUR_TORUS_NEGATION.lattice_map,
+                                                 5.0, index_bound=3))
+    assert got == want
+
+
+def test_mode_on_the_enumeration_bound_is_kept():
+    # sqrt(mu_max / lambda_min) rounds to just below 3 for the mode alpha = (3, 0)
+    lattice = 0.7 * np.eye(2)
+    mu_max = 725.1137927330958
+    got = ak.spectrum(ak.CrossSection(0.5, lattice), mu_max)
+    assert as_dict(got) == as_dict(brute_force_spectrum(0.5, lattice, mu_max))
+    assert got[-1] == (mu_max, 4)
+
+
+def test_circle_only_cross_section():
+    # n = 1: no torus factor, only the circle modes j^2
+    circle = ak.CrossSection(TWO_PI, np.zeros((0, 0)))
+    assert ak.spectrum(circle, 5.0) == [(0.0, 1), (1.0, 2), (4.0, 2)]
+    # theta -> theta + pi keeps the even circle modes
+    quotient = ak.CyclicQuotient(order=2, lattice_map=np.zeros((0, 0), dtype=int))
+    halved = ak.CrossSection(TWO_PI, np.zeros((0, 0)), quotient)
+    assert ak.invariant_spectrum(halved, 5.0) == [(0.0, 1), (4.0, 2)]
+
+
+# SHA-256 of spectrum_to_csv output: the reported float of every merged
+# cluster is pinned to the last bit, which the rounded comparisons above miss.
+@pytest.mark.parametrize(
+    "lattice,quotient,mu_max,digest",
+    [
+        (FOUR_TORUS, None, 30.0,
+         "48277150456f42442c9444f458d5c3566bd3777fee45820ec6b53fbce82af951"),
+        (FOUR_TORUS, FOUR_TORUS_NEGATION, 20.0,
+         "50d641cfaafe69857e38116207cce891d82160e92167aaf1359e372602424b6d"),
+        (ak.hexagonal_lattice(), ak.hexagonal_rotation_quotient(), 200.0,
+         "07b786b30ebcb60e52c340cbaf1c97485dc90b529b2a330e9c93a82d2baa26af"),
+    ],
+    ids=["four_torus", "four_torus_negation", "hexagonal_rotation"],
+)
+def test_spectrum_csv_bytes_pinned(tmp_path, lattice, quotient, mu_max, digest):
+    path = tmp_path / "spectrum.csv"
+    spectrum_to_csv(ak.invariant_spectrum(ak.CrossSection(TWO_PI, lattice, quotient), mu_max),
+                    path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_invariant_multiplicities_bounded_by_full():
