@@ -40,7 +40,7 @@ from .errors import AcylSolitonError, ConfigError, ContinuityStalled, Positivity
 from .gluing import GlueSpec, glue_coefficient, glued_model, potential_of
 from .grids import GridFunction, uniform_nodes
 from .models import cigar_model, cylinder_model, model_to_text, soliton_residual
-from .norms import decay_rate_fit
+from .norms import TAIL_WINDOW, decay_rate_fit
 from .spectrum import (
     CrossSection,
     hexagonal_lattice,
@@ -376,8 +376,7 @@ def _cmd_verify(cfg, run, decay_paths):
         rows = []
         for path in decay_paths:
             u = GridFunction.from_csv(path)
-            lo = u.t_min + 0.6 * (u.t_max - u.t_min)
-            hi = u.t_min + 0.9 * (u.t_max - u.t_min)
+            lo, hi = (u.t_min + frac * (u.t_max - u.t_min) for frac in TAIL_WINDOW)
             rows.append((os.path.basename(path), decay_rate_fit(u), lo, hi))
         with open(run.path("decay.csv"), "w", newline="") as fh:
             fh.write("quantity,epsilon_hat,window\n")

@@ -12,7 +12,10 @@ backtracking on the sup-residual, using the exact tridiagonal Jacobian
 
     u  ->  (1/2) a_phi^{-1} u'' + u',     a_phi = a + phi''/2,
 
-which is half the drift Laplacian of the deformed metric g_phi.
+which is half the drift Laplacian of the deformed metric g_phi.  Its
+interior rows, scaled by 2 a_phi, are the mu = 0 drift rows
+drift.drift_bands(a_phi, 0, h), and the Newton system is solved by
+drift.banded_solve.
 
 Numerically the unknown is kept in the gauge anchored at the inner end,
 psi = phi - phi(t_min).  The equation only sees derivatives of phi, and the
@@ -31,9 +34,9 @@ from dataclasses import dataclass, field
 from typing import List
 
 import numpy as np
-import scipy.linalg
 
 from . import fd
+from .drift import banded_solve, drift_bands
 from .errors import (
     ContinuityStalled,
     DomainError,
@@ -46,16 +49,18 @@ from .models import Kind
 from .norms import decay_rate_fit
 
 
+ARMIJO_FACTOR = 0.5      # backtracking factor
+ARMIJO_DECREASE = 1e-4   # sufficient-decrease constant
+POSITIVITY_GUARD = 1e-6  # reject trial steps with a_phi/a below this
+RECORD_WEIGHT = 1.4      # weight for the e^{eps t}|phi| path record
+
+
 @dataclass(frozen=True)
 class ContinuityConfig:
     s_steps: int = 10               # uniform steps of the initial schedule
     newton_tol: float = 1e-10       # sup-residual tolerance
     max_newton: int = 30            # Newton iterations per s
-    armijo_factor: float = 0.5      # backtracking factor
-    armijo_decrease: float = 1e-4   # sufficient-decrease constant
     min_step: float = 1.0 / 160.0   # smallest allowed s-step
-    positivity_guard: float = 1e-6  # reject trial steps with a_phi/a below this
-    record_weight: float = 1.4      # weight for the e^{eps t}|phi| path record
 
     def __post_init__(self):
         if self.newton_tol <= 0 or self.min_step <= 0 or self.s_steps < 1:
@@ -133,6 +138,18 @@ def _anchored(phi):
     return phi.values - phi.values[0]
 
 
+def _half_hessian(model, phi):
+    """(a, phi''/2) on phi's grid; raises PositivityLost where a + phi''/2 <= 0."""
+    t = phi.t
+    a = model.sample_a(t)
+    half_dd = 0.5 * fd.d2(_anchored(phi), phi.h)
+    a_phi = a + half_dd
+    if np.any(a_phi <= 0.0):
+        i = int(np.argmin(a_phi / a))
+        raise PositivityLost(i, t[i], a_phi[i])
+    return a, half_dd
+
+
 def ma_residual_radial(model, phi, forcing, s):
     """Pointwise residual log((a + phi''/2)/a) + phi' - s F on the grid.
 
@@ -140,16 +157,8 @@ def ma_residual_radial(model, phi, forcing, s):
     this into the manufactured-forcing generator: the returned field is the
     exact discrete forcing for which phi solves the s = 1 equation.
     """
-    t = phi.t
-    h = phi.h
-    a = model.sample_a(t)
-    psi = _anchored(phi)
-    half_dd = 0.5 * fd.d2(psi, h)
-    a_phi = a + half_dd
-    if np.any(a_phi <= 0.0):
-        i = int(np.argmin(a_phi / a))
-        raise PositivityLost(i, t[i], a_phi[i])
-    r = np.log1p(half_dd / a) + fd.d1(psi, h)
+    a, half_dd = _half_hessian(model, phi)
+    r = np.log1p(half_dd / a) + fd.d1(_anchored(phi), phi.h)
     if forcing is not None:
         if not phi.same_grid(forcing):
             raise DomainError("phi and F must share the grid")
@@ -170,13 +179,8 @@ class LinearizedOperator:
 
 
 def linearized_operator(model, phi):
-    t = phi.t
-    a = model.sample_a(t)
-    a_phi = a + 0.5 * fd.d2(_anchored(phi), phi.h)
-    if np.any(a_phi <= 0.0):
-        i = int(np.argmin(a_phi / a))
-        raise PositivityLost(i, t[i], a_phi[i])
-    return LinearizedOperator(a_phi=a_phi, h=phi.h)
+    a, half_dd = _half_hessian(model, phi)
+    return LinearizedOperator(a_phi=a + half_dd, h=phi.h)
 
 
 # ---- Newton core on the anchored unknown ----
@@ -222,51 +226,31 @@ class _RadialNewton:
 
     def _newton_step(self, psi, r):
         h = self.h
-        n = self.n
         d2_int = (psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / h**2
         a_phi = self.a[1:-1] + 0.5 * d2_int
-        sub = 1.0 / h**2 - a_phi / h     # coefficient of u_{i-1}
-        diag = np.full(n - 2, -2.0 / h**2)
-        sup = 1.0 / h**2 + a_phi / h     # coefficient of u_{i+1}
+        sub, diag, sup = drift_bands(a_phi, 0.0, h)
         scaled_r = -2.0 * r * a_phi      # rows scaled by 2 a_phi
+        # unknowns u_1..u_{n-1} (u_0 = 0); r_i has columns i-2, i-1, i
+        m = self.n - 1
+        rhs = np.empty(m)
         if self.neumann_inner:
-            # unknowns u_1..u_{n-1} (u_0 = 0); equations [neumann, r_1..r_{n-2}]
-            # row i >= 1 holds r_i with columns i-2, i-1, i  ->  bands (l,u) = (2,1)
-            m = n - 1
+            # equations [neumann, r_1..r_{n-2}]  ->  bands (l,u) = (2,1)
             ab = np.zeros((4, m))
-            rhs = np.empty(m)
             ab[1, 0] = 4.0 / (2.0 * h)
             ab[0, 1] = -1.0 / (2.0 * h)
             rhs[0] = -(-3.0 * psi[0] + 4.0 * psi[1] - psi[2]) / (2.0 * h)
-            rows = np.arange(1, n - 1)
-            ab[1, rows] = sup
-            ab[2, rows - 1] = diag
-            ab[3, rows[1:] - 2] = sub[1:]
+            ab[1, 1:], ab[2, :-1], ab[3, :-2] = sup, diag, sub[1:]
             rhs[1:] = scaled_r
             bands = (2, 1)
         else:
-            # unknowns u_1..u_{n-1}; equations [r_1..r_{n-2}, dirichlet at t_max]
-            m = n - 1
+            # equations [r_1..r_{n-2}, dirichlet at t_max]  ->  bands (1,1)
             ab = np.zeros((3, m))
-            rhs = np.empty(m)
-            rows = np.arange(0, n - 2)
-            ab[1, rows] = diag
-            ab[0, rows[:-1] + 1] = sup[:-1]
-            ab[2, rows[1:] - 1] = sub[1:]
-            # last unknown column appears in equation r_{n-2} as sup[-1]
-            ab[0, m - 1] = sup[-1]
-            ab[1, m - 1] = 1.0
-            ab[2, m - 2] = 0.0
+            ab[0, 1:], ab[1, :-1], ab[2, :-2] = sup, diag, sub[1:]
+            ab[1, -1] = 1.0
             rhs[:-1] = scaled_r
             rhs[-1] = -psi[-1]
             bands = (1, 1)
-        try:
-            update = scipy.linalg.solve_banded(bands, ab, rhs)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise SingularSystem(str(exc)) from exc
-        if not np.all(np.isfinite(update)):
-            raise SingularSystem("non-finite Newton update")
-        return np.concatenate(([0.0], update))
+        return np.concatenate(([0.0], banded_solve(bands, ab, rhs)))
 
     def solve(self, psi, s):
         """Damped Newton at fixed s; returns (psi, iterations, sup) or raises."""
@@ -292,13 +276,13 @@ class _RadialNewton:
                 trial_sup, trial_r, min_ratio = self.residual(trial, s)
                 if (
                     trial_sup is not None
-                    and min_ratio > cfg.positivity_guard
-                    and trial_sup <= (1.0 - cfg.armijo_decrease * tau) * sup
+                    and min_ratio > POSITIVITY_GUARD
+                    and trial_sup <= (1.0 - ARMIJO_DECREASE * tau) * sup
                 ):
                     psi, r, sup = trial, trial_r, trial_sup
                     accepted = True
                     break
-                tau *= cfg.armijo_factor
+                tau *= ARMIJO_FACTOR
             iterations += 1
             if not accepted:
                 raise NewtonDiverged(
@@ -308,7 +292,7 @@ class _RadialNewton:
         return psi, iterations, sup
 
 
-def _make_record(model, newton, psi, s, iterations, sup_residual, cfg):
+def _make_record(model, newton, psi, s, iterations, sup_residual):
     h = newton.h
     t = newton.t
     ratio = 1.0 + fd.d2(psi, h) / (2.0 * newton.a)
@@ -321,7 +305,7 @@ def _make_record(model, newton, psi, s, iterations, sup_residual, cfg):
         sup_residual=sup_residual,
         min_metric_ratio=float(np.min(ratio)),
         max_metric_ratio=float(np.max(ratio)),
-        weighted_sup_phi=float(np.max(np.exp(cfg.record_weight * t) * np.abs(phi_dec))),
+        weighted_sup_phi=float(np.max(np.exp(RECORD_WEIGHT * t) * np.abs(phi_dec))),
         inf_drift_potential=float(np.min(f_vals + d1psi)),
         sup_radial_derivative=float(np.max(np.abs(d1psi))),
     )
@@ -366,7 +350,7 @@ def continuity_solve(model, forcing, config=None):
             continue
         psi = candidate
         s = target
-        records.append(_make_record(model, newton, psi, s, iterations, sup, cfg))
+        records.append(_make_record(model, newton, psi, s, iterations, sup))
         if iterations <= 1:
             streak += 1
             if streak >= 2 and step < initial_step:

@@ -12,7 +12,10 @@ translation-invariant model operator u'' + 2u' - mu u.
 
 Discretization: 2nd-order central differences; rows are assembled in the
 equivalent scaled form u'' - s_mu u + 2 a u' = a h, which keeps the matrix
-entries O(1/h^2) where a degenerates.  Boundary closures:
+entries O(1/h^2) where a degenerates.  drift_bands builds these interior
+rows for any coefficients (c, s) in u'' - s u + 2 c u'; the Newton matrix
+of the continuity method is the case (c, s) = (a_phi, 0), and both systems
+are solved by banded_solve.  Boundary closures:
 
 * outer end: Dirichlet (homogeneous by default, value configurable for
   manufactured-solution studies);
@@ -34,7 +37,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DomainError, SingularSystem
-from .grids import GridFunction, uniform_nodes
+from .grids import GridFunction
 from .models import Kind
 
 RESIDUAL_RTOL = 1e-12
@@ -76,53 +79,46 @@ class ModeProblem:
         if self.boundary is None:
             self.boundary = default_boundary(self.model, self.mu)
 
-    @property
-    def grid(self):
-        return self.rhs.t_min, self.rhs.t_max, self.rhs.h
-
-    def a_values(self, t):
-        return self.model.sample_a(t)
-
-    def s_mu(self, t):
-        return self.mu_circle + self.a_values(t) * (self.mu - self.mu_circle)
+    def coefficients(self):
+        """(a, s_mu) at the nodes of rhs, s_mu = mu_circle + a (mu - mu_circle)."""
+        a = self.model.sample_a(self.rhs.t)
+        return a, self.mu_circle + a * (self.mu - self.mu_circle)
 
 
-@dataclass
-class TridiagonalSystem:
-    """Banded system ab (scipy solve_banded layout, (1,1)) with rhs."""
+def drift_bands(c, s, h):
+    """(sub, diag, sup) of the central-difference rows of u'' - s u + 2 c u'.
 
-    ab: np.ndarray
-    rhs: np.ndarray
-    t: np.ndarray
-    h: float
+    c and s are sampled at the rows' nodes (s may be a scalar); sub and sup
+    are the coefficients of u_{i-1} and u_{i+1}.
+    """
+    sub = 1.0 / h**2 - c / h
+    diag = np.full(np.shape(c), -2.0 / h**2) - s
+    sup = 1.0 / h**2 + c / h
+    return sub, diag, sup
 
-    def solve(self):
-        try:
-            u = scipy.linalg.solve_banded((1, 1), self.ab, self.rhs)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise SingularSystem(str(exc)) from exc
-        if not np.all(np.isfinite(u)):
-            raise SingularSystem("non-finite solution; check boundary policy and weights")
-        return u
+
+def banded_solve(bands, ab, rhs):
+    """scipy.linalg.solve_banded that raises SingularSystem on failure."""
+    try:
+        u = scipy.linalg.solve_banded(bands, ab, rhs)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise SingularSystem(str(exc)) from exc
+    if not np.all(np.isfinite(u)):
+        raise SingularSystem("non-finite solution; check boundary policy and weights")
+    return u
 
 
 def assemble_mode_operator(problem):
-    """Tridiagonal discretization of L_mu with the problem's boundary rows."""
-    t_min, t_max, h = problem.grid
-    t = uniform_nodes(t_min, t_max, h)
-    n = len(t)
-    a = problem.a_values(t)
-    if np.any(a <= 0):
-        raise DomainError("non-positive coefficient a(t)")
-    s = problem.s_mu(t)
+    """(ab, rhs): L_mu in solve_banded layout (1,1) with the problem's boundary rows."""
+    h = problem.rhs.h
+    a, s = problem.coefficients()
     hvals = problem.rhs.values
+    n = len(a)
 
     ab = np.zeros((3, n))
     rhs = np.empty(n)
     # interior rows, scaled by a: u'' - s u + 2 a u' = a h
-    ab[0, 2:] = 1.0 / h**2 + a[1:-1] / h
-    ab[1, 1:-1] = -2.0 / h**2 - s[1:-1]
-    ab[2, :-2] = 1.0 / h**2 - a[1:-1] / h
+    ab[2, :-2], ab[1, 1:-1], ab[0, 2:] = drift_bands(a[1:-1], s[1:-1], h)
     rhs[1:-1] = a[1:-1] * hvals[1:-1]
 
     inner_kind, inner_value = problem.boundary.inner
@@ -147,27 +143,24 @@ def assemble_mode_operator(problem):
     ab[2, -2] = 0.0
     rhs[-1] = outer_value
 
-    return TridiagonalSystem(ab=ab, rhs=rhs, t=t, h=h)
+    return ab, rhs
 
 
 def apply_mode_operator(problem, u):
     """L_mu u on the grid (one-sided stencils at the two end nodes)."""
     from . import fd
 
-    t_min, t_max, h = problem.grid
-    t = uniform_nodes(t_min, t_max, h)
-    a = problem.a_values(t)
-    s = problem.s_mu(t)
+    h = problem.rhs.h
+    a, s = problem.coefficients()
     vals = u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float)
     return (fd.d2(vals, h) - s * vals) / a + 2.0 * fd.d1(vals, h)
 
 
 def mode_interior_residual(problem, u_values):
     """Relative backward-style residual of the discrete equation, interior nodes."""
-    t_min, t_max, h = problem.grid
-    t = uniform_nodes(t_min, t_max, h)
-    a = problem.a_values(t)[1:-1]
-    s = problem.s_mu(t)[1:-1]
+    h = problem.rhs.h
+    a, s = problem.coefficients()
+    a, s = a[1:-1], s[1:-1]
     hv = problem.rhs.values[1:-1]
     um, u0, up = u_values[:-2], u_values[1:-1], u_values[2:]
     lhs = (up - 2.0 * u0 + um) / h**2 - s * u0 + 2.0 * a * (up - um) / (2.0 * h)
@@ -183,8 +176,8 @@ def mode_interior_residual(problem, u_values):
 
 def solve_mode(problem):
     """Direct tridiagonal solve; verifies the interior residual is at rounding level."""
-    system = assemble_mode_operator(problem)
-    u = system.solve()
+    ab, rhs = assemble_mode_operator(problem)
+    u = banded_solve((1, 1), ab, rhs)
     rel = mode_interior_residual(problem, u)
     if rel > RESIDUAL_RTOL:
         raise SingularSystem(f"interior residual {rel:.3e} exceeds {RESIDUAL_RTOL:.0e}")

@@ -118,23 +118,48 @@ class GridFunction:
 
     @classmethod
     def from_csv(cls, path):
+        """Read a grid-function CSV; DomainError names the line of a bad row or t."""
         with open(path, "r") as fh:
             header = fh.readline().strip()
-            rows = [line.strip().split(",") for line in fh if line.strip()]
-        if header == "t,value":
-            t = np.array([float(r[0]) for r in rows])
-            v = np.array([float(r[1]) for r in rows])
-            vals = v
-        elif header == "t,u,value":
-            t_all = np.array([float(r[0]) for r in rows])
-            u_all = np.array([float(r[1]) for r in rows])
-            v = np.array([float(r[2]) for r in rows])
-            t = np.unique(t_all)
-            n_u = len(np.unique(u_all))
-            vals = v.reshape(len(t), n_u)
+            width = {"t,value": 2, "t,u,value": 3}.get(header)
+            if width is None:
+                raise DomainError(f"unrecognized CSV header {header!r}")
+            rows, lines = [], []
+            for lineno, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                try:
+                    row = [float(x) for x in line.split(",")]
+                except ValueError:
+                    row = []
+                if len(row) != width:
+                    raise DomainError(
+                        f"{path}, line {lineno}: expected {width} numeric fields, "
+                        f"got {line.strip()!r}"
+                    )
+                rows.append(row)
+                lines.append(lineno)
+        data = np.array(rows).reshape(-1, width)
+        if width == 2:
+            t, first = data[:, 0], np.arange(len(data))
+            vals = data[:, 1]
         else:
-            raise DomainError(f"unrecognized CSV header {header!r}")
+            t, first = np.unique(data[:, 0], return_index=True)
+            n_u = len(np.unique(data[:, 1]))
+            if len(data) != len(t) * n_u:
+                raise DomainError(
+                    f"{path}, line {lines[-1]}: {len(data)} rows do not form a "
+                    f"{len(t)} x {n_u} (t, u) grid"
+                )
+            vals = data[:, 2].reshape(len(t), n_u)
         if len(t) < 2:
             raise DomainError("need at least two grid nodes")
         h = float((t[-1] - t[0]) / (len(t) - 1))  # span-averaged, exact for clean spacings
+        off = np.abs(t - uniform_nodes(t[0], t[-1], h)) > 1e-6 * h
+        if np.any(off):
+            k = int(np.argmax(off))
+            raise DomainError(
+                f"{path}, line {lines[first[k]]}: t = {t[k]:.17g} is off the uniform "
+                f"grid of spacing {h:.6g} over [{t[0]:.17g}, {t[-1]:.17g}]"
+            )
         return cls(float(t[0]), float(t[-1]), h, vals)

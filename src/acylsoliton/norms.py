@@ -7,26 +7,23 @@ discretized: at fixed resolution they carry no extra information.
 """
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
 from . import fd
 from .errors import DomainError
 
+TAIL_WINDOW = (0.6, 0.9)  # decay fits use this fraction of [t_min, t_max]
+
 
 @dataclass(frozen=True)
 class WeightedNormSpec:
     k: int = 0
     epsilon: float = 0.0
-    tail_window: Tuple[float, float] = (0.6, 0.9)
 
     def __post_init__(self):
         if self.k < 0:
             raise DomainError("derivative order k must be >= 0")
-        lo, hi = self.tail_window
-        if not (0.0 < lo < hi < 1.0):
-            raise DomainError("tail window must satisfy 0 < lo < hi < 1")
 
 
 def weighted_sup_norm(u, spec):
@@ -46,8 +43,8 @@ def weighted_sup_norm(u, spec):
     return best
 
 
-def decay_rate_fit(u, tail_window=(0.6, 0.9)):
-    """Least-squares slope of -log|u| against t over the tail window.
+def decay_rate_fit(u):
+    """Least-squares slope of -log|u| against t over the TAIL_WINDOW fraction.
 
     2D fields are reduced to per-slice maxima over the second axis first.
     Returns +inf when u vanishes identically on the window (decays faster
@@ -57,7 +54,7 @@ def decay_rate_fit(u, tail_window=(0.6, 0.9)):
     vals = np.abs(u.values)
     if u.is_2d:
         vals = vals.max(axis=1)
-    lo_frac, hi_frac = tail_window
+    lo_frac, hi_frac = TAIL_WINDOW
     lo = u.t_min + lo_frac * (u.t_max - u.t_min)
     hi = u.t_min + hi_frac * (u.t_max - u.t_min)
     window = (t >= lo) & (t <= hi)

@@ -134,6 +134,22 @@ def test_verify_decay_and_poincare(tmp_path):
     assert poincare["reference_lambda0"] == 0.125
 
 
+@pytest.mark.parametrize("command", [["verify", "--decay"], ["solve-linear", "--rhs"]],
+                         ids=["verify", "solve_linear"])
+@pytest.mark.parametrize("body", [
+    "t,value\n0,1\n0.1,0.5\n0.3,0.25\n0.35,0.2\n",  # non-uniform t
+    "t,value\n0,1\n0.5,abc\n1,2\n",                   # non-numeric field
+    "t,value\n0,1\n0.5\n1,2\n",                       # short row
+    "t,u,value\n0,0,1\n0,3,1\n1,0,2\n",               # not n_t x n_u rows
+], ids=["uneven_t", "non_numeric", "short_row", "2d_row_count"])
+def test_bad_csv_is_a_usage_error(tmp_path, capsys, command, body):
+    path = tmp_path / "bad.csv"
+    path.write_text(body)
+    assert run_cli(command + [str(path)], tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line" in err and "Traceback" not in err
+
+
 def test_report_passes(tmp_path):
     code = run_cli(["report"], tmp_path)
     assert code == 0

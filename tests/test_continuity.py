@@ -95,6 +95,34 @@ def test_jacobian_consistency_seeded(cigar):
         assert np.max(np.abs(fd_dir - lin)[1:-1]) < 1e-4
 
 
+@pytest.mark.parametrize("kind,grid", [("cigar", GRID), ("cylinder", (0.0, 20.0, 0.01))])
+def test_newton_step_solves_linearized_system(kind, grid):
+    """The banded Newton direction d solves L_phi d = -r and the boundary row."""
+    from conftest import seeded_admissible_field
+
+    from acylsoliton.continuity import _RadialNewton
+
+    model = ak.cigar_model(2) if kind == "cigar" else ak.cylinder_model(2)
+    rng = np.random.default_rng(11)
+    forcing = ak.ma_residual_radial(model, seeded_admissible_field(rng, grid), None, 0.0)
+    newton = _RadialNewton(model, forcing, ak.ContinuityConfig())
+    h = grid[2]
+    for _ in range(3):
+        phi = seeded_admissible_field(rng, grid)
+        psi = phi.values - phi.values[0]
+        _, r, _ = newton.residual(psi, 1.0)
+        d = newton._newton_step(psi, r)
+        lin = ak.linearized_operator(model, phi).apply(d)
+        assert d[0] == 0.0
+        assert np.max(np.abs(lin[1:-1] + r)) <= 1e-10 * np.max(np.abs(r))
+        if kind == "cigar":
+            slope = (-3.0 * d[0] + 4.0 * d[1] - d[2]) / (2.0 * h)
+            target = -(-3.0 * psi[0] + 4.0 * psi[1] - psi[2]) / (2.0 * h)
+        else:
+            slope, target = d[-1], -psi[-1]
+        assert abs(slope - target) <= 1e-10 * (abs(target) + np.max(np.abs(d)) / h)
+
+
 # ---- continuity method ----
 
 def test_zero_forcing_zero_solution(cigar, zero_field):

@@ -23,23 +23,23 @@ def cylinder_mms_problem(eps, grid=CYL_GRID, exact_bc=True):
 def test_interior_stencil_coefficients():
     # cylinder, mu=0: rows (1/h^2 - 1/h, -2/h^2, 1/h^2 + 1/h), scaled by a = 1
     problem, _ = cylinder_mms_problem(1.0)
-    system = ak.assemble_mode_operator(problem)
+    ab, _ = ak.assemble_mode_operator(problem)
     h = problem.rhs.h
     i = 100
-    assert system.ab[2, i - 1] == pytest.approx(1 / h**2 - 1 / h)
-    assert system.ab[1, i] == pytest.approx(-2 / h**2)
-    assert system.ab[0, i + 1] == pytest.approx(1 / h**2 + 1 / h)
+    assert ab[2, i - 1] == pytest.approx(1 / h**2 - 1 / h)
+    assert ab[1, i] == pytest.approx(-2 / h**2)
+    assert ab[0, i + 1] == pytest.approx(1 / h**2 + 1 / h)
 
 
 def test_cigar_rows_converge_to_cylinder_rows():
     # asymptotic translation invariance: rows at large t match the a = 1 rows
     grid = (-12.0, 20.0, 0.01)
     rhs = ak.GridFunction.sample(lambda t: np.exp(-t), *grid)
-    cigar_sys = ak.assemble_mode_operator(ak.ModeProblem(model=ak.cigar_model(1), mu=0.0, rhs=rhs))
+    cigar_ab, _ = ak.assemble_mode_operator(ak.ModeProblem(model=ak.cigar_model(1), mu=0.0, rhs=rhs))
     h = 0.01
     tail = slice(-50, -1)
-    assert np.allclose(cigar_sys.ab[0, :][tail], 1 / h**2 + 1 / h, rtol=1e-10)
-    assert np.allclose(cigar_sys.ab[2, -52:-3], 1 / h**2 - 1 / h, rtol=1e-10)
+    assert np.allclose(cigar_ab[0, :][tail], 1 / h**2 + 1 / h, rtol=1e-10)
+    assert np.allclose(cigar_ab[2, -52:-3], 1 / h**2 - 1 / h, rtol=1e-10)
 
 
 def test_weighted_adjoint_symmetry_order():

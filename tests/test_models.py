@@ -164,6 +164,30 @@ def test_gridfunction_2d_csv_roundtrip(tmp_path):
     assert np.array_equal(u.values, v.values)
 
 
+def test_gridfunction_csv_rejects_off_grid_t(tmp_path):
+    # files the package writes are read back exactly, also at h = 1e-4
+    u = ak.GridFunction.sample(lambda t: np.exp(-t), 18.0, 20.0, 1e-4)
+    u.to_csv(tmp_path / "fine.csv")
+    v = ak.GridFunction.from_csv(tmp_path / "fine.csv")
+    assert u.same_grid(v) and np.array_equal(u.values, v.values)
+    path = tmp_path / "uneven.csv"
+    path.write_text("t,value\n0,1\n0.1,0.5\n0.3,0.25\n0.35,0.2\n")
+    with pytest.raises(ak.DomainError, match="line 3: t = 0.1"):
+        ak.GridFunction.from_csv(path)
+
+
+@pytest.mark.parametrize("body,line", [
+    ("t,value\n0,1\n\n0.5,x\n1,2\n", 4),
+    ("t,value\n0,1\n0.5\n1,2\n", 3),
+    ("t,u,value\n0,0,1\n0,3,1\n1,0,2\n", 4),
+], ids=["non_numeric", "short_row", "2d_row_count"])
+def test_gridfunction_csv_rejects_malformed_rows(tmp_path, body, line):
+    path = tmp_path / "bad.csv"
+    path.write_text(body)
+    with pytest.raises(ak.DomainError, match=f"line {line}:"):
+        ak.GridFunction.from_csv(path)
+
+
 def test_gridfunction_validation():
     with pytest.raises(ak.DomainError):
         ak.GridFunction(0.0, 1.0, 0.1, np.zeros(5))  # wrong length
