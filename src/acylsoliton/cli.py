@@ -35,7 +35,7 @@ from .diagnostics import (
     poincare_rayleigh,
     verify_solution,
 )
-from .drift import ModeProblem, solve_mode
+from .drift import ModeProblem, mode_interior_residual, solve_mode
 from .errors import AcylSolitonError, ConfigError, ContinuityStalled, PositivityLost
 from .gluing import GlueSpec, glue_coefficient, glued_model, potential_of
 from .grids import GridFunction, uniform_nodes
@@ -283,8 +283,6 @@ def _cmd_weights(cfg, run):
 
 
 def _cmd_solve_linear(cfg, run, rhs_path, mu, order_study=False):
-    from .drift import mode_interior_residual
-
     model = _build_model(cfg)
     rhs = GridFunction.from_csv(rhs_path)
     problem = ModeProblem(model=model, mu=mu, rhs=rhs)
@@ -524,6 +522,9 @@ def run(argv=None):
         return EXIT_USAGE
     except FileNotFoundError as exc:
         print(f"missing input: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except PositivityLost as exc:
         print(f"positivity lost: {exc}", file=sys.stderr)

@@ -10,6 +10,9 @@ one direct bisection solve (LAPACK xSTEBZ) of the symmetrised tridiagonal
 matrix.  The barrier argument behind the analytic inequality suggests the
 reference value 1/8, which is reported for orientation only; the discrete
 constant need not dominate it.
+
+scipy.linalg is imported inside poincare_rayleigh, on its first call, so
+that importing the package does not load SciPy.
 """
 
 import hashlib
@@ -18,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import List
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError
 from .grids import uniform_nodes
@@ -48,6 +50,8 @@ def poincare_rayleigh(model, grid):
     tridiagonal matrix whose smallest eigenvalue LAPACK's Sturm-sequence
     bisection (xSTEBZ) computes directly.
     """
+    import scipy.linalg  # deferred, see the module docstring
+
     h = grid[2]
     w, w_mid = _poincare_weights(model, grid)
     mass = w[1:-1] * h

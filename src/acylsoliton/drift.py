@@ -28,13 +28,16 @@ are solved by banded_solve.  Boundary closures:
 Everything here is pure and reentrant.  Modes are independent, so callers
 may map over them in parallel; solve_field itself iterates in ascending-mu
 order so results are identical regardless of scheduling.
+
+scipy.linalg is imported inside banded_solve, on its first call, so that
+importing the package and the numpy-only commands (spectrum, weights) do
+not pay for loading SciPy.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, SingularSystem
 from .grids import GridFunction
@@ -99,6 +102,8 @@ def drift_bands(c, s, h):
 
 def banded_solve(bands, ab, rhs):
     """scipy.linalg.solve_banded that raises SingularSystem on failure."""
+    import scipy.linalg  # deferred, see the module docstring
+
     try:
         u = scipy.linalg.solve_banded(bands, ab, rhs)
     except (np.linalg.LinAlgError, ValueError) as exc:

@@ -16,6 +16,11 @@ model's normalization (min f = 1) on the left and becoming 2t + kappa
 exactly on the cylinder region, so the trivial-potential soliton residual
 vanishes identically there and the induced Monge-Ampere forcing is
 compactly supported.
+
+scipy.integrate (cumulative_simpson) and scipy.interpolate (CubicSpline)
+are imported inside the functions that call them, on first call: together
+they take about a third of a second to load, and only the potential
+quadrature and the glued model use them.
 """
 
 import math
@@ -23,8 +28,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline
 
 from . import fd
 from .errors import DomainError
@@ -92,6 +95,8 @@ class GlueSpec:
 def _fine_derivative(model, t_min, t_max, h):
     """P' on the refined quadrature grid, with that grid and the slice that
     samples it back onto the nodes of (t_min, t_max, h)."""
+    from scipy.integrate import cumulative_simpson  # deferred, see the module docstring
+
     h_fine = h / QUAD_REFINE
     start = min(t_min, TAIL_START)
     t_fine = uniform_nodes(start, t_max, h_fine)
@@ -111,6 +116,8 @@ def potential_of(model, grid=(0.0, 6.0, 0.005)):
     internally refined grid extended to the left until the tail is
     negligible, by composite Simpson quadrature.
     """
+    from scipy.integrate import cumulative_simpson  # deferred, see the module docstring
+
     t_min, t_max, h = grid
     t = uniform_nodes(t_min, t_max, h)
     if model.kind is Kind.CYLINDER:
@@ -201,6 +208,9 @@ def glued_model(inner_model, spec=None):
     f' = 2c and inherits the inner model's f on the left (so min f = 1 is
     preserved) and equals 2t + kappa exactly on the cylinder region.
     """
+    from scipy.integrate import cumulative_simpson  # deferred, see the module docstring
+    from scipy.interpolate import CubicSpline
+
     spec = spec or GlueSpec()
     grid = (0.0, spec.grid_end, spec.h)
     p_inner = potential_of(inner_model, grid)

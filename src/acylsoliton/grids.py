@@ -140,26 +140,35 @@ class GridFunction:
                 rows.append(row)
                 lines.append(lineno)
         data = np.array(rows).reshape(-1, width)
-        if width == 2:
-            t, first = data[:, 0], np.arange(len(data))
-            vals = data[:, 1]
-        else:
-            t, first = np.unique(data[:, 0], return_index=True)
-            n_u = len(np.unique(data[:, 1]))
-            if len(data) != len(t) * n_u:
+        n_u = 1
+        if width == 3:
+            n_t, n_u = len(np.unique(data[:, 0])), len(np.unique(data[:, 1]))
+            if len(data) != n_t * n_u:
                 raise DomainError(
                     f"{path}, line {lines[-1]}: {len(data)} rows do not form a "
-                    f"{len(t)} x {n_u} (t, u) grid"
+                    f"{n_t} x {n_u} (t, u) grid"
                 )
-            vals = data[:, 2].reshape(len(t), n_u)
-        if len(t) < 2:
+        n_t = len(data) // n_u
+        if n_t < 2:
             raise DomainError("need at least two grid nodes")
-        h = float((t[-1] - t[0]) / (len(t) - 1))  # span-averaged, exact for clean spacings
-        off = np.abs(t - uniform_nodes(t[0], t[-1], h)) > 1e-6 * h
+        t_first, t_last = data[:, 0].min(), data[:, 0].max()
+        h = float((t_last - t_first) / (n_t - 1))  # span-averaged, exact for clean spacings
+        # row r must be node (r // n_u, r % n_u): t ascending, u fastest on 2 pi k / n_u
+        nodes = np.column_stack([
+            np.repeat(uniform_nodes(t_first, t_last, h), n_u),
+            np.tile(_TWO_PI * np.arange(n_u) / n_u, n_t),
+        ])[:, : width - 1]
+        tol = 1e-6 * np.array([h, _TWO_PI / n_u])[: width - 1]
+        off = np.any(np.abs(data[:, :-1] - nodes) > tol, axis=1)
         if np.any(off):
             k = int(np.argmax(off))
+            names = ("t", "u")[: width - 1]
+            got = ", ".join(f"{n} = {x:.17g}" for n, x in zip(names, data[k]))
+            want = ", ".join(f"{n} = {x:.17g}" for n, x in zip(names, nodes[k]))
             raise DomainError(
-                f"{path}, line {lines[first[k]]}: t = {t[k]:.17g} is off the uniform "
-                f"grid of spacing {h:.6g} over [{t[0]:.17g}, {t[-1]:.17g}]"
+                f"{path}, line {lines[k]}: {got}, expected {want} on the ascending "
+                f"uniform t-grid of spacing {h:.6g} over [{t_first:.17g}, {t_last:.17g}]"
+                + (f", t-major with u = 2 pi k / {n_u}" if width == 3 else "")
             )
-        return cls(float(t[0]), float(t[-1]), h, vals)
+        vals = data[:, -1] if width == 2 else data[:, -1].reshape(n_t, n_u)
+        return cls(float(t_first), float(t_last), h, vals)

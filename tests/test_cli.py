@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -148,6 +150,57 @@ def test_bad_csv_is_a_usage_error(tmp_path, capsys, command, body):
     assert run_cli(command + [str(path)], tmp_path / "out") == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "line" in err and "Traceback" not in err
+
+
+def test_unreadable_input_is_a_usage_error(tmp_path, capsys):
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(b"t,value\n0,\xff\xfe\n")
+    folder = tmp_path / "folder.csv"
+    folder.mkdir()
+    for command in (["verify", "--decay", str(binary)], ["solve-linear", "--rhs", str(folder)]):
+        assert run_cli(command, tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+IMPORT_PROBE = """
+import json, sys
+import numpy as np
+
+def scipy_loaded():
+    return sorted(m for m in ("scipy", "scipy.linalg", "scipy.integrate", "scipy.interpolate")
+                  if m in sys.modules)
+
+import acylsoliton, acylsoliton.cli
+out = sys.argv[1]
+steps = [("import", 0, scipy_loaded())]
+rhs = acylsoliton.GridFunction.sample(
+    lambda t: np.exp(-1.5 * t) * np.clip(t / 2, 0, 1) ** 4, -12.0, 20.0, 0.01)
+rhs.to_csv(out + "/rhs.csv")
+for args in (["spectrum"], ["weights"], ["solve-linear", "--rhs", out + "/rhs.csv"],
+             ["solve-ma", "--rhs", "manufactured"], ["verify"], ["report"], ["glue"]):
+    code = acylsoliton.cli.run(args + ["--output", out + "/" + args[0]])
+    steps.append((args[0], code, scipy_loaded()))
+print(json.dumps(steps))
+"""
+
+
+def test_scipy_is_imported_only_by_the_commands_that_call_it(tmp_path):
+    # a fresh interpreter: the test process has SciPy loaded already
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120, check=True)
+    steps = {name: (code, loaded) for name, code, loaded in json.loads(done.stdout)}
+    assert list(steps) == ["import", "spectrum", "weights", "solve-linear", "solve-ma",
+                           "verify", "report", "glue"]
+    assert all(code == 0 for code, _ in steps.values())
+    for name in ("import", "spectrum", "weights"):
+        assert steps[name][1] == [], name
+    for name in ("solve-linear", "solve-ma", "verify", "report"):
+        assert steps[name][1] == ["scipy", "scipy.linalg"], name
+    assert steps["glue"][1] == ["scipy", "scipy.integrate", "scipy.interpolate", "scipy.linalg"]
 
 
 def test_report_passes(tmp_path):

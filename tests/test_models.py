@@ -188,6 +188,21 @@ def test_gridfunction_csv_rejects_malformed_rows(tmp_path, body, line):
         ak.GridFunction.from_csv(path)
 
 
+def test_gridfunction_csv_rejects_u_major_and_off_grid_u(tmp_path):
+    u = ak.GridFunction.sample_2d(lambda t, x: 10 * t + x, 0.0, 2.0, 1.0, 4)
+    path = tmp_path / "u_major.csv"
+    with open(path, "w") as fh:
+        fh.write("t,u,value\n")
+        for j, x in enumerate(u.u):
+            for i, t in enumerate(u.t):
+                fh.write(f"{t:.17g},{x:.17g},{u.values[i, j]:.17g}\n")
+    with pytest.raises(ak.DomainError, match="line 3: t = 1, u = 0, expected t = 0, u = 1.57"):
+        ak.GridFunction.from_csv(path)
+    path.write_text("t,u,value\n0,0,1\n0,1,2\n1,0,3\n1,1,4\n")  # u not on 2 pi k / 2
+    with pytest.raises(ak.DomainError, match="line 3: t = 0, u = 1, expected t = 0, u = 3.14"):
+        ak.GridFunction.from_csv(path)
+
+
 def test_gridfunction_validation():
     with pytest.raises(ak.DomainError):
         ak.GridFunction(0.0, 1.0, 0.1, np.zeros(5))  # wrong length
