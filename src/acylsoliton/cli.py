@@ -225,6 +225,10 @@ class Run:
             "notes": self.notes,
             "wall_time_s": None if initial else round(time.monotonic() - self.start, 6),
         }
+        # LAPACK from SciPy's build computed the numbers; record the version
+        # without importing SciPy in the commands that do not load it
+        if not initial and "scipy" in sys.modules:
+            payload["versions"]["scipy"] = sys.modules["scipy"].__version__
         with open(self.path("manifest.json"), "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
@@ -493,7 +497,7 @@ def run(argv=None):
         if getattr(args, "window", None):
             cfg.weights_window_lo, cfg.weights_window_hi = args.window
 
-        input_paths = []
+        input_paths = list(getattr(args, "decay", None) or [])
         rhs = getattr(args, "rhs", None)
         if rhs and rhs != "manufactured":
             input_paths.append(rhs)

@@ -11,8 +11,9 @@ matrix.  The barrier argument behind the analytic inequality suggests the
 reference value 1/8, which is reported for orientation only; the discrete
 constant need not dominate it.
 
-scipy.linalg is imported inside poincare_rayleigh, on its first call, so
-that importing the package does not load SciPy.
+poincare_rayleigh calls LAPACK dstebz through _lapack, which loads SciPy's
+LAPACK extension on the first call without importing scipy.linalg, so that
+importing the package does not load SciPy.
 """
 
 import hashlib
@@ -22,11 +23,13 @@ from typing import List
 
 import numpy as np
 
-from .errors import DomainError
+from . import _lapack
+from .errors import DomainError, SingularSystem
 from .grids import uniform_nodes
 from .norms import decay_rate_fit
 
 REFERENCE_LAMBDA0 = 0.125  # barrier-argument reference line, not a threshold
+MAX_EXPONENT = float(np.log(np.finfo(float).max))  # e^f overflows above this
 
 
 def _poincare_weights(model, grid):
@@ -37,6 +40,12 @@ def _poincare_weights(model, grid):
     f = model.f(t)
     if np.any(f <= 0):
         raise DomainError("Poincare weight needs f > 0 on the grid (min f = 1 models)")
+    if np.any(f > MAX_EXPONENT):
+        i = int(np.argmax(f > MAX_EXPONENT))
+        raise DomainError(
+            f"Poincare weight e^f overflows at t = {t[i]:.6g} (f = {f[i]:.6g} > "
+            f"{MAX_EXPONENT:.6g}); lower grid.t_max"
+        )
     w = np.exp(f) / f**2 * a
     return w, 0.5 * (w[1:] + w[:-1])
 
@@ -50,16 +59,19 @@ def poincare_rayleigh(model, grid):
     tridiagonal matrix whose smallest eigenvalue LAPACK's Sturm-sequence
     bisection (xSTEBZ) computes directly.
     """
-    import scipy.linalg  # deferred, see the module docstring
-
     h = grid[2]
     w, w_mid = _poincare_weights(model, grid)
     mass = w[1:-1] * h
     diag = (w_mid[:-1] + w_mid[1:]) / h / mass
     off = -w_mid[1:-1] / h / np.sqrt(mass[:-1] * mass[1:])
-    return float(
-        scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0]
-    )
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
+        raise DomainError("Poincare matrix is not finite on the grid")
+    # the arguments of scipy.linalg.eigvalsh_tridiagonal(select="i",
+    # select_range=(0, 0)): index range 1..1, default tolerance, order "E"
+    _, eig, _, _, info = _lapack.flapack().dstebz(diag, off, 2, 0.0, 1.0, 1, 1, 0.0, "E")
+    if info != 0:
+        raise SingularSystem(f"LAPACK dstebz failed (info = {info})")
+    return float(eig[0])
 
 
 def rayleigh_quotient(model, grid, u_interior):

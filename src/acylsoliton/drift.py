@@ -29,9 +29,10 @@ Everything here is pure and reentrant.  Modes are independent, so callers
 may map over them in parallel; solve_field itself iterates in ascending-mu
 order so results are identical regardless of scheduling.
 
-scipy.linalg is imported inside banded_solve, on its first call, so that
-importing the package and the numpy-only commands (spectrum, weights) do
-not pay for loading SciPy.
+banded_solve calls LAPACK (dgtsv for bands (1,1), dgbsv otherwise) through
+_lapack, which loads SciPy's LAPACK extension on the first solve without
+importing scipy.linalg; importing the package and the numpy-only commands
+(spectrum, weights) do not load SciPy at all.
 """
 
 from dataclasses import dataclass
@@ -39,6 +40,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import _lapack
 from .errors import DomainError, SingularSystem
 from .grids import GridFunction
 from .models import Kind
@@ -101,13 +103,26 @@ def drift_bands(c, s, h):
 
 
 def banded_solve(bands, ab, rhs):
-    """scipy.linalg.solve_banded that raises SingularSystem on failure."""
-    import scipy.linalg  # deferred, see the module docstring
+    """Solve the system ab (solve_banded layout, bands (l, u)) by LAPACK.
 
-    try:
-        u = scipy.linalg.solve_banded(bands, ab, rhs)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise SingularSystem(str(exc)) from exc
+    The calls and their arguments are those of scipy.linalg.solve_banded,
+    so the result is the same to the bit.  Raises SingularSystem on
+    non-finite input, a singular matrix or a non-finite solution.
+    """
+    if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(rhs))):
+        raise SingularSystem("array must not contain infs or NaNs")
+    lapack = _lapack.flapack()
+    lower, upper = bands
+    if lower == upper == 1:
+        *_, u, info = lapack.dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs)
+    else:
+        padded = np.zeros((2 * lower + upper + 1, ab.shape[1]))
+        padded[lower:] = ab
+        *_, u, info = lapack.dgbsv(lower, upper, padded, rhs, overwrite_ab=True)
+    if info > 0:
+        raise SingularSystem("singular matrix")
+    if info < 0:
+        raise SingularSystem(f"illegal value in argument {-info} of LAPACK gbsv/gtsv")
     if not np.all(np.isfinite(u)):
         raise SingularSystem("non-finite solution; check boundary policy and weights")
     return u

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy
 
 import acylsoliton as ak
 from acylsoliton.cli import parse_config, run
@@ -136,6 +138,30 @@ def test_verify_decay_and_poincare(tmp_path):
     assert poincare["reference_lambda0"] == 0.125
 
 
+def test_verify_decay_inputs_are_hashed_in_the_manifest(tmp_path):
+    paths = []
+    for rate in (1.2, 1.5):
+        u = ak.GridFunction.sample(lambda t: np.exp(-rate * t), 0.0, 20.0, 0.01)
+        paths.append(tmp_path / f"field{rate}.csv")
+        u.to_csv(paths[-1])
+    assert run_cli(["verify", "--decay"] + [str(p) for p in paths], tmp_path / "out") == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["inputs"] == {
+        str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in paths
+    }
+
+
+def test_poincare_weight_overflow_is_a_usage_error(tmp_path, capsys):
+    # e^f overflows past t ~ 354 on the cigar: a clean error, no RuntimeWarning
+    config = tmp_path / "big.cfg"
+    config.write_text("grid.t_max = 400\ngrid.h = 0.1\n")
+    code = run_cli(["verify", "--model", "cigar", "--config", str(config)], tmp_path / "out")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Poincare weight e^f overflows at t = 354.4")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", [["verify", "--decay"], ["solve-linear", "--rhs"]],
                          ids=["verify", "solve_linear"])
 @pytest.mark.parametrize("body", [
@@ -181,7 +207,11 @@ for args in (["spectrum"], ["weights"], ["solve-linear", "--rhs", out + "/rhs.cs
              ["solve-ma", "--rhs", "manufactured"], ["verify"], ["report"], ["glue"]):
     code = acylsoliton.cli.run(args + ["--output", out + "/" + args[0]])
     steps.append((args[0], code, scipy_loaded()))
-print(json.dumps(steps))
+    if args[0] == "solve-linear":
+        flapack = sys.modules["scipy.linalg._flapack"]
+import scipy.linalg.lapack
+print(json.dumps({"steps": steps, "same_flapack": flapack is scipy.linalg.lapack._flapack
+                  is sys.modules["scipy.linalg._flapack"] is acylsoliton._lapack.flapack()}))
 """
 
 
@@ -192,15 +222,26 @@ def test_scipy_is_imported_only_by_the_commands_that_call_it(tmp_path):
     done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(tmp_path)],
                           env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120, check=True)
-    steps = {name: (code, loaded) for name, code, loaded in json.loads(done.stdout)}
+    probe = json.loads(done.stdout)
+    steps = {name: (code, loaded) for name, code, loaded in probe["steps"]}
     assert list(steps) == ["import", "spectrum", "weights", "solve-linear", "solve-ma",
                            "verify", "report", "glue"]
     assert all(code == 0 for code, _ in steps.values())
     for name in ("import", "spectrum", "weights"):
         assert steps[name][1] == [], name
+    # LAPACK without scipy.linalg: only SciPy's package __init__ runs
     for name in ("solve-linear", "solve-ma", "verify", "report"):
-        assert steps[name][1] == ["scipy", "scipy.linalg"], name
+        assert steps[name][1] == ["scipy"], name
     assert steps["glue"][1] == ["scipy", "scipy.integrate", "scipy.interpolate", "scipy.linalg"]
+    # scipy.linalg, imported by glue, reuses the LAPACK module the solves loaded
+    assert probe["same_flapack"] is True
+    # the manifest records the SciPy version exactly when SciPy is loaded
+    versions = {name: json.loads((tmp_path / name / "manifest.json").read_text())["versions"]
+                for name in steps if name != "import"}
+    for name in ("spectrum", "weights"):
+        assert "scipy" not in versions[name], name
+    for name in ("solve-linear", "solve-ma", "verify", "report", "glue"):
+        assert versions[name]["scipy"] == scipy.__version__, name
 
 
 def test_report_passes(tmp_path):
