@@ -4,7 +4,8 @@
 The pipeline behind the existence result: write the inner Kahler form as
 i ddbar P, interpolate P against the cylinder potential t^2 with a degree-7
 smoothstep on [1, t0], add a bump rho dt ^ d^c t if positivity needs it,
-and rebuild the soliton potential from f' = 2c.  The glued metric equals
+and solve f' = 2c for the soliton potential, all in closed form (the cigar
+potential involves the dilogarithm Li_2(-e^{-2t})).  The glued metric equals
 the cigar for t <= 1/2 and the exact cylinder for t >= t0 + 1/2, so the
 Monge-Ampere forcing F = -residual(glued, 0) is compactly supported, and
 the continuity method turns the background into an exact steady soliton.
@@ -19,17 +20,16 @@ import acylsoliton as ak
 inner = ak.cigar_model(2)
 spec = ak.GlueSpec(t0=3.0)
 
-p_inner = ak.potential_of(inner, (0.0, spec.grid_end, spec.h))
-rho0 = ak.auto_rho(p_inner, spec, inner)
-coefficient = ak.glue_coefficient(p_inner, spec, inner, rho0=rho0)
+glue_grid = (0.0, spec.grid_end, spec.h)
+rho0 = ak.auto_rho(glue_grid, spec, inner)
+coefficient = ak.glue_coefficient(glue_grid, spec, inner, rho0=rho0)
 print(f"bump amplitude rho0 = {rho0} (the default transition stays positive on its own)")
 print(f"min c = {np.min(coefficient.values):.4f}, "
       f"c = 1 exactly beyond t0 + 1/2: {bool(np.all(coefficient.values[coefficient.t >= 3.5] == 1.0))}")
 
 # a narrow transition needs a genuine bump
 narrow = ak.GlueSpec(t0=1.3)
-p_narrow = ak.potential_of(inner, (0.0, narrow.grid_end, narrow.h))
-rho_narrow = ak.auto_rho(p_narrow, narrow, inner)
+rho_narrow = ak.auto_rho((0.0, narrow.grid_end, narrow.h), narrow, inner)
 print(f"narrow transition t0 = 1.3: rho0 = {rho_narrow:.2f} "
       "(auto-selected so min c clears the margin)")
 

@@ -55,7 +55,6 @@ from .gluing import (
     glue_coefficient,
     glued_forcing,
     glued_model,
-    potential_derivative_of,
     potential_of,
     smoothstep,
 )

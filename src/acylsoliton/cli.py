@@ -37,7 +37,7 @@ from .diagnostics import (
 )
 from .drift import ModeProblem, mode_interior_residual, solve_mode
 from .errors import AcylSolitonError, ConfigError, ContinuityStalled, PositivityLost
-from .gluing import GlueSpec, glue_coefficient, glued_model, potential_of
+from .gluing import GlueSpec, glue_coefficient, glued_model
 from .grids import GridFunction, uniform_nodes
 from .models import cigar_model, cylinder_model, model_to_text, soliton_residual
 from .norms import TAIL_WINDOW, decay_rate_fit
@@ -364,8 +364,8 @@ def _cmd_glue(cfg, run):
     model = glued_model(inner, spec)
     with open(run.path("model.txt"), "w") as fh:
         fh.write(model_to_text(model))
-    p_inner = potential_of(inner, (0.0, spec.grid_end, spec.h))
-    coefficient = glue_coefficient(p_inner, spec, inner, rho0=model.glue_params["rho0"])
+    coefficient = glue_coefficient((0.0, spec.grid_end, spec.h), spec, inner,
+                                   rho0=model.glue_params["rho0"])
     coefficient.to_csv(run.path("coefficient.csv"))
     run.notes["rho0"] = model.glue_params["rho0"]
     run.notes["min_coefficient"] = float(np.min(coefficient.values))
@@ -543,3 +543,7 @@ def run(argv=None):
 
 def main():  # pragma: no cover
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

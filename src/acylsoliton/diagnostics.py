@@ -39,7 +39,11 @@ def _poincare_weights(model, grid):
     a = model.sample_a(t)
     f = model.f(t)
     if np.any(f <= 0):
-        raise DomainError("Poincare weight needs f > 0 on the grid (min f = 1 models)")
+        i = int(np.argmax(f <= 0))
+        raise DomainError(
+            f"Poincare weight needs f > 0, but f = {f[i]:.6g} at t = {t[i]:.6g}; "
+            "raise grid.t_min"
+        )
     if np.any(f > MAX_EXPONENT):
         i = int(np.argmax(f > MAX_EXPONENT))
         raise DomainError(

@@ -1,26 +1,28 @@
 """Cut-off gluing of an inner radial model to the exact cylinder.
 
 The inner Kahler form a(t) beta is written as i ddbar of a radial potential
-P (P'' = 2a), then interpolated against the cylinder potential t^2 by a
-polynomial cutoff chi (chi = 0 for t <= 1, chi = 1 for t >= t0):
+P (P'' = 2a, P(0) = 0), interpolated against the cylinder potential t^2 by
+a polynomial cutoff chi (chi = 0 for t <= 1, chi = 1 for t >= t0), and a
+bump rho >= 0 supported in [1/2, t0 + 1/2] is added:
 
-    c(t) = 1/2 d^2/dt^2 [ chi t^2 + (1 - chi) P ] + rho(t),
+    c = 1/2 (chi t^2 + (1 - chi) P)'' + rho
+      = 1/2 chi'' (t^2 - P) - chi' (P' - 2t) + chi + (1 - chi) a + rho.
 
-where rho >= 0 is a bump supported in [1/2, t0 + 1/2] whose amplitude is
-raised until c clears a positivity margin.  By construction c equals the
-inner coefficient a for t <= 1/2 and 1 (the cylinder) for t >= t0 + 1/2;
-those two regions are enforced exactly, not just to stencil error.
+Every term has a closed form: chi and rho are polynomials, the cylinder
+has P = t^2, and the cigar has P = t^2 + Li_2(-e^{-2t})/2 + pi^2/24 with
+P' - 2t = log(1 + e^{-2t}).  The bump amplitude is the smallest that lifts
+c above a positivity margin.
 
-The glued soliton potential integrates f' = 2c, inheriting the inner
-model's normalization (min f = 1) on the left and becoming 2t + kappa
-exactly on the cylinder region, so the trivial-potential soliton residual
-vanishes identically there and the induced Monge-Ampere forcing is
-compactly supported.
+The glued soliton potential solves f' = 2c in the same closed form,
 
-scipy.integrate (cumulative_simpson) and scipy.interpolate (CubicSpline)
-are imported inside the functions that call them, on first call: together
-they take about a third of a second to load, and only the potential
-quadrature and the glued model use them.
+    f - 2t = 1 + chi' (t^2 - P) + (1 - chi)(P' - 2t) + 2 int_{1/2}^t rho,
+
+which equals the inner model's f - 2t at t = 1/2 (so min f = 1 is kept)
+and a constant kappa for t >= t0 + 1/2.  The glued model takes the inner
+model's callables on t <= 1/2 and c = 1, f = 2t + kappa exactly on the
+cylinder region, so the trivial-potential soliton residual vanishes
+identically there and the induced Monge-Ampere forcing is compactly
+supported.
 """
 
 import math
@@ -29,14 +31,12 @@ from typing import Optional
 
 import numpy as np
 
-from . import fd
 from .errors import DomainError
 from .grids import GridFunction, uniform_nodes
-from .models import Kind, RadialKahlerModel
+from .models import Kind, RadialKahlerModel, _as_nodes
 
 RHO_CAP = 1e6
-QUAD_REFINE = 10         # internal refinement for the potential quadrature
-TAIL_START = -14.0       # extension depth for the one-sided integral of 2a
+LI2_TERMS = 50           # series terms for Li_2(z), z <= 1/2: tail below 1e-18
 
 
 def smoothstep(x, degree=7):
@@ -52,6 +52,18 @@ def smoothstep(x, degree=7):
     return x ** (m + 1) * acc
 
 
+def _smoothstep_derivatives(x, degree):
+    """First and second derivative of smoothstep: S' = C (x (1 - x))^m on
+    (0, 1), with C = (2m + 1)!/(m!)^2, and zero outside."""
+    m = (degree - 1) // 2
+    scale = (2 * m + 1) * math.comb(2 * m, m)
+    inside = (x > 0.0) & (x < 1.0)
+    q = x * (1.0 - x)
+    d1 = np.where(inside, scale * q**m, 0.0)
+    d2 = np.where(inside, scale * m * q ** (m - 1) * (1.0 - 2.0 * x), 0.0)
+    return d1, d2
+
+
 def bump_profile(s):
     """Nonnegative C^3 profile (1 - s^2)^4 on [-1, 1], zero outside."""
     s = np.asarray(s, dtype=float)
@@ -59,6 +71,14 @@ def bump_profile(s):
     out = np.zeros_like(s)
     out[inside] = (1.0 - s[inside] ** 2) ** 4
     return out
+
+
+def _bump_profile_integral(s):
+    """Integral of bump_profile from -1 to s (degree 9; 256/315 for s >= 1)."""
+    s = np.clip(s, -1.0, 1.0)
+    s2 = s * s
+    return s * (1.0 + s2 * (-4.0 / 3.0 + s2 * (6.0 / 5.0 + s2 * (-4.0 / 7.0 + s2 / 9.0)))) \
+        + 128.0 / 315.0
 
 
 @dataclass(frozen=True)
@@ -77,6 +97,15 @@ class GlueSpec:
             raise DomainError("transition end t0 must exceed 1")
         if self.margin <= 0:
             raise DomainError("positivity margin must be positive")
+        if self.smoothstep_degree < 3:  # chi'' of a C^0 cutoff is a measure, not a coefficient
+            raise DomainError("cutoff degree must be at least 3")
+        if self.h <= 0:
+            raise DomainError(f"gluing grid spacing must be positive, got h={self.h}")
+        if self.grid_end < self.t0 + 0.5:
+            raise DomainError(
+                f"gluing grid ends at t={self.grid_end:.6g}, short of the cylinder region "
+                f"t >= t0 + 1/2 = {self.t0 + 0.5:.6g}; raise t_max"
+            )
 
     @property
     def grid_end(self):
@@ -86,90 +115,106 @@ class GlueSpec:
         return smoothstep((np.asarray(t, dtype=float) - 1.0) / (self.t0 - 1.0),
                           self.smoothstep_degree)
 
-    def bump(self, t, rho0):
+    def _bump_coordinate(self, t):
         center = (0.5 + self.t0 + 0.5) / 2.0
         halfwidth = self.t0 / 2.0
-        return rho0 * bump_profile((np.asarray(t, dtype=float) - center) / halfwidth)
+        return (np.asarray(t, dtype=float) - center) / halfwidth
+
+    def bump(self, t, rho0):
+        return rho0 * bump_profile(self._bump_coordinate(t))
+
+    def bump_integral(self, t, rho0):
+        """Integral of bump(., rho0) from 1/2 to t."""
+        return rho0 * (self.t0 / 2.0) * _bump_profile_integral(self._bump_coordinate(t))
 
 
-def _fine_derivative(model, t_min, t_max, h):
-    """P' on the refined quadrature grid, with that grid and the slice that
-    samples it back onto the nodes of (t_min, t_max, h)."""
-    from scipy.integrate import cumulative_simpson  # deferred, see the module docstring
+def _li2_of_minus(u):
+    """Li_2(-u) for 0 <= u <= 1, by Landen's identity
+    Li_2(-u) = -Li_2(z) - log(1 + u)^2 / 2 with z = u / (1 + u) <= 1/2,
+    and Horner's rule on the series Li_2(z) = sum_k z^k / k^2."""
+    z = u / (1.0 + u)
+    series = np.zeros_like(z)
+    for k in range(LI2_TERMS, 0, -1):
+        series = z * (1.0 / k**2 + series)
+    return -series - 0.5 * np.log1p(u) ** 2
 
-    h_fine = h / QUAD_REFINE
-    start = min(t_min, TAIL_START)
-    t_fine = uniform_nodes(start, t_max, h_fine)
-    two_a = 2.0 * model.sample_a(t_fine)
-    tail = float(model.sample_a(np.array([start]))[0])  # ~ integral of 2a below start
-    p_prime = tail + cumulative_simpson(two_a, x=t_fine, initial=0.0)
-    stride = int(round(h / h_fine))
-    offset = int(round((t_min - start) / h_fine))
-    return t_fine, p_prime, slice(offset, None, stride)
+
+def _potential_gaps(model, t):
+    """t^2 - P and P' - 2t for the inner potential (P'' = 2a, P(0) = 0).
+
+    Both vanish for the cylinder.  For the cigar t^2 - P is
+    -Li_2(-e^{-2t})/2 - pi^2/24 on t >= 0, and t^2 minus that at |t| on
+    t < 0 (Li_2's inversion identity); P' - 2t = log(1 + e^{-2t}).
+    """
+    t = np.asarray(t, dtype=float)
+    if model.kind is Kind.CYLINDER:
+        return np.zeros_like(t), np.zeros_like(t)
+    if model.kind is not Kind.CIGAR:
+        raise DomainError(f"gluing needs a cigar or cylinder inner model, got {model.kind.value}")
+    gap = -0.5 * _li2_of_minus(np.exp(-2.0 * np.abs(t))) - math.pi**2 / 24.0
+    return np.where(t < 0.0, t**2 - gap, gap), np.logaddexp(0.0, -2.0 * t)
 
 
 def potential_of(model, grid=(0.0, 6.0, 0.005)):
-    """Radial potential P with P'' = 2a, P(0) = 0.
-
-    P'(t) is the one-sided integral of 2a from -infty; the cylinder case is
-    exact (P = t^2) and decaying-coefficient models are integrated on an
-    internally refined grid extended to the left until the tail is
-    negligible, by composite Simpson quadrature.
-    """
-    from scipy.integrate import cumulative_simpson  # deferred, see the module docstring
-
-    t_min, t_max, h = grid
+    """Radial potential P with P'' = 2a, P(0) = 0, in closed form on the nodes
+    of grid, a (t_min, t_max, h) tuple or a GridFunction."""
+    t_min, t_max, h = _as_nodes(grid)
     t = uniform_nodes(t_min, t_max, h)
-    if model.kind is Kind.CYLINDER:
-        return GridFunction(t_min, t_max, h, t**2)
-    t_fine, p_prime, coarse = _fine_derivative(model, t_min, t_max, h)
-    p_fine = cumulative_simpson(p_prime, x=t_fine, initial=0.0)
-    # fix P(0) = 0
-    i0 = int(np.argmin(np.abs(t_fine)))
-    p_fine -= p_fine[i0]
-    return GridFunction(t_min, t_max, h, p_fine[coarse][: len(t)])
+    return GridFunction(t_min, t_max, h, t**2 - _potential_gaps(model, t)[0])
 
 
-def potential_derivative_of(model, grid=(0.0, 6.0, 0.005)):
-    """P'(t) on the grid (same quadrature as potential_of)."""
-    t_min, t_max, h = grid
-    t = uniform_nodes(t_min, t_max, h)
-    if model.kind is Kind.CYLINDER:
-        return GridFunction(t_min, t_max, h, 2.0 * t)
-    _, p_prime, coarse = _fine_derivative(model, t_min, t_max, h)
-    return GridFunction(t_min, t_max, h, p_prime[coarse][: len(t)])
+def _transition(inner_model, spec, rho0):
+    """(c, f - 2t) of the glued model as a function of t in the transition."""
+    width = spec.t0 - 1.0
+
+    def evaluate(t):
+        gap, slope = _potential_gaps(inner_model, t)
+        chi = spec.cutoff(t)
+        d1, d2 = _smoothstep_derivatives((t - 1.0) / width, spec.smoothstep_degree)
+        d1, d2 = d1 / width, d2 / width**2
+        c = (0.5 * d2 * gap - d1 * slope + chi + (1.0 - chi) * inner_model.a(t)
+             + spec.bump(t, rho0))
+        f_minus_2t = 1.0 + d1 * gap + (1.0 - chi) * slope + 2.0 * spec.bump_integral(t, rho0)
+        return c, f_minus_2t
+
+    return evaluate
 
 
-def glue_coefficient(p_inner, spec, inner_model=None, rho0=None):
-    """Coefficient c of the glued Kahler form relative to beta.
+def _piecewise(t0, left, transition, right):
+    """Callable equal to left(t) for t <= 1/2, transition(t) on the
+    transition and the constant right for t >= t0 + 1/2."""
+    def evaluate(t):
+        t = np.asarray(t, dtype=float)
+        out = np.full_like(t, right)
+        lo = t <= 0.5
+        mid = ~lo & (t < t0 + 0.5)
+        out[lo] = left(t[lo])
+        out[mid] = transition(t[mid])
+        return out
 
-    c = 1/2 (chi t^2 + (1-chi) P)'' + rho by finite differences on the
-    composite potential.  The regions t <= 1/2 (pure inner form) and
-    t >= t0 + 1/2 (pure cylinder) are set exactly: when the inner model is
-    supplied its coefficient is used there, otherwise 1/2 P'' is kept.
+    return evaluate
+
+
+def glue_coefficient(grid, spec, inner_model, rho0=None):
+    """Coefficient c of the glued Kahler form relative to beta on the nodes of
+    grid, a (t_min, t_max, h) tuple or a GridFunction.
+
+    c is the inner coefficient for t <= 1/2, exactly 1 for t >= t0 + 1/2,
+    and the closed form of the module docstring in between.
     """
     amplitude = spec.rho0 if rho0 is None else rho0
     if amplitude is None:
         raise DomainError("bump amplitude rho0 is not set; run auto_rho first")
     if amplitude < 0:
         raise DomainError("bump amplitude must be nonnegative")
-    t = p_inner.t
-    h = p_inner.h
-    chi = spec.cutoff(t)
-    composite = chi * t**2 + (1.0 - chi) * p_inner.values
-    c = 0.5 * fd.d2(composite, h) + spec.bump(t, amplitude)
-    outer = t >= spec.t0 + 0.5 - 1e-12
-    c[outer] = 1.0
-    inner = t <= 0.5 + 1e-12
-    if inner_model is not None:
-        c[inner] = inner_model.sample_a(t[inner])
-    else:
-        c[inner] = 0.5 * fd.d2(p_inner.values, h)[inner]
-    return p_inner.like(c)
+    t_min, t_max, h = _as_nodes(grid)
+    transition = _transition(inner_model, spec, amplitude)
+    coefficient = _piecewise(spec.t0, inner_model.sample_a, lambda t: transition(t)[0], 1.0)
+    return GridFunction(t_min, t_max, h, coefficient(uniform_nodes(t_min, t_max, h)))
 
 
-def auto_rho(p_inner, spec, inner_model=None):
-    """Smallest bump amplitude rho0 with min c >= spec.margin.
+def auto_rho(grid, spec, inner_model):
+    """Smallest bump amplitude rho0 with min c >= spec.margin on the nodes of grid.
 
     Geometric scan (factor 1.2) to bracket, then bisection to 1e-3 relative;
     returns the feasible upper end.  Fails when no amplitude below RHO_CAP
@@ -177,7 +222,7 @@ def auto_rho(p_inner, spec, inner_model=None):
     margin (rho0 cannot fix that region).
     """
     def min_c(amplitude):
-        return float(np.min(glue_coefficient(p_inner, spec, inner_model, rho0=amplitude).values))
+        return float(np.min(glue_coefficient(grid, spec, inner_model, rho0=amplitude).values))
 
     if min_c(0.0) >= spec.margin:
         return 0.0
@@ -201,81 +246,30 @@ def auto_rho(p_inner, spec, inner_model=None):
 
 
 def glued_model(inner_model, spec=None):
-    """ACyl background model equal to the inner model for t <= 1/2 and to
-    the cylinder for t >= t0 + 1/2.
+    """ACyl background model equal to the inner model (cigar or cylinder) for
+    t <= 1/2 and to the cylinder for t >= t0 + 1/2.
 
-    The coefficient is c from the gluing; the soliton potential integrates
-    f' = 2c and inherits the inner model's f on the left (so min f = 1 is
+    The coefficient is c from the gluing; the soliton potential solves
+    f' = 2c, inherits the inner model's f on the left (so min f = 1 is
     preserved) and equals 2t + kappa exactly on the cylinder region.
     """
-    from scipy.integrate import cumulative_simpson  # deferred, see the module docstring
-    from scipy.interpolate import CubicSpline
-
     spec = spec or GlueSpec()
     grid = (0.0, spec.grid_end, spec.h)
-    p_inner = potential_of(inner_model, grid)
-    rho0 = spec.rho0 if spec.rho0 is not None else auto_rho(p_inner, spec, inner_model)
-    c = glue_coefficient(p_inner, spec, inner_model, rho0=rho0)
+    rho0 = spec.rho0 if spec.rho0 is not None else auto_rho(grid, spec, inner_model)
+    c = glue_coefficient(grid, spec, inner_model, rho0=rho0)
     if float(np.min(c.values)) <= 0.0:
         raise DomainError("glued coefficient is not positive; increase rho0")
 
     t0 = spec.t0
-    t_nodes = c.t
-    transition = (t_nodes >= 0.5 - 1e-12) & (t_nodes <= t0 + 0.5 + 1e-12)
-    c_spline = CubicSpline(t_nodes[transition], c.values[transition])
-
-    inner_a = inner_model.a
-    inner_log_a = inner_model.log_a
-    inner_fm2t = inner_model.f_minus_2t
-
-    def a(t):
-        t = np.asarray(t, dtype=float)
-        out = np.empty_like(t)
-        left = t <= 0.5
-        right = t >= t0 + 0.5
-        mid = ~left & ~right
-        out[left] = inner_a(t[left])
-        out[right] = 1.0
-        out[mid] = c_spline(t[mid])
-        return out
-
-    def log_a(t):
-        t = np.asarray(t, dtype=float)
-        out = np.empty_like(t)
-        left = t <= 0.5
-        right = t >= t0 + 0.5
-        mid = ~left & ~right
-        out[left] = inner_log_a(t[left])
-        out[right] = 0.0
-        out[mid] = np.log(c_spline(t[mid]))
-        return out
-
-    # f on the transition: f(1/2) from the inner model plus the integral of 2c
-    h_fine = spec.h / 2.0
-    t_fine = uniform_nodes(0.5, t0 + 0.5, h_fine)
-    f_half = 2.0 * 0.5 + float(inner_fm2t(np.array([0.5]))[0])
-    f_fine = f_half + cumulative_simpson(2.0 * a(t_fine), x=t_fine, initial=0.0)
-    f_spline = CubicSpline(t_fine, f_fine)
-    kappa = float(f_fine[-1] - 2.0 * (t0 + 0.5))
-
-    def f_minus_2t(t):
-        t = np.asarray(t, dtype=float)
-        out = np.empty_like(t)
-        left = t <= 0.5
-        right = t >= t0 + 0.5
-        mid = ~left & ~right
-        out[left] = inner_fm2t(t[left])
-        out[right] = kappa
-        out[mid] = f_spline(t[mid]) - 2.0 * t[mid]
-        return out
-
+    transition = _transition(inner_model, spec, rho0)
+    kappa = float(transition(np.array([t0 + 0.5]))[1][0])
     return RadialKahlerModel(
         n=inner_model.n,
         kind=Kind.GLUED,
         c0=inner_model.c0,
-        a=a,
-        log_a=log_a,
-        f_minus_2t=f_minus_2t,
+        a=_piecewise(t0, inner_model.a, lambda t: transition(t)[0], 1.0),
+        log_a=_piecewise(t0, inner_model.log_a, lambda t: np.log(transition(t)[0]), 0.0),
+        f_minus_2t=_piecewise(t0, inner_model.f_minus_2t, lambda t: transition(t)[1], kappa),
         torus=inner_model.torus,
         glue_params={
             "t0": spec.t0,

@@ -162,6 +162,15 @@ def test_poincare_weight_overflow_is_a_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_poincare_weight_nonpositive_f_is_a_usage_error(tmp_path, capsys):
+    # the cylinder's f = 2t + 1 is negative on the default grid (t_min = -12)
+    code = run_cli(["verify", "--model", "cylinder"], tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Poincare weight needs f > 0, but f = -23 at t = -12;")
+    assert "raise grid.t_min" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", [["verify", "--decay"], ["solve-linear", "--rhs"]],
                          ids=["verify", "solve_linear"])
 @pytest.mark.parametrize("body", [
@@ -215,13 +224,17 @@ print(json.dumps({"steps": steps, "same_flapack": flapack is scipy.linalg.lapack
 """
 
 
-def test_scipy_is_imported_only_by_the_commands_that_call_it(tmp_path):
-    # a fresh interpreter: the test process has SciPy loaded already
+def _fresh_python(args, cwd):
+    """Run python with args in a fresh interpreter (the test process has SciPy loaded)."""
     src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(tmp_path)],
-                          env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=120, check=True)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_scipy_is_imported_only_by_the_commands_that_call_it(tmp_path):
+    done = _fresh_python(["-c", IMPORT_PROBE, str(tmp_path)], None)
+    assert done.returncode == 0, done.stderr
     probe = json.loads(done.stdout)
     steps = {name: (code, loaded) for name, code, loaded in probe["steps"]}
     assert list(steps) == ["import", "spectrum", "weights", "solve-linear", "solve-ma",
@@ -232,8 +245,9 @@ def test_scipy_is_imported_only_by_the_commands_that_call_it(tmp_path):
     # LAPACK without scipy.linalg: only SciPy's package __init__ runs
     for name in ("solve-linear", "solve-ma", "verify", "report"):
         assert steps[name][1] == ["scipy"], name
-    assert steps["glue"][1] == ["scipy", "scipy.integrate", "scipy.interpolate", "scipy.linalg"]
-    # scipy.linalg, imported by glue, reuses the LAPACK module the solves loaded
+    # the glued background is closed form: glue loads no SciPy module
+    assert steps["glue"][1] == ["scipy"]
+    # a later import of scipy.linalg reuses the LAPACK module the solves loaded
     assert probe["same_flapack"] is True
     # the manifest records the SciPy version exactly when SciPy is loaded
     versions = {name: json.loads((tmp_path / name / "manifest.json").read_text())["versions"]
@@ -242,6 +256,22 @@ def test_scipy_is_imported_only_by_the_commands_that_call_it(tmp_path):
         assert "scipy" not in versions[name], name
     for name in ("solve-linear", "solve-ma", "verify", "report", "glue"):
         assert versions[name]["scipy"] == scipy.__version__, name
+
+
+def test_glue_alone_imports_no_scipy(tmp_path):
+    probe = ("import json, sys, acylsoliton.cli\n"
+             "code = acylsoliton.cli.run(['glue', '--output', 'g'])\n"
+             "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))")
+    done = _fresh_python(["-c", probe], tmp_path)
+    assert json.loads(done.stdout) == [0, []], done.stderr
+    manifest = json.loads((tmp_path / "g" / "manifest.json").read_text())
+    assert "scipy" not in manifest["versions"]
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    done = _fresh_python(["-m", "acylsoliton", "spectrum", "--output", "d"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "d" / "spectrum.csv").exists()
 
 
 def test_report_passes(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -35,10 +36,14 @@ def test_cylinder_potential_is_t_squared():
     assert np.array_equal(p.values, p.t**2)
 
 
-def test_cigar_potential_derivative_closed_form():
-    dp = ak.potential_derivative_of(ak.cigar_model(1), (0.0, 6.0, 0.005))
-    exact = np.logaddexp(0, 2 * dp.t)
-    assert np.max(np.abs(dp.values - exact)) < 1e-8
+def test_cigar_potential_matches_mpmath_dilogarithm():
+    import mpmath as mp
+
+    p = ak.potential_of(ak.cigar_model(1), (-3.0, 8.0, 0.25))
+    with mp.workdps(30):
+        exact = [float(t**2 + mp.polylog(2, -mp.exp(-2 * t)) / 2 + mp.pi**2 / 24)
+                 for t in map(mp.mpf, p.t.tolist())]
+    assert np.max(np.abs(p.values - exact)) <= 1e-13
 
 
 def test_potential_second_derivative_recovers_a():
@@ -49,6 +54,101 @@ def test_potential_second_derivative_recovers_a():
     a_rec = 0.5 * fd.d2(p.values, p.h)
     err = np.max(np.abs(a_rec - model.a(p.t))[1:-1])
     assert err < 1e-5  # O(h^2)
+
+
+def _mpmath_glue(t0, rho0, t):
+    """c and f - 2t of the cigar gluing at 30 digits, from mpmath.diff of the
+    composite potential chi t^2 + (1 - chi) P and mpmath.quad of the bump."""
+    import mpmath as mp
+
+    m = 3  # the default degree-7 smoothstep
+
+    def chi(s):
+        x = (s - 1) / (t0 - 1)
+        if x <= 0 or x >= 1:
+            return mp.mpf(x >= 1)
+        return x ** (m + 1) * sum(math.comb(m + k, k) * math.comb(2 * m + 1, m - k) * (-x) ** k
+                                  for k in range(m + 1))
+
+    def composite(s):
+        potential = s**2 + mp.polylog(2, -mp.exp(-2 * s)) / 2 + mp.pi**2 / 24
+        return chi(s) * s**2 + (1 - chi(s)) * potential
+
+    def rho(s):
+        u = (s - (t0 + 1) / 2) / (t0 / 2)
+        return rho0 * (1 - u**2) ** 4 if abs(u) < 1 else mp.mpf(0)
+
+    c = mp.diff(composite, t, 2) / 2 + rho(t)
+    # f(1/2) = P'(1/2) + 1 and f' = 2c = composite'' + 2 rho
+    f_minus_2t = mp.diff(composite, t, 1) - 2 * t + 1 + 2 * mp.quad(rho, [mp.mpf(1) / 2, t])
+    return float(c), float(f_minus_2t)
+
+
+@pytest.mark.parametrize("t0, rho0, positive", [(3.0, 0.0, True), (3.0, 15.0, True),
+                                                (1.3, 0.0, False), (1.3, 15.0, True)])
+def test_glue_closed_form_matches_mpmath(t0, rho0, positive):
+    import mpmath as mp
+
+    inner = ak.cigar_model(2)
+    spec = ak.GlueSpec(t0=t0, rho0=rho0)
+    # seven transition nodes, none on the junctions t = 1, t0
+    c = ak.glue_coefficient((0.6, t0 + 0.4, (t0 - 0.2) / 6), spec, inner)
+    with mp.workdps(30):
+        exact = [_mpmath_glue(mp.mpf(t0), mp.mpf(rho0), mp.mpf(float(t))) for t in c.t]
+    assert np.max(np.abs(c.values - [e[0] for e in exact])) <= 1e-13
+    if positive:  # t0 = 1.3 needs a bump before c > 0 on the gluing grid
+        f_minus_2t = ak.glued_model(inner, spec).f_minus_2t(c.t)
+        assert np.max(np.abs(f_minus_2t - [e[1] for e in exact])) <= 1e-13
+
+
+@pytest.mark.parametrize("t0, steps", [(3.0, (0.01, 0.005, 0.0025)),
+                                       (1.3, (0.0025, 0.00125, 0.000625))])
+def test_finite_difference_coefficient_converges_to_closed_form(t0, steps):
+    from acylsoliton import fd
+
+    inner = ak.cigar_model(2)
+    errors = []
+    for h in steps:
+        spec = ak.GlueSpec(t0=t0, rho0=15.0, h=h)
+        p = ak.potential_of(inner, (0.0, spec.grid_end, h))
+        chi = spec.cutoff(p.t)
+        c_fd = 0.5 * fd.d2(chi * p.t**2 + (1.0 - chi) * p.values, h) + spec.bump(p.t, 15.0)
+        c = ak.glue_coefficient(p, spec, inner)
+        transition = (p.t > 0.5) & (p.t < t0 + 0.5)
+        errors.append(np.max(np.abs(c_fd - c.values)[transition]))
+    orders = np.log2(np.array(errors[:-1]) / errors[1:])
+    assert np.all((orders > 1.9) & (orders < 2.1)), orders
+
+
+def test_glue_coefficient_accepts_tuple_or_grid_function():
+    inner = ak.cigar_model(2)
+    spec = ak.GlueSpec(t0=1.3)
+    grid = (0.0, spec.grid_end, spec.h)
+    by_tuple = ak.glue_coefficient(grid, spec, inner, rho0=15.0)
+    by_field = ak.glue_coefficient(ak.potential_of(inner, grid), spec, inner, rho0=15.0)
+    assert np.array_equal(by_tuple.values, by_field.values)
+    assert ak.auto_rho(grid, spec, inner) == ak.auto_rho(ak.potential_of(inner, grid), spec, inner)
+
+
+@pytest.mark.parametrize("kwargs", [{"t0": 3.0, "t_max": 2.0}, {"t0": 1.3, "t_max": 1.2},
+                                    {"t0": 3.0, "t_max": 3.4}, {"h": -1.0}, {"h": 0.0},
+                                    {"smoothstep_degree": 1}])
+def test_glue_spec_rejects_short_grid_bad_spacing_or_c0_cutoff(kwargs):
+    with pytest.raises(ak.DomainError):
+        ak.GlueSpec(**kwargs)
+
+
+def test_glue_spec_accepts_grid_reaching_the_cylinder_region():
+    model = ak.glued_model(ak.cigar_model(2), ak.GlueSpec(t0=3.0, t_max=3.5))
+    assert model.a(np.array([3.5]))[0] == 1.0
+
+
+def test_glued_model_rejects_other_inner_models():
+    glued = ak.glued_model(ak.cigar_model(2))
+    with pytest.raises(ak.DomainError, match="cigar or cylinder"):
+        ak.glued_model(glued)
+    with pytest.raises(ak.DomainError, match="cigar or cylinder"):
+        ak.glued_model(glued, ak.GlueSpec(rho0=0.0))
 
 
 def test_glue_cylinder_to_itself():
