@@ -1,6 +1,6 @@
 """SciPy's LAPACK extension module, without importing scipy.linalg.
 
-The solvers call three LAPACK routines (dgtsv, dgbsv, dstebz).  They live in
+The solvers call three LAPACK routines (dgtsv, dtbtrs, dstebz).  They live in
 the compiled module scipy.linalg._flapack, but `import scipy.linalg` also
 loads SciPy's array-API layer, several times the cost of the extension.
 flapack() loads the extension from its file next to the scipy package,

@@ -8,35 +8,34 @@ e^{sF - X(phi)/2} omega^n becomes the scalar ODE
 since i ddbar of a radial function contributes phi''/2 relative to beta and
 X(phi)/2 = phi' for X = 2 d/dt.  The continuity parameter s runs from 0
 (trivial solution phi = 0) to 1; each step is solved by Newton with Armijo
-backtracking on the sup-residual, using the exact tridiagonal Jacobian
+backtracking on the sup-residual, using the exact Jacobian
 
     u  ->  (1/2) a_phi^{-1} u'' + u',     a_phi = a + phi''/2,
 
-which is half the drift Laplacian of the deformed metric g_phi.  Its
-interior rows, scaled by 2 a_phi, are the mu = 0 drift rows
-drift.drift_bands(a_phi, 0, h), and the Newton system is solved by
-drift.banded_solve.
+which is half the drift Laplacian of the deformed metric g_phi.
 
-Numerically the unknown is kept in the gauge anchored at the inner end,
-psi = phi - phi(t_min).  The equation only sees derivatives of phi, and the
-anchored samples preserve the e^{2t}-scale structure of the potential near
-a degenerate inner end (a ~ e^{2t}); storing the decaying gauge instead
-would lose that structure to rounding and put a noise floor of order
-eps_machine * |phi| / (h^2 a) on the residual.  The decaying representative
-phi = psi - psi(t_max) is reconstructed for reporting.
+The unknown is the increments v_i = psi_{i+1} - psi_i of the gauge anchored
+at the inner end, psi = phi - phi(t_min); interior row i reads
+log1p((v_i - v_{i-1}) / (2 a_i h^2)) + (v_i + v_{i-1}) / (2h) - s F_i.
+Rounding costs about eps_machine * |psi'| / h, where second differences of
+stored psi lose eps_machine * |psi| / h^2 (above the Newton tolerance at
+h = 1e-4).  Scaled by 2 a_phi, Jacobian row i is sup_i dv_i - sub_i dv_{i-1}
+with (sub, sup) from drift.drift_bands(a_phi, 0, h): below one boundary row
+the Newton matrix is a forward march (drift.forward_march), stable since its
+factor (1 - a_phi h)/(1 + a_phi h) lies in (-1, 1).
 
 The solve is single-threaded and deterministic; independent problem
 instances may run in parallel (no shared mutable state).
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List
 
 import numpy as np
 
 from . import fd
-from .drift import banded_solve, drift_bands
+from .drift import drift_bands, forward_march
 from .errors import (
     ContinuityStalled,
     DomainError,
@@ -79,16 +78,7 @@ class StepRecord:
     sup_radial_derivative: float
 
     def as_dict(self):
-        return {
-            "s": self.s,
-            "newton_iterations": self.newton_iterations,
-            "sup_residual": self.sup_residual,
-            "min_metric_ratio": self.min_metric_ratio,
-            "max_metric_ratio": self.max_metric_ratio,
-            "weighted_sup_phi": self.weighted_sup_phi,
-            "inf_drift_potential": self.inf_drift_potential,
-            "sup_radial_derivative": self.sup_radial_derivative,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -96,14 +86,16 @@ class SolitonSolution:
     """Solved potential with per-step path records.
 
     phi is the decaying representative (phi(t_max) = 0); phi_anchored the
-    inner-anchored gauge used by the solver, which downstream residual
-    evaluations should consume to avoid rounding loss near the inner end.
+    gauge phi(t_min) = 0; increments the solver's unknown, the differences
+    of consecutive nodes, from which ma_residual evaluates derivatives
+    without the rounding loss of differencing phi.
     """
 
     phi: GridFunction
     phi_anchored: GridFunction
     records: List[StepRecord]
     decay_rate: float
+    increments: np.ndarray = field(repr=False)
     converged: bool = True
 
     def path_dict(self):
@@ -113,10 +105,20 @@ class SolitonSolution:
             "steps": [r.as_dict() for r in self.records],
         }
 
+    def ma_residual(self, model, forcing):
+        """ma_residual_radial at phi and s = 1, with derivatives from the increments."""
+        d1, d2 = fd.increment_derivatives(self.increments, self.phi.h)
+        return _residual(model, self.phi, d1, d2, forcing, 1.0)
+
 
 def decaying_gauge(u):
     """Shift a grid function so its last value is zero."""
     return u.like(u.values - u.values[-1])
+
+
+def _decaying(v):
+    """The samples with increments v and last value zero, summed from the outer end."""
+    return np.append(-np.cumsum(v[::-1])[::-1], 0.0)
 
 
 def manufactured_potential(grid, amplitude=0.3, power=-0.75):
@@ -134,20 +136,25 @@ def manufactured_potential(grid, amplitude=0.3, power=-0.75):
     return GridFunction(t_min, t_max, h, amplitude * base * np.expm1(power * delta_log))
 
 
-def _anchored(phi):
-    return phi.values - phi.values[0]
-
-
-def _half_hessian(model, phi):
-    """(a, phi''/2) on phi's grid; raises PositivityLost where a + phi''/2 <= 0."""
-    t = phi.t
+def _half_hessian(model, t, d2):
+    """(a, phi''/2) at the nodes t; raises PositivityLost where a + phi''/2 <= 0."""
     a = model.sample_a(t)
-    half_dd = 0.5 * fd.d2(_anchored(phi), phi.h)
+    half_dd = 0.5 * d2
     a_phi = a + half_dd
     if np.any(a_phi <= 0.0):
         i = int(np.argmin(a_phi / a))
         raise PositivityLost(i, t[i], a_phi[i])
     return a, half_dd
+
+
+def _residual(model, phi, d1, d2, forcing, s):
+    a, half_dd = _half_hessian(model, phi.t, d2)
+    r = np.log1p(half_dd / a) + d1
+    if forcing is not None:
+        if not phi.same_grid(forcing):
+            raise DomainError("phi and F must share the grid")
+        r = r - s * forcing.values
+    return phi.like(r)
 
 
 def ma_residual_radial(model, phi, forcing, s):
@@ -157,13 +164,8 @@ def ma_residual_radial(model, phi, forcing, s):
     this into the manufactured-forcing generator: the returned field is the
     exact discrete forcing for which phi solves the s = 1 equation.
     """
-    a, half_dd = _half_hessian(model, phi)
-    r = np.log1p(half_dd / a) + fd.d1(_anchored(phi), phi.h)
-    if forcing is not None:
-        if not phi.same_grid(forcing):
-            raise DomainError("phi and F must share the grid")
-        r = r - s * forcing.values
-    return phi.like(r)
+    psi = phi.values - phi.values[0]
+    return _residual(model, phi, fd.d1(psi, phi.h), fd.d2(psi, phi.h), forcing, s)
 
 
 @dataclass
@@ -179,88 +181,75 @@ class LinearizedOperator:
 
 
 def linearized_operator(model, phi):
-    a, half_dd = _half_hessian(model, phi)
+    a, half_dd = _half_hessian(model, phi.t, fd.d2(phi.values - phi.values[0], phi.h))
     return LinearizedOperator(a_phi=a + half_dd, h=phi.h)
 
 
-# ---- Newton core on the anchored unknown ----
+# ---- Newton core on the increments ----
 
 
 class _RadialNewton:
-    """Newton solver for the anchored nonlinear system at fixed s.
+    """Newton solver for the increments v (n - 1 values) at fixed s.
 
-    Equations: central-stencil residual rows at interior nodes, plus either
-    a one-sided Neumann row at the inner end (cigar-type: the radial update
-    keeps phi'(t_min) = 0, matching smoothness at the center) or a Dirichlet
-    row at the outer end (cylinder: psi(t_max) = 0; the inner Dirichlet is
-    the anchoring itself).  The Jacobian of this system is banded and exact,
-    so Newton converges quadratically.
+    Equations: the interior residual rows, plus either the one-sided
+    Neumann row (3 v_0 - v_1)/(2h) at the inner end (cigar-type: the radial
+    update keeps phi'(t_min) = 0, matching smoothness at the center) or the
+    Dirichlet row sum(v) = psi(t_max) = 0 (cylinder; the inner Dirichlet is
+    the anchoring itself).  The Jacobian is exact, so Newton converges
+    quadratically.
     """
 
     def __init__(self, model, forcing, config):
-        self.model = model
         self.cfg = config
         self.forcing = forcing.values
         self.t = forcing.t
         self.h = forcing.h
-        self.n = len(self.t)
         self.a = model.sample_a(self.t)
+        self.f = 2.0 * self.t + np.asarray(model.f_minus_2t(self.t), dtype=float)
+        self.record_weight = np.exp(RECORD_WEIGHT * self.t)
         self.neumann_inner = model.kind in (Kind.CIGAR, Kind.GLUED)
 
-    def residual(self, psi, s):
+    def half_dd(self, v):
+        """psi''/2 at the interior nodes."""
+        return (v[1:] - v[:-1]) / (2.0 * self.h**2)
+
+    def residual(self, v, s):
         """(sup_norm, interior_residual, min_ratio); sup is None when inadmissible."""
-        h = self.h
-        d2_int = (psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / h**2
-        x = d2_int / (2.0 * self.a[1:-1])
+        x = self.half_dd(v) / self.a[1:-1]
         min_ratio = 1.0 + float(np.min(x))
         if min_ratio <= 0.0:
             return None, None, min_ratio
-        d1_int = (psi[2:] - psi[:-2]) / (2.0 * h)
-        r = np.log1p(x) + d1_int - s * self.forcing[1:-1]
-        sup = float(np.max(np.abs(r)))
-        if self.neumann_inner:
-            sup = max(sup, abs((-3.0 * psi[0] + 4.0 * psi[1] - psi[2]) / (2.0 * h)))
-        else:
-            sup = max(sup, abs(psi[-1]))
-        return sup, r, min_ratio
+        r = np.log1p(x) + (v[1:] + v[:-1]) / (2.0 * self.h) - s * self.forcing[1:-1]
+        boundary = (3.0 * v[0] - v[1]) / (2.0 * self.h) if self.neumann_inner else np.sum(v)
+        return max(float(np.max(np.abs(r))), abs(boundary)), r, min_ratio
 
-    def _newton_step(self, psi, r):
-        h = self.h
-        d2_int = (psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / h**2
-        a_phi = self.a[1:-1] + 0.5 * d2_int
-        sub, diag, sup = drift_bands(a_phi, 0.0, h)
-        scaled_r = -2.0 * r * a_phi      # rows scaled by 2 a_phi
-        # unknowns u_1..u_{n-1} (u_0 = 0); r_i has columns i-2, i-1, i
-        m = self.n - 1
-        rhs = np.empty(m)
+    def _newton_step(self, v, r):
+        """Direction dv: the boundary row fixes dv_0, then rows 1..n-2 march."""
+        a_phi = self.a[1:-1] + self.half_dd(v)
+        sub, _, sup = drift_bands(a_phi, 0.0, self.h)
+        rhs = -2.0 * a_phi * r  # rows scaled by 2 a_phi
         if self.neumann_inner:
-            # equations [neumann, r_1..r_{n-2}]  ->  bands (l,u) = (2,1)
-            ab = np.zeros((4, m))
-            ab[1, 0] = 4.0 / (2.0 * h)
-            ab[0, 1] = -1.0 / (2.0 * h)
-            rhs[0] = -(-3.0 * psi[0] + 4.0 * psi[1] - psi[2]) / (2.0 * h)
-            ab[1, 1:], ab[2, :-1], ab[3, :-2] = sup, diag, sub[1:]
-            rhs[1:] = scaled_r
-            bands = (2, 1)
+            # 3 dv_0 - dv_1 = v_1 - 3 v_0, with dv_1 = (rhs_1 + sub_1 dv_0) / sup_1
+            dv0 = (rhs[0] / sup[0] + v[1] - 3.0 * v[0]) / (3.0 - sub[0] / sup[0])
+            rhs[0] += sub[0] * dv0
+            dv = forward_march(sub, sup, rhs[:, None])[:, 0]
         else:
-            # equations [r_1..r_{n-2}, dirichlet at t_max]  ->  bands (1,1)
-            ab = np.zeros((3, m))
-            ab[0, 1:], ab[1, :-1], ab[2, :-2] = sup, diag, sub[1:]
-            ab[1, -1] = 1.0
-            rhs[:-1] = scaled_r
-            rhs[-1] = -psi[-1]
-            bands = (1, 1)
-        return np.concatenate(([0.0], banded_solve(bands, ab, rhs)))
+            # dv = y + dv_0 z, z the march of a unit dv_0; then sum(v + dv) = 0
+            columns = np.zeros((len(rhs), 2), order="F")
+            columns[:, 0], columns[0, 1] = rhs, sub[0]
+            y, z = forward_march(sub, sup, columns).T
+            dv0 = -(np.sum(v) + np.sum(y)) / (1.0 + np.sum(z))
+            dv = y + dv0 * z
+        return np.concatenate(([dv0], dv))
 
-    def solve(self, psi, s):
-        """Damped Newton at fixed s; returns (psi, iterations, sup) or raises."""
+    def solve(self, v, s):
+        """Damped Newton at fixed s; returns (v, iterations, sup) or raises."""
         cfg = self.cfg
-        sup, r, _ = self.residual(psi, s)
+        sup, r, _ = self.residual(v, s)
         if sup is None:
-            h = self.h
-            ratio = 1.0 + (psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / (h * h * 2.0 * self.a[1:-1])
-            i = int(np.argmin(ratio)) + 1
-            raise PositivityLost(i, self.t[i], ratio[i - 1] * self.a[i])
+            a_phi = self.a[1:-1] + self.half_dd(v)
+            i = int(np.argmin(a_phi / self.a[1:-1])) + 1
+            raise PositivityLost(i, self.t[i], a_phi[i - 1])
         iterations = 0
         while sup > cfg.newton_tol:
             if iterations >= cfg.max_newton:
@@ -268,18 +257,18 @@ class _RadialNewton:
                     f"no convergence in {cfg.max_newton} iterations at s={s:.6g}",
                     iterations=iterations, residual=sup,
                 )
-            direction = self._newton_step(psi, r)
+            direction = self._newton_step(v, r)
             tau = 1.0
             accepted = False
             while tau > 1e-8:
-                trial = psi + tau * direction
+                trial = v + tau * direction
                 trial_sup, trial_r, min_ratio = self.residual(trial, s)
                 if (
                     trial_sup is not None
                     and min_ratio > POSITIVITY_GUARD
                     and trial_sup <= (1.0 - ARMIJO_DECREASE * tau) * sup
                 ):
-                    psi, r, sup = trial, trial_r, trial_sup
+                    v, r, sup = trial, trial_r, trial_sup
                     accepted = True
                     break
                 tau *= ARMIJO_FACTOR
@@ -289,24 +278,20 @@ class _RadialNewton:
                     f"Armijo line search failed at s={s:.6g}",
                     iterations=iterations, residual=sup,
                 )
-        return psi, iterations, sup
+        return v, iterations, sup
 
 
-def _make_record(model, newton, psi, s, iterations, sup_residual):
-    h = newton.h
-    t = newton.t
-    ratio = 1.0 + fd.d2(psi, h) / (2.0 * newton.a)
-    d1psi = fd.d1(psi, h)
-    phi_dec = psi - psi[-1]
-    f_vals = 2.0 * t + np.asarray(model.f_minus_2t(t), dtype=float)
+def _make_record(newton, v, s, iterations, sup_residual):
+    d1psi, d2psi = fd.increment_derivatives(v, newton.h)
+    ratio = 1.0 + d2psi / (2.0 * newton.a)
     return StepRecord(
         s=s,
         newton_iterations=iterations,
         sup_residual=sup_residual,
         min_metric_ratio=float(np.min(ratio)),
         max_metric_ratio=float(np.max(ratio)),
-        weighted_sup_phi=float(np.max(np.exp(RECORD_WEIGHT * t) * np.abs(phi_dec))),
-        inf_drift_potential=float(np.min(f_vals + d1psi)),
+        weighted_sup_phi=float(np.max(newton.record_weight * np.abs(_decaying(v)))),
+        inf_drift_potential=float(np.min(newton.f + d1psi)),
         sup_radial_derivative=float(np.max(np.abs(d1psi))),
     )
 
@@ -328,7 +313,7 @@ def continuity_solve(model, forcing, config=None):
             stacklevel=2,
         )
     newton = _RadialNewton(model, forcing, cfg)
-    psi = np.zeros(newton.n)
+    v = np.zeros(len(newton.t) - 1)
     records: List[StepRecord] = []
     s = 0.0
     step = 1.0 / cfg.s_steps
@@ -337,7 +322,7 @@ def continuity_solve(model, forcing, config=None):
     while s < 1.0 - 1e-12:
         target = min(1.0, s + step)
         try:
-            candidate, iterations, sup = newton.solve(psi.copy(), target)
+            candidate, iterations, sup = newton.solve(v, target)
         except (NewtonDiverged, PositivityLost, SingularSystem):
             step *= 0.5
             if step < cfg.min_step * (1.0 - 1e-12):
@@ -348,20 +333,20 @@ def continuity_solve(model, forcing, config=None):
                 ) from None
             streak = 0
             continue
-        psi = candidate
+        v = candidate
         s = target
-        records.append(_make_record(model, newton, psi, s, iterations, sup))
+        records.append(_make_record(newton, v, s, iterations, sup))
         if iterations <= 1:
             streak += 1
             if streak >= 2 and step < initial_step:
                 step = min(2.0 * step, initial_step)
         else:
             streak = 0
-    anchored = GridFunction(forcing.t_min, forcing.t_max, forcing.h, psi)
-    phi = decaying_gauge(anchored)
+    phi = forcing.like(_decaying(v))
     return SolitonSolution(
         phi=phi,
-        phi_anchored=anchored,
+        phi_anchored=forcing.like(np.append(0.0, np.cumsum(v))),
+        increments=v,
         records=records,
         decay_rate=decay_rate_fit(phi),
     )
@@ -371,7 +356,7 @@ def uniqueness_check(model, forcing, config=None, initializations=()):
     """Final-stage (s = 1) Newton from each initialization; max pairwise distance.
 
     Initializations are admissible potentials on the forcing grid (any
-    gauge; they are re-anchored internally).  Raises if any branch fails.
+    gauge; only their increments enter).  Raises if any branch fails.
     """
     cfg = config or ContinuityConfig()
     if len(initializations) < 2:
@@ -381,8 +366,8 @@ def uniqueness_check(model, forcing, config=None, initializations=()):
     for init in initializations:
         if not forcing.same_grid(init):
             raise DomainError("initialization grid mismatch")
-        psi, _, _ = newton.solve(init.values - init.values[0], 1.0)
-        solutions.append(psi - psi[-1])
+        v, _, _ = newton.solve(np.diff(init.values), 1.0)
+        solutions.append(_decaying(v))
     worst = 0.0
     for i in range(len(solutions)):
         for j in range(i + 1, len(solutions)):

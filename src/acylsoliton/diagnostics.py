@@ -150,9 +150,7 @@ def verify_solution(model, solution, forcing, residual_tol=1e-9, metadata=None):
     inf(f + X(phi)/2) >= 1; and the path-uniform weighted bound (no record
     exceeds 10x its final value).
     """
-    from .continuity import ma_residual_radial
-
-    residual = ma_residual_radial(model, solution.phi_anchored, forcing, 1.0)
+    residual = solution.ma_residual(model, forcing)
     sup_res = float(np.max(np.abs(residual.values)))
 
     forcing_rate = decay_rate_fit(forcing)

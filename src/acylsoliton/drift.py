@@ -13,9 +13,10 @@ translation-invariant model operator u'' + 2u' - mu u.
 Discretization: 2nd-order central differences; rows are assembled in the
 equivalent scaled form u'' - s_mu u + 2 a u' = a h, which keeps the matrix
 entries O(1/h^2) where a degenerates.  drift_bands builds these interior
-rows for any coefficients (c, s) in u'' - s u + 2 c u'; the Newton matrix
-of the continuity method is the case (c, s) = (a_phi, 0), and both systems
-are solved by banded_solve.  Boundary closures:
+rows for any coefficients (c, s) in u'' - s u + 2 c u'.  The mode operator
+is solved by banded_solve; the Newton matrix of the continuity method is the
+case (c, s) = (a_phi, 0) written on increments, which forward_march solves.
+Boundary closures:
 
 * outer end: Dirichlet (homogeneous by default, value configurable for
   manufactured-solution studies);
@@ -29,7 +30,7 @@ Everything here is pure and reentrant.  Modes are independent, so callers
 may map over them in parallel; solve_field itself iterates in ascending-mu
 order so results are identical regardless of scheduling.
 
-banded_solve calls LAPACK (dgtsv for bands (1,1), dgbsv otherwise) through
+banded_solve and forward_march call LAPACK (dgtsv and dtbtrs) through
 _lapack, which loads SciPy's LAPACK extension on the first solve without
 importing scipy.linalg; importing the package and the numpy-only commands
 (spectrum, weights) do not load SciPy at all.
@@ -102,30 +103,40 @@ def drift_bands(c, s, h):
     return sub, diag, sup
 
 
-def banded_solve(bands, ab, rhs):
-    """Solve the system ab (solve_banded layout, bands (l, u)) by LAPACK.
-
-    The calls and their arguments are those of scipy.linalg.solve_banded,
-    so the result is the same to the bit.  Raises SingularSystem on
-    non-finite input, a singular matrix or a non-finite solution.
-    """
-    if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(rhs))):
-        raise SingularSystem("array must not contain infs or NaNs")
-    lapack = _lapack.flapack()
-    lower, upper = bands
-    if lower == upper == 1:
-        *_, u, info = lapack.dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs)
-    else:
-        padded = np.zeros((2 * lower + upper + 1, ab.shape[1]))
-        padded[lower:] = ab
-        *_, u, info = lapack.dgbsv(lower, upper, padded, rhs, overwrite_ab=True)
+def _checked(u, info, routine):
     if info > 0:
         raise SingularSystem("singular matrix")
     if info < 0:
-        raise SingularSystem(f"illegal value in argument {-info} of LAPACK gbsv/gtsv")
+        raise SingularSystem(f"illegal value in argument {-info} of LAPACK {routine}")
     if not np.all(np.isfinite(u)):
         raise SingularSystem("non-finite solution; check boundary policy and weights")
     return u
+
+
+def banded_solve(ab, rhs):
+    """Solve the tridiagonal system ab (solve_banded layout (1,1)) by dgtsv.
+
+    The call and its arguments are those of scipy.linalg.solve_banded, so
+    the result is the same to the bit.  Raises SingularSystem on non-finite
+    input, a singular matrix or a non-finite solution.
+    """
+    if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(rhs))):
+        raise SingularSystem("array must not contain infs or NaNs")
+    *_, u, info = _lapack.flapack().dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs)
+    return _checked(u, info, "gtsv")
+
+
+def forward_march(sub, sup, rhs):
+    """x with sup_i x_i - sub_i x_{i-1} = rhs_i (x_{-1} = 0), column by column.
+
+    A lower-bidiagonal solve by dtbtrs; a Fortran-ordered rhs is overwritten.
+    With the bands of drift_bands for c > 0 the march factor sub/sup lies in
+    (-1, 1), so errors do not grow.
+    """
+    ab = np.zeros((2, len(sup)), order="F")  # the layout dtbtrs takes, no copy
+    ab[0], ab[1, :-1] = sup, -sub[1:]
+    x, info = _lapack.flapack().dtbtrs(ab, rhs, uplo="L", overwrite_b=True)
+    return _checked(x, info, "tbtrs")
 
 
 def assemble_mode_operator(problem):
@@ -197,7 +208,7 @@ def mode_interior_residual(problem, u_values):
 def solve_mode(problem):
     """Direct tridiagonal solve; verifies the interior residual is at rounding level."""
     ab, rhs = assemble_mode_operator(problem)
-    u = banded_solve((1, 1), ab, rhs)
+    u = banded_solve(ab, rhs)
     rel = mode_interior_residual(problem, u)
     if rel > RESIDUAL_RTOL:
         raise SingularSystem(f"interior residual {rel:.3e} exceeds {RESIDUAL_RTOL:.0e}")

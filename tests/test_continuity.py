@@ -55,6 +55,29 @@ def test_residual_positivity_error(cigar):
         ak.ma_residual_radial(cigar, phi, None, 0.0)
 
 
+def test_increment_derivatives_match_sample_stencils():
+    """From diff(u), fd.increment_derivatives gives fd.d1 and fd.d2 of u,
+    the one-sided end stencils included."""
+    from acylsoliton import fd
+
+    t = ak.uniform_nodes(-2.0, 3.0, 0.01)
+    u = np.sin(t) * np.exp(0.3 * t)
+    d1, d2 = fd.increment_derivatives(np.diff(u), 0.01)
+    assert np.max(np.abs(d1 - fd.d1(u, 0.01))) <= 1e-12
+    assert np.max(np.abs(d2 - fd.d2(u, 0.01))) <= 1e-9
+
+
+def test_solution_residual_reads_increments(manufactured_solution):
+    """SolitonSolution.ma_residual agrees with ma_residual_radial at phi_anchored."""
+    model, _, forcing, solution = manufactured_solution
+    from_increments = solution.ma_residual(model, forcing).values
+    from_samples = ak.ma_residual_radial(model, solution.phi_anchored, forcing, 1.0).values
+    assert np.max(np.abs(from_increments - from_samples)) <= 1e-10
+    for gauge in (solution.phi, solution.phi_anchored):
+        assert np.max(np.abs(np.diff(gauge.values) - solution.increments)) <= 1e-15
+    assert solution.phi.values[-1] == solution.phi_anchored.values[0] == 0.0
+
+
 # ---- linearized operator ----
 
 def test_linearization_at_zero_matches_half_drift(cigar, zero_field):
@@ -97,7 +120,8 @@ def test_jacobian_consistency_seeded(cigar):
 
 @pytest.mark.parametrize("kind,grid", [("cigar", GRID), ("cylinder", (0.0, 20.0, 0.01))])
 def test_newton_step_solves_linearized_system(kind, grid):
-    """The banded Newton direction d solves L_phi d = -r and the boundary row."""
+    """The Newton direction dv on the increments solves L_phi (cumsum dv) = -r
+    and the boundary row."""
     from conftest import seeded_admissible_field
 
     from acylsoliton.continuity import _RadialNewton
@@ -109,18 +133,17 @@ def test_newton_step_solves_linearized_system(kind, grid):
     h = grid[2]
     for _ in range(3):
         phi = seeded_admissible_field(rng, grid)
-        psi = phi.values - phi.values[0]
-        _, r, _ = newton.residual(psi, 1.0)
-        d = newton._newton_step(psi, r)
-        lin = ak.linearized_operator(model, phi).apply(d)
-        assert d[0] == 0.0
+        v = np.diff(phi.values)
+        _, r, _ = newton.residual(v, 1.0)
+        dv = newton._newton_step(v, r)
+        lin = ak.linearized_operator(model, phi).apply(np.append(0.0, np.cumsum(dv)))
         assert np.max(np.abs(lin[1:-1] + r)) <= 1e-10 * np.max(np.abs(r))
         if kind == "cigar":
-            slope = (-3.0 * d[0] + 4.0 * d[1] - d[2]) / (2.0 * h)
-            target = -(-3.0 * psi[0] + 4.0 * psi[1] - psi[2]) / (2.0 * h)
+            slope = (3.0 * dv[0] - dv[1]) / (2.0 * h)
+            target = -(3.0 * v[0] - v[1]) / (2.0 * h)
         else:
-            slope, target = d[-1], -psi[-1]
-        assert abs(slope - target) <= 1e-10 * (abs(target) + np.max(np.abs(d)) / h)
+            slope, target = np.sum(dv), -np.sum(v)
+        assert abs(slope - target) <= 1e-10 * (abs(target) + np.max(np.abs(dv)) / h)
 
 
 # ---- continuity method ----
@@ -141,18 +164,35 @@ def test_manufactured_recovery(manufactured_solution):
     assert 1.4 <= solution.decay_rate <= 1.6
 
 
+def continuum_solve(h):
+    """(solution, forcing, sup|phi - phi*|) under the exact continuum forcing."""
+    grid = (-12.0, 20.0, h)
+    forcing = ak.GridFunction.sample(manufactured_forcing_fn(), *grid)
+    solution = quiet_solve(ak.cigar_model(2), forcing)
+    target = ak.decaying_gauge(ak.manufactured_potential(grid))
+    return solution, forcing, np.max(np.abs(solution.phi.values - target.values))
+
+
 def test_manufactured_discretization_order():
-    """Against the exact symbolic forcing the solve converges at order >= 1.9."""
-    model = ak.cigar_model(2)
-    oracle = manufactured_forcing_fn()
-    errs = []
-    for h in (0.04, 0.02):
-        grid = (-12.0, 20.0, h)
-        forcing = ak.GridFunction.sample(oracle, *grid)
-        solution = quiet_solve(model, forcing)
-        target = ak.decaying_gauge(ak.manufactured_potential(grid))
-        errs.append(np.max(np.abs(solution.phi.values - target.values)))
-    assert np.log2(errs[0] / errs[1]) >= 1.9
+    """Against the exact symbolic forcing the solve converges at order >= 1.9
+    down to h = 1e-3, with the decay rate of the forcing at every h."""
+    ladder = (0.04, 0.02, 0.01, 1e-3)
+    solutions, _, errs = zip(*(continuum_solve(h) for h in ladder))
+    assert all(1.4 <= solution.decay_rate <= 1.6 for solution in solutions)
+    orders = np.log(np.divide(errs[:-1], errs[1:])) / np.log(np.divide(ladder[:-1], ladder[1:]))
+    assert np.all(orders >= 1.9), orders
+
+
+@pytest.mark.slow
+def test_manufactured_finest_rung_converges():
+    """At h = 1e-4 the continuation converges (no rounding-floor stall),
+    reaches the continuum solution to 5e-10, and the residual read from the
+    increments reproduces the solver's interior rows."""
+    solution, forcing, err = continuum_solve(1e-4)
+    assert err <= 5e-10
+    assert 1.4 <= solution.decay_rate <= 1.6
+    residual = solution.ma_residual(ak.cigar_model(2), forcing).values
+    assert np.max(np.abs(residual[1:-1])) <= ak.ContinuityConfig().newton_tol
 
 
 def test_linear_regime_matches_drift_solve(cigar):

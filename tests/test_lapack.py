@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 import acylsoliton as ak
-from acylsoliton import _lapack, continuity, drift
+from acylsoliton import _lapack, drift
 from acylsoliton.continuity import ContinuityConfig, _RadialNewton
 
 LADDER = (1e-2, 1e-3, 1e-4)
@@ -28,32 +28,36 @@ def mode_system(kind, h):
     return (1, 1), ab, b
 
 
-def newton_system(kind, h, monkeypatch):
-    """The Newton system at s = 1 from half the manufactured potential:
-    bands (2,1) for the cigar (Neumann row), (1,1) for the cylinder."""
+def newton_system(kind, h):
+    """The Newton step at s = 1 from half the manufactured potential, as
+    (v, dv, sub, sup, rhs): interior rows sup_i dv_i - sub_i dv_{i-1} = rhs_i."""
     grid = GRIDS[kind] + (h,)
     model = MODELS[kind]
     psi = ak.manufactured_potential(grid)
     forcing = ak.ma_residual_radial(model, psi, None, 0.0)
     newton = _RadialNewton(model, forcing, ContinuityConfig())
-    half = 0.5 * psi.values
-    _, r, _ = newton.residual(half, 1.0)
-    captured = []
-
-    def capture(bands, ab, b):
-        captured.append((bands, ab.copy(), b.copy()))
-        return drift.banded_solve(bands, ab, b)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(continuity, "banded_solve", capture)
-        newton._newton_step(half, r)
-    (system,) = captured
-    return system
+    v = 0.5 * np.diff(psi.values)
+    _, r, _ = newton.residual(v, 1.0)
+    dv = newton._newton_step(v, r)
+    a_phi = newton.a[1:-1] + newton.half_dd(v)
+    sub, _, sup = drift.drift_bands(a_phi, 0.0, h)
+    return v, dv, sub, sup, -2.0 * a_phi * r
 
 
 def assert_solves_match(bands, ab, b):
     expected = scipy.linalg.solve_banded(bands, ab, b)
-    assert same_bits(drift.banded_solve(bands, ab.copy(), b.copy()), expected)
+    assert same_bits(drift.banded_solve(ab.copy(), b.copy()), expected)
+
+
+def assert_cigar_march_matches(h):
+    """The head-plus-march step equals solve_banded on the same (1,1) system:
+    the Neumann row 3 dv_0 - dv_1 = v_1 - 3 v_0 above the interior rows."""
+    v, dv, sub, sup, rhs = newton_system("cigar", h)
+    ab = np.zeros((3, len(v)))
+    ab[0, 1], ab[1, 0], ab[2, :-1] = -1.0, 3.0, -sub
+    ab[1, 1:] = sup
+    expected = scipy.linalg.solve_banded((1, 1), ab, np.append(v[1] - 3.0 * v[0], rhs))
+    assert np.max(np.abs(dv - expected)) <= 1e-11 * np.max(np.abs(expected))
 
 
 def assert_poincare_matches(kind, h):
@@ -71,12 +75,23 @@ def assert_poincare_matches(kind, h):
 
 @pytest.mark.parametrize("h", LADDER)
 @pytest.mark.parametrize("kind", ["cigar", "cylinder"])
-def test_banded_solve_has_solve_banded_bits(kind, h, monkeypatch):
-    mode = mode_system(kind, h)
-    newton = newton_system(kind, h, monkeypatch)
-    assert newton[0] == {"cigar": (2, 1), "cylinder": (1, 1)}[kind]
-    for system in (mode, newton):
-        assert_solves_match(*system)
+def test_banded_solve_has_solve_banded_bits(kind, h):
+    assert_solves_match(*mode_system(kind, h))
+
+
+@pytest.mark.parametrize("h", LADDER)
+def test_cigar_march_matches_solve_banded(h):
+    assert_cigar_march_matches(h)
+
+
+@pytest.mark.parametrize("h", LADDER)
+def test_cylinder_march_solves_rows_and_sum(h):
+    """Two-column march: every interior row and sum(v + dv) = 0 to 1e-11."""
+    v, dv, sub, sup, rhs = newton_system("cylinder", h)
+    rows = sup * dv[1:] - sub * dv[:-1] - rhs
+    scale = np.abs(sup * dv[1:]) + np.abs(sub * dv[:-1]) + np.abs(rhs)
+    assert np.max(np.abs(rows) / scale) <= 1e-11
+    assert abs(np.sum(v) + np.sum(dv)) <= 1e-11 * np.sum(np.abs(dv))
 
 
 @pytest.mark.parametrize("h", LADDER)
@@ -97,8 +112,8 @@ def test_fallback_import_gives_the_same_bits(monkeypatch):
     assert _lapack.flapack() is scipy.linalg.lapack._flapack
     for kind in ("cigar", "cylinder"):
         assert_solves_match(*mode_system(kind, 1e-2))
-        assert_solves_match(*newton_system(kind, 1e-2, monkeypatch))
         assert_poincare_matches(kind, 1e-2)
+    assert_cigar_march_matches(1e-2)
     assert loads
 
 
@@ -108,20 +123,19 @@ def test_file_load_registers_the_extension(monkeypatch):
     assert sys.modules[_lapack.NAME] is module
     assert _lapack.flapack() is module
     assert module.__file__ == scipy.linalg.lapack._flapack.__file__
-    assert_solves_match(*newton_system("cigar", 1e-2, monkeypatch))
+    assert_cigar_march_matches(1e-2)
 
 
-@pytest.mark.parametrize("bands", [(1, 1), (2, 1)])
-def test_banded_solve_raises_singular_system(bands):
+def test_banded_solve_raises_singular_system():
     n = 6
-    ab = np.zeros((sum(bands) + 1, n))
-    ab[bands[1]] = 2.0  # the diagonal
+    ab = np.zeros((3, n))
+    ab[1] = 2.0  # the diagonal
     b = np.ones(n)
-    assert np.all(np.isfinite(drift.banded_solve(bands, ab, b)))
+    assert np.all(np.isfinite(drift.banded_solve(ab, b)))
     for bad_ab, bad_b in ((ab, np.full(n, np.nan)), (np.where(ab == 2.0, np.inf, ab), b)):
         with pytest.raises(ak.SingularSystem, match="infs or NaNs"):
-            drift.banded_solve(bands, bad_ab, bad_b)
+            drift.banded_solve(bad_ab, bad_b)
     singular = ab.copy()
-    singular[bands[1], 3] = 0.0  # a zero row and column
+    singular[1, 3] = 0.0  # a zero row and column
     with pytest.raises(ak.SingularSystem, match="singular matrix"):
-        drift.banded_solve(bands, singular, b)
+        drift.banded_solve(singular, b)
