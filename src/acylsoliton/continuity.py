@@ -20,9 +20,11 @@ log1p((v_i - v_{i-1}) / (2 a_i h^2)) + (v_i + v_{i-1}) / (2h) - s F_i.
 Rounding costs about eps_machine * |psi'| / h, where second differences of
 stored psi lose eps_machine * |psi| / h^2 (above the Newton tolerance at
 h = 1e-4).  Scaled by 2 a_phi, Jacobian row i is sup_i dv_i - sub_i dv_{i-1}
-with (sub, sup) from drift.drift_bands(a_phi, 0, h): below one boundary row
-the Newton matrix is a forward march (drift.forward_march), stable since its
-factor (1 - a_phi h)/(1 + a_phi h) lies in (-1, 1).
+with (sub, sup) of drift.drift_bands(a_phi, h): below one boundary row the
+Newton matrix is a forward march (drift.forward_march), stable since its
+factor (1 - a_phi h)/(1 + a_phi h) lies in (-1, 1).  s F is formed once per
+s, and psi''/2 and the rows once per iterate, by its residual: the step (bands
+written straight into the layout dtbtrs reads) and the path record reuse them.
 
 The solve is single-threaded and deterministic; independent problem
 instances may run in parallel (no shared mutable state).
@@ -30,12 +32,12 @@ instances may run in parallel (no shared mutable state).
 
 import warnings
 from dataclasses import asdict, dataclass, field
-from typing import List
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
 from . import fd
-from .drift import drift_bands, forward_march
+from .drift import forward_march, march_bands
 from .errors import (
     ContinuityStalled,
     DomainError,
@@ -44,7 +46,7 @@ from .errors import (
     SingularSystem,
 )
 from .grids import GridFunction, uniform_nodes
-from .models import Kind
+from .models import Kind, half_hessian, soliton_bracket
 from .norms import decay_rate_fit
 
 
@@ -87,8 +89,8 @@ class SolitonSolution:
 
     phi is the decaying representative (phi(t_max) = 0); phi_anchored the
     gauge phi(t_min) = 0; increments the solver's unknown, the differences
-    of consecutive nodes, from which ma_residual evaluates derivatives
-    without the rounding loss of differencing phi.
+    of consecutive nodes, from which ma_residual and soliton_residual
+    evaluate derivatives without the rounding loss of differencing phi.
     """
 
     phi: GridFunction
@@ -109,6 +111,11 @@ class SolitonSolution:
         """ma_residual_radial at phi and s = 1, with derivatives from the increments."""
         d1, d2 = fd.increment_derivatives(self.increments, self.phi.h)
         return _residual(model, self.phi, d1, d2, forcing, 1.0)
+
+    def soliton_residual(self, model):
+        """models.soliton_residual at phi, with derivatives from the increments."""
+        d1, d2 = fd.increment_derivatives(self.increments, self.phi.h)
+        return self.phi.like(soliton_bracket(model, self.phi.t, d1, d2))
 
 
 def decaying_gauge(u):
@@ -136,19 +143,8 @@ def manufactured_potential(grid, amplitude=0.3, power=-0.75):
     return GridFunction(t_min, t_max, h, amplitude * base * np.expm1(power * delta_log))
 
 
-def _half_hessian(model, t, d2):
-    """(a, phi''/2) at the nodes t; raises PositivityLost where a + phi''/2 <= 0."""
-    a = model.sample_a(t)
-    half_dd = 0.5 * d2
-    a_phi = a + half_dd
-    if np.any(a_phi <= 0.0):
-        i = int(np.argmin(a_phi / a))
-        raise PositivityLost(i, t[i], a_phi[i])
-    return a, half_dd
-
-
 def _residual(model, phi, d1, d2, forcing, s):
-    a, half_dd = _half_hessian(model, phi.t, d2)
+    a, half_dd = half_hessian(model, phi.t, d2)
     r = np.log1p(half_dd / a) + d1
     if forcing is not None:
         if not phi.same_grid(forcing):
@@ -181,11 +177,19 @@ class LinearizedOperator:
 
 
 def linearized_operator(model, phi):
-    a, half_dd = _half_hessian(model, phi.t, fd.d2(phi.values - phi.values[0], phi.h))
+    a, half_dd = half_hessian(model, phi.t, fd.d2(phi.values - phi.values[0], phi.h))
     return LinearizedOperator(a_phi=a + half_dd, h=phi.h)
 
 
 # ---- Newton core on the increments ----
+
+
+class _Iterate(NamedTuple):  # increments v and what their residual formed
+    v: np.ndarray
+    sup: Optional[float]  # sup-norm of all rows; None where a_phi <= 0
+    r: Optional[np.ndarray]  # interior residual rows
+    half_dd: np.ndarray  # psi''/2 at the interior nodes
+    min_ratio: float  # 1 + min (psi''/2)/a over the interior nodes
 
 
 class _RadialNewton:
@@ -209,90 +213,89 @@ class _RadialNewton:
         self.record_weight = np.exp(RECORD_WEIGHT * self.t)
         self.neumann_inner = model.kind in (Kind.CIGAR, Kind.GLUED)
 
-    def half_dd(self, v):
-        """psi''/2 at the interior nodes."""
-        return (v[1:] - v[:-1]) / (2.0 * self.h**2)
-
-    def residual(self, v, s):
-        """(sup_norm, interior_residual, min_ratio); sup is None when inadmissible."""
-        x = self.half_dd(v) / self.a[1:-1]
+    def residual(self, v, target):
+        """The _Iterate at v; target is s F at the interior nodes."""
+        half_dd = (v[1:] - v[:-1]) / (2.0 * self.h**2)
+        x = half_dd / self.a[1:-1]
         min_ratio = 1.0 + float(np.min(x))
         if min_ratio <= 0.0:
-            return None, None, min_ratio
-        r = np.log1p(x) + (v[1:] + v[:-1]) / (2.0 * self.h) - s * self.forcing[1:-1]
-        boundary = (3.0 * v[0] - v[1]) / (2.0 * self.h) if self.neumann_inner else np.sum(v)
-        return max(float(np.max(np.abs(r))), abs(boundary)), r, min_ratio
+            return _Iterate(v, None, None, half_dd, min_ratio)
+        slope = (v[1:] + v[:-1]) / (2.0 * self.h)
+        r = np.subtract(np.add(np.log1p(x, out=x), slope, out=x), target, out=x)
+        boundary = abs((3.0 * v[0] - v[1]) / (2.0 * self.h) if self.neumann_inner else np.sum(v))
+        return _Iterate(v, max(float(np.max(np.abs(r))), boundary), r, half_dd, min_ratio)
 
-    def _newton_step(self, v, r):
-        """Direction dv: the boundary row fixes dv_0, then rows 1..n-2 march."""
-        a_phi = self.a[1:-1] + self.half_dd(v)
-        sub, _, sup = drift_bands(a_phi, 0.0, self.h)
-        rhs = -2.0 * a_phi * r  # rows scaled by 2 a_phi
+    def _newton_step(self, it):
+        """Direction dv at the iterate: the boundary row fixes dv_0, then rows 1..n-2 march."""
+        v, a_phi = it.v, self.a[1:-1] + it.half_dd
+        dv = np.empty(len(v))
+        rhs = np.multiply(-2.0 * a_phi, it.r, out=dv[1:])  # rows scaled by 2 a_phi
+        ab, sub0 = march_bands(a_phi, self.h)
         if self.neumann_inner:
             # 3 dv_0 - dv_1 = v_1 - 3 v_0, with dv_1 = (rhs_1 + sub_1 dv_0) / sup_1
-            dv0 = (rhs[0] / sup[0] + v[1] - 3.0 * v[0]) / (3.0 - sub[0] / sup[0])
-            rhs[0] += sub[0] * dv0
-            dv = forward_march(sub, sup, rhs[:, None])[:, 0]
+            dv[0] = (rhs[0] / ab[0, 0] + v[1] - 3.0 * v[0]) / (3.0 - sub0 / ab[0, 0])
+            rhs[0] += sub0 * dv[0]
+            dv[1:] = forward_march(ab, rhs[:, None])[:, 0]
         else:
             # dv = y + dv_0 z, z the march of a unit dv_0; then sum(v + dv) = 0
             columns = np.zeros((len(rhs), 2), order="F")
-            columns[:, 0], columns[0, 1] = rhs, sub[0]
-            y, z = forward_march(sub, sup, columns).T
-            dv0 = -(np.sum(v) + np.sum(y)) / (1.0 + np.sum(z))
-            dv = y + dv0 * z
-        return np.concatenate(([dv0], dv))
+            columns[:, 0], columns[0, 1] = rhs, sub0
+            y, z = forward_march(ab, columns).T
+            dv[0] = -(np.sum(v) + np.sum(y)) / (1.0 + np.sum(z))
+            dv[1:] = y + dv[0] * z
+        return dv
 
     def solve(self, v, s):
-        """Damped Newton at fixed s; returns (v, iterations, sup) or raises."""
-        cfg = self.cfg
-        sup, r, _ = self.residual(v, s)
-        if sup is None:
-            a_phi = self.a[1:-1] + self.half_dd(v)
+        """Damped Newton at fixed s; returns (converged _Iterate, iterations) or raises."""
+        cfg, target = self.cfg, s * self.forcing[1:-1]
+        it = self.residual(v, target)
+        if it.sup is None:
+            a_phi = self.a[1:-1] + it.half_dd
             i = int(np.argmin(a_phi / self.a[1:-1])) + 1
             raise PositivityLost(i, self.t[i], a_phi[i - 1])
         iterations = 0
-        while sup > cfg.newton_tol:
+        while it.sup > cfg.newton_tol:
             if iterations >= cfg.max_newton:
                 raise NewtonDiverged(
                     f"no convergence in {cfg.max_newton} iterations at s={s:.6g}",
-                    iterations=iterations, residual=sup,
+                    iterations=iterations, residual=it.sup,
                 )
-            direction = self._newton_step(v, r)
+            direction = self._newton_step(it)
+            iterations += 1
             tau = 1.0
-            accepted = False
             while tau > 1e-8:
-                trial = v + tau * direction
-                trial_sup, trial_r, min_ratio = self.residual(trial, s)
+                trial = self.residual(it.v + tau * direction, target)
                 if (
-                    trial_sup is not None
-                    and min_ratio > POSITIVITY_GUARD
-                    and trial_sup <= (1.0 - ARMIJO_DECREASE * tau) * sup
+                    trial.sup is not None
+                    and trial.min_ratio > POSITIVITY_GUARD
+                    and trial.sup <= (1.0 - ARMIJO_DECREASE * tau) * it.sup
                 ):
-                    v, r, sup = trial, trial_r, trial_sup
-                    accepted = True
                     break
                 tau *= ARMIJO_FACTOR
-            iterations += 1
-            if not accepted:
+            else:
                 raise NewtonDiverged(
                     f"Armijo line search failed at s={s:.6g}",
-                    iterations=iterations, residual=sup,
+                    iterations=iterations, residual=it.sup,
                 )
-        return v, iterations, sup
+            it = trial
+        return it, iterations
 
 
-def _make_record(newton, v, s, iterations, sup_residual):
-    d1psi, d2psi = fd.increment_derivatives(v, newton.h)
-    ratio = 1.0 + d2psi / (2.0 * newton.a)
+def _make_record(newton, it, s, iterations):
+    d1, d2 = fd.increment_edges(it.v, newton.h)  # end nodes; inside, the iterate is read
+    ratio = 1.0 + d2 / (2.0 * newton.a[[0, -1]])
+    slope = (it.v[1:] + it.v[:-1]) / (2.0 * newton.h)  # psi' inside, as the residual forms it
     return StepRecord(
         s=s,
         newton_iterations=iterations,
-        sup_residual=sup_residual,
-        min_metric_ratio=float(np.min(ratio)),
-        max_metric_ratio=float(np.max(ratio)),
-        weighted_sup_phi=float(np.max(newton.record_weight * np.abs(_decaying(v)))),
-        inf_drift_potential=float(np.min(newton.f + d1psi)),
-        sup_radial_derivative=float(np.max(np.abs(d1psi))),
+        sup_residual=it.sup,
+        min_metric_ratio=float(min(it.min_ratio, *ratio)),
+        # (psi''/2)/a is the psi''/(2a) of increment_derivatives to the bit, as h**2 == h*h
+        max_metric_ratio=float(max(1.0 + np.max(it.half_dd / newton.a[1:-1]), *ratio)),
+        weighted_sup_phi=float(np.max(newton.record_weight * np.abs(_decaying(it.v)))),
+        inf_drift_potential=float(min(np.min(newton.f[1:-1] + slope),
+                                      *(newton.f[[0, -1]] + d1))),
+        sup_radial_derivative=float(max(np.max(np.abs(slope)), *np.abs(d1))),
     )
 
 
@@ -322,7 +325,7 @@ def continuity_solve(model, forcing, config=None):
     while s < 1.0 - 1e-12:
         target = min(1.0, s + step)
         try:
-            candidate, iterations, sup = newton.solve(v, target)
+            it, iterations = newton.solve(v, target)
         except (NewtonDiverged, PositivityLost, SingularSystem):
             step *= 0.5
             if step < cfg.min_step * (1.0 - 1e-12):
@@ -333,9 +336,8 @@ def continuity_solve(model, forcing, config=None):
                 ) from None
             streak = 0
             continue
-        v = candidate
-        s = target
-        records.append(_make_record(newton, v, s, iterations, sup))
+        records.append(_make_record(newton, it, target, iterations))
+        v, s, it = it.v, target, None  # the next solve needs none of the iterate's arrays
         if iterations <= 1:
             streak += 1
             if streak >= 2 and step < initial_step:
@@ -366,8 +368,8 @@ def uniqueness_check(model, forcing, config=None, initializations=()):
     for init in initializations:
         if not forcing.same_grid(init):
             raise DomainError("initialization grid mismatch")
-        v, _, _ = newton.solve(np.diff(init.values), 1.0)
-        solutions.append(_decaying(v))
+        it, _ = newton.solve(np.diff(init.values), 1.0)
+        solutions.append(_decaying(it.v))
     worst = 0.0
     for i in range(len(solutions)):
         for j in range(i + 1, len(solutions)):

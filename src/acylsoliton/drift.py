@@ -12,10 +12,10 @@ translation-invariant model operator u'' + 2u' - mu u.
 
 Discretization: 2nd-order central differences; rows are assembled in the
 equivalent scaled form u'' - s_mu u + 2 a u' = a h, which keeps the matrix
-entries O(1/h^2) where a degenerates.  drift_bands builds these interior
-rows for any coefficients (c, s) in u'' - s u + 2 c u'.  The mode operator
-is solved by banded_solve; the Newton matrix of the continuity method is the
-case (c, s) = (a_phi, 0) written on increments, which forward_march solves.
+entries O(1/h^2) where a degenerates.  drift_bands writes the off-diagonals
+of these rows for any (c, s) in u'' - s u + 2 c u'.  The mode operator is
+solved by banded_solve; the Newton matrix of the continuity method, the case
+(c, s) = (a_phi, 0) on increments, by march_bands and forward_march.
 Boundary closures:
 
 * outer end: Dirichlet (homogeneous by default, value configurable for
@@ -91,16 +91,24 @@ class ModeProblem:
         return a, self.mu_circle + a * (self.mu - self.mu_circle)
 
 
-def drift_bands(c, s, h):
-    """(sub, diag, sup) of the central-difference rows of u'' - s u + 2 c u'.
+def drift_bands(c, h, neg_sub, sup):
+    """Write the central-difference rows of u'' - s u + 2 c u', c at the rows' nodes:
+    sup = 1/h^2 + c/h of u_{i+1}, neg_sub = c/h - 1/h^2 minus that of u_{i-1}
+    (-(1/h^2 - c/h) to the bit under round-to-nearest); the diagonal is -2/h^2 - s."""
+    c_h = np.divide(c, h, out=sup)
+    np.subtract(c_h, 1.0 / h**2, out=neg_sub)
+    np.add(1.0 / h**2, c_h, out=sup)
 
-    c and s are sampled at the rows' nodes (s may be a scalar); sub and sup
-    are the coefficients of u_{i-1} and u_{i+1}.
-    """
-    sub = 1.0 / h**2 - c / h
-    diag = np.full(np.shape(c), -2.0 / h**2) - s
-    sup = 1.0 / h**2 + c / h
-    return sub, diag, sup
+
+def march_bands(c, h):
+    """(ab, sub_0): rows sup_i x_i - sub_i x_{i-1} of drift_bands(c, h) as the
+    Fortran-order lower band array of dtbtrs, ab[0] = sup, ab[1, :-1] = -sub[1:].
+
+    The pairs (-sub_i, sup_i) are written interleaved; read from one element
+    on, that memory is ab, so the bands are written once and never copied."""
+    rows = np.zeros(2 * len(c) + 1)
+    drift_bands(c, h, rows[:-2:2], rows[1::2])
+    return rows[1:].reshape(-1, 2).T, -rows[0]
 
 
 def _checked(u, info, routine):
@@ -126,15 +134,13 @@ def banded_solve(ab, rhs):
     return _checked(u, info, "gtsv")
 
 
-def forward_march(sub, sup, rhs):
-    """x with sup_i x_i - sub_i x_{i-1} = rhs_i (x_{-1} = 0), column by column.
+def forward_march(ab, rhs):
+    """x with ab[0, i] x_i + ab[1, i-1] x_{i-1} = rhs_i (x_{-1} = 0), column by column.
 
-    A lower-bidiagonal solve by dtbtrs; a Fortran-ordered rhs is overwritten.
-    With the bands of drift_bands for c > 0 the march factor sub/sup lies in
-    (-1, 1), so errors do not grow.
+    A lower-bidiagonal solve by dtbtrs on ab from march_bands; a
+    Fortran-ordered rhs is overwritten.  For c > 0 the march factor sub/sup
+    lies in (-1, 1), so errors do not grow.
     """
-    ab = np.zeros((2, len(sup)), order="F")  # the layout dtbtrs takes, no copy
-    ab[0], ab[1, :-1] = sup, -sub[1:]
     x, info = _lapack.flapack().dtbtrs(ab, rhs, uplo="L", overwrite_b=True)
     return _checked(x, info, "tbtrs")
 
@@ -149,7 +155,9 @@ def assemble_mode_operator(problem):
     ab = np.zeros((3, n))
     rhs = np.empty(n)
     # interior rows, scaled by a: u'' - s u + 2 a u' = a h
-    ab[2, :-2], ab[1, 1:-1], ab[0, 2:] = drift_bands(a[1:-1], s[1:-1], h)
+    drift_bands(a[1:-1], h, ab[2, :-2], ab[0, 2:])
+    np.negative(ab[2, :-2], out=ab[2, :-2])  # the sub-diagonal, to the bit
+    ab[1, 1:-1] = -2.0 / h**2 - s[1:-1]
     rhs[1:-1] = a[1:-1] * hvals[1:-1]
 
     inner_kind, inner_value = problem.boundary.inner

@@ -54,20 +54,23 @@ def d2(u, h):
 
 
 def increment_derivatives(v, h):
-    """(d1(u, h), d2(u, h)) of the 1D u with increments v = diff(u), to eps |u'| / h.
+    """(d1(u, h), d2(u, h)) of the 1D u with increments v = diff(u), to eps |u'| / h."""
+    d1, d2 = np.empty(len(v) + 1), np.empty(len(v) + 1)
+    d1[[0, -1]], d2[[0, -1]] = increment_edges(v, h)
+    d1[1:-1] = (v[1:] + v[:-1]) / (2.0 * h)
+    d2[1:-1] = (v[1:] - v[:-1]) / (h * h)
+    return d1, d2
 
+
+def increment_edges(v, h):
+    """increment_derivatives at the end nodes, ([d1_first, d1_last], [d2_first, d2_last]).
     Edge stencils sum to zero, so they act on u_k - u_0 = v_0 + ... + v_{k-1}:
-    the weight of v_j is the sum of the coefficients past j.
-    """
+    the weight of v_j is the sum of the coefficients past j."""
     if len(v) + 1 < _MIN_NODES:
         raise ValueError(f"need at least {_MIN_NODES} nodes, got {len(v) + 1}")
     w1, w2 = (np.cumsum(c[::-1])[-2::-1] for c in (_D1_EDGE, _D2_EDGE))
-    d1, d2 = np.empty(len(v) + 1), np.empty(len(v) + 1)
-    d1[1:-1] = (v[1:] + v[:-1]) / (2.0 * h)
-    d2[1:-1] = (v[1:] - v[:-1]) / (h * h)
-    d1[0], d1[-1] = _edge_dot(w1, v, False) / h, _edge_dot(w1, v, True) / h
-    d2[0], d2[-1] = _edge_dot(w2, v, False) / (h * h), -_edge_dot(w2, v, True) / (h * h)
-    return d1, d2
+    return (np.array([_edge_dot(w1, v, False), _edge_dot(w1, v, True)]) / h,
+            np.array([_edge_dot(w2, v, False), -_edge_dot(w2, v, True)]) / (h * h))
 
 
 def d1_periodic(u, h, axis=1):

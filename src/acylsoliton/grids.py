@@ -107,14 +107,13 @@ class GridFunction:
         with open(path, "w", newline="") as fh:
             if self.is_2d:
                 fh.write("t,u,value\n")
-                t, u = self.t, self.u
-                for i in range(len(t)):
-                    for j in range(len(u)):
-                        fh.write(f"{t[i]:.17g},{u[j]:.17g},{self.values[i, j]:.17g}\n")
+                n_t, n_u = self.values.shape
+                columns = (np.repeat(self.t, n_u), np.tile(self.u, n_t), self.values.ravel())
             else:
                 fh.write("t,value\n")
-                for ti, vi in zip(self.t, self.values):
-                    fh.write(f"{ti:.17g},{vi:.17g}\n")
+                columns = (self.t, self.values)
+            row = ",".join(["%.17g"] * len(columns)) + "\n"
+            fh.writelines(map(row.__mod__, zip(*(c.tolist() for c in columns))))
 
     @classmethod
     def from_csv(cls, path):

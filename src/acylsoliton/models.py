@@ -150,22 +150,27 @@ def soliton_residual(model, phi):
     keeps the e^{2t}-scale structure near a degenerate inner end
     representable in double precision.
     """
-    t = phi.t
-    h = phi.h
-    a = model.sample_a(t)
     shifted = phi.values - phi.values[0]
-    half_dd = 0.5 * fd.d2(shifted, h)
+    return phi.like(soliton_bracket(model, phi.t, fd.d1(shifted, phi.h), fd.d2(shifted, phi.h)))
+
+
+def soliton_bracket(model, t, d1, d2):
+    """soliton_residual's values from phi' = d1 and phi'' = d2 at the nodes t."""
+    a, half_dd = half_hessian(model, t, d2)
+    bracket = (np.log1p(half_dd / a) + np.asarray(model.log_a(t), dtype=float)
+               + np.asarray(model.f_minus_2t(t), dtype=float) + d1)
+    return bracket - bracket[-1]
+
+
+def half_hessian(model, t, d2):
+    """(a, phi''/2) at the nodes t; raises PositivityLost where a + phi''/2 <= 0."""
+    a = model.sample_a(t)
+    half_dd = 0.5 * d2
     a_phi = a + half_dd
     if np.any(a_phi <= 0.0):
-        i = int(np.argmin(a_phi))
+        i = int(np.argmin(a_phi / a))
         raise PositivityLost(i, t[i], a_phi[i])
-    bracket = (
-        np.log1p(half_dd / a)
-        + np.asarray(model.log_a(t), dtype=float)
-        + np.asarray(model.f_minus_2t(t), dtype=float)
-        + fd.d1(shifted, h)
-    )
-    return phi.like(bracket - bracket[-1])
+    return a, half_dd
 
 
 # ---- plain-text key-value serialization ----

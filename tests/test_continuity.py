@@ -134,8 +134,8 @@ def test_newton_step_solves_linearized_system(kind, grid):
     for _ in range(3):
         phi = seeded_admissible_field(rng, grid)
         v = np.diff(phi.values)
-        _, r, _ = newton.residual(v, 1.0)
-        dv = newton._newton_step(v, r)
+        it = newton.residual(v, forcing.values[1:-1])  # s = 1
+        dv, r = newton._newton_step(it), it.r
         lin = ak.linearized_operator(model, phi).apply(np.append(0.0, np.cumsum(dv)))
         assert np.max(np.abs(lin[1:-1] + r)) <= 1e-10 * np.max(np.abs(r))
         if kind == "cigar":
@@ -144,6 +144,94 @@ def test_newton_step_solves_linearized_system(kind, grid):
         else:
             slope, target = np.sum(dv), -np.sum(v)
         assert abs(slope - target) <= 1e-10 * (abs(target) + np.max(np.abs(dv)) / h)
+
+
+def reference_step(newton, v, s):
+    """The Newton direction with every quantity formed afresh from v: the
+    residual rows, (sub, sup) from drift_bands and a band array filled by copies."""
+    from acylsoliton import drift
+
+    h = newton.h
+    half_dd = (v[1:] - v[:-1]) / (2.0 * h**2)
+    r = np.log1p(half_dd / newton.a[1:-1]) + (v[1:] + v[:-1]) / (2.0 * h) \
+        - s * newton.forcing[1:-1]
+    a_phi = newton.a[1:-1] + half_dd
+    neg_sub, sup = np.empty_like(a_phi), np.empty_like(a_phi)
+    drift.drift_bands(a_phi, h, neg_sub, sup)
+    sub = -neg_sub
+    rhs = -2.0 * a_phi * r
+    ab = np.zeros((2, len(sup)), order="F")
+    ab[0], ab[1, :-1] = sup, -sub[1:]
+    if newton.neumann_inner:
+        dv0 = (rhs[0] / sup[0] + v[1] - 3.0 * v[0]) / (3.0 - sub[0] / sup[0])
+        rhs[0] += sub[0] * dv0
+        return np.concatenate(([dv0], drift.forward_march(ab, rhs[:, None])[:, 0]))
+    columns = np.zeros((len(rhs), 2), order="F")
+    columns[:, 0], columns[0, 1] = rhs, sub[0]
+    y, z = drift.forward_march(ab, columns).T
+    dv0 = -(np.sum(v) + np.sum(y)) / (1.0 + np.sum(z))
+    return np.concatenate(([dv0], y + dv0 * z))
+
+
+def reference_record(newton, v, s, iterations, sup_residual):
+    """A StepRecord with the derivatives rebuilt by fd.increment_derivatives."""
+    from acylsoliton import fd
+    from acylsoliton.continuity import StepRecord, _decaying
+
+    d1psi, d2psi = fd.increment_derivatives(v, newton.h)
+    ratio = 1.0 + d2psi / (2.0 * newton.a)
+    return StepRecord(
+        s=s,
+        newton_iterations=iterations,
+        sup_residual=sup_residual,
+        min_metric_ratio=float(np.min(ratio)),
+        max_metric_ratio=float(np.max(ratio)),
+        weighted_sup_phi=float(np.max(newton.record_weight * np.abs(_decaying(v)))),
+        inf_drift_potential=float(np.min(newton.f + d1psi)),
+        sup_radial_derivative=float(np.max(np.abs(d1psi))),
+    )
+
+
+def newton_ladder(kind, h):
+    """The Newton solver of the manufactured problem on the cigar or cylinder grid."""
+    from acylsoliton.continuity import _RadialNewton
+
+    model = ak.cigar_model(2) if kind == "cigar" else ak.cylinder_model(2)
+    psi = ak.manufactured_potential((-12.0 if kind == "cigar" else 0.0, 20.0, h))
+    forcing = ak.ma_residual_radial(model, psi, None, 0.0)
+    return _RadialNewton(model, forcing, ak.ContinuityConfig()), np.diff(psi.values)
+
+
+@pytest.mark.parametrize("h", [1e-2, 1e-3])
+@pytest.mark.parametrize("kind", ["cigar", "cylinder"])
+def test_newton_step_has_reference_bits(kind, h):
+    """The direction from the iterate's kept half-Hessian and the march bands
+    written in place equals the one formed afresh, to the bit."""
+    newton, v_star = newton_ladder(kind, h)
+    for weight, s in ((0.5, 1.0), (1.0, 0.7), (0.2, 0.3)):
+        v = weight * v_star
+        direction = newton._newton_step(newton.residual(v, s * newton.forcing[1:-1]))
+        assert direction.tobytes() == reference_step(newton, v, s).tobytes()
+
+
+@pytest.mark.parametrize("h", [1e-2, 1e-3])
+@pytest.mark.parametrize("kind", ["cigar", "cylinder"])
+def test_step_records_have_reference_bits(kind, h):
+    """Every StepRecord field read from the converged iterate equals the one
+    rebuilt from its increments, to the bit, along the s-schedule."""
+    from dataclasses import astuple
+
+    from acylsoliton.continuity import _make_record
+
+    newton, v_star = newton_ladder(kind, h)
+    v = np.zeros_like(v_star)
+    for s in np.linspace(0.1, 1.0, 10):
+        it, iterations = newton.solve(v, s)
+        record = _make_record(newton, it, s, iterations)
+        expected = reference_record(newton, it.v, s, iterations, it.sup)
+        assert [float(x).hex() for x in astuple(record)] == \
+            [float(x).hex() for x in astuple(expected)]
+        v = it.v
 
 
 # ---- continuity method ----
@@ -284,8 +372,8 @@ def test_adaptive_schedule_halves_doubles_and_caps(cigar, zero_field, monkeypatc
         if fail_once["armed"] and abs(s - 0.2) < 1e-12:
             fail_once["armed"] = False
             raise ak.NewtonDiverged("scripted failure", iterations=30, residual=1.0)
-        psi, _, sup = original(self, psi, s)
-        return psi, 1, sup  # report single-iteration successes to trigger doubling
+        it, _ = original(self, psi, s)
+        return it, 1  # report single-iteration successes to trigger doubling
 
     monkeypatch.setattr(cont._RadialNewton, "solve", scripted)
     solution = quiet_solve(cigar, zero_field)

@@ -37,11 +37,11 @@ def newton_system(kind, h):
     forcing = ak.ma_residual_radial(model, psi, None, 0.0)
     newton = _RadialNewton(model, forcing, ContinuityConfig())
     v = 0.5 * np.diff(psi.values)
-    _, r, _ = newton.residual(v, 1.0)
-    dv = newton._newton_step(v, r)
-    a_phi = newton.a[1:-1] + newton.half_dd(v)
-    sub, _, sup = drift.drift_bands(a_phi, 0.0, h)
-    return v, dv, sub, sup, -2.0 * a_phi * r
+    it = newton.residual(v, forcing.values[1:-1])  # s = 1
+    dv = newton._newton_step(it)
+    a_phi = newton.a[1:-1] + (v[1:] - v[:-1]) / (2.0 * h**2)
+    sub, sup = 1.0 / h**2 - a_phi / h, 1.0 / h**2 + a_phi / h
+    return v, dv, sub, sup, -2.0 * a_phi * it.r
 
 
 def assert_solves_match(bands, ab, b):

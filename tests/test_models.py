@@ -164,6 +164,29 @@ def test_gridfunction_2d_csv_roundtrip(tmp_path):
     assert np.array_equal(u.values, v.values)
 
 
+AWKWARD = (-0.0, 5e-324, 1e300, 20.0, 0.1 + 0.2, -1.0 / 3.0)
+
+
+def loop_csv_bytes(u):
+    """The CSV bytes of a per-row f-string loop: the reference for to_csv."""
+    if u.is_2d:
+        rows = [f"{t:.17g},{x:.17g},{u.values[i, j]:.17g}\n"
+                for i, t in enumerate(u.t) for j, x in enumerate(u.u)]
+    else:
+        rows = [f"{t:.17g},{value:.17g}\n" for t, value in zip(u.t, u.values)]
+    return (("t,u,value\n" if u.is_2d else "t,value\n") + "".join(rows)).encode()
+
+
+@pytest.mark.parametrize("shape", [(6,), (6, 4)])
+def test_gridfunction_csv_bytes_match_loop(tmp_path, shape):
+    """to_csv writes the f-string loop's bytes on awkward values: signed zero,
+    the smallest subnormal, huge, integral and inexact sums."""
+    values = np.resize(np.array(AWKWARD), shape)
+    u = ak.GridFunction(-0.5, 2.0, 0.5, values)
+    u.to_csv(tmp_path / "u.csv")
+    assert (tmp_path / "u.csv").read_bytes() == loop_csv_bytes(u)
+
+
 def test_gridfunction_csv_rejects_off_grid_t(tmp_path):
     # files the package writes are read back exactly, also at h = 1e-4
     u = ak.GridFunction.sample(lambda t: np.exp(-t), 18.0, 20.0, 1e-4)
