@@ -27,11 +27,14 @@ print(f"bump amplitude rho0 = {rho0} (the default transition stays positive on i
 print(f"min c = {np.min(coefficient.values):.4f}, "
       f"c = 1 exactly beyond t0 + 1/2: {bool(np.all(coefficient.values[coefficient.t >= 3.5] == 1.0))}")
 
-# a narrow transition needs a genuine bump
+# a narrow transition needs a genuine bump; c clears the margin between the
+# gluing nodes too
 narrow = ak.GlueSpec(t0=1.3)
-rho_narrow = ak.auto_rho((0.0, narrow.grid_end, narrow.h), narrow, inner)
-print(f"narrow transition t0 = 1.3: rho0 = {rho_narrow:.2f} "
-      "(auto-selected so min c clears the margin)")
+narrow_model = ak.glued_model(inner, narrow)
+t_fine = np.linspace(0.5, 1.8, 200_001)[1:-1]
+print(f"narrow transition t0 = 1.3: rho0 = {narrow_model.glue_params['rho0']:.6f}, "
+      f"min c - margin = {np.min(narrow_model.a(t_fine)) - narrow.margin:.1e} "
+      f"on {len(t_fine)} points of (1/2, t0 + 1/2)")
 
 model = ak.glued_model(inner, spec)
 grid = (-12.0, 20.0, 0.01)

@@ -101,7 +101,7 @@ class RunConfig:
         "solver.min_step": ("solver_min_step", float, lambda v: v > 0),
         "glue.t0": ("glue_t0", float, lambda v: v > 1),
         "glue.margin": ("glue_margin", float, lambda v: v > 0),
-        "glue.degree": ("glue_degree", int, lambda v: v >= 1 and v % 2 == 1),
+        "glue.degree": ("glue_degree", int, lambda v: v >= 3 and v % 2 == 1),
         "cross_section.circle": ("cross_section_circle", float, lambda v: v > 0),
         "cross_section.lattice": (
             "cross_section_lattice", str, lambda v: v in ("square", "hexagonal"),

@@ -204,6 +204,9 @@ class _RadialNewton:
     """
 
     def __init__(self, model, forcing, config):
+        if len(forcing.values) < fd.MIN_NODES:  # the path record's edge stencils
+            raise DomainError(f"the radial solve needs at least {fd.MIN_NODES} grid nodes, "
+                              f"got {len(forcing.values)}")
         self.cfg = config
         self.forcing = forcing.values
         self.t = forcing.t
@@ -370,11 +373,7 @@ def uniqueness_check(model, forcing, config=None, initializations=()):
             raise DomainError("initialization grid mismatch")
         it, _ = newton.solve(np.diff(init.values), 1.0)
         solutions.append(_decaying(it.v))
-    worst = 0.0
-    for i in range(len(solutions)):
-        for j in range(i + 1, len(solutions)):
-            worst = max(worst, float(np.max(np.abs(solutions[i] - solutions[j]))))
-    return worst
+    return float(np.max(np.ptp(np.array(solutions), axis=0)))
 
 
 # ---- 2D reduction (t, u), u a periodic torus coordinate ----

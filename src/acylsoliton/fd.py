@@ -18,7 +18,7 @@ _D1_EDGE = np.array([-25.0 / 12.0, 4.0, -3.0, 4.0 / 3.0, -1.0 / 4.0])
 # one-sided second derivative, order 4 (6 nodes)
 _D2_EDGE = np.array([15.0 / 4.0, -77.0 / 6.0, 107.0 / 6.0, -13.0, 61.0 / 12.0, -5.0 / 6.0])
 
-_MIN_NODES = 6
+MIN_NODES = 6
 
 
 def _edge_dot(coeffs, u, reverse):
@@ -32,8 +32,8 @@ def _edge_dot(coeffs, u, reverse):
 def d1(u, h):
     """First derivative along axis 0: central interior, one-sided ends."""
     u = np.asarray(u, dtype=float)
-    if u.shape[0] < _MIN_NODES:
-        raise ValueError(f"need at least {_MIN_NODES} nodes, got {u.shape[0]}")
+    if u.shape[0] < MIN_NODES:
+        raise ValueError(f"need at least {MIN_NODES} nodes, got {u.shape[0]}")
     out = np.empty_like(u)
     out[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
     out[0] = _edge_dot(_D1_EDGE, u, reverse=False) / h
@@ -44,8 +44,8 @@ def d1(u, h):
 def d2(u, h):
     """Second derivative along axis 0: central interior, one-sided ends."""
     u = np.asarray(u, dtype=float)
-    if u.shape[0] < _MIN_NODES:
-        raise ValueError(f"need at least {_MIN_NODES} nodes, got {u.shape[0]}")
+    if u.shape[0] < MIN_NODES:
+        raise ValueError(f"need at least {MIN_NODES} nodes, got {u.shape[0]}")
     out = np.empty_like(u)
     out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
     out[0] = _edge_dot(_D2_EDGE, u, reverse=False) / (h * h)
@@ -66,8 +66,8 @@ def increment_edges(v, h):
     """increment_derivatives at the end nodes, ([d1_first, d1_last], [d2_first, d2_last]).
     Edge stencils sum to zero, so they act on u_k - u_0 = v_0 + ... + v_{k-1}:
     the weight of v_j is the sum of the coefficients past j."""
-    if len(v) + 1 < _MIN_NODES:
-        raise ValueError(f"need at least {_MIN_NODES} nodes, got {len(v) + 1}")
+    if len(v) + 1 < MIN_NODES:
+        raise ValueError(f"need at least {MIN_NODES} nodes, got {len(v) + 1}")
     w1, w2 = (np.cumsum(c[::-1])[-2::-1] for c in (_D1_EDGE, _D2_EDGE))
     return (np.array([_edge_dot(w1, v, False), _edge_dot(w1, v, True)]) / h,
             np.array([_edge_dot(w2, v, False), -_edge_dot(w2, v, True)]) / (h * h))

@@ -10,8 +10,8 @@ bump rho >= 0 supported in [1/2, t0 + 1/2] is added:
 
 Every term has a closed form: chi and rho are polynomials, the cylinder
 has P = t^2, and the cigar has P = t^2 + Li_2(-e^{-2t})/2 + pi^2/24 with
-P' - 2t = log(1 + e^{-2t}).  The bump amplitude is the smallest that lifts
-c above a positivity margin.
+P' - 2t = log(1 + e^{-2t}).  The bump amplitude is the smallest that keeps
+c above a positivity margin across the transition, not only on the nodes.
 
 The glued soliton potential solves f' = 2c in the same closed form,
 
@@ -33,9 +33,9 @@ import numpy as np
 
 from .errors import DomainError
 from .grids import GridFunction, uniform_nodes
-from .models import Kind, RadialKahlerModel, _as_nodes
+from .models import Kind, RadialKahlerModel
 
-RHO_CAP = 1e6
+RHO_CAP = 1e6            # largest bump amplitude auto_rho returns
 LI2_TERMS = 50           # series terms for Li_2(z), z <= 1/2: tail below 1e-18
 
 
@@ -157,8 +157,8 @@ def _potential_gaps(model, t):
 
 def potential_of(model, grid=(0.0, 6.0, 0.005)):
     """Radial potential P with P'' = 2a, P(0) = 0, in closed form on the nodes
-    of grid, a (t_min, t_max, h) tuple or a GridFunction."""
-    t_min, t_max, h = _as_nodes(grid)
+    of grid = (t_min, t_max, h)."""
+    t_min, t_max, h = grid
     t = uniform_nodes(t_min, t_max, h)
     return GridFunction(t_min, t_max, h, t**2 - _potential_gaps(model, t)[0])
 
@@ -197,7 +197,7 @@ def _piecewise(t0, left, transition, right):
 
 def glue_coefficient(grid, spec, inner_model, rho0=None):
     """Coefficient c of the glued Kahler form relative to beta on the nodes of
-    grid, a (t_min, t_max, h) tuple or a GridFunction.
+    grid = (t_min, t_max, h).
 
     c is the inner coefficient for t <= 1/2, exactly 1 for t >= t0 + 1/2,
     and the closed form of the module docstring in between.
@@ -207,42 +207,40 @@ def glue_coefficient(grid, spec, inner_model, rho0=None):
         raise DomainError("bump amplitude rho0 is not set; run auto_rho first")
     if amplitude < 0:
         raise DomainError("bump amplitude must be nonnegative")
-    t_min, t_max, h = _as_nodes(grid)
+    t_min, t_max, h = grid
     transition = _transition(inner_model, spec, amplitude)
     coefficient = _piecewise(spec.t0, inner_model.sample_a, lambda t: transition(t)[0], 1.0)
     return GridFunction(t_min, t_max, h, coefficient(uniform_nodes(t_min, t_max, h)))
 
 
 def auto_rho(grid, spec, inner_model):
-    """Smallest bump amplitude rho0 with min c >= spec.margin on the nodes of grid.
+    """Smallest bump amplitude rho0 with c >= spec.margin across the transition.
 
-    Geometric scan (factor 1.2) to bracket, then bisection to 1e-3 relative;
-    returns the feasible upper end.  Fails when no amplitude below RHO_CAP
-    works, or when the minimum outside the bump support is already below the
-    margin (rho0 cannot fix that region).
+    c = c_0 + rho0 b, b the unit bump: rho0 is the largest (margin - c_0)/b on
+    the nodes of grid = (t_min, t_max, h), refined at the vertex of the parabola
+    through it and its neighbours, then raised by ulps until every node clears.
     """
-    def min_c(amplitude):
-        return float(np.min(glue_coefficient(grid, spec, inner_model, rho0=amplitude).values))
-
-    if min_c(0.0) >= spec.margin:
+    c = glue_coefficient(grid, spec, inner_model, rho0=0.0)
+    t, c0, margin = c.t, c.values, spec.margin
+    if np.all(c0 >= margin):
         return 0.0
-    lo = 0.0
-    hi = spec.margin
-    while min_c(hi) < spec.margin:
-        lo = hi
-        hi *= 1.2
-        if hi > RHO_CAP:
-            raise DomainError(
-                f"no bump amplitude below {RHO_CAP:.0e} achieves margin {spec.margin}; "
-                "the glue specification is inconsistent"
-            )
-    while (hi - lo) > 1e-3 * hi:
-        mid = 0.5 * (lo + hi)
-        if min_c(mid) >= spec.margin:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    b = spec.bump(t, 1.0)
+    need = np.divide(margin - c0, b, out=np.where(c0 < margin, np.inf, -np.inf), where=b > 0.0)
+    k = int(np.argmax(need))
+    rho0 = need[k]
+    if rho0 == np.inf:  # b = 0: no amplitude lifts this node
+        raise DomainError(f"c = {c0[k]:.3g} < margin at t={t[k]:.6g}, outside the bump support")
+    if 0 < k < len(t) - 1 and b[k - 1] > 0.0 and b[k + 1] > 0.0:
+        y0, y1, y2 = need[k - 1: k + 2]
+        if y0 - 2.0 * y1 + y2 < 0.0:  # concave: the vertex lies within h/2 of t_k
+            vertex = np.array([t[k] + 0.5 * c.h * (y0 - y2) / (y0 - 2.0 * y1 + y2)])
+            c_vertex = _transition(inner_model, spec, 0.0)(vertex)[0]
+            rho0 = max(rho0, (margin - c_vertex[0]) / spec.bump(vertex, 1.0)[0])
+    while np.any(c0 + rho0 * b < margin):
+        rho0 = np.nextafter(rho0, np.inf)
+    if rho0 > RHO_CAP:
+        raise DomainError(f"bump amplitude {rho0:.6g} exceeds {RHO_CAP:.0e}: inconsistent spec")
+    return float(rho0)
 
 
 def glued_model(inner_model, spec=None):
@@ -262,7 +260,7 @@ def glued_model(inner_model, spec=None):
 
     t0 = spec.t0
     transition = _transition(inner_model, spec, rho0)
-    kappa = float(transition(np.array([t0 + 0.5]))[1][0])
+    kappa = 1.0 + 2.0 * float(spec.bump_integral(t0 + 0.5, rho0))
     return RadialKahlerModel(
         n=inner_model.n,
         kind=Kind.GLUED,

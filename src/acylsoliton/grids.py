@@ -138,6 +138,8 @@ class GridFunction:
                     )
                 rows.append(row)
                 lines.append(lineno)
+        if not rows:
+            raise DomainError(f"{path}: no data rows after the header line")
         data = np.array(rows).reshape(-1, width)
         n_u = 1
         if width == 3:

@@ -119,21 +119,14 @@ def cylinder_model(n, torus=None):
     )
 
 
-def _as_nodes(grid):
-    if isinstance(grid, GridFunction):
-        return grid.t_min, grid.t_max, grid.h
-    t_min, t_max, h = grid
-    return float(t_min), float(t_max), float(h)
-
-
 def ricci_coefficient(model, grid):
     """Coefficient of Ric(omega) relative to beta: -1/2 (log a)''.
 
     The e^{2t} Jacobian between (i/2) dz^dzbar and beta contributes -2t to
     log(omega^n / volume form), which drops out under d^2/dt^2.  Second
-    derivative by finite differences on the grid.
+    derivative by finite differences on the nodes of grid = (t_min, t_max, h).
     """
-    t_min, t_max, h = _as_nodes(grid)
+    t_min, t_max, h = grid
     t = uniform_nodes(t_min, t_max, h)
     model.sample_a(t)  # positivity check
     log_a = np.asarray(model.log_a(t), dtype=float)

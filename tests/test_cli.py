@@ -35,6 +35,9 @@ def test_parse_config_rejects_bad_values():
     assert "unknown key" in str(excinfo.value)
     with pytest.raises(ak.ConfigError):
         parse_config("grid.h 0.02\n")
+    with pytest.raises(ak.ConfigError) as excinfo:  # GlueSpec needs a cutoff of degree >= 3
+        parse_config("glue.degree = 1\n")
+    assert "glue.degree" in str(excinfo.value)
 
 
 def run_cli(args, outdir):
@@ -100,6 +103,15 @@ def test_solve_ma_huge_amplitude_exits_2_or_3(tmp_path):
     if code == 2:
         path = json.loads((tmp_path / "path.json").read_text())
         assert path["converged"] is False
+
+
+def test_solve_ma_short_forcing_is_a_usage_error(tmp_path, capsys):
+    short = tmp_path / "short.csv"
+    ak.GridFunction.sample(lambda t: 0.1 * np.exp(-t), 0.0, 0.4, 0.1).to_csv(short)
+    assert run_cli(["solve-ma", "--model", "cylinder", "--rhs", str(short)], tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the radial solve needs at least 6 grid nodes, got 5")
+    assert "Traceback" not in err
 
 
 def test_glue_outputs(tmp_path):
@@ -178,7 +190,8 @@ def test_poincare_weight_nonpositive_f_is_a_usage_error(tmp_path, capsys):
     "t,value\n0,1\n0.5,abc\n1,2\n",                   # non-numeric field
     "t,value\n0,1\n0.5\n1,2\n",                       # short row
     "t,u,value\n0,0,1\n0,3,1\n1,0,2\n",               # not n_t x n_u rows
-], ids=["uneven_t", "non_numeric", "short_row", "2d_row_count"])
+    "t,u,value\n",                                    # header only
+], ids=["uneven_t", "non_numeric", "short_row", "2d_row_count", "2d_header_only"])
 def test_bad_csv_is_a_usage_error(tmp_path, capsys, command, body):
     path = tmp_path / "bad.csv"
     path.write_text(body)

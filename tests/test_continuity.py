@@ -345,6 +345,22 @@ def test_uniqueness_needs_two_starts(cigar, zero_field):
         ak.uniqueness_check(cigar, zero_field, initializations=[zero_field])
 
 
+def test_short_grid_is_rejected_before_any_newton_step(cylinder, monkeypatch):
+    from acylsoliton import continuity as cont
+
+    steps = []
+    newton_step = cont._RadialNewton._newton_step
+    monkeypatch.setattr(cont._RadialNewton, "_newton_step",
+                        lambda self, it: steps.append(it) or newton_step(self, it))
+    forcing = ak.GridFunction.sample(lambda t: 0.1 * np.exp(-t), 0.0, 0.4, 0.1)  # 5 nodes
+    with pytest.raises(ak.DomainError, match="at least 6 grid nodes, got 5"), \
+            pytest.warns(UserWarning, match="decay rate"):
+        ak.continuity_solve(cylinder, forcing)
+    with pytest.raises(ak.DomainError, match="at least 6 grid nodes, got 5"):
+        ak.uniqueness_check(cylinder, forcing, initializations=[forcing.zeros_like()] * 2)
+    assert steps == []
+
+
 def test_uniqueness_rejects_inadmissible_start(cigar, zero_field):
     bad = ak.GridFunction.sample(lambda t: 2.0 * (1 + np.exp(2 * t)) ** (-0.75), *GRID)
     with pytest.raises(ak.PositivityLost) as excinfo:

@@ -110,24 +110,15 @@ def test_finite_difference_coefficient_converges_to_closed_form(t0, steps):
     errors = []
     for h in steps:
         spec = ak.GlueSpec(t0=t0, rho0=15.0, h=h)
-        p = ak.potential_of(inner, (0.0, spec.grid_end, h))
+        grid = (0.0, spec.grid_end, h)
+        p = ak.potential_of(inner, grid)
         chi = spec.cutoff(p.t)
         c_fd = 0.5 * fd.d2(chi * p.t**2 + (1.0 - chi) * p.values, h) + spec.bump(p.t, 15.0)
-        c = ak.glue_coefficient(p, spec, inner)
+        c = ak.glue_coefficient(grid, spec, inner)
         transition = (p.t > 0.5) & (p.t < t0 + 0.5)
         errors.append(np.max(np.abs(c_fd - c.values)[transition]))
     orders = np.log2(np.array(errors[:-1]) / errors[1:])
     assert np.all((orders > 1.9) & (orders < 2.1)), orders
-
-
-def test_glue_coefficient_accepts_tuple_or_grid_function():
-    inner = ak.cigar_model(2)
-    spec = ak.GlueSpec(t0=1.3)
-    grid = (0.0, spec.grid_end, spec.h)
-    by_tuple = ak.glue_coefficient(grid, spec, inner, rho0=15.0)
-    by_field = ak.glue_coefficient(ak.potential_of(inner, grid), spec, inner, rho0=15.0)
-    assert np.array_equal(by_tuple.values, by_field.values)
-    assert ak.auto_rho(grid, spec, inner) == ak.auto_rho(ak.potential_of(inner, grid), spec, inner)
 
 
 @pytest.mark.parametrize("kwargs", [{"t0": 3.0, "t_max": 2.0}, {"t0": 1.3, "t_max": 1.2},
@@ -153,17 +144,16 @@ def test_glued_model_rejects_other_inner_models():
 
 def test_glue_cylinder_to_itself():
     spec = ak.GlueSpec(t0=3.0, rho0=0.0)
-    p = ak.potential_of(ak.cylinder_model(1), (0.0, spec.grid_end, spec.h))
-    c = ak.glue_coefficient(p, spec, ak.cylinder_model(1))
+    grid = (0.0, spec.grid_end, spec.h)
+    c = ak.glue_coefficient(grid, spec, ak.cylinder_model(1))
     assert np.max(np.abs(c.values - 1.0)) < 1e-7
-    assert ak.auto_rho(p, spec, ak.cylinder_model(1)) == 0.0
+    assert ak.auto_rho(grid, spec, ak.cylinder_model(1)) == 0.0
 
 
 def test_glue_region_identities_exact():
     inner = ak.cigar_model(2)
     spec = ak.GlueSpec(t0=3.0, rho0=0.0)
-    p = ak.potential_of(inner, (0.0, spec.grid_end, spec.h))
-    c = ak.glue_coefficient(p, spec, inner)
+    c = ak.glue_coefficient((0.0, spec.grid_end, spec.h), spec, inner)
     t = c.t
     outer = t >= 3.5
     assert np.all(c.values[outer] == 1.0)
@@ -174,10 +164,10 @@ def test_glue_region_identities_exact():
 def test_auto_rho_cigar_default_transition():
     inner = ak.cigar_model(2)
     spec = ak.GlueSpec(t0=3.0)
-    p = ak.potential_of(inner, (0.0, spec.grid_end, spec.h))
-    rho0 = ak.auto_rho(p, spec, inner)
+    grid = (0.0, spec.grid_end, spec.h)
+    rho0 = ak.auto_rho(grid, spec, inner)
     assert np.isfinite(rho0) and rho0 >= 0.0
-    c = ak.glue_coefficient(p, spec, inner, rho0=rho0)
+    c = ak.glue_coefficient(grid, spec, inner, rho0=rho0)
     assert np.min(c.values) >= 1e-2
 
 
@@ -185,25 +175,97 @@ def test_auto_rho_narrow_transition_needs_bump():
     # a narrow transition makes the interpolation dip strongly negative
     inner = ak.cigar_model(2)
     spec = ak.GlueSpec(t0=1.3)
-    p = ak.potential_of(inner, (0.0, spec.grid_end, spec.h))
-    rho0 = ak.auto_rho(p, spec, inner)
+    grid = (0.0, spec.grid_end, spec.h)
+    rho0 = ak.auto_rho(grid, spec, inner)
     assert rho0 > 1.0
-    c = ak.glue_coefficient(p, spec, inner, rho0=rho0)
+    c = ak.glue_coefficient(grid, spec, inner, rho0=rho0)
     assert np.min(c.values) >= spec.margin
     # near-minimality: 10% less amplitude violates the margin
-    c_less = ak.glue_coefficient(p, spec, inner, rho0=0.9 * rho0)
+    c_less = ak.glue_coefficient(grid, spec, inner, rho0=0.9 * rho0)
     assert np.min(c_less.values) < spec.margin
 
 
 def test_auto_rho_margin_monotonicity():
     inner = ak.cigar_model(2)
-    rho_small = ak.auto_rho(
-        ak.potential_of(inner, (0.0, 4.3, 0.005)), ak.GlueSpec(t0=1.3, margin=1e-2), inner
-    )
-    rho_large = ak.auto_rho(
-        ak.potential_of(inner, (0.0, 4.3, 0.005)), ak.GlueSpec(t0=1.3, margin=2e-2), inner
-    )
+    rho_small = ak.auto_rho((0.0, 4.3, 0.005), ak.GlueSpec(t0=1.3, margin=1e-2), inner)
+    rho_large = ak.auto_rho((0.0, 4.3, 0.005), ak.GlueSpec(t0=1.3, margin=2e-2), inner)
     assert rho_large >= rho_small
+
+
+@pytest.mark.parametrize("t0, tol", [(1.1, 1e-4), (1.3, 1e-6), (1.5, 1e-6), (2.0, 1e-6)])
+def test_auto_rho_margin_holds_between_nodes(t0, tol):
+    """c clears the margin on 2e6 points of the transition, not only on the
+    0.005 gluing nodes, with an amplitude no larger than that check needs."""
+    inner = ak.cigar_model(2)
+    spec = ak.GlueSpec(t0=t0)
+    model = ak.glued_model(inner, spec)
+    rho0 = model.glue_params["rho0"]
+    lowest, need = np.inf, -np.inf
+    for t in np.array_split(np.linspace(0.5, t0 + 0.5, 2_000_002)[1:-1], 10):
+        a = model.a(t)
+        lowest = min(lowest, float(np.min(a)))
+        # c = c_0 + rho0 b, so (margin - c_0)/b = rho0 + (margin - c)/b
+        need = max(need, float(np.max(rho0 + (spec.margin - a) / spec.bump(t, 1.0))))
+    assert lowest >= spec.margin - tol
+    assert rho0 <= (1.0 + 1e-6) * need
+
+
+def test_auto_rho_evaluates_the_coefficient_once(monkeypatch):
+    from acylsoliton import gluing
+
+    coefficient_calls, sizes = [], []
+    glue_coefficient, transition = gluing.glue_coefficient, gluing._transition
+
+    def counted_coefficient(*args, **kwargs):
+        coefficient_calls.append(args)
+        return glue_coefficient(*args, **kwargs)
+
+    def counted_transition(*args):
+        evaluate = transition(*args)
+        return lambda t: sizes.append(len(t)) or evaluate(t)
+
+    monkeypatch.setattr(gluing, "glue_coefficient", counted_coefficient)
+    monkeypatch.setattr(gluing, "_transition", counted_transition)
+    spec = ak.GlueSpec(t0=1.3)
+    assert ak.auto_rho((0.0, spec.grid_end, spec.h), spec, ak.cigar_model(2)) > 1.0
+    assert len(coefficient_calls) == 1
+    assert len(sizes) <= 2 and all(n == 1 for n in sizes[1:])  # the grid, then one vertex
+
+
+@pytest.mark.parametrize("inner", [ak.cigar_model(2), ak.cylinder_model(2)],
+                         ids=["cigar", "cylinder"])
+@pytest.mark.parametrize("t0", [1.3, 1.5, 2.0, 3.0, 4.5])
+def test_coefficient_affine_in_rho_and_kappa_closed_form(inner, t0):
+    from acylsoliton import gluing
+
+    spec = ak.GlueSpec(t0=t0)
+    grid = (0.0, spec.grid_end, spec.h)
+    c0 = ak.glue_coefficient(grid, spec, inner, rho0=0.0)
+    b = spec.bump(c0.t, 1.0)
+    for rho0 in np.random.default_rng(int(10 * t0)).uniform(0.0, 50.0, 5):
+        c = ak.glue_coefficient(grid, spec, inner, rho0=rho0)
+        assert np.array_equal(c.values, c0.values + rho0 * b)
+    model = ak.glued_model(inner, spec)
+    rho0 = model.glue_params["rho0"]
+    kappa = gluing._transition(inner, spec, rho0)(np.array([t0 + 0.5]))[1][0]
+    assert float(model.f_minus_2t(np.array([t0 + 0.5]))[0]).hex() == float(kappa).hex()
+
+
+def test_auto_rho_rejects_margin_outside_bump_support():
+    # the cigar's c(0) = 1/2 lies left of the bump support (1/2, t0 + 1/2)
+    with pytest.raises(ak.DomainError, match=r"c = 0.5 < margin at t=0, outside the bump"):
+        ak.glued_model(ak.cigar_model(2), ak.GlueSpec(margin=0.6))
+
+
+def test_narrow_glued_solve_converges_at_fine_grid():
+    model = ak.glued_model(ak.cigar_model(2), ak.GlueSpec(t0=1.3))
+    forcing = ak.glued_forcing(model, (-12.0, 20.0, 1e-3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        solution = ak.continuity_solve(model, forcing)
+    assert len(solution.records) == 10  # the uniform schedule, no step halved
+    # node 0 carries the Neumann closure against a constant F (3.3e-7 here)
+    assert np.max(np.abs(solution.soliton_residual(model).values[1:])) <= 1e-8
 
 
 def test_glued_model_invariants():
