@@ -58,7 +58,7 @@ from .gluing import (
     potential_of,
     smoothstep,
 )
-from .grids import GridFunction, uniform_nodes
+from .grids import GridFunction, RadialPotential, uniform_nodes
 from .models import (
     Kind,
     RadialKahlerModel,

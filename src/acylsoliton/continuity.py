@@ -19,8 +19,9 @@ at the inner end, psi = phi - phi(t_min); interior row i reads
 log1p((v_i - v_{i-1}) / (2 a_i h^2)) + (v_i + v_{i-1}) / (2h) - s F_i.
 Rounding costs about eps_machine * |psi'| / h, where second differences of
 stored psi lose eps_machine * |psi| / h^2 (above the Newton tolerance at
-h = 1e-4).  Scaled by 2 a_phi, Jacobian row i is sup_i dv_i - sub_i dv_{i-1}
-with (sub, sup) of drift.drift_bands(a_phi, h): below one boundary row the
+h = 1e-4); the solution's potentials carry v (grids.RadialPotential).
+Scaled by 2 a_phi, Jacobian row i is sup_i dv_i - sub_i dv_{i-1} with
+(sub, sup) of drift.drift_bands(a_phi, h): below one boundary row the
 Newton matrix is a forward march (drift.forward_march), stable since its
 factor (1 - a_phi h)/(1 + a_phi h) lies in (-1, 1).  s F is formed once per
 s, and psi''/2 and the rows once per iterate, by its residual: the step (bands
@@ -45,8 +46,8 @@ from .errors import (
     PositivityLost,
     SingularSystem,
 )
-from .grids import GridFunction, uniform_nodes
-from .models import Kind, half_hessian, soliton_bracket
+from .grids import GridFunction, RadialPotential, uniform_nodes
+from .models import Kind, half_hessian, radial_derivatives, radial_increments
 from .norms import decay_rate_fit
 
 
@@ -85,37 +86,20 @@ class StepRecord:
 
 @dataclass
 class SolitonSolution:
-    """Solved potential with per-step path records.
+    """Solved potential, with per-step path records: phi in the gauge phi(t_max) = 0
+    and phi_anchored in phi(t_min) = 0, both carrying the solver's increments."""
 
-    phi is the decaying representative (phi(t_max) = 0); phi_anchored the
-    gauge phi(t_min) = 0; increments the solver's unknown, the differences
-    of consecutive nodes, from which ma_residual and soliton_residual
-    evaluate derivatives without the rounding loss of differencing phi.
-    """
-
-    phi: GridFunction
-    phi_anchored: GridFunction
+    phi: RadialPotential
+    phi_anchored: RadialPotential
     records: List[StepRecord]
     decay_rate: float
-    increments: np.ndarray = field(repr=False)
-    converged: bool = True
 
     def path_dict(self):
         return {
             "decay_rate": self.decay_rate,
-            "converged": self.converged,
+            "converged": True,
             "steps": [r.as_dict() for r in self.records],
         }
-
-    def ma_residual(self, model, forcing):
-        """ma_residual_radial at phi and s = 1, with derivatives from the increments."""
-        d1, d2 = fd.increment_derivatives(self.increments, self.phi.h)
-        return _residual(model, self.phi, d1, d2, forcing, 1.0)
-
-    def soliton_residual(self, model):
-        """models.soliton_residual at phi, with derivatives from the increments."""
-        d1, d2 = fd.increment_derivatives(self.increments, self.phi.h)
-        return self.phi.like(soliton_bracket(model, self.phi.t, d1, d2))
 
 
 def decaying_gauge(u):
@@ -129,21 +113,24 @@ def _decaying(v):
 
 
 def manufactured_potential(grid, amplitude=0.3, power=-0.75):
-    """Inner-anchored samples of amplitude * (1 + e^{2t})^{power}.
-
-    Evaluated as a difference from the value at t_min through expm1/log1p,
-    so the e^{2t}-scale variation near the inner end is exact to relative
-    rounding.  The decaying representative is recovered by decaying_gauge.
-    """
+    """amplitude * (1 + e^{2t})^{power} less its value at t_min, carrying the
+    closed-form increments A (1 + x)^p expm1(p log1p(x expm1(2h) / (1 + x))),
+    x = e^{2 t_i}, exact to relative rounding at every scale of e^{2t}.  The
+    samples are their partial sums; decaying_gauge gives phi(t_max) = 0."""
     t_min, t_max, h = grid
-    t = uniform_nodes(t_min, t_max, h)
-    x0 = np.exp(2.0 * t_min)
-    delta_log = np.log1p(np.expm1(2.0 * (t - t_min)) * x0 / (1.0 + x0))
-    base = np.exp(power * np.log1p(x0))
-    return GridFunction(t_min, t_max, h, amplitude * base * np.expm1(power * delta_log))
+    x = np.exp(2.0 * uniform_nodes(t_min, t_max, h)[:-1])
+    v = (amplitude * np.exp(power * np.log1p(x))
+         * np.expm1(power * np.log1p(x * np.expm1(2.0 * h) / (1.0 + x))))
+    return RadialPotential(t_min, t_max, h, np.append(0.0, np.cumsum(v)), v)
 
 
-def _residual(model, phi, d1, d2, forcing, s):
+def ma_residual_radial(model, phi, forcing, s):
+    """Pointwise residual log((a + phi''/2)/a) + phi' - s F on the grid, with
+    derivatives from phi's increments (models.radial_derivatives).  phi and F
+    share the grid; F may be None (treated as zero), which turns this into the
+    manufactured-forcing generator: the returned field is the exact discrete
+    forcing for which phi solves the s = 1 equation."""
+    d1, d2 = radial_derivatives(phi)
     a, half_dd = half_hessian(model, phi.t, d2)
     r = np.log1p(half_dd / a) + d1
     if forcing is not None:
@@ -151,17 +138,6 @@ def _residual(model, phi, d1, d2, forcing, s):
             raise DomainError("phi and F must share the grid")
         r = r - s * forcing.values
     return phi.like(r)
-
-
-def ma_residual_radial(model, phi, forcing, s):
-    """Pointwise residual log((a + phi''/2)/a) + phi' - s F on the grid.
-
-    phi and F share the grid; F may be None (treated as zero), which turns
-    this into the manufactured-forcing generator: the returned field is the
-    exact discrete forcing for which phi solves the s = 1 equation.
-    """
-    psi = phi.values - phi.values[0]
-    return _residual(model, phi, fd.d1(psi, phi.h), fd.d2(psi, phi.h), forcing, s)
 
 
 @dataclass
@@ -177,7 +153,7 @@ class LinearizedOperator:
 
 
 def linearized_operator(model, phi):
-    a, half_dd = half_hessian(model, phi.t, fd.d2(phi.values - phi.values[0], phi.h))
+    a, half_dd = half_hessian(model, phi.t, radial_derivatives(phi)[1])
     return LinearizedOperator(a_phi=a + half_dd, h=phi.h)
 
 
@@ -347,11 +323,11 @@ def continuity_solve(model, forcing, config=None):
                 step = min(2.0 * step, initial_step)
         else:
             streak = 0
-    phi = forcing.like(_decaying(v))
+    phi = RadialPotential(forcing.t_min, forcing.t_max, forcing.h, _decaying(v), v)
     return SolitonSolution(
         phi=phi,
-        phi_anchored=forcing.like(np.append(0.0, np.cumsum(v))),
-        increments=v,
+        phi_anchored=RadialPotential(phi.t_min, phi.t_max, phi.h,
+                                     np.append(0.0, np.cumsum(v)), v),
         records=records,
         decay_rate=decay_rate_fit(phi),
     )
@@ -371,7 +347,7 @@ def uniqueness_check(model, forcing, config=None, initializations=()):
     for init in initializations:
         if not forcing.same_grid(init):
             raise DomainError("initialization grid mismatch")
-        it, _ = newton.solve(np.diff(init.values), 1.0)
+        it, _ = newton.solve(radial_increments(init), 1.0)
         solutions.append(_decaying(it.v))
     return float(np.max(np.ptp(np.array(solutions), axis=0)))
 

@@ -24,6 +24,7 @@ from typing import List
 import numpy as np
 
 from . import _lapack
+from .continuity import ma_residual_radial
 from .errors import DomainError, SingularSystem
 from .grids import uniform_nodes
 from .norms import decay_rate_fit
@@ -150,7 +151,7 @@ def verify_solution(model, solution, forcing, residual_tol=1e-9, metadata=None):
     inf(f + X(phi)/2) >= 1; and the path-uniform weighted bound (no record
     exceeds 10x its final value).
     """
-    residual = solution.ma_residual(model, forcing)
+    residual = ma_residual_radial(model, solution.phi, forcing, 1.0)
     sup_res = float(np.max(np.abs(residual.values)))
 
     forcing_rate = decay_rate_fit(forcing)

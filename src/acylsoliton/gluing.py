@@ -213,6 +213,17 @@ def glue_coefficient(grid, spec, inner_model, rho0=None):
     return GridFunction(t_min, t_max, h, coefficient(uniform_nodes(t_min, t_max, h)))
 
 
+def _peak_vertex(t, y, k, h):
+    """Vertex of the parabola through y at nodes k - 1, k, k + 1 of spacing h
+    when all three are finite and it is concave (a peak within h/2 of t_k),
+    else None."""
+    if 0 < k < len(t) - 1 and np.all(np.isfinite(y[k - 1: k + 2])):
+        y0, y1, y2 = y[k - 1: k + 2]
+        if y0 - 2.0 * y1 + y2 < 0.0:
+            return np.array([t[k] + 0.5 * h * (y0 - y2) / (y0 - 2.0 * y1 + y2)])
+    return None
+
+
 def auto_rho(grid, spec, inner_model):
     """Smallest bump amplitude rho0 with c >= spec.margin across the transition.
 
@@ -230,12 +241,10 @@ def auto_rho(grid, spec, inner_model):
     rho0 = need[k]
     if rho0 == np.inf:  # b = 0: no amplitude lifts this node
         raise DomainError(f"c = {c0[k]:.3g} < margin at t={t[k]:.6g}, outside the bump support")
-    if 0 < k < len(t) - 1 and b[k - 1] > 0.0 and b[k + 1] > 0.0:
-        y0, y1, y2 = need[k - 1: k + 2]
-        if y0 - 2.0 * y1 + y2 < 0.0:  # concave: the vertex lies within h/2 of t_k
-            vertex = np.array([t[k] + 0.5 * c.h * (y0 - y2) / (y0 - 2.0 * y1 + y2)])
-            c_vertex = _transition(inner_model, spec, 0.0)(vertex)[0]
-            rho0 = max(rho0, (margin - c_vertex[0]) / spec.bump(vertex, 1.0)[0])
+    vertex = _peak_vertex(t, need, k, c.h)  # need is finite where b > 0
+    if vertex is not None:
+        c_vertex = _transition(inner_model, spec, 0.0)(vertex)[0]
+        rho0 = max(rho0, (margin - c_vertex[0]) / spec.bump(vertex, 1.0)[0])
     while np.any(c0 + rho0 * b < margin):
         rho0 = np.nextafter(rho0, np.inf)
     if rho0 > RHO_CAP:
@@ -249,23 +258,32 @@ def glued_model(inner_model, spec=None):
 
     The coefficient is c from the gluing; the soliton potential solves
     f' = 2c, inherits the inner model's f on the left (so min f = 1 is
-    preserved) and equals 2t + kappa exactly on the cylinder region.
+    preserved) and equals 2t + kappa exactly on the cylinder region.  c must
+    be positive on the gluing nodes and at the vertex of the parabola through
+    their minimum, where a narrow transition dips between the nodes.
     """
     spec = spec or GlueSpec()
     grid = (0.0, spec.grid_end, spec.h)
     rho0 = spec.rho0 if spec.rho0 is not None else auto_rho(grid, spec, inner_model)
     c = glue_coefficient(grid, spec, inner_model, rho0=rho0)
-    if float(np.min(c.values)) <= 0.0:
-        raise DomainError("glued coefficient is not positive; increase rho0")
-
     t0 = spec.t0
     transition = _transition(inner_model, spec, rho0)
+    a = _piecewise(t0, inner_model.a, lambda t: transition(t)[0], 1.0)
+    k = int(np.argmin(c.values))
+    c_low, t_low = c.values[k], c.t[k]
+    vertex = _peak_vertex(c.t, -c.values, k, c.h)
+    if vertex is not None:
+        c_low, t_low = min((c_low, t_low), (a(vertex)[0], vertex[0]))
+    if c_low <= 0.0:
+        raise DomainError(f"glued coefficient c = {c_low:.3g} <= 0 at t={t_low:.6g}; "
+                          "increase rho0")
+
     kappa = 1.0 + 2.0 * float(spec.bump_integral(t0 + 0.5, rho0))
     return RadialKahlerModel(
         n=inner_model.n,
         kind=Kind.GLUED,
         c0=inner_model.c0,
-        a=_piecewise(t0, inner_model.a, lambda t: transition(t)[0], 1.0),
+        a=a,
         log_a=_piecewise(t0, inner_model.log_a, lambda t: np.log(transition(t)[0]), 0.0),
         f_minus_2t=_piecewise(t0, inner_model.f_minus_2t, lambda t: transition(t)[1], kappa),
         torus=inner_model.torus,

@@ -3,7 +3,8 @@
 GridFunction is the universal carrier for every numerical quantity in the
 package: coefficients, right-hand sides, potentials, residuals.  The first
 axis is always the cylindrical coordinate t on a uniform grid; 2D fields add
-a periodic second axis (a torus coordinate u on [0, 2pi)).
+a periodic second axis (a torus coordinate u on [0, 2pi)).  A 1D
+RadialPotential also carries its increments u_{i+1} - u_i.
 """
 
 from dataclasses import dataclass, field
@@ -173,3 +174,20 @@ class GridFunction:
             )
         vals = data[:, -1] if width == 2 else data[:, -1].reshape(n_t, n_u)
         return cls(float(t_first), float(t_last), h, vals)
+
+
+@dataclass(frozen=True)
+class RadialPotential(GridFunction):
+    """1D potential whose samples are partial sums of its increments
+    v_i = u_{i+1} - u_i.  Derivatives read from v lose eps |u'| / h to
+    rounding, from the samples eps |u| / h^2.  like() returns a plain
+    GridFunction: a new field has new increments."""
+
+    increments: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "increments", v := np.asarray(self.increments, dtype=float))
+        if self.is_2d or v.shape != (len(self.values) - 1,) or not np.all(np.isfinite(v)):
+            raise DomainError(f"a 1D potential on {len(self.values)} nodes needs as many "
+                              f"finite increments as cells, got shape {v.shape}")

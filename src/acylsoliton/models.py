@@ -26,7 +26,7 @@ import numpy as np
 
 from . import fd
 from .errors import DomainError, PositivityLost
-from .grids import GridFunction, uniform_nodes
+from .grids import GridFunction, RadialPotential, uniform_nodes
 
 
 class Kind(enum.Enum):
@@ -133,26 +133,30 @@ def ricci_coefficient(model, grid):
     return GridFunction(t_min, t_max, h, -0.5 * fd.d2(log_a, h))
 
 
+def radial_increments(phi):
+    """phi_{i+1} - phi_i: the increments a RadialPotential carries, else np.diff."""
+    return phi.increments if isinstance(phi, RadialPotential) else np.diff(phi.values)
+
+
+def radial_derivatives(phi):
+    """(phi', phi'') at the nodes by fd.increment_derivatives of radial_increments(phi)."""
+    return fd.increment_derivatives(radial_increments(phi), phi.h)
+
+
 def soliton_residual(model, phi):
     """Pointwise defect of the gradient-soliton volume identity.
 
     r(t) = log(a + phi''/2) - (2t - f - phi') - c_fit, with c_fit taken at
     the last node.  r vanishes (to stencil error) iff omega + i ddbar phi
-    solves the soliton Monge-Ampere identity.  Derivatives are evaluated on
-    phi - phi(t_min); stencils are shift-invariant, and the subtraction
-    keeps the e^{2t}-scale structure near a degenerate inner end
-    representable in double precision.
+    solves the soliton Monge-Ampere identity.  Derivatives come from phi's
+    increments (radial_derivatives).
     """
-    shifted = phi.values - phi.values[0]
-    return phi.like(soliton_bracket(model, phi.t, fd.d1(shifted, phi.h), fd.d2(shifted, phi.h)))
-
-
-def soliton_bracket(model, t, d1, d2):
-    """soliton_residual's values from phi' = d1 and phi'' = d2 at the nodes t."""
+    d1, d2 = radial_derivatives(phi)
+    t = phi.t
     a, half_dd = half_hessian(model, t, d2)
     bracket = (np.log1p(half_dd / a) + np.asarray(model.log_a(t), dtype=float)
                + np.asarray(model.f_minus_2t(t), dtype=float) + d1)
-    return bracket - bracket[-1]
+    return phi.like(bracket - bracket[-1])
 
 
 def half_hessian(model, t, d2):

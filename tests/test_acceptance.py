@@ -225,7 +225,7 @@ def test_criterion_08_gluing_pipeline():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             solution = ak.continuity_solve(model, forcing)
-        residual = float(np.max(np.abs(solution.soliton_residual(model).values)))
+        residual = float(np.max(np.abs(ak.soliton_residual(model, solution.phi).values)))
     ok = outer_exact and min_c >= 1e-2 and compact and residual <= 1e-8 and timer.elapsed < 60.0
     _report(
         "criterion 8 (gluing pipeline)",

@@ -296,6 +296,19 @@ def test_report_passes(tmp_path):
     assert report["fredholm_window_clear"] is True
 
 
+@pytest.mark.slow
+def test_report_passes_at_finest_grid(tmp_path):
+    """At h = 1e-4 the manufactured forcing is exact to rounding, so the
+    solved residual reads 1.0e-11 and the report passes."""
+    config = tmp_path / "fine.cfg"
+    config.write_text("grid.h = 0.0001\n")
+    assert run_cli(["report", "--config", str(config)], tmp_path / "out") == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["passed"] is True
+    residual = next(c for c in report["checks"] if c["name"] == "monge_ampere_residual_sup")
+    assert residual["value"] <= 1e-9
+
+
 def test_manifest_written_before_outputs(tmp_path, monkeypatch):
     # fail inside the subcommand: the manifest must already exist
     import acylsoliton.cli as cli

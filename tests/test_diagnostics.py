@@ -119,3 +119,13 @@ def test_report_json_deterministic(manufactured_solution):
     a = ak.verify_solution(model, solution, forcing).to_json()
     b = ak.verify_solution(model, solution, forcing).to_json()
     assert a == b
+
+
+@pytest.mark.parametrize("h", [1e-2, 1e-3, pytest.param(1e-4, marks=pytest.mark.slow)])
+def test_verify_manufactured_passes_on_the_ladder(h):
+    """The manufactured cigar solve verifies at every rung: the forcing no
+    longer warns (decay rate 3/2) and the residual stays far below 1e-9."""
+    model = ak.cigar_model(2)
+    forcing = ak.ma_residual_radial(model, ak.manufactured_potential((-12.0, 20.0, h)), None, 0.0)
+    report = ak.verify_solution(model, ak.continuity_solve(model, forcing), forcing)
+    assert report.passed, report.summary_lines()

@@ -257,6 +257,29 @@ def test_auto_rho_rejects_margin_outside_bump_support():
         ak.glued_model(ak.cigar_model(2), ak.GlueSpec(margin=0.6))
 
 
+@pytest.mark.parametrize("rho0", [14.96, 14.9458])  # both clear every gluing node
+def test_supplied_rho0_is_checked_between_nodes(rho0):
+    """c dips to -0.0050 (-0.0186) at t = 1.0822, between the nodes 1.080 and
+    1.085; the model is rejected there, whether the spec or the model text
+    carries rho0."""
+    inner = ak.cigar_model(2)
+    spec = ak.GlueSpec(t0=1.3, rho0=rho0)
+    c = ak.glue_coefficient((0.0, spec.grid_end, spec.h), spec, inner)
+    assert np.min(c.values) > 0.0
+    with pytest.raises(ak.DomainError, match=r"c = -0.0\d+ <= 0 at t=1.082"):
+        ak.glued_model(inner, spec)
+    text = f"kind = glued\nn = 2\nglue.t0 = 1.3\nglue.rho0 = {rho0!r}\n"
+    with pytest.raises(ak.DomainError, match=r"at t=1.082"):
+        ak.model_from_text(text)
+
+
+def test_auto_rho0_round_trips_through_the_check():
+    """The amplitude auto_rho picks builds, and rebuilds from the model text."""
+    model = ak.glued_model(ak.cigar_model(2), ak.GlueSpec(t0=1.3))
+    clone = ak.model_from_text(ak.model_to_text(model))
+    assert clone.glue_params == model.glue_params
+
+
 def test_narrow_glued_solve_converges_at_fine_grid():
     model = ak.glued_model(ak.cigar_model(2), ak.GlueSpec(t0=1.3))
     forcing = ak.glued_forcing(model, (-12.0, 20.0, 1e-3))
@@ -265,7 +288,7 @@ def test_narrow_glued_solve_converges_at_fine_grid():
         solution = ak.continuity_solve(model, forcing)
     assert len(solution.records) == 10  # the uniform schedule, no step halved
     # node 0 carries the Neumann closure against a constant F (3.3e-7 here)
-    assert np.max(np.abs(solution.soliton_residual(model).values[1:])) <= 1e-8
+    assert np.max(np.abs(ak.soliton_residual(model, solution.phi).values[1:])) <= 1e-8
 
 
 def test_glued_model_invariants():
@@ -305,20 +328,24 @@ def test_glued_pipeline_end_to_end():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         solution = ak.continuity_solve(model, forcing)
-    residual = solution.soliton_residual(model)
+    residual = ak.soliton_residual(model, solution.phi)
     assert np.max(np.abs(residual.values)) <= 1e-8
 
 
-def test_solution_soliton_residual_reads_increments():
-    """At h = 1e-3 the soliton residual from the increments stays at rounding
-    level (5.0e-14), where differencing phi_anchored reads 3.9e-10."""
+def test_solution_soliton_residual_from_increments_and_samples():
+    """At h = 1e-3 the soliton residual at the solution, read from the
+    increments phi carries, stays at rounding level (5.0e-14); a plain
+    GridFunction copy of the anchored samples goes through np.diff and
+    reads 2.8e-11."""
     model = ak.glued_model(ak.cigar_model(2))
-    forcing = ak.glued_forcing(model, (-12.0, 20.0, 1e-3))
+    grid = (-12.0, 20.0, 1e-3)
+    forcing = ak.glued_forcing(model, grid)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         solution = ak.continuity_solve(model, forcing)
-    from_increments = solution.soliton_residual(model).values
-    from_samples = ak.soliton_residual(model, solution.phi_anchored).values
+    from_increments = ak.soliton_residual(model, solution.phi).values
+    samples = ak.GridFunction(*grid, solution.phi_anchored.values)
+    from_samples = ak.soliton_residual(model, samples).values
     assert np.max(np.abs(from_increments)) <= 1e-12
     assert np.max(np.abs(from_increments - from_samples)) <= 1e-9
 

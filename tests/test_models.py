@@ -231,3 +231,23 @@ def test_gridfunction_validation():
         ak.GridFunction(0.0, 1.0, 0.1, np.zeros(5))  # wrong length
     with pytest.raises(ak.DomainError):
         ak.GridFunction(0.0, 1.0, 0.1, np.full(11, np.nan))
+
+
+def test_radial_potential_rejects_bad_increments():
+    values = np.zeros(11)
+    with pytest.raises(ak.DomainError, match="finite increments as cells"):
+        ak.RadialPotential(0.0, 1.0, 0.1, values, np.zeros(11))  # one per node, not per cell
+    with pytest.raises(ak.DomainError, match="finite increments as cells"):
+        ak.RadialPotential(0.0, 1.0, 0.1, values, np.append(np.zeros(9), np.inf))
+    with pytest.raises(ak.DomainError, match="finite increments as cells"):
+        ak.RadialPotential(0.0, 1.0, 0.1, np.zeros((11, 4)), np.zeros(10))  # radial only
+    with pytest.raises(ak.DomainError, match="inconsistent with grid"):
+        ak.RadialPotential(0.0, 1.0, 0.1, np.zeros(5), np.zeros(4))  # GridFunction's checks run
+
+
+def test_radial_potential_like_drops_increments():
+    phi = ak.manufactured_potential((0.0, 1.0, 0.1))
+    assert isinstance(phi, ak.RadialPotential)
+    for field in (phi.like(2.0 * phi.values), phi.zeros_like()):
+        assert type(field) is ak.GridFunction
+        assert not hasattr(field, "increments")
