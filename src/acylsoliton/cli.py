@@ -89,31 +89,30 @@ class RunConfig:
     seed: int = 0
     plot: bool = False
 
+    # key -> (parse, valid); the field of key "a.b" is a_b
     KEYS = {
-        "model.kind": ("model_kind", str, lambda v: v in ("cigar", "cylinder", "glued")),
-        "model.n": ("model_n", int, lambda v: v >= 1),
-        "grid.t_min": ("grid_t_min", float, lambda v: True),
-        "grid.t_max": ("grid_t_max", float, lambda v: True),
-        "grid.h": ("grid_h", float, lambda v: v > 0),
-        "solver.tol": ("solver_tol", float, lambda v: v > 0),
-        "solver.s_steps": ("solver_s_steps", int, lambda v: v >= 1),
-        "solver.max_newton": ("solver_max_newton", int, lambda v: v >= 1),
-        "solver.min_step": ("solver_min_step", float, lambda v: v > 0),
-        "glue.t0": ("glue_t0", float, lambda v: v > 1),
-        "glue.margin": ("glue_margin", float, lambda v: v > 0),
-        "glue.degree": ("glue_degree", int, lambda v: v >= 3 and v % 2 == 1),
-        "cross_section.circle": ("cross_section_circle", float, lambda v: v > 0),
-        "cross_section.lattice": (
-            "cross_section_lattice", str, lambda v: v in ("square", "hexagonal"),
-        ),
-        "cross_section.lattice_rows": ("cross_section_lattice_rows", str, lambda v: True),
-        "cross_section.quotient": ("cross_section_quotient", int, lambda v: v in (1, 2, 3)),
-        "weights.mu_max": ("weights_mu_max", float, lambda v: v > 0),
-        "weights.window_lo": ("weights_window_lo", float, lambda v: True),
-        "weights.window_hi": ("weights_window_hi", float, lambda v: True),
-        "output.dir": ("output_dir", str, lambda v: True),
-        "seed": ("seed", int, lambda v: v >= 0),
-        "plot": ("plot", lambda s: s.lower() in ("1", "true", "yes"), lambda v: True),
+        "model.kind": (str, lambda v: v in ("cigar", "cylinder", "glued")),
+        "model.n": (int, lambda v: v >= 1),
+        "grid.t_min": (float, lambda v: True),
+        "grid.t_max": (float, lambda v: True),
+        "grid.h": (float, lambda v: v > 0),
+        "solver.tol": (float, lambda v: v > 0),
+        "solver.s_steps": (int, lambda v: v >= 1),
+        "solver.max_newton": (int, lambda v: v >= 1),
+        "solver.min_step": (float, lambda v: v > 0),
+        "glue.t0": (float, lambda v: v > 1),
+        "glue.margin": (float, lambda v: v > 0),
+        "glue.degree": (int, lambda v: v >= 3 and v % 2 == 1),
+        "cross_section.circle": (float, lambda v: v > 0),
+        "cross_section.lattice": (str, lambda v: v in ("square", "hexagonal")),
+        "cross_section.lattice_rows": (str, lambda v: True),
+        "cross_section.quotient": (int, lambda v: v in (1, 2, 3)),
+        "weights.mu_max": (float, lambda v: v > 0),
+        "weights.window_lo": (float, lambda v: True),
+        "weights.window_hi": (float, lambda v: True),
+        "output.dir": (str, lambda v: True),
+        "seed": (int, lambda v: v >= 0),
+        "plot": (lambda s: s.lower() in ("1", "true", "yes"), lambda v: True),
     }
 
     def as_dict(self):
@@ -134,7 +133,7 @@ def parse_config(text):
         if key not in RunConfig.KEYS:
             raise ConfigError(f"unknown key {key!r}", line=lineno)
         try:
-            parsed = RunConfig.KEYS[key][1](value)
+            parsed = RunConfig.KEYS[key][0](value)
         except ValueError:
             raise ConfigError(f"malformed value for {key!r}: {value!r}", line=lineno)
         _set_key(cfg, key, parsed, line=lineno)
@@ -143,10 +142,10 @@ def parse_config(text):
 
 def _set_key(cfg, key, value, line=None):
     """Validate a parsed value of a config key and store it on cfg."""
-    attr, _, valid = RunConfig.KEYS[key]
-    if not valid(value):
+    finite = not isinstance(value, float) or np.isfinite(value)
+    if not (finite and RunConfig.KEYS[key][1](value)):
         raise ConfigError(f"invalid value for {key!r}: {value!r}", line=line)
-    setattr(cfg, attr, value)
+    setattr(cfg, key.replace(".", "_"), value)
 
 
 def _build_model(cfg):
@@ -289,6 +288,8 @@ def _cmd_weights(cfg, run):
 def _cmd_solve_linear(cfg, run, rhs_path, mu, order_study=False):
     model = _build_model(cfg)
     rhs = GridFunction.from_csv(rhs_path)
+    if order_study and (len(rhs.values) - 1) % 4 != 0:
+        raise ConfigError("order study needs a node count of the form 4k + 1")
     problem = ModeProblem(model=model, mu=mu, rhs=rhs)
     solution = solve_mode(problem)
     solution.to_csv(run.path("solution.csv"))
@@ -302,8 +303,6 @@ def _cmd_solve_linear(cfg, run, rhs_path, mu, order_study=False):
     if order_study:
         # Richardson order from coarsened solves at 4h, 2h, h (subsampled rhs,
         # differences compared on the common 4h nodes)
-        if (len(rhs.values) - 1) % 4 != 0:
-            raise ConfigError("order study needs a node count of the form 4k + 1")
         levels = {}
         for factor in (1, 2, 4):
             sub = GridFunction(rhs.t_min, rhs.t_max, rhs.h * factor, rhs.values[::factor])
@@ -495,7 +494,8 @@ def run(argv=None):
             if getattr(args, flag, None) is not None:
                 _set_key(cfg, key, getattr(args, flag))
         if getattr(args, "window", None):
-            cfg.weights_window_lo, cfg.weights_window_hi = args.window
+            _set_key(cfg, "weights.window_lo", args.window[0])
+            _set_key(cfg, "weights.window_hi", args.window[1])
 
         input_paths = list(getattr(args, "decay", None) or [])
         rhs = getattr(args, "rhs", None)

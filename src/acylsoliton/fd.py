@@ -13,6 +13,8 @@ code path serves 1D fields and (t,u) fields.  That keeps the u-independent
 
 import numpy as np
 
+from .errors import DomainError
+
 # one-sided first derivative, order 4 (5 nodes)
 _D1_EDGE = np.array([-25.0 / 12.0, 4.0, -3.0, 4.0 / 3.0, -1.0 / 4.0])
 # one-sided second derivative, order 4 (6 nodes)
@@ -33,7 +35,7 @@ def d1(u, h):
     """First derivative along axis 0: central interior, one-sided ends."""
     u = np.asarray(u, dtype=float)
     if u.shape[0] < MIN_NODES:
-        raise ValueError(f"need at least {MIN_NODES} nodes, got {u.shape[0]}")
+        raise DomainError(f"need at least {MIN_NODES} nodes, got {u.shape[0]}")
     out = np.empty_like(u)
     out[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
     out[0] = _edge_dot(_D1_EDGE, u, reverse=False) / h
@@ -45,7 +47,7 @@ def d2(u, h):
     """Second derivative along axis 0: central interior, one-sided ends."""
     u = np.asarray(u, dtype=float)
     if u.shape[0] < MIN_NODES:
-        raise ValueError(f"need at least {MIN_NODES} nodes, got {u.shape[0]}")
+        raise DomainError(f"need at least {MIN_NODES} nodes, got {u.shape[0]}")
     out = np.empty_like(u)
     out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
     out[0] = _edge_dot(_D2_EDGE, u, reverse=False) / (h * h)
@@ -67,7 +69,7 @@ def increment_edges(v, h):
     Edge stencils sum to zero, so they act on u_k - u_0 = v_0 + ... + v_{k-1}:
     the weight of v_j is the sum of the coefficients past j."""
     if len(v) + 1 < MIN_NODES:
-        raise ValueError(f"need at least {MIN_NODES} nodes, got {len(v) + 1}")
+        raise DomainError(f"need at least {MIN_NODES} nodes, got {len(v) + 1}")
     w1, w2 = (np.cumsum(c[::-1])[-2::-1] for c in (_D1_EDGE, _D2_EDGE))
     return (np.array([_edge_dot(w1, v, False), _edge_dot(w1, v, True)]) / h,
             np.array([_edge_dot(w2, v, False), -_edge_dot(w2, v, True)]) / (h * h))

@@ -1,21 +1,23 @@
 """Laplace spectrum of the flat cross-section S^1 x T^{2(n-1)}.
 
 Modes are e^{ij theta} e^{2 pi i <k*, x>} with j an integer circle index and
-k* in the dual lattice; the eigenvalue is mu = (2 pi j / l_theta)^2 +
-|2 pi k*|^2.  Enumeration is a bounded integer-box search over dual-lattice
-coefficients, held as arrays (j, alpha, mu) with one entry per mode.
+k* in the dual lattice, whose coefficients alpha come from a bounded
+integer-box search; the eigenvalue is mu = (2 pi j / l_theta)^2 +
+mu_torus(alpha) with mu_torus = |2 pi k*|^2.
 
 A finite cyclic quotient (theta shift by 2 pi/m together with an integer
 lattice map R of order m) acts on a mode by (j, alpha) -> (j, R^T alpha)
 with character e^{2 pi i j/m} per generator application.  The invariant
 subspectrum keeps, for each orbit, the dimension of the trivial-character
-subspace: 1 if m divides j * orbit_size, else 0.  The orbit size of alpha
-is the least L >= 1 with (R^T)^L alpha = alpha, read off the first m powers
-of R.  Distinct eigenvalues closer than MERGE_TOL are merged into one
-cluster reported at its smallest value.
+subspace: 1 if m divides j * L, where the orbit size L of alpha is the least
+L >= 1 with (R^T)^L alpha = alpha.  So the lattice vectors are reduced to
+distinct (mu_torus, L) groups with member counts, and j is broadcast against
+the groups only; the full spectrum is the order-1 case m = 1, R = I.
+Eigenvalues closer than MERGE_TOL are merged into one cluster reported at
+its smallest value.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -60,8 +62,10 @@ class CrossSection:
     def __post_init__(self):
         B = np.asarray(self.lattice, dtype=float)
         object.__setattr__(self, "lattice", B)
-        if self.circle_length <= 0:
-            raise DomainError("circle length must be positive")
+        if not 0 < self.circle_length < np.inf:
+            raise DomainError("circle length must be positive and finite")
+        if not np.isfinite(B).all():
+            raise DomainError("lattice basis entries must be finite")
         if B.ndim != 2 or B.shape[0] != B.shape[1]:
             raise DomainError("lattice basis must be a square matrix")
         if abs(np.linalg.det(B)) < 1e-12:
@@ -82,14 +86,19 @@ class CrossSection:
         return 4.0 * np.pi**2 * np.linalg.inv(B @ B.T)
 
 
-def _enumerate_modes(cs, mu_max):
-    """Arrays (j, alpha, mu) of all modes with mu <= mu_max, j-major order."""
-    if mu_max <= 0:
-        raise DomainError("mu_max must be positive")
+def spectrum(cs, mu_max):
+    """Sorted list of (mu, multiplicity) with mu <= mu_max."""
+    return invariant_spectrum(replace(cs, quotient=None), mu_max)
+
+
+def invariant_spectrum(cs, mu_max):
+    """Quotient-invariant subspectrum as sorted (mu, multiplicity) pairs.
+
+    With no quotient this equals spectrum(cs, mu_max).
+    """
+    if not 0 < mu_max < np.inf:
+        raise DomainError(f"mu_max must be positive and finite, got {mu_max}")
     bound = mu_max + MERGE_TOL
-    circle_unit = (2.0 * np.pi / cs.circle_length) ** 2
-    j_max = int(np.floor(np.sqrt(bound / circle_unit)))
-    js = np.arange(-j_max, j_max + 1)
     gram = cs.dual_gram
     d = gram.shape[0]
     # |alpha| bound from the smallest eigenvalue of the dual Gram matrix
@@ -99,50 +108,34 @@ def _enumerate_modes(cs, mu_max):
     mus_torus = np.einsum("ki,ij,kj->k", alphas, gram, alphas)
     keep = mus_torus <= bound
     alphas, mus_torus = alphas[keep], mus_torus[keep]
-    mu = (circle_unit * js * js)[:, None] + mus_torus
-    j_index, alpha_index = np.nonzero(mu <= bound)
-    return js[j_index], alphas[alpha_index], mu[j_index, alpha_index]
-
-
-def _merge(pairs):
-    """Merge (mu, count) pairs at MERGE_TOL, ascending in mu."""
-    merged = []
-    for mu, count in sorted(pairs):
-        if merged and abs(mu - merged[-1][0]) <= MERGE_TOL:
-            merged[-1][1] += count
-        else:
-            merged.append([mu, count])
-    return [(mu, count) for mu, count in merged if count > 0]
-
-
-def spectrum(cs, mu_max):
-    """Sorted list of (mu, multiplicity) with mu <= mu_max."""
-    values, counts = np.unique(_enumerate_modes(cs, mu_max)[2], return_counts=True)
-    return _merge(zip(values.tolist(), counts.tolist()))
-
-
-def invariant_spectrum(cs, mu_max):
-    """Quotient-invariant subspectrum as sorted (mu, multiplicity) pairs.
-
-    With no quotient this equals spectrum(cs, mu_max).
-    """
-    if cs.quotient is None:
-        return spectrum(cs, mu_max)
-    m = cs.quotient.order
-    R = cs.quotient.lattice_map.astype(np.int64)
-    js, alphas, mu = _enumerate_modes(cs, mu_max)
     # orbit size: least L >= 1 with (R^T)^L alpha = alpha (rows: alpha R^L)
-    size = np.zeros(len(js), dtype=np.int64)
+    m = cs.quotient.order if cs.quotient else 1
+    R = cs.quotient.lattice_map.astype(np.int64) if cs.quotient else np.eye(d, dtype=np.int64)
+    size = np.zeros(len(alphas), dtype=np.int64)
     image = alphas
     for power in range(1, m + 1):
         image = image @ R
         size[(size == 0) & (image == alphas).all(axis=1)] = power
+    # member counts of the distinct (torus value, orbit size) groups
+    torus_values, torus_index = np.unique(mus_torus, return_inverse=True)
+    members = np.bincount(torus_index * m + size - 1, minlength=len(torus_values) * m)
+    group = np.flatnonzero(members)
+    torus, orbit, members = torus_values[group // m], group % m + 1, members[group]
+    circle_unit = (2.0 * np.pi / cs.circle_length) ** 2
+    j_max = int(np.floor(np.sqrt(bound / circle_unit)))
+    js = np.arange(-j_max, j_max + 1)[:, None]
+    mu = circle_unit * js * js + torus
     # an invariant orbit (m | j L) weighs m in total, m // L per member
-    weight = np.where(js * size % m == 0, m // size, 0)
-    values, inverse = np.unique(mu, return_inverse=True)
-    totals = np.bincount(inverse, weights=weight).astype(np.int64)
-    kept = totals > 0
-    merged = _merge(zip(values[kept].tolist(), totals[kept].tolist()))
+    weight = np.where(js * orbit % m == 0, members * (m // orbit), 0)
+    kept = (mu <= bound) & (weight > 0)
+    values, inverse = np.unique(mu[kept], return_inverse=True)
+    totals = np.bincount(inverse, weights=weight[kept]).astype(np.int64)
+    merged = []
+    for value, total in zip(values.tolist(), totals.tolist()):
+        if merged and value - merged[-1][0] <= MERGE_TOL:
+            merged[-1][1] += total
+        else:
+            merged.append([value, total])
     return [(value, total // m) for value, total in merged]
 
 

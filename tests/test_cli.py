@@ -38,6 +38,12 @@ def test_parse_config_rejects_bad_values():
     with pytest.raises(ak.ConfigError) as excinfo:  # GlueSpec needs a cutoff of degree >= 3
         parse_config("glue.degree = 1\n")
     assert "glue.degree" in str(excinfo.value)
+    # non-finite floats are rejected for every key, before any computation
+    for line in ("weights.mu_max = inf", "grid.t_min = nan", "grid.t_max = inf",
+                 "glue.t0 = inf", "weights.window_lo = -inf"):
+        with pytest.raises(ak.ConfigError) as excinfo:
+            parse_config(line + "\n")
+        assert line.split(" =")[0] in str(excinfo.value)
 
 
 def run_cli(args, outdir):
@@ -74,6 +80,33 @@ def test_solve_linear(tmp_path):
     assert (tmp_path / "solution.csv").exists()
     diag = json.loads((tmp_path / "diagnostics.json").read_text())
     assert diag["decay_rate"] >= 1.45
+
+
+def decaying_rhs(tmp_path, t_max):
+    rhs = ak.GridFunction.sample(lambda t: np.exp(-1.5 * t) * np.clip(t / 2, 0, 1) ** 4,
+                                 -12.0, t_max, 0.01)
+    path = tmp_path / "rhs.csv"
+    rhs.to_csv(path)
+    return str(path), len(rhs.values)
+
+
+@pytest.mark.parametrize("mu", ["0", "2"])
+def test_solve_linear_order_study(tmp_path, mu):
+    rhs_path, nodes = decaying_rhs(tmp_path, 20.0)
+    assert nodes == 3201
+    code = run_cli(["solve-linear", "--mu", mu, "--rhs", rhs_path, "--order-study"], tmp_path)
+    assert code == 0
+    diag = json.loads((tmp_path / "diagnostics.json").read_text())
+    assert abs(diag["convergence_order"] - 2.0) <= 0.05
+
+
+def test_solve_linear_order_study_rejects_node_count_before_solving(tmp_path, capsys):
+    rhs_path, nodes = decaying_rhs(tmp_path, 19.98)
+    assert nodes == 3199
+    out = tmp_path / "out"
+    assert run_cli(["solve-linear", "--rhs", rhs_path, "--order-study"], out) == 1
+    assert "4k + 1" in capsys.readouterr().err
+    assert not (out / "solution.csv").exists()
 
 
 def test_solve_ma_fixture(tmp_path):
@@ -129,6 +162,7 @@ def test_glue_outputs(tmp_path):
         ["solve-ma", "--rhs", "manufactured", "--n", "0"],
         ["glue", "--t0", "0"],
         ["glue", "--margin", "0"],
+        ["weights", "--window", "nan", "2"],
     ],
 )
 def test_zero_valued_flags_are_validated(tmp_path, args):
@@ -181,6 +215,21 @@ def test_poincare_weight_nonpositive_f_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: Poincare weight needs f > 0, but f = -23 at t = -12;")
     assert "raise grid.t_min" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,config,message", [
+    ("spectrum", "cross_section.lattice_rows = nan 0; 0 1",
+     "error: lattice basis entries must be finite"),
+    # grid.h = 8 on [-12, 20] gives 5 nodes; the stencils need 6
+    ("report", "grid.h = 8", "error: need at least 6 nodes, got 5"),
+], ids=["nan_lattice_rows", "five_node_grid"])
+def test_config_the_computation_rejects_is_a_usage_error(tmp_path, capsys, command, config,
+                                                         message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(config + "\n")
+    assert run_cli([command, "--config", str(path)], tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", [["verify", "--decay"], ["solve-linear", "--rhs"]],

@@ -118,20 +118,33 @@ def test_circle_only_cross_section():
 # SHA-256 of spectrum_to_csv output: the reported float of every merged
 # cluster is pinned to the last bit, which the rounded comparisons above miss.
 @pytest.mark.parametrize(
-    "lattice,quotient,mu_max,digest",
+    "circle,lattice,quotient,mu_max,digest",
     [
-        (FOUR_TORUS, None, 30.0,
+        (TWO_PI, FOUR_TORUS, None, 30.0,
          "48277150456f42442c9444f458d5c3566bd3777fee45820ec6b53fbce82af951"),
-        (FOUR_TORUS, FOUR_TORUS_NEGATION, 20.0,
+        (TWO_PI, FOUR_TORUS, FOUR_TORUS_NEGATION, 20.0,
          "50d641cfaafe69857e38116207cce891d82160e92167aaf1359e372602424b6d"),
-        (ak.hexagonal_lattice(), ak.hexagonal_rotation_quotient(), 200.0,
+        (TWO_PI, ak.hexagonal_lattice(), ak.hexagonal_rotation_quotient(), 200.0,
          "07b786b30ebcb60e52c340cbaf1c97485dc90b529b2a330e9c93a82d2baa26af"),
+        # the bench's spectrum_sweep case
+        (TWO_PI, FOUR_TORUS, None, 100.0,
+         "bf64a32c3319adc2ac8a358af547fe2584baf55c5c3883b79af34b7839c3d326"),
+        # a short circle: many values carry only nontrivial characters
+        (1.3, ak.square_lattice(), ak.negation_quotient(), 800.0,
+         "4b3664c20ff4748fdbb052088beb3a14f67d2b35efff95fbc4c8002e9703d495"),
+        # circle_unit is 3 up to rounding: j^2 circle_unit + mu_torus meets others within
+        # MERGE_TOL, and a zero-weight value just below a kept one must be
+        # dropped before the merge, or it becomes the reported float (12 vs
+        # 11.999999999999998)
+        (TWO_PI / np.sqrt(3), ak.hexagonal_lattice(), ak.hexagonal_rotation_quotient(), 60.0,
+         "ff85ff8fd7feed0a76a7c29072b293e49696ab932c920594c047b16affda0439"),
     ],
-    ids=["four_torus", "four_torus_negation", "hexagonal_rotation"],
+    ids=["four_torus", "four_torus_negation", "hexagonal_rotation", "four_torus_sweep",
+         "square_negation_short_circle", "hexagonal_rotation_merge_order"],
 )
-def test_spectrum_csv_bytes_pinned(tmp_path, lattice, quotient, mu_max, digest):
+def test_spectrum_csv_bytes_pinned(tmp_path, circle, lattice, quotient, mu_max, digest):
     path = tmp_path / "spectrum.csv"
-    spectrum_to_csv(ak.invariant_spectrum(ak.CrossSection(TWO_PI, lattice, quotient), mu_max),
+    spectrum_to_csv(ak.invariant_spectrum(ak.CrossSection(circle, lattice, quotient), mu_max),
                     path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
@@ -181,6 +194,25 @@ def test_enumeration_is_deterministic():
 def test_degenerate_lattice_rejected():
     with pytest.raises(ak.DomainError):
         ak.CrossSection(TWO_PI, np.array([[1.0, 2.0], [2.0, 4.0]]))
+
+
+@pytest.mark.parametrize("circle,lattice", [
+    (np.inf, ak.square_lattice()),
+    (np.nan, ak.square_lattice()),
+    (TWO_PI, np.array([[np.nan, 0.0], [0.0, 1.0]])),
+    (TWO_PI, np.array([[np.inf, 0.0], [0.0, 1.0]])),
+], ids=["inf_circle", "nan_circle", "nan_lattice", "inf_lattice"])
+def test_non_finite_cross_section_rejected(circle, lattice):
+    with pytest.raises(ak.DomainError):
+        ak.CrossSection(circle, lattice)
+
+
+@pytest.mark.parametrize("mu_max", [0.0, -1.0, np.nan, np.inf])
+def test_mu_max_must_be_positive_and_finite(mu_max):
+    cs = ak.CrossSection(TWO_PI, ak.square_lattice(), ak.negation_quotient())
+    for compute in (ak.spectrum, ak.invariant_spectrum):
+        with pytest.raises(ak.DomainError):
+            compute(cs, mu_max)
 
 
 def test_non_isometric_lattice_map_rejected():
