@@ -69,20 +69,7 @@ def test_spectrum_outputs(tmp_path):
     assert lines[1] == "0,1"
 
 
-def test_solve_linear(tmp_path):
-    rhs = ak.GridFunction.sample(lambda t: np.exp(-1.5 * t) * np.clip(t / 2, 0, 1) ** 4,
-                                 -12.0, 20.0, 0.01)
-    rhs_path = tmp_path / "rhs.csv"
-    rhs.to_csv(rhs_path)
-    code = run_cli(["solve-linear", "--model", "cigar", "--mu", "0", "--rhs", str(rhs_path)],
-                   tmp_path)
-    assert code == 0
-    assert (tmp_path / "solution.csv").exists()
-    diag = json.loads((tmp_path / "diagnostics.json").read_text())
-    assert diag["decay_rate"] >= 1.45
-
-
-def decaying_rhs(tmp_path, t_max):
+def decaying_rhs(tmp_path, t_max=20.0):
     rhs = ak.GridFunction.sample(lambda t: np.exp(-1.5 * t) * np.clip(t / 2, 0, 1) ** 4,
                                  -12.0, t_max, 0.01)
     path = tmp_path / "rhs.csv"
@@ -90,9 +77,19 @@ def decaying_rhs(tmp_path, t_max):
     return str(path), len(rhs.values)
 
 
+def test_solve_linear(tmp_path):
+    rhs_path, _ = decaying_rhs(tmp_path)
+    code = run_cli(["solve-linear", "--model", "cigar", "--mu", "0", "--rhs", rhs_path],
+                   tmp_path)
+    assert code == 0
+    assert (tmp_path / "solution.csv").exists()
+    diag = json.loads((tmp_path / "diagnostics.json").read_text())
+    assert diag["decay_rate"] >= 1.45
+
+
 @pytest.mark.parametrize("mu", ["0", "2"])
 def test_solve_linear_order_study(tmp_path, mu):
-    rhs_path, nodes = decaying_rhs(tmp_path, 20.0)
+    rhs_path, nodes = decaying_rhs(tmp_path)
     assert nodes == 3201
     code = run_cli(["solve-linear", "--mu", mu, "--rhs", rhs_path, "--order-study"], tmp_path)
     assert code == 0
@@ -386,12 +383,9 @@ def test_outdir_env_override(tmp_path, monkeypatch):
 
 
 def test_plot_svg(tmp_path):
-    rhs = ak.GridFunction.sample(lambda t: np.exp(-1.5 * t) * np.clip(t / 2, 0, 1) ** 4,
-                                 -12.0, 20.0, 0.01)
-    rhs_path = tmp_path / "rhs.csv"
-    rhs.to_csv(rhs_path)
+    rhs_path, _ = decaying_rhs(tmp_path)
     code = run(["--plot", "solve-linear", "--model", "cigar", "--mu", "0",
-                "--rhs", str(rhs_path), "--output", str(tmp_path)])
+                "--rhs", rhs_path, "--output", str(tmp_path)])
     assert code == 0
     svg = (tmp_path / "solution.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg

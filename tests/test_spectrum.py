@@ -132,10 +132,10 @@ def test_circle_only_cross_section():
         # a short circle: many values carry only nontrivial characters
         (1.3, ak.square_lattice(), ak.negation_quotient(), 800.0,
          "4b3664c20ff4748fdbb052088beb3a14f67d2b35efff95fbc4c8002e9703d495"),
-        # circle_unit is 3 up to rounding: j^2 circle_unit + mu_torus meets others within
-        # MERGE_TOL, and a zero-weight value just below a kept one must be
-        # dropped before the merge, or it becomes the reported float (12 vs
-        # 11.999999999999998)
+        # circle_unit is 3 up to rounding, so j^2 circle_unit + mu_torus meets
+        # other values within MERGE_TOL; a zero-weight value just below a kept
+        # one must be dropped before the merge, or it becomes the reported
+        # float (11.999999999999998 instead of 12)
         (TWO_PI / np.sqrt(3), ak.hexagonal_lattice(), ak.hexagonal_rotation_quotient(), 60.0,
          "ff85ff8fd7feed0a76a7c29072b293e49696ab932c920594c047b16affda0439"),
     ],
