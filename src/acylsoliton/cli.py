@@ -140,12 +140,17 @@ def parse_config(text):
     return cfg
 
 
+def _validated(name, value, rule, line=None):
+    """value, if it is finite (when a float) and satisfies rule; else ConfigError naming it."""
+    finite = not isinstance(value, float) or np.isfinite(value)
+    if not (finite and rule(value)):
+        raise ConfigError(f"invalid value for {name!r}: {value!r}", line=line)
+    return value
+
+
 def _set_key(cfg, key, value, line=None):
     """Validate a parsed value of a config key and store it on cfg."""
-    finite = not isinstance(value, float) or np.isfinite(value)
-    if not (finite and RunConfig.KEYS[key][1](value)):
-        raise ConfigError(f"invalid value for {key!r}: {value!r}", line=line)
-    setattr(cfg, key.replace(".", "_"), value)
+    setattr(cfg, key.replace(".", "_"), _validated(key, value, RunConfig.KEYS[key][1], line))
 
 
 def _build_model(cfg):
@@ -493,6 +498,8 @@ def run(argv=None):
         for key, flag in (("model.n", "n"), ("glue.t0", "t0"), ("glue.margin", "margin")):
             if getattr(args, flag, None) is not None:
                 _set_key(cfg, key, getattr(args, flag))
+        if getattr(args, "mu", None) is not None:  # solve-linear's mode, not a config key
+            _validated("--mu", args.mu, lambda v: v >= 0)
         if getattr(args, "window", None):
             _set_key(cfg, "weights.window_lo", args.window[0])
             _set_key(cfg, "weights.window_hi", args.window[1])

@@ -100,13 +100,13 @@ def drift_bands(c, h, neg_sub, sup):
     np.add(1.0 / h**2, c_h, out=sup)
 
 
-def march_bands(c, h):
+def march_bands(c, h, rows):
     """(ab, sub_0): rows sup_i x_i - sub_i x_{i-1} of drift_bands(c, h) as the
     Fortran-order lower band array of dtbtrs, ab[0] = sup, ab[1, :-1] = -sub[1:].
 
-    The pairs (-sub_i, sup_i) are written interleaved; read from one element
-    on, that memory is ab, so the bands are written once and never copied."""
-    rows = np.zeros(2 * len(c) + 1)
+    The pairs (-sub_i, sup_i) are written interleaved into rows, an array of
+    2 len(c) + 1 values whose last stays 0; read from one element on, that
+    memory is ab, so the bands are written once and never copied."""
     drift_bands(c, h, rows[:-2:2], rows[1::2])
     return rows[1:].reshape(-1, 2).T, -rows[0]
 

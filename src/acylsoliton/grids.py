@@ -14,6 +14,7 @@ import numpy as np
 from .errors import DomainError
 
 _TWO_PI = 2.0 * np.pi
+_CSV_CHUNK_ROWS = 1024  # rows formatted by one % of the repeated row format
 
 
 def uniform_nodes(t_min, t_max, h):
@@ -27,6 +28,29 @@ def uniform_nodes(t_min, t_max, h):
     if abs(n_cells - n) > 1e-8 * max(1.0, abs(n_cells)):
         raise DomainError(f"(t_max - t_min)/h = {n_cells} is not an integer")
     return t_min + h * np.arange(n + 1)
+
+
+def _numbered_rows(path, width):
+    """(rows, line numbers) of the non-blank lines after the CSV header, read
+    one by one; DomainError names the first that is not width numeric fields."""
+    rows, numbers = [], []
+    with open(path, "r") as fh:
+        fh.readline()
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                row = [float(x) for x in line.split(",")]
+            except ValueError:
+                row = []
+            if len(row) != width:
+                raise DomainError(
+                    f"{path}, line {lineno}: expected {width} numeric fields, "
+                    f"got {line.strip()!r}"
+                )
+            rows.append(row)
+            numbers.append(lineno)
+    return rows, numbers
 
 
 @dataclass(frozen=True)
@@ -113,41 +137,43 @@ class GridFunction:
             else:
                 fh.write("t,value\n")
                 columns = (self.t, self.values)
+            fields = np.column_stack(columns).ravel().tolist()  # row-major
+            chunk = _CSV_CHUNK_ROWS * len(columns)
             row = ",".join(["%.17g"] * len(columns)) + "\n"
-            fh.writelines(map(row.__mod__, zip(*(c.tolist() for c in columns))))
+            for k in range(0, len(fields), chunk):
+                block = fields[k:k + chunk]
+                fh.write(row * (len(block) // len(columns)) % tuple(block))
 
     @classmethod
     def from_csv(cls, path):
-        """Read a grid-function CSV; DomainError names the line of a bad row or t."""
+        """Read a grid-function CSV; DomainError names the line of a bad row or t.
+
+        np.loadtxt parses the body in bulk.  Where it fails (it rejects some
+        fields float() reads, such as '1_0', and whitespace-only lines) or reads
+        another column count, and where a check names a line, the per-row loop
+        reads the body again, so both give the same rows and the same errors."""
         with open(path, "r") as fh:
             header = fh.readline().strip()
             width = {"t,value": 2, "t,u,value": 3}.get(header)
             if width is None:
                 raise DomainError(f"unrecognized CSV header {header!r}")
-            rows, lines = [], []
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                try:
-                    row = [float(x) for x in line.split(",")]
-                except ValueError:
-                    row = []
-                if len(row) != width:
-                    raise DomainError(
-                        f"{path}, line {lineno}: expected {width} numeric fields, "
-                        f"got {line.strip()!r}"
-                    )
-                rows.append(row)
-                lines.append(lineno)
-        if not rows:
-            raise DomainError(f"{path}: no data rows after the header line")
-        data = np.array(rows).reshape(-1, width)
+            body = fh.tell()
+            if not any(line.strip() for line in iter(fh.readline, "")):  # loadtxt would warn
+                raise DomainError(f"{path}: no data rows after the header line")
+            fh.seek(body)
+            try:
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                data = None
+        if data is None or data.shape[1] != width:
+            data = np.array(_numbered_rows(path, width)[0])
         n_u = 1
         if width == 3:
             n_t, n_u = len(np.unique(data[:, 0])), len(np.unique(data[:, 1]))
             if len(data) != n_t * n_u:
+                line = _numbered_rows(path, width)[1][-1]
                 raise DomainError(
-                    f"{path}, line {lines[-1]}: {len(data)} rows do not form a "
+                    f"{path}, line {line}: {len(data)} rows do not form a "
                     f"{n_t} x {n_u} (t, u) grid"
                 )
         n_t = len(data) // n_u
@@ -167,8 +193,9 @@ class GridFunction:
             names = ("t", "u")[: width - 1]
             got = ", ".join(f"{n} = {x:.17g}" for n, x in zip(names, data[k]))
             want = ", ".join(f"{n} = {x:.17g}" for n, x in zip(names, nodes[k]))
+            line = _numbered_rows(path, width)[1][k]
             raise DomainError(
-                f"{path}, line {lines[k]}: {got}, expected {want} on the ascending "
+                f"{path}, line {line}: {got}, expected {want} on the ascending "
                 f"uniform t-grid of spacing {h:.6g} over [{t_first:.17g}, {t_last:.17g}]"
                 + (f", t-major with u = 2 pi k / {n_u}" if width == 3 else "")
             )

@@ -106,6 +106,21 @@ def test_solve_linear_order_study_rejects_node_count_before_solving(tmp_path, ca
     assert not (out / "solution.csv").exists()
 
 
+@pytest.mark.parametrize("mu_args,value", [
+    (["--mu", "nan"], "nan"),
+    (["--mu", "inf"], "inf"),
+    (["--mu=-inf"], "-inf"),  # with a space argparse would read -inf as an option
+    (["--mu", "-1"], "-1.0"),
+], ids=["nan", "inf", "minus_inf", "negative"])
+def test_solve_linear_bad_mu_is_a_usage_error(tmp_path, capsys, mu_args, value):
+    """--mu gets the finiteness and domain check of the other flags, before any output."""
+    rhs_path, _ = decaying_rhs(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli(["solve-linear", *mu_args, "--rhs", rhs_path], out) == 1
+    assert f"error: invalid value for '--mu': {value}\n" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_solve_ma_fixture(tmp_path):
     code = run_cli(["solve-ma", "--model", "cigar", "--n", "2", "--rhs", FIXTURE], tmp_path)
     assert code == 0

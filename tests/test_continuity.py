@@ -431,6 +431,78 @@ def test_adaptive_schedule_halves_doubles_and_caps(cigar, zero_field, monkeypatc
     assert s_values[-1] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("kind,expected", [
+    ("cigar", [3] + [2] * 9),
+    ("cylinder", [3, 3, 3] + [2] * 7),
+])
+def test_secant_predictor_iterations(kind, expected):
+    """From the second s-step on, Newton starts at the secant extrapolation of
+    the last two accepted points: 3 iterations at s = 0.1, then mostly 2."""
+    grid = (-12.0, 20.0, 1e-3)
+    model = ak.cigar_model(2) if kind == "cigar" else ak.cylinder_model(2)
+    forcing = ak.ma_residual_radial(model, ak.manufactured_potential(grid, amplitude=0.3),
+                                    None, 0.0)
+    solution = quiet_solve(model, forcing)
+    assert [r.newton_iterations for r in solution.records] == expected
+
+
+def test_inadmissible_prediction_restarts_from_last_solution(manufactured, monkeypatch):
+    """A secant start whose residual reports a_phi <= 0 is dropped before any
+    iteration: the step restarts from the last accepted v, and the accepted
+    s-schedule is that of the unscripted solve."""
+    from acylsoliton import continuity as cont
+
+    model, _, forcing = manufactured
+    plain = quiet_solve(model, forcing)
+    calls, accepted = [], {}
+    original_solve, original_residual = cont._RadialNewton.solve, cont._RadialNewton.residual
+    refuse = {"armed": False}
+
+    def solve(self, v, s):
+        refuse["armed"] = round(s, 6) == 0.3 and all(round(c, 6) != 0.3 for c, _ in calls)
+        calls.append((s, v.copy()))
+        it, iterations = original_solve(self, v, s)
+        accepted[round(s, 6)] = it.v.copy()
+        return it, iterations
+
+    def residual(self, v, target, out=None):
+        it = original_residual(self, v, target, out)
+        if refuse["armed"]:
+            refuse["armed"] = False
+            return it._replace(sup=None, r=None, min_ratio=-1.0)
+        return it
+
+    monkeypatch.setattr(cont._RadialNewton, "solve", solve)
+    monkeypatch.setattr(cont._RadialNewton, "residual", residual)
+    solution = quiet_solve(model, forcing)
+    s_calls = [s for s, _ in calls]
+    assert s_calls == pytest.approx([0.1, 0.2, 0.3, 0.3] + [k / 10 for k in range(4, 11)])
+    (s1, _), (s2, _), (s3, _) = calls[:3]
+    v1, v2 = accepted[0.1], accepted[0.2]
+    assert np.array_equal(calls[2][1], v2 + (v2 - v1) * ((s3 - s2) / (s2 - s1)))
+    assert calls[3][1].tobytes() == v2.tobytes()
+    assert [r.s for r in solution.records] == [r.s for r in plain.records]
+    assert solution.records[2].newton_iterations > plain.records[2].newton_iterations
+    assert np.max(np.abs(solution.phi.values - plain.phi.values)) <= 1e-9
+
+
+def test_solves_share_no_arrays(manufactured):
+    """Back-to-back solves, with a uniqueness check between them, give the same
+    bits, and no later solve writes into the arrays an earlier one returned."""
+    model, phi_star, forcing = manufactured
+    first = quiet_solve(model, forcing)
+    kept = [x.copy() for x in (first.phi.values, first.phi.increments,
+                               first.phi_anchored.values)]
+    ak.uniqueness_check(model, forcing, initializations=[phi_star.zeros_like(), phi_star])
+    second = quiet_solve(model, forcing)
+    assert second.phi.values.tobytes() == first.phi.values.tobytes()
+    assert second.phi.increments.tobytes() == first.phi.increments.tobytes()
+    assert [r.as_dict() for r in second.records] == [r.as_dict() for r in first.records]
+    for before, after in zip(kept, (first.phi.values, first.phi.increments,
+                                    first.phi_anchored.values)):
+        assert after.tobytes() == before.tobytes()
+
+
 def test_cylinder_continuity_manufactured(cylinder):
     """The Dirichlet-both-ends branch recovers a manufactured potential."""
     from acylsoliton.gluing import smoothstep

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import acylsoliton as ak
 from acylsoliton import fd
@@ -177,14 +181,82 @@ def loop_csv_bytes(u):
     return (("t,u,value\n" if u.is_2d else "t,value\n") + "".join(rows)).encode()
 
 
-@pytest.mark.parametrize("shape", [(6,), (6, 4)])
+@pytest.mark.parametrize("shape", [(6,), (6, 4), (2500,), (700, 4)])
 def test_gridfunction_csv_bytes_match_loop(tmp_path, shape):
     """to_csv writes the f-string loop's bytes on awkward values: signed zero,
-    the smallest subnormal, huge, integral and inexact sums."""
+    the smallest subnormal, huge, integral and inexact sums, also across and
+    at the end of its blocks of rows."""
     values = np.resize(np.array(AWKWARD), shape)
-    u = ak.GridFunction(-0.5, 2.0, 0.5, values)
+    u = ak.GridFunction(-0.5, -0.5 + 0.5 * (shape[0] - 1), 0.5, values)
     u.to_csv(tmp_path / "u.csv")
     assert (tmp_path / "u.csv").read_bytes() == loop_csv_bytes(u)
+
+
+def csv_outcome(path):
+    """from_csv's grid and value bits, or its error message."""
+    try:
+        u = ak.GridFunction.from_csv(path)
+    except ak.DomainError as exc:
+        return str(exc)
+    return u.t_min, u.t_max, u.h, u.values.shape, u.values.tobytes()
+
+
+CSV_FIELD_FORMS = (repr, "{:.17g}".format, "{:.17e}".format, " {!r} ".format, "\t{!r}".format)
+
+
+@st.composite
+def csv_bodies(draw):
+    """1D CSV bodies on a uniform t-grid, with padded and exponent fields, '1_0',
+    blank and whitespace-only lines, LF or CRLF, and now and then an off-grid t
+    or a bad field."""
+    t0 = draw(st.sampled_from([0.0, -1.0, 2.5]))
+    h = draw(st.sampled_from([0.1, 0.25, 1.0]))
+    lines = []
+    for i in range(draw(st.integers(2, 6))):
+        t = t0 + i * h + draw(st.sampled_from([0.0] * 9 + [h / 3]))
+        t, value = (draw(st.sampled_from(CSV_FIELD_FORMS))(x) for x in
+                    (t, draw(st.floats(allow_nan=False, allow_infinity=False))))
+        value = draw(st.sampled_from([value] * 12 + ["1_0", "-2_5e-1", "x", ""]))
+        lines.append(f"{t},{value}")
+        lines += draw(st.sampled_from([[]] * 6 + [[""], [""], [" "], ["\t "]]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(body=csv_bodies())
+def test_gridfunction_csv_bulk_and_per_row_parses_agree(tmp_path_factory, body):
+    """from_csv gives the same grid, bits and errors (line numbers included)
+    whether np.loadtxt reads the body or only the per-row loop does."""
+    from unittest import mock
+
+    from acylsoliton import grids
+
+    path = tmp_path_factory.mktemp("csv") / "u.csv"
+    path.write_bytes(("t,value\n" + body).encode())
+    with mock.patch.object(grids.np, "loadtxt", side_effect=ValueError):
+        per_row = csv_outcome(path)
+    assert csv_outcome(path) == per_row
+
+
+def test_gridfunction_csv_clean_file_is_read_in_bulk(tmp_path, monkeypatch):
+    from acylsoliton import grids
+
+    u = ak.GridFunction.sample_2d(lambda t, x: np.exp(-t) * np.cos(x), 0.0, 2.0, 0.01, 8)
+    u.to_csv(tmp_path / "u.csv")
+    monkeypatch.setattr(grids, "_numbered_rows", None)  # the per-row loop is not called
+    assert np.array_equal(ak.GridFunction.from_csv(tmp_path / "u.csv").values, u.values)
+
+
+@pytest.mark.parametrize("text", ["t,value\n", "t,u,value\n\n  \n", "t,value\r\n\t\r\n"])
+def test_gridfunction_csv_header_only_is_a_domain_error(tmp_path, text):
+    """A body of blank lines is refused before np.loadtxt, which would warn."""
+    path = tmp_path / "empty.csv"
+    path.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ak.DomainError, match="no data rows after the header line"):
+            ak.GridFunction.from_csv(path)
 
 
 def test_gridfunction_csv_rejects_off_grid_t(tmp_path):
