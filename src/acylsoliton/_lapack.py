@@ -1,28 +1,38 @@
-"""SciPy's LAPACK extension module, without importing scipy.linalg.
+"""SciPy's LAPACK extension module, without running SciPy's package __init__.
 
 The solvers call three LAPACK routines (dgtsv, dtbtrs, dstebz).  They live in
 the compiled module scipy.linalg._flapack, but `import scipy.linalg` also
-loads SciPy's array-API layer, several times the cost of the extension.
-flapack() loads the extension from its file next to the scipy package,
-under its own name, and registers it in sys.modules, so that a later
-`import scipy.linalg` reuses the same module object.  If the file cannot be
-loaded it imports the same module the usual way.  Loading happens on the
-first call, so code that solves nothing does not import SciPy.
+loads SciPy's array-API layer, several times the cost of the extension, and
+even `import scipy` pulls in its test utilities.  flapack() finds the scipy
+package directory with importlib.util.find_spec, which does not execute the
+package, loads the extension from its file under its own name, and registers
+it in sys.modules, so that a later `import scipy.linalg` reuses the same
+module object.  If the file cannot be loaded it imports the same module the
+usual way.  Loading happens on the first call, so code that solves nothing
+does not touch SciPy.  scipy_version() reads the version from
+scipy/version.py, again without importing SciPy.
 """
 
 import importlib.machinery
 import importlib.util
 import os
+import re
 import sys
 
 NAME = "scipy.linalg._flapack"
 
 
+def _scipy_dir():
+    """The scipy package directory, found without importing the package."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("no scipy package")
+    return spec.submodule_search_locations[0]
+
+
 def _load_file():
     """The extension loaded from its file; ImportError when it is not there."""
-    import scipy
-
-    stem = os.path.join(os.path.dirname(scipy.__file__), "linalg", "_flapack")
+    stem = os.path.join(_scipy_dir(), "linalg", "_flapack")
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         if os.path.isfile(stem + suffix):
             spec = importlib.util.spec_from_file_location(NAME, stem + suffix)
@@ -42,3 +52,9 @@ def flapack():
         except ImportError:
             from scipy.linalg import _flapack as module
     return module
+
+
+def scipy_version():
+    """SciPy's version string, read from scipy/version.py."""
+    with open(os.path.join(_scipy_dir(), "version.py")) as fh:
+        return re.search(r"^version = ['\"]([^'\"]+)", fh.read(), re.M).group(1)

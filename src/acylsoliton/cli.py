@@ -9,7 +9,9 @@ hashes, library versions, wall time) before any other output.  Exit codes:
 
 All output formats are documented in docs/formats.md.  Result files
 (CSV/JSON) are byte-deterministic for identical configs and inputs; the
-manifest is not (it records wall time).
+manifest is not (it records wall time).  Each _cmd_* and _build_* function
+imports the library functions it calls, so a process loads only the
+modules of the command it runs.
 """
 
 import argparse
@@ -23,35 +25,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import __version__
-from .continuity import (
-    ContinuityConfig,
-    continuity_solve,
-    manufactured_potential,
-    ma_residual_radial,
-)
-from .diagnostics import (
-    REFERENCE_LAMBDA0,
-    poincare_rayleigh,
-    verify_solution,
-)
-from .drift import ModeProblem, mode_interior_residual, solve_mode
+from . import __version__, _lapack
 from .errors import AcylSolitonError, ConfigError, ContinuityStalled, PositivityLost
-from .gluing import GlueSpec, glue_coefficient, glued_model
-from .grids import GridFunction, uniform_nodes
-from .models import cigar_model, cylinder_model, model_to_text, soliton_residual
-from .norms import TAIL_WINDOW, decay_rate_fit
-from .spectrum import (
-    CrossSection,
-    hexagonal_lattice,
-    hexagonal_rotation_quotient,
-    invariant_spectrum,
-    negation_quotient,
-    spectrum,
-    spectrum_to_csv,
-    square_lattice,
-)
-from .weights import critical_weights, fredholm_window_check, weights_to_csv
 
 OUTDIR_ENV = "ACYLSOLITON_OUTDIR"
 
@@ -154,15 +129,22 @@ def _set_key(cfg, key, value, line=None):
 
 
 def _build_model(cfg):
+    from .models import cigar_model, cylinder_model
+
     if cfg.model_kind == "cigar":
         return cigar_model(cfg.model_n)
     if cfg.model_kind == "cylinder":
         return cylinder_model(cfg.model_n)
+    from .gluing import GlueSpec, glued_model
+
     spec = GlueSpec(t0=cfg.glue_t0, smoothstep_degree=cfg.glue_degree, margin=cfg.glue_margin)
     return glued_model(cigar_model(cfg.model_n), spec)
 
 
 def _build_cross_section(cfg):
+    from .spectrum import (CrossSection, hexagonal_lattice, hexagonal_rotation_quotient,
+                           negation_quotient, square_lattice)
+
     if cfg.cross_section_lattice_rows:
         try:
             rows = [
@@ -230,9 +212,9 @@ class Run:
             "wall_time_s": None if initial else round(time.monotonic() - self.start, 6),
         }
         # LAPACK from SciPy's build computed the numbers; record the version
-        # without importing SciPy in the commands that do not load it
-        if not initial and "scipy" in sys.modules:
-            payload["versions"]["scipy"] = sys.modules["scipy"].__version__
+        # without importing SciPy, and only when the run loaded the extension
+        if not initial and _lapack.NAME in sys.modules:
+            payload["versions"]["scipy"] = _lapack.scipy_version()
         with open(self.path("manifest.json"), "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
@@ -266,6 +248,8 @@ class Run:
 
 
 def _cmd_spectrum(cfg, run):
+    from .spectrum import invariant_spectrum, spectrum, spectrum_to_csv
+
     cs = _build_cross_section(cfg)
     full = spectrum(cs, cfg.weights_mu_max)
     spectrum_to_csv(full, run.path("spectrum.csv"))
@@ -277,6 +261,9 @@ def _cmd_spectrum(cfg, run):
 
 
 def _cmd_weights(cfg, run):
+    from .spectrum import invariant_spectrum
+    from .weights import critical_weights, fredholm_window_check, weights_to_csv
+
     cs = _build_cross_section(cfg)
     mus = invariant_spectrum(cs, cfg.weights_mu_max)
     window = (cfg.weights_window_lo, cfg.weights_window_hi)
@@ -291,6 +278,10 @@ def _cmd_weights(cfg, run):
 
 
 def _cmd_solve_linear(cfg, run, rhs_path, mu, order_study=False):
+    from .drift import ModeProblem, mode_interior_residual, solve_mode
+    from .grids import GridFunction
+    from .norms import decay_rate_fit
+
     model = _build_model(cfg)
     rhs = GridFunction.from_csv(rhs_path)
     if order_study and (len(rhs.values) - 1) % 4 != 0:
@@ -322,6 +313,10 @@ def _cmd_solve_linear(cfg, run, rhs_path, mu, order_study=False):
 
 
 def _cmd_solve_ma(cfg, run, rhs_path):
+    from .continuity import (ContinuityConfig, continuity_solve, manufactured_potential,
+                             ma_residual_radial)
+    from .grids import GridFunction
+
     model = _build_model(cfg)
     if rhs_path == "manufactured":
         forcing = ma_residual_radial(
@@ -363,6 +358,9 @@ def _cmd_solve_ma(cfg, run, rhs_path):
 
 
 def _cmd_glue(cfg, run):
+    from .gluing import GlueSpec, glue_coefficient, glued_model
+    from .models import cigar_model, model_to_text
+
     inner = cigar_model(cfg.model_n)
     spec = GlueSpec(t0=cfg.glue_t0, smoothstep_degree=cfg.glue_degree, margin=cfg.glue_margin)
     model = glued_model(inner, spec)
@@ -377,6 +375,10 @@ def _cmd_glue(cfg, run):
 
 
 def _cmd_verify(cfg, run, decay_paths):
+    from .diagnostics import REFERENCE_LAMBDA0, poincare_rayleigh
+    from .grids import GridFunction
+    from .norms import TAIL_WINDOW, decay_rate_fit
+
     failures = 0
     if decay_paths:
         rows = []
@@ -405,6 +407,13 @@ def _cmd_verify(cfg, run, decay_paths):
 
 def _cmd_report(cfg, run):
     """End-to-end verification: exact solitons, Fredholm window, manufactured solve."""
+    from .continuity import continuity_solve, manufactured_potential, ma_residual_radial
+    from .diagnostics import verify_solution
+    from .grids import GridFunction, uniform_nodes
+    from .models import cigar_model, soliton_residual
+    from .spectrum import invariant_spectrum
+    from .weights import critical_weights, fredholm_window_check
+
     model = cigar_model(cfg.model_n)
     grid = _grid(cfg)
     t = uniform_nodes(*grid)

@@ -12,8 +12,10 @@ reference value 1/8, which is reported for orientation only; the discrete
 constant need not dominate it.
 
 poincare_rayleigh calls LAPACK dstebz through _lapack, which loads SciPy's
-LAPACK extension on the first call without importing scipy.linalg, so that
-importing the package does not load SciPy.
+LAPACK extension on the first call without running SciPy's package __init__
+or importing scipy.linalg.  The package imports this module (and with it
+the continuity solver) on first use of one of its names, so `import
+acylsoliton` loads neither it nor SciPy.
 """
 
 import hashlib

@@ -32,8 +32,10 @@ order so results are identical regardless of scheduling.
 
 banded_solve and forward_march call LAPACK (dgtsv and dtbtrs) through
 _lapack, which loads SciPy's LAPACK extension on the first solve without
-importing scipy.linalg; importing the package and the numpy-only commands
-(spectrum, weights) do not load SciPy at all.
+running SciPy's package __init__ or importing scipy.linalg.  The package
+imports this module on first use of one of its names, so `import
+acylsoliton` and the numpy-only commands (spectrum, weights, glue) load
+neither it nor SciPy.
 """
 
 from dataclasses import dataclass

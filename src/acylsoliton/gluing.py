@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .grids import GridFunction, uniform_nodes
+from .grids import GridFunction, uniform_nodes, whole_number
 from .models import Kind, RadialKahlerModel
 
 RHO_CAP = 1e6            # largest bump amplitude auto_rho returns
@@ -89,7 +89,7 @@ class GlueSpec:
     smoothstep_degree: int = 7
     rho0: Optional[float] = None      # None: choose automatically
     margin: float = 1e-2
-    t_max: Optional[float] = None     # gluing grid end, default t0 + 3
+    t_max: Optional[float] = None     # gluing grid end on the lattice h Z, default ~t0 + 3
     h: float = 0.005
 
     def __post_init__(self):
@@ -101,6 +101,9 @@ class GlueSpec:
             raise DomainError("cutoff degree must be at least 3")
         if self.h <= 0:
             raise DomainError(f"gluing grid spacing must be positive, got h={self.h}")
+        if self.t_max is not None and whole_number(self.t_max / self.h) is None:
+            raise DomainError(f"gluing grid end t_max={self.t_max} is not a multiple of "
+                              f"h={self.h}")
         if self.grid_end < self.t0 + 0.5:
             raise DomainError(
                 f"gluing grid ends at t={self.grid_end:.6g}, short of the cylinder region "
@@ -109,7 +112,11 @@ class GlueSpec:
 
     @property
     def grid_end(self):
-        return self.t0 + 3.0 if self.t_max is None else self.t_max
+        """t_max, by default the first node of the lattice h Z at or past t0 + 3."""
+        if self.t_max is not None:
+            return self.t_max
+        cells = (self.t0 + 3.0) / self.h
+        return self.t0 + 3.0 if whole_number(cells) is not None else math.ceil(cells) * self.h
 
     def cutoff(self, t):
         return smoothstep((np.asarray(t, dtype=float) - 1.0) / (self.t0 - 1.0),

@@ -17,6 +17,12 @@ _TWO_PI = 2.0 * np.pi
 _CSV_CHUNK_ROWS = 1024  # rows formatted by one % of the repeated row format
 
 
+def whole_number(x):
+    """x rounded to an int when it is one to 1e-8 relative, else None."""
+    n = int(round(x))
+    return n if abs(x - n) <= 1e-8 * max(1.0, abs(x)) else None
+
+
 def uniform_nodes(t_min, t_max, h):
     """Node vector t_min + k*h covering [t_min, t_max]; validates divisibility."""
     if h <= 0:
@@ -24,8 +30,8 @@ def uniform_nodes(t_min, t_max, h):
     if t_max <= t_min:
         raise DomainError(f"empty grid: t_max={t_max} <= t_min={t_min}")
     n_cells = (t_max - t_min) / h
-    n = int(round(n_cells))
-    if abs(n_cells - n) > 1e-8 * max(1.0, abs(n_cells)):
+    n = whole_number(n_cells)
+    if n is None:
         raise DomainError(f"(t_max - t_min)/h = {n_cells} is not an integer")
     return t_min + h * np.arange(n + 1)
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -277,25 +278,25 @@ import json, sys
 import numpy as np
 
 def scipy_loaded():
-    return sorted(m for m in ("scipy", "scipy.linalg", "scipy.integrate", "scipy.interpolate")
-                  if m in sys.modules)
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 import acylsoliton, acylsoliton.cli
-out = sys.argv[1]
+out, names = sys.argv[1], sys.argv[2:]
 steps = [("import", 0, scipy_loaded())]
 rhs = acylsoliton.GridFunction.sample(
     lambda t: np.exp(-1.5 * t) * np.clip(t / 2, 0, 1) ** 4, -12.0, 20.0, 0.01)
 rhs.to_csv(out + "/rhs.csv")
-for args in (["spectrum"], ["weights"], ["solve-linear", "--rhs", out + "/rhs.csv"],
-             ["solve-ma", "--rhs", "manufactured"], ["verify"], ["report"], ["glue"]):
-    code = acylsoliton.cli.run(args + ["--output", out + "/" + args[0]])
-    steps.append((args[0], code, scipy_loaded()))
-    if args[0] == "solve-linear":
-        flapack = sys.modules["scipy.linalg._flapack"]
+extra = {"solve-linear": ["--rhs", out + "/rhs.csv"], "solve-ma": ["--rhs", "manufactured"]}
+flapack = None
+for name in names:
+    code = acylsoliton.cli.run([name, *extra.get(name, []), "--output", out + "/" + name])
+    steps.append((name, code, scipy_loaded()))
+    flapack = flapack or sys.modules.get("scipy.linalg._flapack")
 import scipy.linalg.lapack
 print(json.dumps({"steps": steps, "same_flapack": flapack is scipy.linalg.lapack._flapack
                   is sys.modules["scipy.linalg._flapack"] is acylsoliton._lapack.flapack()}))
 """
+COMMANDS = ["spectrum", "weights", "solve-linear", "solve-ma", "verify", "report", "glue"]
 
 
 def _fresh_python(args, cwd):
@@ -306,23 +307,29 @@ def _fresh_python(args, cwd):
                           capture_output=True, text=True, timeout=120)
 
 
-def test_scipy_is_imported_only_by_the_commands_that_call_it(tmp_path):
-    done = _fresh_python(["-c", IMPORT_PROBE, str(tmp_path)], None)
+def _import_probe(out, names):
+    done = _fresh_python(["-c", IMPORT_PROBE, str(out), *names], None)
     assert done.returncode == 0, done.stderr
     probe = json.loads(done.stdout)
-    steps = {name: (code, loaded) for name, code, loaded in probe["steps"]}
-    assert list(steps) == ["import", "spectrum", "weights", "solve-linear", "solve-ma",
-                           "verify", "report", "glue"]
+    return {name: (code, loaded) for name, code, loaded in probe["steps"]}, probe["same_flapack"]
+
+
+def test_scipy_is_imported_only_by_the_commands_that_call_it(tmp_path):
+    steps, same_flapack = _import_probe(tmp_path, COMMANDS)
+    assert list(steps) == ["import", *COMMANDS]
     assert all(code == 0 for code, _ in steps.values())
     for name in ("import", "spectrum", "weights"):
         assert steps[name][1] == [], name
-    # LAPACK without scipy.linalg: only SciPy's package __init__ runs
-    for name in ("solve-linear", "solve-ma", "verify", "report"):
-        assert steps[name][1] == ["scipy"], name
-    # the glued background is closed form: glue loads no SciPy module
-    assert steps["glue"][1] == ["scipy"]
+    # LAPACK without running SciPy's package __init__: only the extension loads
+    for name in ("solve-linear", "solve-ma", "verify", "report", "glue"):
+        assert steps[name][1] == ["scipy.linalg._flapack"], name
+    # solve-linear loads the extension first above; the others load it on their own
+    (tmp_path / "alone").mkdir()
+    for name in ("solve-ma", "verify", "report"):
+        alone, _ = _import_probe(tmp_path / "alone", [name])
+        assert alone[name] == (0, ["scipy.linalg._flapack"]), name
     # a later import of scipy.linalg reuses the LAPACK module the solves loaded
-    assert probe["same_flapack"] is True
+    assert same_flapack is True
     # the manifest records the SciPy version exactly when SciPy is loaded
     versions = {name: json.loads((tmp_path / name / "manifest.json").read_text())["versions"]
                 for name in steps if name != "import"}
@@ -340,6 +347,85 @@ def test_glue_alone_imports_no_scipy(tmp_path):
     assert json.loads(done.stdout) == [0, []], done.stderr
     manifest = json.loads((tmp_path / "g" / "manifest.json").read_text())
     assert "scipy" not in manifest["versions"]
+
+
+CONTRACT_PROBE = """
+import json, sys
+import acylsoliton as ak
+
+def loaded(package):
+    return sorted(m for m in sys.modules if m.split(".")[0] == package)
+
+steps = {"import": loaded("acylsoliton")}
+scipy_at_import = loaded("scipy")
+import acylsoliton.cli
+for args in (["spectrum"], ["weights"], ["solve-linear", "--rhs", sys.argv[1]], ["glue"]):
+    assert acylsoliton.cli.run(args + ["--output", args[0]]) == 0, args
+    steps[args[0]] = loaded("acylsoliton")
+import acylsoliton.spectrum
+print(json.dumps([steps, scipy_at_import, type(ak.spectrum).__name__]))
+"""
+
+
+def test_each_command_imports_only_the_modules_it_runs(tmp_path):
+    """One fresh interpreter runs the commands in turn, so each step's module
+    set also holds every earlier step's."""
+    done = _fresh_python(["-c", CONTRACT_PROBE, os.path.abspath(FIXTURE)], tmp_path)
+    assert done.returncode == 0, done.stderr
+    steps, scipy_at_import, spectrum_type = json.loads(done.stdout)
+
+    def loads(step, *names):
+        return {f"acylsoliton.{name}" for name in names} & set(steps[step])
+
+    assert scipy_at_import == []
+    assert not loads("import", "continuity", "drift", "diagnostics", "gluing")
+    assert not loads("weights", "continuity", "drift")
+    assert not loads("solve-linear", "continuity", "gluing")
+    assert not loads("glue", "continuity", "diagnostics")
+    # importing the submodule leaves the package's spectrum bound to the function
+    assert spectrum_type == "function"
+
+
+PUBLIC_NAMES = """
+    AcylSolitonError BoundaryPolicy ConfigError ContinuityConfig ContinuityStalled CriticalWeight
+    CriticalWeightSet CrossSection CyclicQuotient DomainError GlueSpec GridFunction Kind
+    ModeProblem NewtonDiverged PositivityLost REFERENCE_LAMBDA0 RadialKahlerModel
+    RadialPotential SingularSystem SolitonSolution StepRecord VerificationReport
+    WeightedNormSpec apply_mode_operator assemble_mode_operator auto_rho bump_profile
+    cigar_model continuity continuity_solve critical_weights cylinder_model decay_rate_fit
+    decaying_gauge default_boundary diagnostics drift errors fd fredholm_window_check
+    glue_coefficient glued_forcing glued_model gluing grids hexagonal_lattice
+    hexagonal_rotation_quotient invariant_spectrum linearized_operator ma_residual_2d
+    ma_residual_radial manufactured_potential model_from_text model_to_text models
+    negation_quotient norms poincare_rayleigh potential_of rayleigh_quotient ricci_coefficient
+    smoothstep soliton_residual solve_field solve_mode spectrum square_lattice uniform_nodes
+    uniqueness_check verify_solution weighted_sup_norm weights
+""".split()
+
+
+def test_public_names_resolve_on_first_access():
+    assert sorted(ak.__all__) == PUBLIC_NAMES
+    submodules = {"continuity", "diagnostics", "drift", "errors", "fd", "gluing", "grids",
+                  "models", "norms", "weights"}
+    for name in ak.__all__:
+        value = getattr(ak, name)
+        assert isinstance(value, types.ModuleType) == (name in submodules), name
+        assert name in dir(ak)
+    assert ak.spectrum is sys.modules["acylsoliton.spectrum"].spectrum
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ak.no_such_name
+
+
+@pytest.mark.parametrize("args", [["glue", "--t0", t0] for t0 in ("3.001", "3.0025", "5.123")]
+                         + [["solve-ma", "--model", "glued", "--rhs", "manufactured"]])
+def test_glue_off_the_lattice_t0(tmp_path, args):
+    """t0 + 3 off the h = 0.005 gluing lattice: the grid ends at the next node."""
+    config = tmp_path / "glue.cfg"
+    config.write_text("glue.t0 = 3.001\n")
+    assert run_cli(args + ["--config", str(config)], tmp_path / "out") == 0
+    if args[0] == "glue":
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["notes"]["min_coefficient"] >= manifest["config"]["glue_margin"]
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

@@ -356,3 +356,16 @@ def test_glued_model_text_roundtrip():
     t = ak.uniform_nodes(-2.0, 6.0, 0.05)
     assert np.allclose(clone.a(t), model.a(t), rtol=1e-12, atol=1e-14)
     assert np.allclose(clone.f(t), model.f(t), rtol=1e-12, atol=1e-12)
+
+
+def test_grid_end_is_a_lattice_node():
+    """The default end is the first node of h Z at or past t0 + 3; a given
+    t_max must be a node."""
+    assert ak.GlueSpec(t0=3.0).grid_end == 6.0
+    assert ak.GlueSpec(t0=3.001).grid_end == pytest.approx(6.005, abs=1e-12)
+    assert ak.GlueSpec(t0=5.123).grid_end == pytest.approx(8.125, abs=1e-12)
+    for t0, t_max in ((3.001, 6.005), (5.123, 8.125)):
+        spec = ak.GlueSpec(t0=t0, t_max=t_max)
+        assert len(ak.uniform_nodes(0.0, spec.grid_end, spec.h)) == round(t_max / spec.h) + 1
+    with pytest.raises(ak.DomainError, match=r"t_max=6\.001.*h=0\.005"):
+        ak.GlueSpec(t0=3.0, t_max=6.001)
