@@ -1,16 +1,16 @@
 """SciPy's LAPACK extension module, without running SciPy's package __init__.
 
-The solvers call three LAPACK routines (dgtsv, dtbtrs, dstebz).  They live in
-the compiled module scipy.linalg._flapack, but `import scipy.linalg` also
-loads SciPy's array-API layer, several times the cost of the extension, and
-even `import scipy` pulls in its test utilities.  flapack() finds the scipy
-package directory with importlib.util.find_spec, which does not execute the
-package, loads the extension from its file under its own name, and registers
-it in sys.modules, so that a later `import scipy.linalg` reuses the same
-module object.  If the file cannot be loaded it imports the same module the
-usual way.  Loading happens on the first call, so code that solves nothing
-does not touch SciPy.  scipy_version() reads the version from
-scipy/version.py, again without importing SciPy.
+The solvers call four LAPACK routines (dgtsv, dtbtrs, dptsv, dstebz).  They
+live in the compiled module scipy.linalg._flapack, but `import scipy.linalg`
+also loads SciPy's array-API layer, several times the cost of the extension,
+and even `import scipy` pulls in its test utilities.  flapack() finds the
+scipy package directory with importlib.util.find_spec, which does not
+execute the package, loads the extension from its file under its own name,
+and registers it in sys.modules, so that a later `import scipy.linalg`
+reuses the same module object.  If the file cannot be loaded it imports the
+same module the usual way.  Loading happens on the first call, so code that
+solves nothing does not touch SciPy.  scipy_version() reads the version
+from scipy/version.py, again without importing SciPy.
 """
 
 import importlib.machinery

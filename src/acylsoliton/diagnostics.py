@@ -6,16 +6,18 @@ with w = e^f / f^2 times the radial volume density a(t) (the normalization
 min f = 1 makes the extra shift constant of the analytic statement
 unnecessary).  Discretely this is the smallest generalized eigenvalue of
 the (stiffness, mass) tridiagonal pencil with Dirichlet ends, computed by
-one direct bisection solve (LAPACK xSTEBZ) of the symmetrised tridiagonal
-matrix.  The barrier argument behind the analytic inequality suggests the
-reference value 1/8, which is reported for orientation only; the discrete
-constant need not dominate it.
+one bisection solve (LAPACK xSTEBZ) of the symmetrised tridiagonal matrix
+over a bracket of that eigenvalue: the Gershgorin lower bound and the
+Rayleigh quotient of one tridiagonal solve (LAPACK xPTSV).  The barrier
+argument behind the analytic inequality suggests the reference value 1/8,
+which is reported for orientation only; the discrete constant need not
+dominate it.
 
-poincare_rayleigh calls LAPACK dstebz through _lapack, which loads SciPy's
-LAPACK extension on the first call without running SciPy's package __init__
-or importing scipy.linalg.  The package imports this module (and with it
-the continuity solver) on first use of one of its names, so `import
-acylsoliton` loads neither it nor SciPy.
+poincare_rayleigh calls LAPACK dptsv and dstebz through _lapack, which loads
+SciPy's LAPACK extension on the first call without running SciPy's package
+__init__ or importing scipy.linalg.  The package imports this module (and
+with it the continuity solver) on first use of one of its names, so
+`import acylsoliton` loads neither it nor SciPy.
 """
 
 import hashlib
@@ -57,28 +59,99 @@ def _poincare_weights(model, grid):
     return w, 0.5 * (w[1:] + w[:-1])
 
 
-def poincare_rayleigh(model, grid):
-    """Smallest eigenvalue of the weighted Rayleigh quotient on the grid.
+def _poincare_matrix(model, grid):
+    """The symmetric tridiagonal matrix M^{-1/2} K M^{-1/2} as (diag, off).
 
     Stiffness K uses midpoint weights, mass M nodal weights, both with
-    w = e^f / f^2 * a.  Dirichlet conditions at both truncation ends.  The
-    pencil (K, M) is symmetrised to M^{-1/2} K M^{-1/2}, a symmetric
-    tridiagonal matrix whose smallest eigenvalue LAPACK's Sturm-sequence
-    bisection (xSTEBZ) computes directly.
+    w = e^f / f^2 * a; Dirichlet conditions at both truncation ends.  The
+    off-diagonal divides by sqrt(m_i) * sqrt(m_{i+1}): the product
+    m_i * m_{i+1} overflows once w_i * w_{i+1} * h^2 exceeds the float
+    range, far below the e^f overflow the weight check guards, and would
+    turn the entry into -0.0.
     """
     h = grid[2]
     w, w_mid = _poincare_weights(model, grid)
     mass = w[1:-1] * h
+    root = np.sqrt(mass)
     diag = (w_mid[:-1] + w_mid[1:]) / h / mass
-    off = -w_mid[1:-1] / h / np.sqrt(mass[:-1] * mass[1:])
+    off = -w_mid[1:-1] / h / (root[:-1] * root[1:])
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
         raise DomainError("Poincare matrix is not finite on the grid")
-    # the arguments of scipy.linalg.eigvalsh_tridiagonal(select="i",
-    # select_range=(0, 0)): index range 1..1, default tolerance, order "E"
+    return diag, off
+
+
+def _lowest_bracket(diag, off):
+    """(low, high] holding the smallest eigenvalue of the tridiagonal T, or
+    None when T is not positive definite or the solve overflows.
+
+    low is the Gershgorin lower bound.  high is the Rayleigh quotient of the
+    solution x of T x = 1 (LAPACK dptsv): x^T T x = sum(x), so
+    sum(x) / sum(x^2) >= lambda_1.  Both are padded by the margin xSTEBZ puts
+    on its own Gershgorin interval, 2.1 * ||T||_inf * eps * n, which covers
+    the rounding of the bound and the backward error of the solve; a bracket
+    that still misses holds no eigenvalue, and _lowest_eigenvalue then falls
+    back.  The sums use np.sum, not a BLAS dot product, so that the bits do
+    not depend on the number of BLAS threads.
+    """
+    n = len(diag)
+    radius = np.zeros(n)  # |e_{i-1}| + |e_i|
+    radius[:-1] += np.abs(off)
+    radius[1:] += np.abs(off)
+    pad = 2.1 * float(np.max(np.abs(diag) + radius)) * np.finfo(float).eps * n
+    low = float(np.min(diag - radius)) - pad
+    *_, x, info = _lapack.flapack().dptsv(diag, off, np.ones(n), overwrite_b=True)
+    if info != 0:
+        return None
+    high = float(np.sum(x) / np.sum(x * x)) + pad
+    return (low, high) if low < high else None
+
+
+def _lowest_eigenvalue(diag, off):
+    """Smallest eigenvalue of the symmetric tridiagonal matrix (diag, off) by
+    LAPACK dstebz bisection over the bracket of _lowest_bracket; the index
+    call (range 1..1 from the Gershgorin interval) when there is no bracket
+    or it holds no eigenvalue."""
+    bracket = _lowest_bracket(diag, off)
+    if bracket is not None:
+        # eigvalsh_tridiagonal(select="v", select_range=bracket): default tolerance
+        m, eig, _, _, info = _lapack.flapack().dstebz(diag, off, 1, *bracket, 0, 0, 0.0, "E")
+        if info != 0:
+            raise SingularSystem(f"LAPACK dstebz failed (info = {info})")
+        if m > 0:
+            return float(eig[0])
+    # eigvalsh_tridiagonal(select="i", select_range=(0, 0))
     _, eig, _, _, info = _lapack.flapack().dstebz(diag, off, 2, 0.0, 1.0, 1, 1, 0.0, "E")
     if info != 0:
         raise SingularSystem(f"LAPACK dstebz failed (info = {info})")
     return float(eig[0])
+
+
+def poincare_rayleigh(model, grid):
+    """Smallest eigenvalue of the weighted Rayleigh quotient on the grid.
+
+    The pencil (K, M) of _poincare_matrix, symmetrised to the tridiagonal
+    T = M^{-1/2} K M^{-1/2}, whose smallest eigenvalue LAPACK's
+    Sturm-sequence bisection (xSTEBZ) computes over the bracket (low, high]
+    of _lowest_bracket.  At h = 1e-4 that bracket is 0.4-0.9 wide for the
+    cigar and the cylinder and 5.5 for the glued model, against the
+    Gershgorin interval of width about 4/h^2 = 4e8 that the index-range
+    call (eigenvalue 1 of n) bisects first.
+
+    Tolerance: with ABSTOL = 0, xSTEBZ bisects every interval down to
+    eps * max(|gl|, |gu|) of T's Gershgorin interval [gl, gu], whatever the
+    range it searches, and returns the midpoint.  The value-range call and
+    the index-range call therefore each lie within about eps * ||T||_inf of
+    the same eigenvalue and agree to about 2 * eps * ||T||_inf, not bit for
+    bit: at h = 1e-4, eps * ||T||_inf = 8.9e-8 and the cigar's two values
+    differ by 3.9e-8.
+
+    Cost: a bracket that holds m eigenvalues costs m bisections.  m = 1 on
+    the grids of the tests, the bench and the CLI defaults.  The low
+    spectrum of a long cylinder is dense: at h = 1e-3, length 80 gives
+    m = 2 (about the cost of the index call, 40 ms on a 2-vCPU Xeon VM) and
+    length 150 gives m = 3 (111 ms against 75 ms).
+    """
+    return _lowest_eigenvalue(*_poincare_matrix(model, grid))
 
 
 def rayleigh_quotient(model, grid, u_interior):

@@ -93,6 +93,10 @@ class GlueSpec:
     h: float = 0.005
 
     def __post_init__(self):
+        for name in ("t0", "rho0", "margin", "t_max", "h"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise DomainError(f"GlueSpec {name} must be finite, got {value}")
         if self.t0 <= 1.0:
             raise DomainError("transition end t0 must exceed 1")
         if self.margin <= 0:

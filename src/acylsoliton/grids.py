@@ -7,6 +7,7 @@ a periodic second axis (a torus coordinate u on [0, 2pi)).  A 1D
 RadialPotential also carries its increments u_{i+1} - u_i.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,9 @@ def whole_number(x):
 
 def uniform_nodes(t_min, t_max, h):
     """Node vector t_min + k*h covering [t_min, t_max]; validates divisibility."""
+    for name, value in (("t_min", t_min), ("t_max", t_max), ("h", h)):
+        if not math.isfinite(value):
+            raise DomainError(f"grid {name} must be finite, got {value}")
     if h <= 0:
         raise DomainError(f"grid spacing must be positive, got {h}")
     if t_max <= t_min:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import acylsoliton as ak
+from acylsoliton.diagnostics import _poincare_matrix
 from oracles import dense_poincare_lambda
 
 
@@ -61,6 +62,16 @@ def test_poincare_matches_dense_oracle():
     ):
         expected = dense_poincare_lambda(model.a, model.f, *grid)
         assert ak.poincare_rayleigh(model, grid) == pytest.approx(expected, rel=1e-10)
+
+
+def test_poincare_off_diagonal_does_not_overflow():
+    # w_i * w_{i+1} * h^2 exceeds the float range from t = 185 on, below the
+    # e^f overflow at f = 709
+    model = ak.cylinder_model(1)
+    _, off = _poincare_matrix(model, (0.0, 200.0, 0.01))
+    assert np.all(off < 0)
+    expected = dense_poincare_lambda(model.a, model.f, 0.0, 200.0, 0.1)
+    assert ak.poincare_rayleigh(model, (0.0, 200.0, 0.1)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_poincare_determinism():

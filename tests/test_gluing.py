@@ -129,6 +129,13 @@ def test_glue_spec_rejects_short_grid_bad_spacing_or_c0_cutoff(kwargs):
         ak.GlueSpec(**kwargs)
 
 
+@pytest.mark.parametrize("name", ["t0", "rho0", "margin", "t_max", "h"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_glue_spec_rejects_non_finite_values(name, value):
+    with pytest.raises(ak.DomainError, match=f"GlueSpec {name} must be finite, got {value}"):
+        ak.GlueSpec(**{name: value})
+
+
 def test_glue_spec_accepts_grid_reaching_the_cylinder_region():
     model = ak.glued_model(ak.cigar_model(2), ak.GlueSpec(t0=3.0, t_max=3.5))
     assert model.a(np.array([3.5]))[0] == 1.0

@@ -1,5 +1,7 @@
 """The direct LAPACK calls give SciPy's bits and keep SciPy's checks."""
 
+import pathlib
+import re
 import sys
 
 import numpy as np
@@ -7,12 +9,16 @@ import pytest
 import scipy.linalg
 
 import acylsoliton as ak
-from acylsoliton import _lapack, drift
+from acylsoliton import _lapack, diagnostics, drift
 from acylsoliton.continuity import ContinuityConfig, _RadialNewton
+from acylsoliton.diagnostics import _lowest_bracket, _lowest_eigenvalue, _poincare_matrix
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+NUMBERS = {"two": 2, "three": 3, "four": 4, "five": 5, "six": 6}
 LADDER = (1e-2, 1e-3, 1e-4)
-GRIDS = {"cigar": (-12.0, 20.0), "cylinder": (0.0, 20.0)}
-MODELS = {"cigar": ak.cigar_model(2), "cylinder": ak.cylinder_model(1)}
+GRIDS = {"cigar": (-12.0, 20.0), "cylinder": (0.0, 20.0), "glued": (-12.0, 20.0)}
+MODELS = {"cigar": ak.cigar_model(2), "cylinder": ak.cylinder_model(1),
+          "glued": ak.glued_model(ak.cigar_model(2))}
 
 
 def same_bits(x, y):
@@ -61,16 +67,16 @@ def assert_cigar_march_matches(h):
 
 
 def assert_poincare_matches(kind, h):
-    from acylsoliton.diagnostics import _poincare_weights
-
+    """poincare_rayleigh has the bits of the value-range call over its bracket."""
     grid = GRIDS[kind] + (h,)
-    # the tridiagonal matrix poincare_rayleigh builds
-    w, w_mid = _poincare_weights(MODELS[kind], grid)
-    mass = w[1:-1] * h
-    diag = (w_mid[:-1] + w_mid[1:]) / h / mass
-    off = -w_mid[1:-1] / h / np.sqrt(mass[:-1] * mass[1:])
-    expected = scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))
-    assert same_bits(np.array([ak.poincare_rayleigh(MODELS[kind], grid)]), expected)
+    diag, off = _poincare_matrix(MODELS[kind], grid)
+    expected = scipy.linalg.eigvalsh_tridiagonal(diag, off, select="v",
+                                                 select_range=_lowest_bracket(diag, off))
+    assert same_bits(np.array([ak.poincare_rayleigh(MODELS[kind], grid)]), expected[:1])
+
+
+def index_call(diag, off):
+    return scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))
 
 
 @pytest.mark.parametrize("h", LADDER)
@@ -98,6 +104,31 @@ def test_cylinder_march_solves_rows_and_sum(h):
 @pytest.mark.parametrize("kind", ["cigar", "cylinder"])
 def test_poincare_has_eigvalsh_tridiagonal_bits(kind, h):
     assert_poincare_matches(kind, h)
+
+
+@pytest.mark.parametrize("h", LADDER)
+@pytest.mark.parametrize("kind", ["cigar", "cylinder", "glued"])
+def test_poincare_within_bisection_tolerance_of_the_index_call(kind, h):
+    """Both calls bisect to eps * ||T||_inf around the same eigenvalue."""
+    diag, off = _poincare_matrix(MODELS[kind], GRIDS[kind] + (h,))
+    norm = np.max(np.abs(diag) + np.append(np.abs(off), 0.0) + np.append(0.0, np.abs(off)))
+    lam = ak.poincare_rayleigh(MODELS[kind], GRIDS[kind] + (h,))
+    assert abs(lam - index_call(diag, off)[0]) <= 2.0 * np.finfo(float).eps * norm
+
+
+def test_indefinite_matrix_takes_the_index_call():
+    diag = np.array([1.0, -2.0, 3.0, 0.5, 2.0])
+    off = np.array([0.5, 1.0, -0.3, 0.7])
+    assert _lowest_bracket(diag, off) is None  # dptsv finds a negative pivot
+    expected = index_call(diag, off)
+    assert expected[0] < 0
+    assert same_bits(np.array([_lowest_eigenvalue(diag, off)]), expected)
+
+
+def test_empty_bracket_takes_the_index_call(monkeypatch):
+    diag, off = np.array([2.0, 2.0, 2.0]), np.array([-1.0, -1.0])  # eigenvalues < 4
+    monkeypatch.setattr(diagnostics, "_lowest_bracket", lambda d, e: (10.0, 11.0))
+    assert same_bits(np.array([_lowest_eigenvalue(diag, off)]), index_call(diag, off))
 
 
 def test_fallback_import_gives_the_same_bits(monkeypatch):
@@ -139,3 +170,17 @@ def test_banded_solve_raises_singular_system():
     singular[1, 3] = 0.0  # a zero row and column
     with pytest.raises(ak.SingularSystem, match="singular matrix"):
         drift.banded_solve(singular, b)
+
+
+def documented_routines(text):
+    """(count, names) of the first 'N LAPACK routines (a, b, ...)' in text."""
+    match = re.search(r"(\w+) LAPACK routines \(([^)]*)\)", " ".join(text.split()))
+    return NUMBERS[match.group(1)], {name.strip(" `") for name in match.group(2).split(",")}
+
+
+def test_documented_lapack_routines_are_the_ones_called():
+    called = {name for path in (ROOT / "src" / "acylsoliton").glob("*.py")
+              for name in re.findall(r"flapack\(\)\.(\w+)\(", path.read_text())}
+    assert called == {"dgtsv", "dtbtrs", "dptsv", "dstebz"}
+    for text in (_lapack.__doc__, (ROOT / "README.md").read_text()):
+        assert documented_routines(text) == (len(called), called)

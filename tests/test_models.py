@@ -305,6 +305,15 @@ def test_gridfunction_validation():
         ak.GridFunction(0.0, 1.0, 0.1, np.full(11, np.nan))
 
 
+@pytest.mark.parametrize("grid,name", [
+    ((0.0, np.inf, 0.01), "t_max"), ((0.0, np.nan, 0.01), "t_max"),
+    ((-np.inf, 1.0, 0.01), "t_min"), ((0.0, 1.0, np.nan), "h"), ((0.0, 1.0, np.inf), "h"),
+])
+def test_uniform_nodes_rejects_non_finite_grid(grid, name):
+    with pytest.raises(ak.DomainError, match=f"grid {name} must be finite"):
+        ak.uniform_nodes(*grid)
+
+
 def test_radial_potential_rejects_bad_increments():
     values = np.zeros(11)
     with pytest.raises(ak.DomainError, match="finite increments as cells"):
