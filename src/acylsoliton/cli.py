@@ -9,9 +9,11 @@ hashes, library versions, wall time) before any other output.  Exit codes:
 
 All output formats are documented in docs/formats.md.  Result files
 (CSV/JSON) are byte-deterministic for identical configs and inputs; the
-manifest is not (it records wall time).  Each _cmd_* and _build_* function
-imports the library functions it calls, so a process loads only the
-modules of the command it runs.
+manifest is not (it records wall time).  Each config key is declared once
+in KEYS and each command's flags once in COMMANDS; a flag whose dest is a
+config key sets that key.  Each _cmd_* and _build_* function imports the
+library functions it calls, so a process loads only the modules of the
+command it runs.
 """
 
 import argparse
@@ -21,7 +23,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import fields, make_dataclass
 
 import numpy as np
 
@@ -36,62 +38,42 @@ EXIT_STALLED = 2
 EXIT_POSITIVITY = 3
 EXIT_VERIFICATION = 4
 
+MODELS = ("cigar", "cylinder", "glued")
 
-@dataclass
-class RunConfig:
-    """Effective configuration with defaults; unknown keys are rejected."""
+# key -> (default, parse, valid); the RunConfig field of key "a.b" is a_b
+KEYS = {
+    "model.kind": ("cigar", str, lambda v: v in MODELS),
+    "model.n": (2, int, lambda v: v >= 1),
+    "grid.t_min": (-12.0, float, lambda v: True),
+    "grid.t_max": (20.0, float, lambda v: True),
+    "grid.h": (0.01, float, lambda v: v > 0),
+    "solver.tol": (1e-10, float, lambda v: v > 0),
+    "solver.s_steps": (10, int, lambda v: v >= 1),
+    "solver.max_newton": (30, int, lambda v: v >= 1),
+    "solver.min_step": (1.0 / 160.0, float, lambda v: v > 0),
+    "glue.t0": (3.0, float, lambda v: v > 1),
+    "glue.margin": (1e-2, float, lambda v: v > 0),
+    "glue.degree": (7, int, lambda v: v >= 3 and v % 2 == 1),
+    "cross_section.circle": (2.0 * np.pi, float, lambda v: v > 0),
+    "cross_section.lattice": ("square", str, lambda v: v in ("square", "hexagonal")),
+    "cross_section.lattice_rows": ("", str, lambda v: True),  # "a b; c d" overrides the preset
+    "cross_section.quotient": (1, int, lambda v: v in (1, 2, 3)),
+    "weights.mu_max": (10.0, float, lambda v: v > 0),
+    "weights.window_lo": (-1.0, float, lambda v: True),
+    "weights.window_hi": (3.0, float, lambda v: True),
+    "output.dir": (".", str, lambda v: True),
+    "seed": (0, int, lambda v: v >= 0),
+    "plot": (False, lambda s: s.lower() in ("1", "true", "yes"), lambda v: True),
+}
 
-    model_kind: str = "cigar"
-    model_n: int = 2
-    grid_t_min: float = -12.0
-    grid_t_max: float = 20.0
-    grid_h: float = 0.01
-    solver_tol: float = 1e-10
-    solver_s_steps: int = 10
-    solver_max_newton: int = 30
-    solver_min_step: float = 1.0 / 160.0
-    glue_t0: float = 3.0
-    glue_margin: float = 1e-2
-    glue_degree: int = 7
-    cross_section_circle: float = 2.0 * np.pi
-    cross_section_lattice: str = "square"
-    cross_section_lattice_rows: str = ""  # "a b; c d" overrides the preset
-    cross_section_quotient: int = 1
-    weights_mu_max: float = 10.0
-    weights_window_lo: float = -1.0
-    weights_window_hi: float = 3.0
-    output_dir: str = "."
-    seed: int = 0
-    plot: bool = False
-
-    # key -> (parse, valid); the field of key "a.b" is a_b
-    KEYS = {
-        "model.kind": (str, lambda v: v in ("cigar", "cylinder", "glued")),
-        "model.n": (int, lambda v: v >= 1),
-        "grid.t_min": (float, lambda v: True),
-        "grid.t_max": (float, lambda v: True),
-        "grid.h": (float, lambda v: v > 0),
-        "solver.tol": (float, lambda v: v > 0),
-        "solver.s_steps": (int, lambda v: v >= 1),
-        "solver.max_newton": (int, lambda v: v >= 1),
-        "solver.min_step": (float, lambda v: v > 0),
-        "glue.t0": (float, lambda v: v > 1),
-        "glue.margin": (float, lambda v: v > 0),
-        "glue.degree": (int, lambda v: v >= 3 and v % 2 == 1),
-        "cross_section.circle": (float, lambda v: v > 0),
-        "cross_section.lattice": (str, lambda v: v in ("square", "hexagonal")),
-        "cross_section.lattice_rows": (str, lambda v: True),
-        "cross_section.quotient": (int, lambda v: v in (1, 2, 3)),
-        "weights.mu_max": (float, lambda v: v > 0),
-        "weights.window_lo": (float, lambda v: True),
-        "weights.window_hi": (float, lambda v: True),
-        "output.dir": (str, lambda v: True),
-        "seed": (int, lambda v: v >= 0),
-        "plot": (lambda s: s.lower() in ("1", "true", "yes"), lambda v: True),
-    }
-
-    def as_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+RunConfig = make_dataclass(
+    "RunConfig",
+    [(key.replace(".", "_"), type(default), default) for key, (default, _, _) in KEYS.items()],
+    namespace={
+        "__doc__": "Effective configuration with the defaults of KEYS.",
+        "as_dict": lambda self: {f.name: getattr(self, f.name) for f in fields(self)},
+    },
+)
 
 
 def parse_config(text):
@@ -105,10 +87,10 @@ def parse_config(text):
             raise ConfigError(f"expected key = value, got {line!r}", line=lineno)
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in RunConfig.KEYS:
+        if key not in KEYS:
             raise ConfigError(f"unknown key {key!r}", line=lineno)
         try:
-            parsed = RunConfig.KEYS[key][0](value)
+            parsed = KEYS[key][1](value)
         except ValueError:
             raise ConfigError(f"malformed value for {key!r}: {value!r}", line=lineno)
         _set_key(cfg, key, parsed, line=lineno)
@@ -125,7 +107,13 @@ def _validated(name, value, rule, line=None):
 
 def _set_key(cfg, key, value, line=None):
     """Validate a parsed value of a config key and store it on cfg."""
-    setattr(cfg, key.replace(".", "_"), _validated(key, value, RunConfig.KEYS[key][1], line))
+    setattr(cfg, key.replace(".", "_"), _validated(key, value, KEYS[key][2], line))
+
+
+def _glue_spec(cfg):
+    from .gluing import GlueSpec
+
+    return GlueSpec(t0=cfg.glue_t0, smoothstep_degree=cfg.glue_degree, margin=cfg.glue_margin)
 
 
 def _build_model(cfg):
@@ -135,10 +123,9 @@ def _build_model(cfg):
         return cigar_model(cfg.model_n)
     if cfg.model_kind == "cylinder":
         return cylinder_model(cfg.model_n)
-    from .gluing import GlueSpec, glued_model
+    from .gluing import glued_model
 
-    spec = GlueSpec(t0=cfg.glue_t0, smoothstep_degree=cfg.glue_degree, margin=cfg.glue_margin)
-    return glued_model(cigar_model(cfg.model_n), spec)
+    return glued_model(cigar_model(cfg.model_n), _glue_spec(cfg))
 
 
 def _build_cross_section(cfg):
@@ -174,15 +161,38 @@ def _grid(cfg):
     return cfg.grid_t_min, cfg.grid_t_max, cfg.grid_h
 
 
+def _manufactured_forcing(cfg, model):
+    from .continuity import ma_residual_radial, manufactured_potential
+
+    return ma_residual_radial(model, manufactured_potential(_grid(cfg)), None, 0.0)
+
+
+def _continuity_solve(cfg, model, forcing):
+    """The continuity solve with the solver.* keys; the forcing-decay warning is not shown."""
+    from .continuity import ContinuityConfig, continuity_solve
+
+    solver = ContinuityConfig(s_steps=cfg.solver_s_steps, newton_tol=cfg.solver_tol,
+                              max_newton=cfg.solver_max_newton, min_step=cfg.solver_min_step)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return continuity_solve(model, forcing, solver)
+
+
+def _fredholm_check(mus):
+    """(clear, margin) of the Fredholm interval (0, 2) among the weights in (-1, 3)."""
+    from .weights import critical_weights, fredholm_window_check
+
+    return fredholm_window_check(critical_weights(mus, (-1.0, 3.0)), (0.0, 2.0))
+
+
 class Run:
     """Output directory, manifest bookkeeping, deterministic writers."""
 
     def __init__(self, subcommand, cfg, input_paths=()):
         self.subcommand = subcommand
         self.cfg = cfg
-        outdir = os.environ.get(OUTDIR_ENV, cfg.output_dir)
-        self.outdir = outdir
-        os.makedirs(outdir, exist_ok=True)
+        self.outdir = cfg.output_dir
+        os.makedirs(self.outdir, exist_ok=True)
         self.start = time.monotonic()
         self.notes = {}
         self.inputs = {}
@@ -215,9 +225,7 @@ class Run:
         # without importing SciPy, and only when the run loaded the extension
         if not initial and _lapack.NAME in sys.modules:
             payload["versions"]["scipy"] = _lapack.scipy_version()
-        with open(self.path("manifest.json"), "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        self.write_json("manifest.json", payload)
 
     def write_json(self, name, payload):
         with open(self.path(name), "w") as fh:
@@ -247,7 +255,7 @@ class Run:
         self._write_manifest(initial=False)
 
 
-def _cmd_spectrum(cfg, run):
+def _cmd_spectrum(cfg, run, args):
     from .spectrum import invariant_spectrum, spectrum, spectrum_to_csv
 
     cs = _build_cross_section(cfg)
@@ -260,31 +268,28 @@ def _cmd_spectrum(cfg, run):
     return EXIT_OK
 
 
-def _cmd_weights(cfg, run):
+def _cmd_weights(cfg, run, args):
     from .spectrum import invariant_spectrum
-    from .weights import critical_weights, fredholm_window_check, weights_to_csv
+    from .weights import critical_weights, weights_to_csv
 
-    cs = _build_cross_section(cfg)
-    mus = invariant_spectrum(cs, cfg.weights_mu_max)
-    window = (cfg.weights_window_lo, cfg.weights_window_hi)
-    cws = critical_weights(mus, window)
+    mus = invariant_spectrum(_build_cross_section(cfg), cfg.weights_mu_max)
+    cws = critical_weights(mus, (cfg.weights_window_lo, cfg.weights_window_hi))
     weights_to_csv(cws, run.path("weights.csv"))
-    search = critical_weights(mus, (-1.0, 3.0))
-    ok, margin = fredholm_window_check(search, (0.0, 2.0))
+    ok, margin = _fredholm_check(mus)
     run.notes["fredholm_interval"] = [0.0, 2.0]
     run.notes["fredholm_clear"] = ok
     run.notes["margin"] = margin
     return EXIT_OK
 
 
-def _cmd_solve_linear(cfg, run, rhs_path, mu, order_study=False):
+def _cmd_solve_linear(cfg, run, args):
     from .drift import ModeProblem, mode_interior_residual, solve_mode
     from .grids import GridFunction
     from .norms import decay_rate_fit
 
-    model = _build_model(cfg)
-    rhs = GridFunction.from_csv(rhs_path)
-    if order_study and (len(rhs.values) - 1) % 4 != 0:
+    model, mu = _build_model(cfg), args.mu
+    rhs = GridFunction.from_csv(args.rhs)
+    if args.order_study and (len(rhs.values) - 1) % 4 != 0:
         raise ConfigError("order study needs a node count of the form 4k + 1")
     problem = ModeProblem(model=model, mu=mu, rhs=rhs)
     solution = solve_mode(problem)
@@ -296,7 +301,7 @@ def _cmd_solve_linear(cfg, run, rhs_path, mu, order_study=False):
         "rhs_decay_rate": decay_rate_fit(rhs),
         "sup_norm": float(np.max(np.abs(solution.values))),
     }
-    if order_study:
+    if args.order_study:
         # Richardson order from coarsened solves at 4h, 2h, h (subsampled rhs,
         # differences compared on the common 4h nodes)
         levels = {}
@@ -312,44 +317,23 @@ def _cmd_solve_linear(cfg, run, rhs_path, mu, order_study=False):
     return EXIT_OK
 
 
-def _cmd_solve_ma(cfg, run, rhs_path):
-    from .continuity import (ContinuityConfig, continuity_solve, manufactured_potential,
-                             ma_residual_radial)
+def _cmd_solve_ma(cfg, run, args):
     from .grids import GridFunction
 
     model = _build_model(cfg)
-    if rhs_path == "manufactured":
-        forcing = ma_residual_radial(
-            model, manufactured_potential(_grid(cfg)), None, 0.0
-        )
+    if args.rhs == "manufactured":
+        forcing = _manufactured_forcing(cfg, model)
     else:
-        forcing = GridFunction.from_csv(rhs_path)
-    solver_cfg = ContinuityConfig(
-        s_steps=cfg.solver_s_steps,
-        newton_tol=cfg.solver_tol,
-        max_newton=cfg.solver_max_newton,
-        min_step=cfg.solver_min_step,
-    )
+        forcing = GridFunction.from_csv(args.rhs)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            solution = continuity_solve(model, forcing, solver_cfg)
+        solution = _continuity_solve(cfg, model, forcing)
     except ContinuityStalled as exc:
-        run.write_json(
-            "path.json",
-            {
-                "converged": False,
-                "s_reached": exc.s_reached,
-                "steps": [r.as_dict() for r in exc.records],
-            },
-        )
-        return EXIT_STALLED
+        run.write_json("path.json", {"converged": False, "s_reached": exc.s_reached,
+                                     "steps": [r.as_dict() for r in exc.records]})
+        return _failure(exc)
     except PositivityLost as exc:
-        run.write_json(
-            "path.json",
-            {"converged": False, "error": str(exc), "steps": []},
-        )
-        return EXIT_POSITIVITY
+        run.write_json("path.json", {"converged": False, "error": str(exc), "steps": []})
+        return _failure(exc)
     solution.phi.to_csv(run.path("phi.csv"))
     run.write_json("path.json", solution.path_dict())
     if cfg.plot:
@@ -357,12 +341,12 @@ def _cmd_solve_ma(cfg, run, rhs_path):
     return EXIT_OK
 
 
-def _cmd_glue(cfg, run):
-    from .gluing import GlueSpec, glue_coefficient, glued_model
+def _cmd_glue(cfg, run, args):
+    from .gluing import glue_coefficient, glued_model
     from .models import cigar_model, model_to_text
 
     inner = cigar_model(cfg.model_n)
-    spec = GlueSpec(t0=cfg.glue_t0, smoothstep_degree=cfg.glue_degree, margin=cfg.glue_margin)
+    spec = _glue_spec(cfg)
     model = glued_model(inner, spec)
     with open(run.path("model.txt"), "w") as fh:
         fh.write(model_to_text(model))
@@ -374,15 +358,14 @@ def _cmd_glue(cfg, run):
     return EXIT_OK
 
 
-def _cmd_verify(cfg, run, decay_paths):
+def _cmd_verify(cfg, run, args):
     from .diagnostics import REFERENCE_LAMBDA0, poincare_rayleigh
     from .grids import GridFunction
     from .norms import TAIL_WINDOW, decay_rate_fit
 
-    failures = 0
-    if decay_paths:
+    if args.decay:
         rows = []
-        for path in decay_paths:
+        for path in args.decay:
             u = GridFunction.from_csv(path)
             lo, hi = (u.t_min + frac * (u.t_max - u.t_min) for frac in TAIL_WINDOW)
             rows.append((os.path.basename(path), decay_rate_fit(u), lo, hi))
@@ -390,44 +373,27 @@ def _cmd_verify(cfg, run, decay_paths):
             fh.write("quantity,epsilon_hat,window\n")
             for name, rate, lo, hi in rows:
                 fh.write(f"{name},{rate:.17g},[{lo:.6g};{hi:.6g}]\n")
-    model = _build_model(cfg)
-    lam = poincare_rayleigh(model, _grid(cfg))
-    run.write_json(
-        "poincare.json",
-        {
-            "lambda_min": lam,
-            "reference_lambda0": REFERENCE_LAMBDA0,
-            "model": cfg.model_kind,
-        },
-    )
-    if lam <= 0:
-        failures += 1
-    return EXIT_VERIFICATION if failures else EXIT_OK
+    lam = poincare_rayleigh(_build_model(cfg), _grid(cfg))
+    run.write_json("poincare.json", {"lambda_min": lam, "reference_lambda0": REFERENCE_LAMBDA0,
+                                     "model": cfg.model_kind})
+    return EXIT_VERIFICATION if lam <= 0 else EXIT_OK
 
 
-def _cmd_report(cfg, run):
+def _cmd_report(cfg, run, args):
     """End-to-end verification: exact solitons, Fredholm window, manufactured solve."""
-    from .continuity import continuity_solve, manufactured_potential, ma_residual_radial
     from .diagnostics import verify_solution
     from .grids import GridFunction, uniform_nodes
     from .models import cigar_model, soliton_residual
     from .spectrum import invariant_spectrum
-    from .weights import critical_weights, fredholm_window_check
 
     model = cigar_model(cfg.model_n)
     grid = _grid(cfg)
-    t = uniform_nodes(*grid)
-    zero = GridFunction(grid[0], grid[1], grid[2], np.zeros(len(t)))
+    zero = GridFunction(*grid, np.zeros(len(uniform_nodes(*grid))))
     exact = float(np.max(np.abs(soliton_residual(model, zero).values)))
-
-    cs = _build_cross_section(cfg)
-    cws = critical_weights(invariant_spectrum(cs, cfg.weights_mu_max), (-1.0, 3.0))
-    fredholm_ok, margin = fredholm_window_check(cws, (0.0, 2.0))
-
-    forcing = ma_residual_radial(model, manufactured_potential(grid), None, 0.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        solution = continuity_solve(model, forcing)
+    fredholm_ok, margin = _fredholm_check(
+        invariant_spectrum(_build_cross_section(cfg), cfg.weights_mu_max))
+    forcing = _manufactured_forcing(cfg, model)
+    solution = _continuity_solve(cfg, model, forcing)
     report = verify_solution(model, solution, forcing, metadata={"seed": cfg.seed})
     payload = report.as_dict()
     payload["exact_soliton_residual"] = exact
@@ -438,123 +404,111 @@ def _cmd_report(cfg, run):
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
-def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=argparse.SUPPRESS, help="key=value config file")
-    common.add_argument("--output", default=argparse.SUPPRESS,
-                        help="output directory (overrides config)")
-    common.add_argument("--plot", action="store_true", default=argparse.SUPPRESS,
-                        help="emit SVG plots")
+# flag -> argparse options; a dest that is a config key makes the flag set that key
+MODEL_FLAG = ("--model", {"dest": "model.kind", "choices": MODELS})
+COMMON_FLAGS = (
+    ("--config", {"help": "key=value config file"}),
+    ("--output", {"dest": "output.dir", "metavar": "OUTPUT",
+                  "help": "output directory (overrides config)"}),
+    ("--plot", {"action": "store_true", "help": "emit SVG plots"}),
+)
+# command -> (help, flags); the command runs _cmd_<name with - as _>(cfg, run, args)
+COMMANDS = {
+    "spectrum": ("cross-section Laplace spectrum", ()),
+    "weights": ("critical weights of the drift operator", (
+        ("--window", {"nargs": 2, "type": float, "metavar": ("LO", "HI")}),
+    )),
+    "solve-linear": ("linear drift solve for one mode", (
+        MODEL_FLAG,
+        ("--mu", {"type": float, "default": 0.0}),
+        ("--rhs", {"required": True, "help": "right-hand side CSV"}),
+        ("--order-study", {"action": "store_true", "default": False,
+                           "help": "estimate the convergence order by Richardson coarsening"}),
+    )),
+    "solve-ma": ("Monge-Ampere continuity solve", (
+        MODEL_FLAG,
+        ("--n", {"dest": "model.n", "type": int, "metavar": "N"}),
+        ("--rhs", {"required": True, "help": "forcing CSV, or 'manufactured'"}),
+    )),
+    "glue": ("build a glued ACyl background model", (
+        ("--inner", {"choices": ["cigar"], "default": "cigar"}),
+        ("--t0", {"dest": "glue.t0", "type": float, "metavar": "T0"}),
+        ("--margin", {"dest": "glue.margin", "type": float, "metavar": "MARGIN"}),
+    )),
+    "verify": ("decay and Poincare verification", (
+        ("--decay", {"nargs": "*", "default": None, "help": "CSV fields to fit"}),
+        MODEL_FLAG,
+    )),
+    "report": ("end-to-end verification report", ()),
+}
 
+# the message prefix and exit code of a failure, first matching class wins
+FAILURES = (
+    (ConfigError, "config error", EXIT_USAGE),
+    (FileNotFoundError, "missing input", EXIT_USAGE),
+    (PositivityLost, "positivity lost", EXIT_POSITIVITY),
+    (ContinuityStalled, "continuation stalled", EXIT_STALLED),
+    ((AcylSolitonError, OSError, UnicodeDecodeError), "error", EXIT_USAGE),
+)
+
+
+def _failure(exc):
+    """Print exc on stderr with its prefix and return its exit code."""
+    prefix, code = next((prefix, code) for kind, prefix, code in FAILURES
+                        if isinstance(exc, kind))
+    print(f"{prefix}: {exc}", file=sys.stderr)
+    return code
+
+
+def build_parser():
+    # flags left out are absent from the namespace, so only given flags set keys
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    for flag, options in COMMON_FLAGS:
+        common.add_argument(flag, **options)
     parser = argparse.ArgumentParser(
         prog="acylsoliton",
         description="Steady Kahler-Ricci solitons on asymptotically cylindrical models",
         parents=[common],
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    sub.add_parser("spectrum", help="cross-section Laplace spectrum", parents=[common])
-
-    p_weights = sub.add_parser("weights", help="critical weights of the drift operator",
-                               parents=[common])
-    p_weights.add_argument("--window", nargs=2, type=float, metavar=("LO", "HI"))
-
-    p_lin = sub.add_parser("solve-linear", help="linear drift solve for one mode",
-                           parents=[common])
-    p_lin.add_argument("--model", choices=["cigar", "cylinder", "glued"])
-    p_lin.add_argument("--mu", type=float, default=0.0)
-    p_lin.add_argument("--rhs", required=True, help="right-hand side CSV")
-    p_lin.add_argument("--order-study", action="store_true",
-                       help="estimate the convergence order by Richardson coarsening")
-
-    p_ma = sub.add_parser("solve-ma", help="Monge-Ampere continuity solve", parents=[common])
-    p_ma.add_argument("--model", choices=["cigar", "cylinder", "glued"])
-    p_ma.add_argument("--n", type=int)
-    p_ma.add_argument("--rhs", required=True, help="forcing CSV, or 'manufactured'")
-
-    p_glue = sub.add_parser("glue", help="build a glued ACyl background model",
-                            parents=[common])
-    p_glue.add_argument("--inner", choices=["cigar"], default="cigar")
-    p_glue.add_argument("--t0", type=float)
-    p_glue.add_argument("--margin", type=float)
-
-    p_verify = sub.add_parser("verify", help="decay and Poincare verification",
-                              parents=[common])
-    p_verify.add_argument("--decay", nargs="*", default=None, help="CSV fields to fit")
-    p_verify.add_argument("--model", choices=["cigar", "cylinder", "glued"])
-
-    sub.add_parser("report", help="end-to-end verification report", parents=[common])
+    for name, (help_text, flags) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text, parents=[common],
+                                 argument_default=argparse.SUPPRESS)
+        for flag, options in flags:
+            command.add_argument(flag, **options)
     return parser
 
 
 def run(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        config_path = getattr(args, "config", None)
-        if config_path:
-            with open(config_path) as fh:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, the stall code
+        return EXIT_USAGE if exc.code else EXIT_OK
+    flags = vars(args)
+    try:
+        if flags.get("config"):
+            with open(flags["config"]) as fh:
                 cfg = parse_config(fh.read())
         else:
             cfg = RunConfig()
-        if getattr(args, "output", None):
-            cfg.output_dir = args.output
-        if getattr(args, "plot", False):
-            cfg.plot = True
-        model_flag = getattr(args, "model", None)
-        if model_flag:
-            cfg.model_kind = model_flag
-        for key, flag in (("model.n", "n"), ("glue.t0", "t0"), ("glue.margin", "margin")):
-            if getattr(args, flag, None) is not None:
-                _set_key(cfg, key, getattr(args, flag))
-        if getattr(args, "mu", None) is not None:  # solve-linear's mode, not a config key
-            _validated("--mu", args.mu, lambda v: v >= 0)
-        if getattr(args, "window", None):
+        if OUTDIR_ENV in os.environ:  # set before the flags: --output > env > output.dir
+            cfg.output_dir = os.environ[OUTDIR_ENV]
+        for key, value in flags.items():
+            if key in KEYS:
+                _set_key(cfg, key, value)
+        if "window" in flags:
             _set_key(cfg, "weights.window_lo", args.window[0])
             _set_key(cfg, "weights.window_hi", args.window[1])
-
-        input_paths = list(getattr(args, "decay", None) or [])
-        rhs = getattr(args, "rhs", None)
-        if rhs and rhs != "manufactured":
-            input_paths.append(rhs)
-        runner = Run(args.subcommand, cfg, input_paths)
-        if args.subcommand == "spectrum":
-            code = _cmd_spectrum(cfg, runner)
-        elif args.subcommand == "weights":
-            code = _cmd_weights(cfg, runner)
-        elif args.subcommand == "solve-linear":
-            code = _cmd_solve_linear(cfg, runner, args.rhs, args.mu,
-                                     order_study=args.order_study)
-        elif args.subcommand == "solve-ma":
-            code = _cmd_solve_ma(cfg, runner, args.rhs)
-        elif args.subcommand == "glue":
-            code = _cmd_glue(cfg, runner)
-        elif args.subcommand == "verify":
-            code = _cmd_verify(cfg, runner, args.decay)
-        elif args.subcommand == "report":
-            code = _cmd_report(cfg, runner)
-        else:  # pragma: no cover
-            return EXIT_USAGE
+        if "mu" in flags:  # solve-linear's mode, not a config key
+            _validated("--mu", args.mu, lambda v: v >= 0)
+        inputs = [path for path in [*(flags.get("decay") or []), flags.get("rhs")]
+                  if path not in (None, "manufactured")]
+        runner = Run(args.subcommand, cfg, inputs)
+        code = globals()["_cmd_" + args.subcommand.replace("-", "_")](cfg, runner, args)
         runner.finish()
         return code
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"missing input: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except PositivityLost as exc:
-        print(f"positivity lost: {exc}", file=sys.stderr)
-        return EXIT_POSITIVITY
-    except ContinuityStalled as exc:
-        print(f"continuation stalled: {exc}", file=sys.stderr)
-        return EXIT_STALLED
-    except AcylSolitonError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (AcylSolitonError, OSError, UnicodeDecodeError) as exc:
+        return _failure(exc)
 
 
 def main():  # pragma: no cover

@@ -10,7 +10,7 @@ import pytest
 import scipy
 
 import acylsoliton as ak
-from acylsoliton.cli import parse_config, run
+from acylsoliton.cli import KEYS, parse_config, run
 
 FIXTURE = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
                        "F_manufactured_cigar.csv")
@@ -45,6 +45,24 @@ def test_parse_config_rejects_bad_values():
         with pytest.raises(ak.ConfigError) as excinfo:
             parse_config(line + "\n")
         assert line.split(" =")[0] in str(excinfo.value)
+
+
+def documented_keys(text):
+    """Keys of the first code block under '## Configuration files', 'a_lo/hi' expanded."""
+    block = text.split("## Configuration files", 1)[1].split("```")[1]
+    keys = []
+    for line in block.splitlines():
+        if line and not line[0].isspace():
+            key = line.split()[0]
+            stem, _, alt = key.partition("/")
+            keys += [stem, stem.rsplit("_", 1)[0] + "_" + alt] if alt else [key]
+    return keys
+
+
+def test_documented_config_keys_are_the_config_table():
+    formats = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "formats.md")
+    with open(formats) as fh:
+        assert documented_keys(fh.read()) == list(KEYS)
 
 
 def run_cli(args, outdir):
@@ -139,16 +157,32 @@ def test_solve_ma_synthesized_manufactured(tmp_path):
     assert np.max(np.abs(phi.values - target.values)) <= 1e-6
 
 
-def test_solve_ma_huge_amplitude_exits_2_or_3(tmp_path):
+def test_solve_ma_huge_amplitude_exits_2_or_3(tmp_path, capsys):
     forcing = ak.GridFunction.from_csv(FIXTURE)
     hostile = forcing.like(1e3 * forcing.values)
     hostile_path = tmp_path / "hostile.csv"
     hostile.to_csv(hostile_path)
     code = run_cli(["solve-ma", "--model", "cigar", "--rhs", str(hostile_path)], tmp_path)
     assert code in (2, 3)
+    prefix = {2: "continuation stalled: ", 3: "positivity lost: "}[code]
+    assert capsys.readouterr().err.startswith(prefix)
     if code == 2:
         path = json.loads((tmp_path / "path.json").read_text())
         assert path["converged"] is False
+
+
+@pytest.mark.parametrize("args", [["solve-ma", "--rhs", "manufactured"], ["report"]],
+                         ids=["solve_ma", "report"])
+def test_solver_config_stall_exits_2_with_its_cause(tmp_path, capsys, args):
+    """Both continuity solves read the solver.* keys; one Newton step per s stalls at s = 0."""
+    config = tmp_path / "stall.cfg"
+    config.write_text("solver.max_newton = 1\n")
+    out = tmp_path / "out"
+    assert run_cli(args + ["--config", str(config)], out) == 2
+    assert capsys.readouterr().err.startswith("continuation stalled: s-step fell below")
+    if args[0] == "solve-ma":
+        path = json.loads((out / "path.json").read_text())
+        assert path["converged"] is False and path["s_reached"] == 0.0
 
 
 def test_solve_ma_short_forcing_is_a_usage_error(tmp_path, capsys):
@@ -176,11 +210,21 @@ def test_glue_outputs(tmp_path):
         ["glue", "--t0", "0"],
         ["glue", "--margin", "0"],
         ["weights", "--window", "nan", "2"],
+        # argparse's own usage errors exit 1 too, not 2 (the stall code)
+        ["solve-ma"],
+        ["solve-ma", "--model", "foo", "--rhs", "manufactured"],
+        ["foo"],
     ],
 )
 def test_zero_valued_flags_are_validated(tmp_path, args):
     assert run_cli(args, tmp_path) == 1
     assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("args", [["--help"], ["solve-ma", "--help"]], ids=["top", "command"])
+def test_help_exits_0(capsys, args):
+    assert run(args) == 0
+    assert capsys.readouterr().out.startswith("usage: acylsoliton")
 
 
 def test_verify_decay_and_poincare(tmp_path):
@@ -460,7 +504,7 @@ def test_manifest_written_before_outputs(tmp_path, monkeypatch):
     # fail inside the subcommand: the manifest must already exist
     import acylsoliton.cli as cli
 
-    def boom(cfg, runner):
+    def boom(cfg, runner, args):
         raise ak.DomainError("forced failure")
 
     monkeypatch.setattr(cli, "_cmd_spectrum", boom)
@@ -481,6 +525,21 @@ def test_outdir_env_override(tmp_path, monkeypatch):
     code = run(["spectrum"])
     assert code == 0
     assert (target / "spectrum.csv").exists()
+
+
+def test_output_flag_beats_env_and_config(tmp_path, monkeypatch):
+    """--output > ACYLSOLITON_OUTDIR > output.dir, and the manifest names the directory used."""
+    config = tmp_path / "out.cfg"
+    config.write_text(f"output.dir = {tmp_path / 'config'}\n")
+    monkeypatch.setenv("ACYLSOLITON_OUTDIR", str(tmp_path / "env"))
+    flag = ["--output", str(tmp_path / "flag")]
+    for args, used in ((flag, "flag"), ([], "env"), ([], "config")):
+        if used == "config":
+            monkeypatch.delenv("ACYLSOLITON_OUTDIR")
+        assert run(["spectrum", "--config", str(config), *args]) == 0
+        manifest = json.loads((tmp_path / used / "manifest.json").read_text())
+        assert manifest["config"]["output_dir"] == str(tmp_path / used)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config", "env", "flag", "out.cfg"]
 
 
 def test_plot_svg(tmp_path):
