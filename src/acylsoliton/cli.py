@@ -386,6 +386,8 @@ def _cmd_report(cfg, run, args):
     from .models import cigar_model, soliton_residual
     from .spectrum import invariant_spectrum
 
+    if cfg.model_kind != "cigar":  # the exact-soliton and manufactured checks are the cigar's
+        raise ConfigError(f"report runs on the cigar only, not model.kind = {cfg.model_kind!r}")
     model = cigar_model(cfg.model_n)
     grid = _grid(cfg)
     zero = GridFunction(*grid, np.zeros(len(uniform_nodes(*grid))))
@@ -431,7 +433,8 @@ COMMANDS = {
         ("--rhs", {"required": True, "help": "forcing CSV, or 'manufactured'"}),
     )),
     "glue": ("build a glued ACyl background model", (
-        ("--inner", {"choices": ["cigar"], "default": "cigar"}),
+        ("--inner", {"choices": ["cigar"], "default": "cigar",
+                     "help": "inner model; cigar is the only one"}),
         ("--t0", {"dest": "glue.t0", "type": float, "metavar": "T0"}),
         ("--margin", {"dest": "glue.margin", "type": float, "metavar": "MARGIN"}),
     )),

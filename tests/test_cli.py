@@ -500,6 +500,18 @@ def test_report_passes_at_finest_grid(tmp_path):
     assert residual["value"] <= 1e-9
 
 
+@pytest.mark.parametrize("kind", ["cylinder", "glued"])
+def test_report_rejects_a_model_other_than_the_cigar(tmp_path, capsys, kind):
+    # report's checks are the cigar's; solving the cigar under another
+    # model.kind would make manifest.json and report.json disagree
+    config = tmp_path / "model.cfg"
+    config.write_text(f"model.kind = {kind}\ngrid.t_min = 0\n")
+    assert run_cli(["report", "--config", str(config)], tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "model.kind" in err and repr(kind) in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_manifest_written_before_outputs(tmp_path, monkeypatch):
     # fail inside the subcommand: the manifest must already exist
     import acylsoliton.cli as cli

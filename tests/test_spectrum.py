@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 
 import numpy as np
 import pytest
@@ -40,14 +41,57 @@ def test_short_circle_ordering():
     assert as_dict(ak.spectrum(cs, 4.1))[4.0] == 6
 
 
+# d = 1 enumerates with no prefix coefficients; d = 3 is odd and skewed
+BRUTE_FORCE_LATTICES = {
+    "square": ak.square_lattice(),
+    "hexagonal": ak.hexagonal_lattice(),
+    "line": TWO_PI * np.array([[1.3]]),
+    "skew3": TWO_PI * np.array([[1.0, 0.0, 0.0], [0.3, 1.1, 0.0], [0.2, -0.4, 0.9]]),
+}
+
+
 @pytest.mark.parametrize("circle_length", [np.pi, TWO_PI])
-@pytest.mark.parametrize("lattice_name", ["square", "hexagonal"])
+@pytest.mark.parametrize("lattice_name", list(BRUTE_FORCE_LATTICES))
 def test_spectrum_matches_brute_force(circle_length, lattice_name):
-    lattice = ak.square_lattice() if lattice_name == "square" else ak.hexagonal_lattice()
+    lattice = BRUTE_FORCE_LATTICES[lattice_name]
     cs = ak.CrossSection(circle_length, lattice)
+    # every mode with mu <= 9 has |j| and |alpha_i| below the oracle's box of 4
+    assert 9.0 / min(np.linalg.eigvalsh(cs.dual_gram)[0], (TWO_PI / circle_length) ** 2) < 16
     got = as_dict(ak.spectrum(cs, 9.0))
-    want = as_dict(brute_force_spectrum(circle_length, lattice, 9.0))
+    want = as_dict(brute_force_spectrum(circle_length, lattice, 9.0, index_bound=4))
     assert got == want
+
+
+def test_invariant_spectrum_is_basis_invariant():
+    # the hexagonal lattice in the skewed basis U B, with the rotation conjugated to
+    # U^-T R U^T = [[-8, -1], [57, 7]]: a_max grows 38 -> 240, past 8-bit coefficients
+    U = np.array([[1, 7], [0, 1]])
+    rotation = ak.hexagonal_rotation_quotient()
+    skewed_map = np.round(np.linalg.inv(U)).astype(int).T @ rotation.lattice_map @ U.T
+    plain = ak.invariant_spectrum(ak.CrossSection(TWO_PI, ak.hexagonal_lattice(), rotation),
+                                  1000.0)
+    skewed = ak.invariant_spectrum(
+        ak.CrossSection(TWO_PI, U @ ak.hexagonal_lattice(), ak.CyclicQuotient(3, skewed_map)),
+        1000.0)
+    assert [mult for _, mult in skewed] == [mult for _, mult in plain]
+    np.testing.assert_allclose([mu for mu, _ in skewed], [mu for mu, _ in plain],
+                               rtol=0, atol=1e-9)
+
+
+def test_ellipsoid_candidates_are_few(monkeypatch):
+    # S^1 x T^4 at mu_max 100 keeps 49 689 lattice vectors; the integer box
+    # [-10, 10]^4 holds 194 481 (3.9x), the ellipsoid adds at most two per prefix
+    module = importlib.import_module("acylsoliton.spectrum")
+    enumerate_ellipsoid, rows = module._ellipsoid, []
+
+    def counted(*args):
+        alphas = enumerate_ellipsoid(*args)
+        rows.append(len(alphas))
+        return alphas
+
+    monkeypatch.setattr(module, "_ellipsoid", counted)
+    ak.spectrum(ak.CrossSection(TWO_PI, FOUR_TORUS), 100.0)
+    assert len(rows) == 1 and 49_689 <= rows[0] <= 1.4 * 49_689
 
 
 def test_invariant_spectrum_negation_quotient():
