@@ -147,7 +147,7 @@ def _build_cross_section(cfg):
         lattice = hexagonal_lattice()
     quotient = None
     if cfg.cross_section_quotient == 2:
-        quotient = negation_quotient()
+        quotient = negation_quotient(len(lattice))
     elif cfg.cross_section_quotient == 3:
         if cfg.cross_section_lattice != "hexagonal":
             raise ConfigError("order-3 quotients need the hexagonal lattice")

@@ -167,14 +167,12 @@ class GridFunction:
             width = {"t,value": 2, "t,u,value": 3}.get(header)
             if width is None:
                 raise DomainError(f"unrecognized CSV header {header!r}")
-            body = fh.tell()
-            if not any(line.strip() for line in iter(fh.readline, "")):  # loadtxt would warn
+            if not any(line.strip() for line in fh):  # loadtxt would warn
                 raise DomainError(f"{path}: no data rows after the header line")
-            fh.seek(body)
-            try:
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-            except ValueError:
-                data = None
+        try:  # loadtxt reads from the path faster than from an open text handle
+            data = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=1)
+        except ValueError:
+            data = None
         if data is None or data.shape[1] != width:
             data = np.array(_numbered_rows(path, width)[0])
         n_u = 1

@@ -69,13 +69,12 @@ def critical_weights(spectrum, window):
     if not lo < hi:
         raise DomainError(f"empty window ({lo}, {hi})")
     mus = _as_mus(spectrum)
+    root = np.sqrt(1.0 + np.array(mus, dtype=float))
     found = []
-    for mu in mus:
-        root = np.sqrt(1.0 + mu)
-        for branch in (-1, +1):
-            eps = 1.0 + branch * root
-            if lo + DEDUP_TOL < eps < hi - DEDUP_TOL:
-                found.append(CriticalWeight(epsilon=eps, mu=mu, branch=branch))
+    for branch in (-1, +1):
+        eps = 1.0 + branch * root
+        for k in np.flatnonzero((lo + DEDUP_TOL < eps) & (eps < hi - DEDUP_TOL)):
+            found.append(CriticalWeight(epsilon=eps[k], mu=mus[k], branch=branch))
     found.sort(key=lambda w: (w.epsilon, w.mu, w.branch))
     dedup = []
     for w in found:

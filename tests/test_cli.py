@@ -11,6 +11,7 @@ import scipy
 
 import acylsoliton as ak
 from acylsoliton.cli import KEYS, parse_config, run
+from acylsoliton.spectrum import spectrum_to_csv
 
 FIXTURE = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
                        "F_manufactured_cigar.csv")
@@ -86,6 +87,22 @@ def test_spectrum_outputs(tmp_path):
     lines = (tmp_path / "spectrum.csv").read_text().strip().splitlines()
     assert lines[0] == "mu,multiplicity"
     assert lines[1] == "0,1"
+
+
+def test_negation_quotient_on_four_torus(tmp_path):
+    # cross_section.quotient = 2 negates a lattice of any dimension
+    rows = "; ".join(" ".join(repr(2 * np.pi * (i == k)) for k in range(4)) for i in range(4))
+    config = tmp_path / "s1t4_z2.cfg"
+    config.write_text(f"cross_section.lattice_rows = {rows}\ncross_section.quotient = 2\n")
+    for command in ("spectrum", "weights"):
+        assert run_cli([command, "--config", str(config)], tmp_path / command) == 0
+    quotient = ak.CyclicQuotient(2, -np.eye(4, dtype=int))
+    cs = ak.CrossSection(2 * np.pi, 2 * np.pi * np.eye(4), quotient)
+    for name, pairs in (("spectrum.csv", ak.spectrum(cs, 10.0)),
+                        ("invariant_spectrum.csv", ak.invariant_spectrum(cs, 10.0))):
+        spectrum_to_csv(pairs, tmp_path / name)
+        assert ((tmp_path / "spectrum" / name).read_bytes()
+                == (tmp_path / name).read_bytes())
 
 
 def decaying_rhs(tmp_path, t_max=20.0):

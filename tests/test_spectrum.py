@@ -79,8 +79,9 @@ def test_invariant_spectrum_is_basis_invariant():
 
 
 def test_ellipsoid_candidates_are_few(monkeypatch):
-    # S^1 x T^4 at mu_max 100 keeps 49 689 lattice vectors; the integer box
-    # [-10, 10]^4 holds 194 481 (3.9x), the ellipsoid adds at most two per prefix
+    # S^1 x T^4 at mu_max 100 keeps 49 689 lattice vectors, 24 844 pairs +-alpha
+    # besides alpha = 0; one of each pair is enumerated.  The integer box
+    # [-10, 10]^4 holds 194 481, the ellipsoid adds at most two per prefix
     module = importlib.import_module("acylsoliton.spectrum")
     enumerate_ellipsoid, rows = module._ellipsoid, []
 
@@ -91,7 +92,36 @@ def test_ellipsoid_candidates_are_few(monkeypatch):
 
     monkeypatch.setattr(module, "_ellipsoid", counted)
     ak.spectrum(ak.CrossSection(TWO_PI, FOUR_TORUS), 100.0)
-    assert len(rows) == 1 and 49_689 <= rows[0] <= 1.4 * 49_689
+    assert len(rows) == 1 and 24_844 <= rows[0] <= 1.4 * 24_844
+
+
+# one alpha of each pair +-alpha and j >= 0 are enumerated; the oracles take
+# every (j, alpha) in a box.  Orders 2 and 3 on 2-D lattices are checked in
+# test_invariant_spectrum_matches_character_projection
+HALVING_CASES = {
+    # the quarter turn: R^2 = -I, so alpha and -alpha share an orbit
+    "order4": (TWO_PI, ak.square_lattice(),
+               ak.CyclicQuotient(order=4, lattice_map=np.array([[0, -1], [1, 0]])), 9.0),
+    "circle_only": (TWO_PI, np.zeros((0, 0)),
+                    ak.CyclicQuotient(order=3, lattice_map=np.zeros((0, 0), dtype=int)), 30.0),
+    "line": (np.pi, TWO_PI * np.array([[1.3]]), ak.negation_quotient(1), 9.0),
+    # (2 pi / 0.5)^2 > 50: only j = 0 survives
+    "j_zero_only": (0.5, ak.square_lattice(),
+                    ak.CyclicQuotient(order=4, lattice_map=np.array([[0, -1], [1, 0]])), 50.0),
+}
+
+
+@pytest.mark.parametrize("case", list(HALVING_CASES))
+def test_pair_enumeration_matches_brute_force(case):
+    circle, lattice, quotient, mu_max = HALVING_CASES[case]
+    full = as_dict(ak.spectrum(ak.CrossSection(circle, lattice), mu_max))
+    assert full == as_dict(brute_force_spectrum(circle, lattice, mu_max))
+    got = as_dict(ak.invariant_spectrum(ak.CrossSection(circle, lattice, quotient), mu_max))
+    assert got == as_dict(character_projection_spectrum(circle, lattice, quotient.order,
+                                                        quotient.lattice_map, mu_max))
+    if case == "j_zero_only":
+        # no circle mode: the 161 points of Z^2 with |alpha|^2 <= 50, each once
+        assert (TWO_PI / circle) ** 2 > mu_max and sum(full.values()) == 161
 
 
 def test_invariant_spectrum_negation_quotient():
