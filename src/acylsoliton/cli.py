@@ -148,9 +148,7 @@ def _build_cross_section(cfg):
     quotient = None
     if cfg.cross_section_quotient == 2:
         quotient = negation_quotient(len(lattice))
-    elif cfg.cross_section_quotient == 3:
-        if cfg.cross_section_lattice != "hexagonal":
-            raise ConfigError("order-3 quotients need the hexagonal lattice")
+    elif cfg.cross_section_quotient == 3:  # CrossSection checks it is an isometry
         quotient = hexagonal_rotation_quotient()
     return CrossSection(
         circle_length=cfg.cross_section_circle, lattice=lattice, quotient=quotient

@@ -48,7 +48,7 @@ from typing import List, NamedTuple, Optional
 import numpy as np
 
 from . import fd
-from .drift import forward_march, march_bands
+from .drift import drift, forward_march, march_bands
 from .errors import (
     ContinuityStalled,
     DomainError,
@@ -56,7 +56,7 @@ from .errors import (
     PositivityLost,
     SingularSystem,
 )
-from .grids import GridFunction, RadialPotential, uniform_nodes
+from .grids import RadialPotential, uniform_nodes
 from .models import Kind, half_hessian, radial_derivatives, radial_increments
 from .norms import decay_rate_fit
 
@@ -157,14 +157,14 @@ def ma_residual_radial(model, phi, forcing, s):
 
 @dataclass
 class LinearizedOperator:
-    """u -> (1/2) a_phi^{-1} u'' + u', the drift operator of g_phi on radial modes."""
+    """u -> (1/2) a_phi^{-1} u'' + u' = drift(u, h, a_phi) / 2, half the drift
+    Laplacian of g_phi on radial modes."""
 
     a_phi: np.ndarray = field(repr=False)
     h: float
 
     def apply(self, u):
-        vals = u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float)
-        return 0.5 * fd.d2(vals, self.h) / self.a_phi + fd.d1(vals, self.h)
+        return 0.5 * drift(u, self.h, self.a_phi)
 
 
 def linearized_operator(model, phi):
@@ -207,6 +207,8 @@ class _RadialNewton:
     """
 
     def __init__(self, model, forcing, config):
+        if forcing.is_2d:
+            raise DomainError("the radial solve needs a 1D (t,value) forcing, got a 2D one")
         if len(forcing.values) < fd.MIN_NODES:  # the path record's edge stencils
             raise DomainError(f"the radial solve needs at least {fd.MIN_NODES} grid nodes, "
                               f"got {len(forcing.values)}")
@@ -461,10 +463,8 @@ def ma_residual_2d(model, phi, forcing, s):
     h = phi.h
     hu = phi.hu
     a = model.sample_a(t)[:, None]
-    vals = phi.values - phi.values[0, 0]
-    phi_tt = fd.d2(vals, h)
-    phi_t = fd.d1(vals, h)
-    phi_uu = fd.d2_periodic(vals, hu, axis=1)
+    phi_t, phi_tt = fd.increment_derivatives(np.diff(phi.values, axis=0), h)
+    phi_uu = fd.d2_periodic(phi.values, hu, axis=1)
     phi_tu = fd.d1_periodic(phi_t, hu, axis=1)
     principal = a / 2.0 + phi_tt / 4.0
     det = principal * (0.5 + phi_uu / 4.0) - (phi_tu / 4.0) ** 2

@@ -22,7 +22,7 @@ with it the continuity solver) on first use of one of its names, so
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List
 
 import numpy as np
@@ -173,13 +173,7 @@ class Check:
     passed: bool
 
     def as_dict(self):
-        return {
-            "name": self.name,
-            "value": self.value,
-            "threshold": self.threshold,
-            "comparison": self.comparison,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 @dataclass

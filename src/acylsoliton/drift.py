@@ -13,7 +13,9 @@ translation-invariant model operator u'' + 2u' - mu u.
 Discretization: 2nd-order central differences; rows are assembled in the
 equivalent scaled form u'' - s_mu u + 2 a u' = a h, which keeps the matrix
 entries O(1/h^2) where a degenerates.  drift_bands writes the off-diagonals
-of these rows for any (c, s) in u'' - s u + 2 c u'.  The mode operator is
+of these rows for any (c, s) in u'' - s u + 2 c u', and drift applies
+(u'' - s u)/c + 2u' to a grid function, end nodes included: L_mu at
+(c, s) = (a, s_mu), twice the continuity method's linearization at (a_phi, 0).  The mode operator is
 solved by banded_solve; the Newton matrix of the continuity method, the case
 (c, s) = (a_phi, 0) on increments, by march_bands and forward_march.
 Boundary closures:
@@ -43,10 +45,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import _lapack
+from . import _lapack, fd
 from .errors import DomainError, SingularSystem
 from .grids import GridFunction
-from .models import Kind
+from .models import Kind, radial_increments
 
 RESIDUAL_RTOL = 1e-12
 
@@ -84,6 +86,8 @@ class ModeProblem:
     def __post_init__(self):
         if self.mu < 0 or self.mu_circle < 0 or self.mu_circle > self.mu + 1e-12:
             raise DomainError(f"need 0 <= mu_circle <= mu, got {self.mu_circle}, {self.mu}")
+        if self.rhs.is_2d:
+            raise DomainError("a mode's right-hand side is a 1D (t,value) field, got a 2D one")
         if self.boundary is None:
             self.boundary = default_boundary(self.model, self.mu)
 
@@ -91,6 +95,18 @@ class ModeProblem:
         """(a, s_mu) at the nodes of rhs, s_mu = mu_circle + a (mu - mu_circle)."""
         a = self.model.sample_a(self.rhs.t)
         return a, self.mu_circle + a * (self.mu - self.mu_circle)
+
+
+def drift(u, h, c, s=0.0):
+    """(u'' - s u)/c + 2u' on the nodes of u, a GridFunction or samples at spacing h,
+    with derivatives from its increments (models.radial_increments, else np.diff)."""
+    if isinstance(u, GridFunction):
+        v, u = radial_increments(u), u.values
+    else:
+        u = np.asarray(u, dtype=float)
+        v = np.diff(u)
+    d1, d2 = fd.increment_derivatives(v, h)
+    return (d2 - s * u) / c + 2.0 * d1
 
 
 def drift_bands(c, h, neg_sub, sup):
@@ -189,12 +205,7 @@ def assemble_mode_operator(problem):
 
 def apply_mode_operator(problem, u):
     """L_mu u on the grid (one-sided stencils at the two end nodes)."""
-    from . import fd
-
-    h = problem.rhs.h
-    a, s = problem.coefficients()
-    vals = u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float)
-    return (fd.d2(vals, h) - s * vals) / a + 2.0 * fd.d1(vals, h)
+    return drift(u, problem.rhs.h, *problem.coefficients())
 
 
 def mode_interior_residual(problem, u_values):

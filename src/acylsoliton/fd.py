@@ -1,14 +1,18 @@
 """Finite-difference stencils on uniform grids.
 
-Interior nodes use 2nd-order central differences.  The two end nodes use
-one-sided stencils of order 4 so that boundary values of reported residuals
-are not the accuracy bottleneck (the radial operators divide second
-derivatives by coefficients as small as e^{2t}, which magnifies stencil
-truncation error near the inner end).
+Every first and second derivative along t in the package comes from one
+stencil, increment_derivatives, which reads the increments v = diff(u,
+axis=0) of the samples, not the samples: rounding then costs about
+eps |u'| / h instead of eps |u| / h^2.  Interior nodes use 2nd-order central
+differences.  The two end nodes use one-sided stencils of order 4 so that
+boundary values of reported residuals are not the accuracy bottleneck (the
+radial operators divide second derivatives by coefficients as small as
+e^{2t}, which magnifies stencil truncation error near the inner end).
 
-All helpers act along axis 0 and broadcast over trailing axes, so the same
-code path serves 1D fields and (t,u) fields.  That keeps the u-independent
-2D case numerically identical to the radial one.
+The stencil acts along axis 0 and broadcasts over a trailing axis, so the
+same code path serves 1D fields and (t,u) fields, and a u-independent 2D
+field gets the radial derivatives column by column to the bit.  The periodic
+stencils act along u, and derivative_interior serves the C^k norms.
 """
 
 import numpy as np
@@ -31,33 +35,11 @@ def _edge_dot(coeffs, u, reverse):
     return acc
 
 
-def d1(u, h):
-    """First derivative along axis 0: central interior, one-sided ends."""
-    u = np.asarray(u, dtype=float)
-    if u.shape[0] < MIN_NODES:
-        raise DomainError(f"need at least {MIN_NODES} nodes, got {u.shape[0]}")
-    out = np.empty_like(u)
-    out[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
-    out[0] = _edge_dot(_D1_EDGE, u, reverse=False) / h
-    out[-1] = -_edge_dot(_D1_EDGE, u, reverse=True) / h
-    return out
-
-
-def d2(u, h):
-    """Second derivative along axis 0: central interior, one-sided ends."""
-    u = np.asarray(u, dtype=float)
-    if u.shape[0] < MIN_NODES:
-        raise DomainError(f"need at least {MIN_NODES} nodes, got {u.shape[0]}")
-    out = np.empty_like(u)
-    out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
-    out[0] = _edge_dot(_D2_EDGE, u, reverse=False) / (h * h)
-    out[-1] = _edge_dot(_D2_EDGE, u, reverse=True) / (h * h)
-    return out
-
-
 def increment_derivatives(v, h):
-    """(d1(u, h), d2(u, h)) of the 1D u with increments v = diff(u), to eps |u'| / h."""
-    d1, d2 = np.empty(len(v) + 1), np.empty(len(v) + 1)
+    """(u', u'') at the nodes of the u with increments v = diff(u, axis=0),
+    1D or 2D: central inside, one-sided of order 4 at the two end nodes."""
+    shape = (len(v) + 1,) + np.shape(v)[1:]
+    d1, d2 = np.empty(shape), np.empty(shape)
     d1[[0, -1]], d2[[0, -1]] = increment_edges(v, h)
     d1[1:-1] = (v[1:] + v[:-1]) / (2.0 * h)
     d2[1:-1] = (v[1:] - v[:-1]) / (h * h)

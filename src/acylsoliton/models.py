@@ -124,13 +124,14 @@ def ricci_coefficient(model, grid):
 
     The e^{2t} Jacobian between (i/2) dz^dzbar and beta contributes -2t to
     log(omega^n / volume form), which drops out under d^2/dt^2.  Second
-    derivative by finite differences on the nodes of grid = (t_min, t_max, h).
+    derivative from the increments of log a on the nodes of grid = (t_min, t_max, h).
     """
     t_min, t_max, h = grid
     t = uniform_nodes(t_min, t_max, h)
     model.sample_a(t)  # positivity check
     log_a = np.asarray(model.log_a(t), dtype=float)
-    return GridFunction(t_min, t_max, h, -0.5 * fd.d2(log_a, h))
+    _, d2 = fd.increment_derivatives(np.diff(log_a), h)
+    return GridFunction(t_min, t_max, h, -0.5 * d2)
 
 
 def radial_increments(phi):

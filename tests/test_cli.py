@@ -105,6 +105,19 @@ def test_negation_quotient_on_four_torus(tmp_path):
                 == (tmp_path / name).read_bytes())
 
 
+def test_order_three_quotient_on_explicit_hexagonal_rows(tmp_path):
+    # the rotation is an isometry of the rows themselves, preset or not
+    rows = "; ".join(" ".join(map(repr, row)) for row in ak.hexagonal_lattice().tolist())
+    configs = {"preset": "cross_section.lattice = hexagonal",
+               "rows": f"cross_section.lattice_rows = {rows}"}
+    for name, line in configs.items():
+        (tmp_path / f"{name}.cfg").write_text(f"{line}\ncross_section.quotient = 3\n")
+        assert run_cli(["spectrum", "--config", str(tmp_path / f"{name}.cfg")],
+                       tmp_path / name) == 0
+    assert ((tmp_path / "rows" / "invariant_spectrum.csv").read_bytes()
+            == (tmp_path / "preset" / "invariant_spectrum.csv").read_bytes())
+
+
 def decaying_rhs(tmp_path, t_max=20.0):
     rhs = ak.GridFunction.sample(lambda t: np.exp(-1.5 * t) * np.clip(t / 2, 0, 1) ** 4,
                                  -12.0, t_max, 0.01)
@@ -211,6 +224,18 @@ def test_solve_ma_short_forcing_is_a_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [["solve-linear", "--mu", "0"], ["solve-ma"]],
+                         ids=["solve_linear", "solve_ma"])
+def test_2d_rhs_is_a_usage_error(tmp_path, capsys, command):
+    # both solves are radial: their --rhs is a t,value file
+    path = tmp_path / "rhs_2d.csv"
+    ak.GridFunction.sample_2d(lambda t, u: np.exp(-1.5 * t) * (1 + 0.1 * np.cos(u)),
+                              0.0, 4.0, 0.1, 8).to_csv(path)
+    assert run_cli(command + ["--model", "cylinder", "--rhs", str(path)], tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "2D" in err and "Traceback" not in err
+
+
 def test_glue_outputs(tmp_path):
     code = run_cli(["glue", "--inner", "cigar", "--t0", "3", "--margin", "0.01"], tmp_path)
     assert code == 0
@@ -296,7 +321,11 @@ def test_poincare_weight_nonpositive_f_is_a_usage_error(tmp_path, capsys):
      "error: lattice basis entries must be finite"),
     # grid.h = 8 on [-12, 20] gives 5 nodes; the stencils need 6
     ("report", "grid.h = 8", "error: need at least 6 nodes, got 5"),
-], ids=["nan_lattice_rows", "five_node_grid"])
+    # the rows, not the preset they override, decide whether the rotation acts
+    ("spectrum", "cross_section.lattice = hexagonal\n"
+     "cross_section.lattice_rows = 6.283185307179586 0; 0 6.283185307179586\n"
+     "cross_section.quotient = 3", "error: lattice map is not an isometry of the lattice"),
+], ids=["nan_lattice_rows", "five_node_grid", "square_rows_order_three"])
 def test_config_the_computation_rejects_is_a_usage_error(tmp_path, capsys, command, config,
                                                          message):
     path = tmp_path / "bad.cfg"

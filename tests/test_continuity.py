@@ -59,16 +59,32 @@ def test_residual_positivity_error(cigar):
         ak.ma_residual_radial(cigar, phi, None, 0.0)
 
 
-def test_increment_derivatives_match_sample_stencils():
-    """From diff(u), fd.increment_derivatives gives fd.d1 and fd.d2 of u,
-    the one-sided end stencils included."""
+def test_increment_derivatives_closed_form_orders():
+    """fd.increment_derivatives of u = e^{0.3t} sin(t + c) against the closed
+    form: order 2 inside and order 4 at the two end nodes, and a 2D input gets
+    each column's 1D derivatives to the bit."""
     from acylsoliton import fd
 
-    t = ak.uniform_nodes(-2.0, 3.0, 0.01)
-    u = np.sin(t) * np.exp(0.3 * t)
-    d1, d2 = fd.increment_derivatives(np.diff(u), 0.01)
-    assert np.max(np.abs(d1 - fd.d1(u, 0.01))) <= 1e-12
-    assert np.max(np.abs(d2 - fd.d2(u, 0.01))) <= 1e-9
+    phases = np.array([0.0, 0.7, 1.9])
+    steps = (0.04, 0.02, 0.01)
+    inner, ends = [], []
+    for h in steps:
+        t = ak.uniform_nodes(-2.0, 3.0, h)
+        arg, grow = t[:, None] + phases, np.exp(0.3 * t)[:, None]
+        u = grow * np.sin(arg)
+        exact = (grow * (np.cos(arg) + 0.3 * np.sin(arg)),
+                 grow * (0.6 * np.cos(arg) - 0.91 * np.sin(arg)))
+        derivatives = fd.increment_derivatives(np.diff(u, axis=0), h)
+        for k in range(len(phases)):
+            for d, d_col in zip(derivatives, fd.increment_derivatives(np.diff(u[:, k]), h)):
+                assert d[:, k].tobytes() == d_col.tobytes()
+        errors = [np.abs(d - x) for d, x in zip(derivatives, exact)]
+        inner.append([np.max(e[1:-1]) for e in errors])
+        ends.append([np.max(e[[0, -1]]) for e in errors])
+    for sups, order in ((inner, 2.0), (ends, 4.0)):
+        orders = np.log2(np.divide(sups[:-1], sups[1:]))
+        assert np.all(np.abs(orders - order) <= 0.15), (sups, orders)
+    assert np.max(inner[-1]) <= 1e-4 and np.max(ends[-1]) <= 1e-7
 
 
 def test_solution_residual_from_increments_and_samples(manufactured_solution):
@@ -127,7 +143,8 @@ def test_linearization_constant_curvature_region(cylinder):
     u = ak.GridFunction.sample(lambda t: np.sin(t), *grid)
     from acylsoliton import fd
 
-    expected = 0.5 / np.e * fd.d2(u.values, 0.01) + fd.d1(u.values, 0.01)
+    d1, d2 = fd.increment_derivatives(np.diff(u.values), 0.01)
+    expected = 0.5 / np.e * d2 + d1
     assert np.allclose(op.apply(u)[interior], expected[interior], rtol=1e-9)
 
 

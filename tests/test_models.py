@@ -56,7 +56,7 @@ def test_cylinder_fields(cylinder):
 def test_f_prime_is_2a_everywhere(cigar, cylinder, default_grid):
     for model in (cigar, cylinder):
         t = ak.uniform_nodes(*default_grid)
-        fp = fd.d1(model.f(t), default_grid[2])
+        fp = fd.increment_derivatives(np.diff(model.f(t)), default_grid[2])[0]
         err = np.abs(fp - 2 * model.a(t))[1:-1]
         assert np.max(err) < 5e-4  # 2nd-order stencil on e^{2t}-scale variation
 
@@ -80,8 +80,17 @@ def test_ricci_equals_half_f_second_derivative(cigar, default_grid):
     # the soliton identity Ric = i ddbar f in radial form: ricci = f''/2
     r = ak.ricci_coefficient(cigar, default_grid)
     t = r.t
-    f_dd = fd.d2(cigar.f(t), default_grid[2])
+    f_dd = fd.increment_derivatives(np.diff(cigar.f(t)), default_grid[2])[1]
     assert np.max(np.abs(r.values - 0.5 * f_dd)[1:-1]) < 2e-5
+
+
+@pytest.mark.parametrize("h", [1e-3, 1e-4])
+def test_ricci_end_nodes_match_closed_form(cigar, h):
+    # the one-sided end stencils read the increments of log a, so the end
+    # nodes do not pay eps |log a| / h^2 to rounding: 2 a (1 - a) to 1e-9
+    r = ak.ricci_coefficient(cigar, (-12.0, 20.0, h))
+    a = cigar.a(r.t[[0, -1]])
+    assert np.max(np.abs(r.values[[0, -1]] - 2.0 * a * (1.0 - a))) <= 1e-9
 
 
 def test_ricci_refinement_order(cigar):
