@@ -33,9 +33,10 @@ the secant extrapolation v_k + (v_k - v_{k-1}) (s_{k+1} - s_k)/(s_k - s_{k-1})
 of the last two accepted points (s_0 = 0, v_0 = 0), or at v_k when that start
 is not admissible.  On the manufactured problems this takes 3 iterations at
 the first step and 2 at the others, against 3 at every step from v_k.  A
-solve writes its iterates, direction, march bands, path records and path
-increments into work arrays it allocates once, so neither a Newton iteration
-nor a continuation step allocates a float array of grid size.
+solve allocates its 14 grid-sized arrays once (16 for the cylinder; named,
+with the rule each sharing rests on, by _RadialNewton), so neither a Newton
+iteration nor a continuation step allocates one, and every output has the
+bits of separate arrays.
 
 The solve is single-threaded and deterministic; independent problem
 instances may run in parallel (no shared mutable state).
@@ -49,14 +50,8 @@ import numpy as np
 
 from . import fd
 from .drift import drift, forward_march, march_bands
-from .errors import (
-    ContinuityStalled,
-    DomainError,
-    NewtonDiverged,
-    PositivityLost,
-    SingularSystem,
-)
-from .grids import RadialPotential, uniform_nodes
+from .errors import ContinuityStalled, DomainError, NewtonDiverged, PositivityLost, SingularSystem
+from .grids import GridFunction, RadialPotential, uniform_nodes
 from .models import Kind, half_hessian, radial_derivatives, radial_increments
 from .norms import decay_rate_fit
 
@@ -119,11 +114,11 @@ def decaying_gauge(u):
 
 def _decaying(v, out=None):
     """The samples with increments v and last value zero, summed from the outer end,
-    into out (len(v) + 1 values) when given."""
+    into out when given: len(v) + 1 values, or len(v) to leave out the last, 0."""
     out = np.empty(len(v) + 1) if out is None else out
-    np.cumsum(v[::-1], out=out[-2::-1])
-    np.negative(out[:-1], out=out[:-1])
-    out[-1] = 0.0
+    np.cumsum(v[::-1], out=out[len(v) - 1::-1])
+    np.negative(out[:len(v)], out=out[:len(v)])
+    out[len(v):] = 0.0
     return out
 
 
@@ -157,19 +152,19 @@ def ma_residual_radial(model, phi, forcing, s):
 
 @dataclass
 class LinearizedOperator:
-    """u -> (1/2) a_phi^{-1} u'' + u' = drift(u, h, a_phi) / 2, half the drift
-    Laplacian of g_phi on radial modes."""
+    """u -> (1/2) a_phi^{-1} u'' + u' = drift(u, phi, a_phi) / 2, half the drift
+    Laplacian of g_phi on radial modes of phi's grid."""
 
     a_phi: np.ndarray = field(repr=False)
-    h: float
+    phi: GridFunction = field(repr=False)
 
     def apply(self, u):
-        return 0.5 * drift(u, self.h, self.a_phi)
+        return 0.5 * drift(u, self.phi, self.a_phi)
 
 
 def linearized_operator(model, phi):
     a, half_dd = half_hessian(model, phi.t, radial_derivatives(phi)[1])
-    return LinearizedOperator(a_phi=a + half_dd, h=phi.h)
+    return LinearizedOperator(a_phi=a + half_dd, phi=phi)
 
 
 # ---- Newton core on the increments ----
@@ -183,11 +178,6 @@ class _Iterate(NamedTuple):  # increments v and what their residual formed
     min_ratio: float  # 1 + min (psi''/2)/a over the interior nodes
 
 
-def _slot(m):
-    """Arrays an iterate on m interior nodes is formed in: v, psi''/2 and the rows."""
-    return np.empty(m + 1), np.empty(m), np.empty(m)
-
-
 class _RadialNewton:
     """Newton solver for the increments v (n - 1 values) at fixed s.
 
@@ -199,11 +189,13 @@ class _RadialNewton:
     quadratically.
 
     The solver lives for one continuity_solve (or uniqueness_check) and owns
-    its work arrays for that long, written in place by every iteration: two
-    iterate slots that swap between the current iterate and the trial, s F,
-    the direction, the march rows and columns, and scratch for the residual
-    and the path record.  Each is written before it is read (but for the
-    last of the march rows, which stays 0).
+    its grid-sized arrays for that long: a, f, the record weight, two increment
+    buffers, one (psi''/2, rows) pair, s F, the direction, the march rows (two
+    arrays; the cylinder adds two march columns) and a scratch array; with the
+    continuation's last two accepted increments, 14.  Sharing is safe as the
+    iterate's pair is dead once its direction is formed, so trials write over
+    it; a trial's v goes to idle(it.v), so a start is only read; and after
+    solve, idle(it.v) is free for the path record and the secant start.
     """
 
     def __init__(self, model, forcing, config):
@@ -221,13 +213,18 @@ class _RadialNewton:
         self.record_weight = np.exp(RECORD_WEIGHT * t)
         self.neumann_inner = model.kind in (Kind.CIGAR, Kind.GLUED)
         m = len(t) - 2  # interior nodes
-        self._slots = (_slot(m), _slot(m))  # the current iterate's and the trial's
+        self._increments = (np.empty(m + 1), np.empty(m + 1))
+        self._pair = (np.empty(m), np.empty(m))  # psi''/2 and the rows
         self._target = np.empty(m)
         self._direction = np.empty(m + 1)
         self._rows = np.zeros(2 * m + 1)  # march_bands rows; the last element stays 0
         self._columns = None if self.neumann_inner else np.empty((m, 2), order="F")
         self._scratch = np.empty(m)  # slope, |r|, a_phi: each read before the next write
-        self._samples = np.empty(m + 2)  # the record's _decaying samples
+
+    def idle(self, v):
+        """The increment buffer that does not hold v (the second when v is neither)."""
+        first, second = self._increments
+        return first if v is second else second
 
     def residual(self, v, target, out=None):
         """The _Iterate at v; target is s F at the interior nodes.  psi''/2 and
@@ -269,12 +266,11 @@ class _RadialNewton:
 
     def solve(self, v, s):
         """Damped Newton at fixed s from v; returns (converged _Iterate, iterations)
-        or raises.  The iterate lies in the solver's slots (its v is v itself when
-        no iteration was needed) and stays valid until the next solve, which may
-        start from its v."""
+        or raises.  v is only read.  The iterate's v is v itself when no iteration
+        was needed, else one of the increment buffers; the iterate stays valid
+        until the next solve, which may start from its v."""
         cfg, target = self.cfg, np.multiply(s, self.forcing[1:-1], out=self._target)
-        current, trial = self._slots
-        it = self.residual(v, target, current[1:])
+        it = self.residual(v, target, self._pair)
         if it.sup is None:
             a_phi = self.a[1:-1] + it.half_dd
             i = int(np.argmin(a_phi / self.a[1:-1])) + 1
@@ -288,10 +284,10 @@ class _RadialNewton:
                 )
             direction = self._newton_step(it)
             iterations += 1
-            tau = 1.0
+            tau, trial = 1.0, self.idle(it.v)
             while tau > 1e-8:
-                v_trial = np.add(np.multiply(direction, tau, out=trial[0]), it.v, out=trial[0])
-                candidate = self.residual(v_trial, target, trial[1:])
+                v_trial = np.add(np.multiply(direction, tau, out=trial), it.v, out=trial)
+                candidate = self.residual(v_trial, target, self._pair)
                 if (
                     candidate.sup is not None
                     and candidate.min_ratio > POSITIVITY_GUARD
@@ -304,24 +300,24 @@ class _RadialNewton:
                     f"Armijo line search failed at s={s:.6g}",
                     iterations=iterations, residual=it.sup,
                 )
-            it, current, trial = candidate, trial, current
-        self._slots = (current, trial)  # a solve from it.v rewrites only its psi''/2 and rows
+            it = candidate
         return it, iterations
 
 
 def _make_record(newton, it, s, iterations):
-    """The StepRecord of a converged iterate, formed in the solver's scratch arrays."""
+    """The StepRecord of a converged iterate, formed in newton._scratch and newton.idle(it.v)."""
     d1, d2 = fd.increment_edges(it.v, newton.h)  # end nodes; inside, the iterate is read
     ratio = 1.0 + d2 / (2.0 * newton.a[[0, -1]])
-    slope, samples = newton._scratch, newton._samples
-    inner = samples[1:-1]
+    slope, samples = newton._scratch, newton.idle(it.v)
+    inner = samples[1:]
     # psi' inside, as the residual forms it
     np.divide(np.add(it.v[1:], it.v[:-1], out=slope), 2.0 * newton.h, out=slope)
     # (psi''/2)/a is the psi''/(2a) of increment_derivatives to the bit, as h**2 == h*h
     max_ratio = 1.0 + np.max(np.divide(it.half_dd, newton.a[1:-1], out=inner))
     inf_drift = np.min(np.add(newton.f[1:-1], slope, out=inner))
+    # the last sample is 0, and cannot raise the weighted max
     phi = _decaying(it.v, samples)
-    weighted = np.max(np.multiply(newton.record_weight, np.abs(phi, out=phi), out=phi))
+    weighted = np.max(np.multiply(newton.record_weight[:-1], np.abs(phi, out=phi), out=phi))
     return StepRecord(
         s=s,
         newton_iterations=iterations,
@@ -334,12 +330,13 @@ def _make_record(newton, it, s, iterations):
     )
 
 
-def _secant_solve(newton, s_prev, v_prev, s, v, target, start):
+def _secant_solve(newton, s_prev, v_prev, s, v, target):
     """newton.solve at target, started at the secant predictor through the last
     two accepted points, v + (v - v_prev) (target - s) / (s - s_prev), written
-    into start; started at v when s_prev is None or the prediction is not
-    admissible."""
+    into newton.idle(v); started at v when s_prev is None or the prediction is
+    not admissible.  v and v_prev lie outside the solver's buffers."""
     if s_prev is not None:
+        start = newton.idle(v)
         np.subtract(v, v_prev, out=start)
         np.add(v, np.multiply(start, (target - s) / (s - s_prev), out=start), out=start)
         try:
@@ -353,9 +350,9 @@ def _continuation(newton):
     """(v, records): the s-loop of continuity_solve on the solver's problem;
     the solver and its work arrays go when it returns."""
     cfg = newton.cfg
-    # the last accepted increments v at s, the ones before them at s_prev (None
-    # until a step is accepted), and the predicted start of the next step
-    v, v_prev, start = (np.zeros(len(newton.a) - 1) for _ in range(3))
+    # the last accepted increments v at s and the ones before them at s_prev
+    # (None until a step is accepted), copied out of the solver's buffers
+    v, v_prev = np.zeros(len(newton.a) - 1), np.zeros(len(newton.a) - 1)
     s_prev = None
     records: List[StepRecord] = []
     s = 0.0
@@ -365,7 +362,7 @@ def _continuation(newton):
     while s < 1.0 - 1e-12:
         target = min(1.0, s + step)
         try:
-            it, iterations = _secant_solve(newton, s_prev, v_prev, s, v, target, start)
+            it, iterations = _secant_solve(newton, s_prev, v_prev, s, v, target)
         except (NewtonDiverged, PositivityLost, SingularSystem):
             step *= 0.5
             if step < cfg.min_step * (1.0 - 1e-12):

@@ -45,10 +45,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import _lapack, fd
+from . import _lapack
 from .errors import DomainError, SingularSystem
 from .grids import GridFunction
-from .models import Kind, radial_increments
+from .models import Kind, radial_derivatives
 
 RESIDUAL_RTOL = 1e-12
 
@@ -97,16 +97,16 @@ class ModeProblem:
         return a, self.mu_circle + a * (self.mu - self.mu_circle)
 
 
-def drift(u, h, c, s=0.0):
-    """(u'' - s u)/c + 2u' on the nodes of u, a GridFunction or samples at spacing h,
-    with derivatives from its increments (models.radial_increments, else np.diff)."""
-    if isinstance(u, GridFunction):
-        v, u = radial_increments(u), u.values
-    else:
-        u = np.asarray(u, dtype=float)
-        v = np.diff(u)
-    d1, d2 = fd.increment_derivatives(v, h)
-    return (d2 - s * u) / c + 2.0 * d1
+def drift(u, on, c, s=0.0):
+    """(u'' - s u)/c + 2u' on the grid of the GridFunction on, whose nodes c samples:
+    u is a GridFunction on that grid or its samples, differenced from its increments
+    (models.radial_derivatives).  DomainError names both grids otherwise."""
+    u = u if isinstance(u, GridFunction) else on.like(u)
+    if not on.same_grid(u):
+        raise DomainError(f"u on the grid {(u.t_min, u.t_max, u.h)} of shape {u.values.shape}, "
+                          f"the operator on {(on.t_min, on.t_max, on.h)} of {on.values.shape}")
+    d1, d2 = radial_derivatives(u)
+    return (d2 - s * u.values) / c + 2.0 * d1
 
 
 def drift_bands(c, h, neg_sub, sup):
@@ -205,7 +205,7 @@ def assemble_mode_operator(problem):
 
 def apply_mode_operator(problem, u):
     """L_mu u on the grid (one-sided stencils at the two end nodes)."""
-    return drift(u, problem.rhs.h, *problem.coefficients())
+    return drift(u, problem.rhs, *problem.coefficients())
 
 
 def mode_interior_residual(problem, u_values):

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -164,6 +165,26 @@ def test_jacobian_consistency_seeded(cigar):
         assert np.max(np.abs(fd_dir - lin)[1:-1]) < 1e-4
 
 
+@pytest.mark.parametrize("other", [(0.0, 2.0, 0.2), (0.0, 1.2, 0.1), "samples"])
+@pytest.mark.parametrize("operator", ["mode", "linearized"])
+def test_operators_reject_u_off_their_grid(cigar, operator, other):
+    """A u on another grid, of the same node count or not, is not differenced
+    with the operator's h: DomainError names both grids."""
+    own = ak.GridFunction.sample(lambda t: np.exp(-t), 0.0, 1.0, 0.1)
+    if operator == "mode":
+        problem = ak.ModeProblem(model=cigar, mu=0.0, rhs=own.zeros_like())
+        apply = lambda u: ak.apply_mode_operator(problem, u)
+    else:
+        apply = ak.linearized_operator(cigar, own.zeros_like()).apply
+    assert abs(apply(own)[0]) <= 1e-3  # -9.0e-5 on its own grid
+    if other == "samples":
+        u, named = np.exp(-ak.uniform_nodes(0.0, 1.2, 0.1)), "length 13"
+    else:
+        u, named = ak.GridFunction.sample(lambda t: np.exp(-t), *other), re.escape(str(other))
+    with pytest.raises(ak.DomainError, match=named + ".*" + re.escape("(0.0, 1.0, 0.1)")):
+        apply(u)
+
+
 @pytest.mark.parametrize("kind,grid", [("cigar", GRID), ("cylinder", (0.0, 20.0, 0.01))])
 def test_newton_step_solves_linearized_system(kind, grid):
     """The Newton direction dv on the increments solves L_phi (cumsum dv) = -r
@@ -278,6 +299,53 @@ def test_step_records_have_reference_bits(kind, h):
         assert [float(x).hex() for x in astuple(record)] == \
             [float(x).hex() for x in astuple(expected)]
         v = it.v
+
+
+@pytest.mark.parametrize("kind", ["cigar", "cylinder"])
+def test_converged_start_in_idle_buffer_is_only_read(kind):
+    """A converged start written into the solver's idle increment buffer, as the
+    secant predictor writes its start, takes no iteration, so the iterate's v is
+    that buffer; the path record formed from it equals the one from a copy of
+    the start, and leaves the increments as they were."""
+    from dataclasses import astuple
+
+    from acylsoliton.continuity import _make_record
+
+    newton, v_star = newton_ladder(kind, 1e-3)
+    start = newton.solve(v_star, 1.0)[0].v.copy()
+    copy, iterations = newton.solve(start.copy(), 1.0)
+    expected = _make_record(newton, copy, 1.0, iterations)
+    buffer = newton.idle(start)
+    np.copyto(buffer, start)
+    it, iterations = newton.solve(buffer, 1.0)
+    assert iterations == 0 and it.v is buffer
+    record = _make_record(newton, it, 1.0, iterations)
+    assert [float(x).hex() for x in astuple(record)] == \
+        [float(x).hex() for x in astuple(expected)]
+    assert it.v.tobytes() == start.tobytes()
+
+
+@pytest.mark.parametrize("kind,arrays", [("cigar", 15), ("cylinder", 17)])
+def test_solve_keeps_few_grid_arrays(kind, arrays):
+    """The traced peak of one continuity_solve at h = 1e-3 stays within a fixed
+    number of grid-sized float arrays: 14 work arrays for the cigar and 16 for
+    the cylinder, plus temporaries far below one array."""
+    import tracemalloc
+
+    grid = (-12.0 if kind == "cigar" else 0.0, 20.0, 1e-3)
+    model = ak.cigar_model(2) if kind == "cigar" else ak.cylinder_model(2)
+    coarse = ak.ma_residual_radial(model, ak.manufactured_potential(grid[:2] + (0.1,)), None, 0.0)
+    quiet_solve(model, coarse)  # the solve's modules and LAPACK load outside the trace
+    forcing = ak.ma_residual_radial(model, ak.manufactured_potential(grid), None, 0.0)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        quiet_solve(model, forcing)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * 8 * len(forcing.values), peak / (8 * len(forcing.values))
 
 
 # ---- continuity method ----
