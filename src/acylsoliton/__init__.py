@@ -22,8 +22,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "continuity": "ContinuityConfig SolitonSolution StepRecord continuity_solve decaying_gauge "
-                  "linearized_operator manufactured_potential ma_residual_2d "
-                  "ma_residual_radial uniqueness_check",
+                  "linearized_operator manufactured_potential ma_residual_radial "
+                  "uniqueness_check",
     "diagnostics": "REFERENCE_LAMBDA0 VerificationReport poincare_rayleigh rayleigh_quotient "
                    "verify_solution",
     "drift": "BoundaryPolicy ModeProblem apply_mode_operator assemble_mode_operator "

@@ -199,8 +199,6 @@ class _RadialNewton:
     """
 
     def __init__(self, model, forcing, config):
-        if forcing.is_2d:
-            raise DomainError("the radial solve needs a 1D (t,value) forcing, got a 2D one")
         if len(forcing.values) < fd.MIN_NODES:  # the path record's edge stencils
             raise DomainError(f"the radial solve needs at least {fd.MIN_NODES} grid nodes, "
                               f"got {len(forcing.values)}")
@@ -431,47 +429,3 @@ def uniqueness_check(model, forcing, config=None, initializations=()):
         solutions.append(_decaying(it.v))
     return float(np.max(np.ptp(np.array(solutions), axis=0)))
 
-
-# ---- 2D reduction (t, u), u a periodic torus coordinate ----
-
-
-def ma_residual_2d(model, phi, forcing, s):
-    """Residual of the full 2D Monge-Ampere reduction for n = 2.
-
-    For phi = phi(t, u) invariant in theta and the second torus coordinate,
-    the complex Hessian components relative to the coordinates z (with
-    t = log|z|) and w = u + iv are
-
-        phi_{z zbar} = phi_tt / (4|z|^2),  phi_{w wbar} = phi_uu / 4,
-        phi_{z wbar} = phi_tu / (4 z),
-
-    and with g_{z zbar} = a/(2|z|^2), g_{w wbar} = 1/2 the volume ratio is
-
-        ((a/2 + phi_tt/4)(1/2 + phi_uu/4) - (phi_tu/4)^2) / (a/4).
-
-    The residual is log of that ratio + phi_t - s F.  Cross terms vanish for
-    u-independent phi and the formula reduces to the radial residual.
-    """
-    if model.n < 2:
-        raise DomainError("the 2D reduction needs complex dimension n >= 2")
-    if not phi.is_2d:
-        raise DomainError("phi must be a 2D grid function")
-    t = phi.t
-    h = phi.h
-    hu = phi.hu
-    a = model.sample_a(t)[:, None]
-    phi_t, phi_tt = fd.increment_derivatives(np.diff(phi.values, axis=0), h)
-    phi_uu = fd.d2_periodic(phi.values, hu, axis=1)
-    phi_tu = fd.d1_periodic(phi_t, hu, axis=1)
-    principal = a / 2.0 + phi_tt / 4.0
-    det = principal * (0.5 + phi_uu / 4.0) - (phi_tu / 4.0) ** 2
-    bad = (principal <= 0.0) | (det <= 0.0)
-    if np.any(bad):
-        i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        raise PositivityLost(i, t[i], float(det[i, j]))
-    r = np.log(det / (a / 4.0)) + phi_t
-    if forcing is not None:
-        if forcing.values.shape != phi.values.shape:
-            raise DomainError("phi and F must share the grid")
-        r = r - s * forcing.values
-    return phi.like(r)

@@ -86,8 +86,6 @@ class ModeProblem:
     def __post_init__(self):
         if self.mu < 0 or self.mu_circle < 0 or self.mu_circle > self.mu + 1e-12:
             raise DomainError(f"need 0 <= mu_circle <= mu, got {self.mu_circle}, {self.mu}")
-        if self.rhs.is_2d:
-            raise DomainError("a mode's right-hand side is a 1D (t,value) field, got a 2D one")
         if self.boundary is None:
             self.boundary = default_boundary(self.model, self.mu)
 

@@ -1,18 +1,13 @@
-"""Finite-difference stencils on uniform grids.
+"""The finite-difference stencil on uniform grids.
 
-Every first and second derivative along t in the package comes from one
-stencil, increment_derivatives, which reads the increments v = diff(u,
-axis=0) of the samples, not the samples: rounding then costs about
-eps |u'| / h instead of eps |u| / h^2.  Interior nodes use 2nd-order central
+Every derivative along t in the package, first or second, comes from one
+stencil, increment_derivatives, which reads the increments v = diff(u) of
+the samples, not the samples: rounding then costs about eps |u'| / h
+instead of eps |u| / h^2.  Interior nodes use 2nd-order central
 differences.  The two end nodes use one-sided stencils of order 4 so that
 boundary values of reported residuals are not the accuracy bottleneck (the
 radial operators divide second derivatives by coefficients as small as
 e^{2t}, which magnifies stencil truncation error near the inner end).
-
-The stencil acts along axis 0 and broadcasts over a trailing axis, so the
-same code path serves 1D fields and (t,u) fields, and a u-independent 2D
-field gets the radial derivatives column by column to the bit.  The periodic
-stencils act along u, and derivative_interior serves the C^k norms.
 """
 
 import numpy as np
@@ -28,7 +23,7 @@ MIN_NODES = 6
 
 
 def _edge_dot(coeffs, u, reverse):
-    """Sum coeffs[k] * u[k] (or u[-1-k]) along axis 0, broadcasting."""
+    """Sum coeffs[k] * u[k] (or u[-1-k])."""
     acc = coeffs[0] * (u[-1] if reverse else u[0])
     for k in range(1, len(coeffs)):
         acc = acc + coeffs[k] * (u[-1 - k] if reverse else u[k])
@@ -36,10 +31,9 @@ def _edge_dot(coeffs, u, reverse):
 
 
 def increment_derivatives(v, h):
-    """(u', u'') at the nodes of the u with increments v = diff(u, axis=0),
-    1D or 2D: central inside, one-sided of order 4 at the two end nodes."""
-    shape = (len(v) + 1,) + np.shape(v)[1:]
-    d1, d2 = np.empty(shape), np.empty(shape)
+    """(u', u'') at the nodes of the u with increments v = diff(u): central
+    inside, one-sided of order 4 at the two end nodes."""
+    d1, d2 = np.empty(len(v) + 1), np.empty(len(v) + 1)
     d1[[0, -1]], d2[[0, -1]] = increment_edges(v, h)
     d1[1:-1] = (v[1:] + v[:-1]) / (2.0 * h)
     d2[1:-1] = (v[1:] - v[:-1]) / (h * h)
@@ -56,34 +50,3 @@ def increment_edges(v, h):
     return (np.array([_edge_dot(w1, v, False), _edge_dot(w1, v, True)]) / h,
             np.array([_edge_dot(w2, v, False), -_edge_dot(w2, v, True)]) / (h * h))
 
-
-def d1_periodic(u, h, axis=1):
-    """First derivative along a periodic axis (central everywhere)."""
-    return (np.roll(u, -1, axis=axis) - np.roll(u, 1, axis=axis)) / (2.0 * h)
-
-
-def d2_periodic(u, h, axis=1):
-    """Second derivative along a periodic axis (central everywhere)."""
-    return (np.roll(u, -1, axis=axis) - 2.0 * u + np.roll(u, 1, axis=axis)) / (h * h)
-
-
-def derivative_interior(u, h, order):
-    """Minimal-width central approximation of the order-th derivative.
-
-    Returns (values, trim): `values` lives on the nodes trimmed by `trim`
-    on each side.  Built by composing the 3-point second-derivative stencil
-    and the central first-derivative stencil, which reproduces the standard
-    2nd-order stencils (1,-2,1), (1,-4,6,-4,1)/..., etc.
-    """
-    u = np.asarray(u, dtype=float)
-    if order < 0:
-        raise ValueError("derivative order must be >= 0")
-    vals = u.copy()
-    trim = 0
-    for _ in range(order // 2):
-        vals = (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / (h * h)
-        trim += 1
-    if order % 2:
-        vals = (vals[2:] - vals[:-2]) / (2.0 * h)
-        trim += 1
-    return vals, trim

@@ -21,8 +21,9 @@ which equals the inner model's f - 2t at t = 1/2 (so min f = 1 is kept)
 and a constant kappa for t >= t0 + 1/2.  The glued model takes the inner
 model's callables on t <= 1/2 and c = 1, f = 2t + kappa exactly on the
 cylinder region, so the trivial-potential soliton residual vanishes
-identically there and the induced Monge-Ampere forcing is compactly
-supported.
+identically there, and so does the induced Monge-Ampere forcing.  On
+t <= 1/2 the forcing is the constant 2 int_{1/2}^{t0+1/2} rho by which the
+bump raises kappa: it has compact support only when rho = 0.
 """
 
 import math
@@ -308,9 +309,10 @@ def glued_model(inner_model, spec=None):
 
 
 def glued_forcing(model, grid):
-    """Compactly supported Monge-Ampere forcing F = -soliton_residual(model, 0).
+    """Monge-Ampere forcing F = -soliton_residual(model, 0).
 
-    Exactly zero on the cylinder region {t >= t0 + 1/2}; driving the
+    Exactly zero on the cylinder region {t >= t0 + 1/2}, and on t <= 1/2 the
+    constant 2 int rho (nonzero when the bump amplitude rho0 > 0); driving the
     continuity method with this F produces an exact steady soliton metric on
     the glued background.
     """

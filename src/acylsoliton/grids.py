@@ -1,10 +1,9 @@
 """Sampled scalar fields on uniform grids.
 
 GridFunction is the universal carrier for every numerical quantity in the
-package: coefficients, right-hand sides, potentials, residuals.  The first
-axis is always the cylindrical coordinate t on a uniform grid; 2D fields add
-a periodic second axis (a torus coordinate u on [0, 2pi)).  A 1D
-RadialPotential also carries its increments u_{i+1} - u_i.
+package: coefficients, right-hand sides, potentials, residuals.  Its one
+axis is the cylindrical coordinate t on a uniform grid.  A RadialPotential
+also carries its increments u_{i+1} - u_i.
 """
 
 import math
@@ -14,7 +13,6 @@ import numpy as np
 
 from .errors import DomainError
 
-_TWO_PI = 2.0 * np.pi
 _CSV_CHUNK_ROWS = 1024  # rows formatted by one % of the repeated row format
 
 
@@ -40,9 +38,9 @@ def uniform_nodes(t_min, t_max, h):
     return t_min + h * np.arange(n + 1)
 
 
-def _numbered_rows(path, width):
+def _numbered_rows(path):
     """(rows, line numbers) of the non-blank lines after the CSV header, read
-    one by one; DomainError names the first that is not width numeric fields."""
+    one by one; DomainError names the first that is not two numeric fields."""
     rows, numbers = [], []
     with open(path, "r") as fh:
         fh.readline()
@@ -53,9 +51,9 @@ def _numbered_rows(path, width):
                 row = [float(x) for x in line.split(",")]
             except ValueError:
                 row = []
-            if len(row) != width:
+            if len(row) != 2:
                 raise DomainError(
-                    f"{path}, line {lineno}: expected {width} numeric fields, "
+                    f"{path}, line {lineno}: expected 2 numeric fields, "
                     f"got {line.strip()!r}"
                 )
             rows.append(row)
@@ -65,11 +63,7 @@ def _numbered_rows(path, width):
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Scalar field sampled on a uniform t-grid, optionally times a u-grid.
-
-    values has shape (n_t,) or (n_t, n_u).  The u-axis, when present, is the
-    periodic grid u_k = 2*pi*k/n_u.
-    """
+    """Scalar field sampled on a uniform t-grid: values has shape (n_t,)."""
 
     t_min: float
     t_max: float
@@ -79,14 +73,14 @@ class GridFunction:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
+        if vals.ndim != 1:
+            raise DomainError(f"values must be 1D, got shape {vals.shape}")
         n_expected = len(uniform_nodes(self.t_min, self.t_max, self.h))
-        if vals.shape[0] != n_expected:
+        if len(vals) != n_expected:
             raise DomainError(
-                f"values length {vals.shape[0]} inconsistent with grid "
+                f"values length {len(vals)} inconsistent with grid "
                 f"({self.t_min}, {self.t_max}, {self.h}) -> {n_expected} nodes"
             )
-        if vals.ndim not in (1, 2):
-            raise DomainError("values must be 1D or 2D")
         if not np.all(np.isfinite(vals)):
             raise DomainError("grid function contains non-finite values")
 
@@ -94,32 +88,10 @@ class GridFunction:
     def t(self):
         return uniform_nodes(self.t_min, self.t_max, self.h)
 
-    @property
-    def is_2d(self):
-        return self.values.ndim == 2
-
-    @property
-    def u(self):
-        if not self.is_2d:
-            raise DomainError("1D grid function has no u-axis")
-        n_u = self.values.shape[1]
-        return _TWO_PI * np.arange(n_u) / n_u
-
-    @property
-    def hu(self):
-        return _TWO_PI / self.values.shape[1]
-
     @classmethod
     def sample(cls, fn, t_min, t_max, h):
         t = uniform_nodes(t_min, t_max, h)
         return cls(t_min, t_max, h, np.asarray(fn(t), dtype=float))
-
-    @classmethod
-    def sample_2d(cls, fn, t_min, t_max, h, n_u):
-        t = uniform_nodes(t_min, t_max, h)
-        u = _TWO_PI * np.arange(n_u) / n_u
-        tt, uu = np.meshgrid(t, u, indexing="ij")
-        return cls(t_min, t_max, h, np.asarray(fn(tt, uu), dtype=float))
 
     def like(self, values):
         """New field with the same grid."""
@@ -133,26 +105,18 @@ class GridFunction:
             self.t_min == other.t_min
             and self.t_max == other.t_max
             and self.h == other.h
-            and self.values.shape == other.values.shape
         )
 
-    # ---- serialization: CSV with header `t,value` (or `t,u,value`) ----
+    # ---- serialization: CSV with header `t,value`, one row per node ----
 
     def to_csv(self, path):
+        fields = np.column_stack((self.t, self.values)).ravel().tolist()  # row-major
+        chunk = 2 * _CSV_CHUNK_ROWS
         with open(path, "w", newline="") as fh:
-            if self.is_2d:
-                fh.write("t,u,value\n")
-                n_t, n_u = self.values.shape
-                columns = (np.repeat(self.t, n_u), np.tile(self.u, n_t), self.values.ravel())
-            else:
-                fh.write("t,value\n")
-                columns = (self.t, self.values)
-            fields = np.column_stack(columns).ravel().tolist()  # row-major
-            chunk = _CSV_CHUNK_ROWS * len(columns)
-            row = ",".join(["%.17g"] * len(columns)) + "\n"
+            fh.write("t,value\n")
             for k in range(0, len(fields), chunk):
                 block = fields[k:k + chunk]
-                fh.write(row * (len(block) // len(columns)) % tuple(block))
+                fh.write("%.17g,%.17g\n" * (len(block) // 2) % tuple(block))
 
     @classmethod
     def from_csv(cls, path):
@@ -164,8 +128,7 @@ class GridFunction:
         reads the body again, so both give the same rows and the same errors."""
         with open(path, "r") as fh:
             header = fh.readline().strip()
-            width = {"t,value": 2, "t,u,value": 3}.get(header)
-            if width is None:
+            if header != "t,value":
                 raise DomainError(f"unrecognized CSV header {header!r}")
             if not any(line.strip() for line in fh):  # loadtxt would warn
                 raise DomainError(f"{path}: no data rows after the header line")
@@ -173,42 +136,23 @@ class GridFunction:
             data = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=1)
         except ValueError:
             data = None
-        if data is None or data.shape[1] != width:
-            data = np.array(_numbered_rows(path, width)[0])
-        n_u = 1
-        if width == 3:
-            n_t, n_u = len(np.unique(data[:, 0])), len(np.unique(data[:, 1]))
-            if len(data) != n_t * n_u:
-                line = _numbered_rows(path, width)[1][-1]
-                raise DomainError(
-                    f"{path}, line {line}: {len(data)} rows do not form a "
-                    f"{n_t} x {n_u} (t, u) grid"
-                )
-        n_t = len(data) // n_u
-        if n_t < 2:
+        if data is None or data.shape[1] != 2:
+            data = np.array(_numbered_rows(path)[0])
+        if len(data) < 2:
             raise DomainError("need at least two grid nodes")
-        t_first, t_last = data[:, 0].min(), data[:, 0].max()
-        h = float((t_last - t_first) / (n_t - 1))  # span-averaged, exact for clean spacings
-        # row r must be node (r // n_u, r % n_u): t ascending, u fastest on 2 pi k / n_u
-        nodes = np.column_stack([
-            np.repeat(uniform_nodes(t_first, t_last, h), n_u),
-            np.tile(_TWO_PI * np.arange(n_u) / n_u, n_t),
-        ])[:, : width - 1]
-        tol = 1e-6 * np.array([h, _TWO_PI / n_u])[: width - 1]
-        off = np.any(np.abs(data[:, :-1] - nodes) > tol, axis=1)
+        t = data[:, 0]
+        t_first, t_last = t.min(), t.max()
+        h = float((t_last - t_first) / (len(t) - 1))  # span-averaged, exact for clean spacings
+        nodes = uniform_nodes(t_first, t_last, h)  # row r must be node r: t ascending
+        off = np.abs(t - nodes) > 1e-6 * h
         if np.any(off):
             k = int(np.argmax(off))
-            names = ("t", "u")[: width - 1]
-            got = ", ".join(f"{n} = {x:.17g}" for n, x in zip(names, data[k]))
-            want = ", ".join(f"{n} = {x:.17g}" for n, x in zip(names, nodes[k]))
-            line = _numbered_rows(path, width)[1][k]
+            line = _numbered_rows(path)[1][k]
             raise DomainError(
-                f"{path}, line {line}: {got}, expected {want} on the ascending "
-                f"uniform t-grid of spacing {h:.6g} over [{t_first:.17g}, {t_last:.17g}]"
-                + (f", t-major with u = 2 pi k / {n_u}" if width == 3 else "")
+                f"{path}, line {line}: t = {t[k]:.17g}, expected t = {nodes[k]:.17g} on the "
+                f"ascending uniform t-grid of spacing {h:.6g} over [{t_first:.17g}, {t_last:.17g}]"
             )
-        vals = data[:, -1] if width == 2 else data[:, -1].reshape(n_t, n_u)
-        return cls(float(t_first), float(t_last), h, vals)
+        return cls(float(t_first), float(t_last), h, data[:, 1])
 
 
 @dataclass(frozen=True)
@@ -223,6 +167,6 @@ class RadialPotential(GridFunction):
     def __post_init__(self):
         super().__post_init__()
         object.__setattr__(self, "increments", v := np.asarray(self.increments, dtype=float))
-        if self.is_2d or v.shape != (len(self.values) - 1,) or not np.all(np.isfinite(v)):
-            raise DomainError(f"a 1D potential on {len(self.values)} nodes needs as many "
+        if v.shape != (len(self.values) - 1,) or not np.all(np.isfinite(v)):
+            raise DomainError(f"a potential on {len(self.values)} nodes needs as many "
                               f"finite increments as cells, got shape {v.shape}")

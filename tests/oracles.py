@@ -118,18 +118,6 @@ def manufactured_forcing_fn(amplitude=sp.Rational(3, 10), power=sp.Rational(-3, 
     return cigar_residual_fn(phi)
 
 
-def manufactured_forcing_2d_fn(amplitude=sp.Rational(1, 5)):
-    """Exact continuum 2D forcing for phi* = amplitude (1+e^{2t})^{-3/4} (1 + cos(u)/10)."""
-    u = sp.symbols("u", real=True)
-    a = _A_CIGAR
-    phi = amplitude * (1 + sp.exp(2 * _t)) ** sp.Rational(-3, 4) * (1 + sp.cos(u) / 10)
-    principal = a / 2 + sp.diff(phi, _t, 2) / 4
-    det = principal * (sp.Rational(1, 2) + sp.diff(phi, u, 2) / 4) \
-        - (sp.diff(phi, _t, 1, u, 1) / 4) ** 2
-    expr = sp.log(det / (a / 4)) + sp.diff(phi, _t)
-    return sp.lambdify((_t, u), expr, "numpy")
-
-
 # ---- weighted Poincare constant ----
 
 

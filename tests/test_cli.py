@@ -224,16 +224,17 @@ def test_solve_ma_short_forcing_is_a_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", [["solve-linear", "--mu", "0"], ["solve-ma"]],
-                         ids=["solve_linear", "solve_ma"])
+@pytest.mark.parametrize("command", [
+    ["verify", "--decay"], ["solve-linear", "--mu", "0", "--rhs"], ["solve-ma", "--rhs"],
+], ids=["verify", "solve_linear", "solve_ma"])
 def test_2d_rhs_is_a_usage_error(tmp_path, capsys, command):
-    # both solves are radial: their --rhs is a t,value file
+    # every reader takes only the t,value header: a (t, u) field is not a grid function
     path = tmp_path / "rhs_2d.csv"
-    ak.GridFunction.sample_2d(lambda t, u: np.exp(-1.5 * t) * (1 + 0.1 * np.cos(u)),
-                              0.0, 4.0, 0.1, 8).to_csv(path)
-    assert run_cli(command + ["--model", "cylinder", "--rhs", str(path)], tmp_path / "out") == 1
+    path.write_text("t,u,value\n0,0,1\n0,3.14,1\n1,0,0.5\n1,3.14,0.5\n")
+    assert run_cli(command + [str(path), "--model", "cylinder"], tmp_path / "out") == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "2D" in err and "Traceback" not in err
+    assert err.startswith("error: unrecognized CSV header 't,u,value'")
+    assert "Traceback" not in err
 
 
 def test_glue_outputs(tmp_path):
@@ -341,9 +342,7 @@ def test_config_the_computation_rejects_is_a_usage_error(tmp_path, capsys, comma
     "t,value\n0,1\n0.1,0.5\n0.3,0.25\n0.35,0.2\n",  # non-uniform t
     "t,value\n0,1\n0.5,abc\n1,2\n",                   # non-numeric field
     "t,value\n0,1\n0.5\n1,2\n",                       # short row
-    "t,u,value\n0,0,1\n0,3,1\n1,0,2\n",               # not n_t x n_u rows
-    "t,u,value\n",                                    # header only
-], ids=["uneven_t", "non_numeric", "short_row", "2d_row_count", "2d_header_only"])
+], ids=["uneven_t", "non_numeric", "short_row"])
 def test_bad_csv_is_a_usage_error(tmp_path, capsys, command, body):
     path = tmp_path / "bad.csv"
     path.write_text(body)
@@ -485,8 +484,8 @@ PUBLIC_NAMES = """
     cigar_model continuity continuity_solve critical_weights cylinder_model decay_rate_fit
     decaying_gauge default_boundary diagnostics drift errors fd fredholm_window_check
     glue_coefficient glued_forcing glued_model gluing grids hexagonal_lattice
-    hexagonal_rotation_quotient invariant_spectrum linearized_operator ma_residual_2d
-    ma_residual_radial manufactured_potential model_from_text model_to_text models
+    hexagonal_rotation_quotient invariant_spectrum linearized_operator ma_residual_radial
+    manufactured_potential model_from_text model_to_text models
     negation_quotient norms poincare_rayleigh potential_of rayleigh_quotient ricci_coefficient
     smoothstep soliton_residual solve_field solve_mode spectrum square_lattice uniform_nodes
     uniqueness_check verify_solution weighted_sup_norm weights

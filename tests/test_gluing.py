@@ -330,6 +330,22 @@ def test_glued_forcing_compact_support():
     assert np.max(np.abs(forcing.values)) > 1e-3  # nontrivial in the transition
 
 
+@pytest.mark.parametrize("t0,inner_value", [(1.3, 15.82), (1.5, 6.33), (2.0, 1.12), (3.0, 0.0)])
+def test_glued_forcing_is_zero_outside_and_constant_inside(t0, inner_value):
+    """F = 0 on t >= t0 + 1/2; on t < 1/2 it is the constant 2 int rho, so it
+    has compact support only when rho0 = 0 (here t0 = 3)."""
+    spec = ak.GlueSpec(t0=t0)
+    model = ak.glued_model(ak.cigar_model(2), spec)
+    forcing = ak.glued_forcing(model, GRID)
+    t, values = forcing.t, forcing.values
+    assert np.max(np.abs(values[t >= t0 + 0.5])) == 0.0
+    inner = values[t < 0.5]
+    assert np.ptp(inner) <= 1e-12
+    assert inner[0] == pytest.approx(inner_value, abs=5e-3)
+    lift = 2.0 * spec.bump_integral(np.array([t0 + 0.5]), model.glue_params["rho0"])[0]
+    assert inner[0] == pytest.approx(lift, abs=1e-9)
+
+
 def test_glued_pipeline_end_to_end():
     model = ak.glued_model(ak.cigar_model(2))
     forcing = ak.glued_forcing(model, GRID)

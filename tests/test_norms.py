@@ -23,10 +23,26 @@ def test_weighted_sup_zero():
 
 
 def test_weighted_sup_with_derivatives():
-    # e^{-1.5t}: derivatives scale by 1.5 and 2.25; max is 2.25
-    u = sample(lambda t: np.exp(-1.5 * t))
+    # e^{-1.5t}: derivatives scale by 1.5 and 2.25; max is 2.25, at order 2 in h
+    # (the error reads 1.69e-4 and 4.22e-5 at h = 0.02 and 0.01)
     spec = ak.WeightedNormSpec(k=2, epsilon=1.5)
-    assert ak.weighted_sup_norm(u, spec) == pytest.approx(2.25, abs=1e-4)
+    errors = [ak.weighted_sup_norm(sample(lambda t: np.exp(-1.5 * t), (0.0, 20.0, h)), spec) - 2.25
+              for h in (0.02, 0.01)]
+    assert abs(errors[1]) <= 1e-4
+    assert errors[0] / errors[1] == pytest.approx(4.0, abs=0.2)
+
+
+def test_weighted_sup_reads_carried_increments():
+    """At h = 1e-4 the closed-form increments give 2.25 to 4.3e-9; second
+    differences of the samples alone would read 7.5e-7 off."""
+    h = 1e-4
+    t = ak.uniform_nodes(0.0, 20.0, h)
+    increments = np.exp(-1.5 * t[:-1]) * np.expm1(-1.5 * h)
+    u = ak.RadialPotential(0.0, 20.0, h, np.exp(-1.5 * t), increments)
+    spec = ak.WeightedNormSpec(k=2, epsilon=1.5)
+    assert ak.weighted_sup_norm(u, spec) == pytest.approx(2.25, abs=5e-9)
+    samples = ak.GridFunction(0.0, 20.0, h, u.values)
+    assert abs(ak.weighted_sup_norm(samples, spec) - 2.25) > 1e-7
 
 
 def test_weight_monotonicity_on_decaying_tail():
@@ -40,11 +56,15 @@ def test_weight_monotonicity_on_decaying_tail():
 
 
 def test_rejects_2d_and_short_grids():
-    u2 = ak.GridFunction.sample_2d(lambda t, u: np.cos(u) * np.exp(-t), 0.0, 2.0, 0.1, 8)
-    with pytest.raises(ak.DomainError):
-        ak.weighted_sup_norm(u2, ak.WeightedNormSpec())
-    with pytest.raises(ak.DomainError):
-        ak.WeightedNormSpec(k=-1)
+    with pytest.raises(ak.DomainError, match="values must be 1D"):
+        ak.GridFunction(0.0, 2.0, 0.1, np.zeros((21, 8)))
+    short = ak.GridFunction.sample(np.exp, 0.0, 0.4, 0.1)  # 5 nodes: no edge stencil
+    assert ak.weighted_sup_norm(short, ak.WeightedNormSpec()) == pytest.approx(np.exp(0.4))
+    with pytest.raises(ak.DomainError, match="need at least 6 nodes"):
+        ak.weighted_sup_norm(short, ak.WeightedNormSpec(k=1))
+    for k in (-1, 3):
+        with pytest.raises(ak.DomainError, match="k must be 0, 1 or 2"):
+            ak.WeightedNormSpec(k=k)
 
 
 @pytest.mark.parametrize("eps", [0.5, 1.0, 1.5, 1.9])
@@ -73,13 +93,6 @@ def test_decay_fit_subleading_term():
 def test_decay_fit_zero_field_sentinel():
     u = sample(lambda t: np.zeros_like(t))
     assert ak.decay_rate_fit(u) == np.inf
-
-
-def test_decay_fit_2d_slice_maxima():
-    u = ak.GridFunction.sample_2d(
-        lambda t, x: np.exp(-1.3 * t) * (1 + 0.5 * np.cos(x)), 0.0, 20.0, 0.01, 16
-    )
-    assert ak.decay_rate_fit(u) == pytest.approx(1.3, abs=1e-6)
 
 
 @settings(max_examples=30, deadline=None)
