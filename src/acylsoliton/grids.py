@@ -129,7 +129,7 @@ class GridFunction:
         with open(path, "r") as fh:
             header = fh.readline().strip()
             if header != "t,value":
-                raise DomainError(f"unrecognized CSV header {header!r}")
+                raise DomainError(f"{path}, line 1: unrecognized CSV header {header!r}")
             if not any(line.strip() for line in fh):  # loadtxt would warn
                 raise DomainError(f"{path}: no data rows after the header line")
         try:  # loadtxt reads from the path faster than from an open text handle

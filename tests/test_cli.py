@@ -233,7 +233,7 @@ def test_2d_rhs_is_a_usage_error(tmp_path, capsys, command):
     path.write_text("t,u,value\n0,0,1\n0,3.14,1\n1,0,0.5\n1,3.14,0.5\n")
     assert run_cli(command + [str(path), "--model", "cylinder"], tmp_path / "out") == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: unrecognized CSV header 't,u,value'")
+    assert err.startswith("error:") and "line 1: unrecognized CSV header 't,u,value'" in err
     assert "Traceback" not in err
 
 
@@ -342,7 +342,9 @@ def test_config_the_computation_rejects_is_a_usage_error(tmp_path, capsys, comma
     "t,value\n0,1\n0.1,0.5\n0.3,0.25\n0.35,0.2\n",  # non-uniform t
     "t,value\n0,1\n0.5,abc\n1,2\n",                   # non-numeric field
     "t,value\n0,1\n0.5\n1,2\n",                       # short row
-], ids=["uneven_t", "non_numeric", "short_row"])
+    "t,u,value\n0,0,1\n0,3,1\n1,0,2\n",               # a (t, u) field
+    "t,u,value\n",                                    # a (t, u) header only
+], ids=["uneven_t", "non_numeric", "short_row", "2d_row_count", "2d_header_only"])
 def test_bad_csv_is_a_usage_error(tmp_path, capsys, command, body):
     path = tmp_path / "bad.csv"
     path.write_text(body)
