@@ -165,13 +165,16 @@ def invariant_spectrum(cs, mu_max):
     kept = (mu <= bound) & (weight > 0)
     values, inverse = np.unique(mu[kept], return_inverse=True)
     totals = np.bincount(inverse, weights=weight[kept]).astype(np.int64)
-    merged = []
+    # clusters in two flat lists: a [value, total] list per cluster would be a
+    # container the cyclic GC tracks and promotes, hundreds per call
+    starts, sums = [], []
     for value, total in zip(values.tolist(), totals.tolist()):
-        if merged and value - merged[-1][0] <= MERGE_TOL:
-            merged[-1][1] += total
+        if starts and value - starts[-1] <= MERGE_TOL:
+            sums[-1] += total
         else:
-            merged.append([value, total])
-    return [(value, total // m) for value, total in merged]
+            starts.append(value)
+            sums.append(total)
+    return [(value, total // m) for value, total in zip(starts, sums)]
 
 
 def spectrum_to_csv(pairs, path):
