@@ -21,8 +21,7 @@ for eps in (0.5, 1.0, 1.5):
     exact = rhs.like(rhs.values / (eps**2 - 2 * eps))
     problem = ak.ModeProblem(
         model=model, mu=0.0, rhs=rhs,
-        boundary=ak.BoundaryPolicy(inner=("dirichlet", float(exact.values[0])),
-                                   outer=("dirichlet", float(exact.values[-1]))),
+        boundary=ak.BoundaryPolicy(inner=float(exact.values[0]), outer=float(exact.values[-1])),
     )
     u = ak.solve_mode(problem)
     print(f"   eps = {eps}:  sup error = {np.max(np.abs(u.values - exact.values)):.3e}")

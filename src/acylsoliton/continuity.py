@@ -52,7 +52,7 @@ from . import fd
 from .drift import drift, forward_march, march_bands
 from .errors import ContinuityStalled, DomainError, NewtonDiverged, PositivityLost, SingularSystem
 from .grids import GridFunction, RadialPotential, uniform_nodes
-from .models import Kind, half_hessian, radial_derivatives, radial_increments
+from .models import half_hessian, radial_derivatives, radial_increments
 from .norms import decay_rate_fit
 
 
@@ -122,15 +122,15 @@ def _decaying(v, out=None):
     return out
 
 
-def manufactured_potential(grid, amplitude=0.3, power=-0.75):
-    """amplitude * (1 + e^{2t})^{power} less its value at t_min, carrying the
+def manufactured_potential(grid, amplitude=0.3):
+    """amplitude * (1 + e^{2t})^p, p = -3/4, less its value at t_min, carrying the
     closed-form increments A (1 + x)^p expm1(p log1p(x expm1(2h) / (1 + x))),
     x = e^{2 t_i}, exact to relative rounding at every scale of e^{2t}.  The
     samples are their partial sums; decaying_gauge gives phi(t_max) = 0."""
     t_min, t_max, h = grid
     x = np.exp(2.0 * uniform_nodes(t_min, t_max, h)[:-1])
-    v = (amplitude * np.exp(power * np.log1p(x))
-         * np.expm1(power * np.log1p(x * np.expm1(2.0 * h) / (1.0 + x))))
+    v = (amplitude * np.exp(-0.75 * np.log1p(x))
+         * np.expm1(-0.75 * np.log1p(x * np.expm1(2.0 * h) / (1.0 + x))))
     return RadialPotential(t_min, t_max, h, np.append(0.0, np.cumsum(v)), v)
 
 
@@ -209,7 +209,7 @@ class _RadialNewton:
         self.a = model.sample_a(t)
         self.f = 2.0 * t + np.asarray(model.f_minus_2t(t), dtype=float)
         self.record_weight = np.exp(RECORD_WEIGHT * t)
-        self.neumann_inner = model.kind in (Kind.CIGAR, Kind.GLUED)
+        self.neumann_inner = model.kind.neumann_centre
         m = len(t) - 2  # interior nodes
         self._increments = (np.empty(m + 1), np.empty(m + 1))
         self._pair = (np.empty(m), np.empty(m))  # psi''/2 and the rows
@@ -411,16 +411,16 @@ def continuity_solve(model, forcing, config=None):
     )
 
 
-def uniqueness_check(model, forcing, config=None, initializations=()):
-    """Final-stage (s = 1) Newton from each initialization; max pairwise distance.
+def uniqueness_check(model, forcing, initializations):
+    """Final-stage (s = 1) Newton from each initialization, under the default
+    ContinuityConfig; max pairwise distance.
 
     Initializations are admissible potentials on the forcing grid (any
     gauge; only their increments enter).  Raises if any branch fails.
     """
-    cfg = config or ContinuityConfig()
     if len(initializations) < 2:
         raise DomainError("need at least two initializations")
-    newton = _RadialNewton(model, forcing, cfg)
+    newton = _RadialNewton(model, forcing, ContinuityConfig())
     solutions = []
     for init in initializations:
         if not forcing.same_grid(init):

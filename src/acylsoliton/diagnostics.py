@@ -211,10 +211,10 @@ def _check_ge(name, value, threshold):
     return Check(name, float(value), float(threshold), ">=", bool(value >= threshold))
 
 
-def verify_solution(model, solution, forcing, residual_tol=1e-9, metadata=None):
+def verify_solution(model, solution, forcing, metadata=None):
     """Verification report for a converged continuity solution.
 
-    Checks: Monge-Ampere residual at s = 1; decay-rate transfer from the
+    Checks: Monge-Ampere residual at s = 1 (sup <= 1e-9); decay-rate transfer from the
     forcing (capped at the Fredholm window edge 2); two-sided metric
     equivalence along the path; the drift-potential lower bound
     inf(f + X(phi)/2) >= 1; and the path-uniform weighted bound (no record
@@ -233,7 +233,7 @@ def verify_solution(model, solution, forcing, residual_tol=1e-9, metadata=None):
     weighted_final = solution.records[-1].weighted_sup_phi
 
     checks = [
-        _check_le("monge_ampere_residual_sup", sup_res, residual_tol),
+        _check_le("monge_ampere_residual_sup", sup_res, 1e-9),
         _check_ge("decay_rate_transfer", solution.decay_rate, target_rate),
         _check_ge("min_metric_ratio_along_path", min_ratio, 1e-6),
         _check_le("max_metric_ratio_along_path", max_ratio, 1e6),

@@ -1,14 +1,14 @@
 """Linear drift equation (Delta_g + X) u = h, mode by mode.
 
-On the radial model g = a(t)(dt^2 + dtheta^2) + flat torus, a function mode
-with circle eigenvalue mu_theta and torus eigenvalue mu_perp reduces the
-drift Laplacian to the scalar operator
+On the radial model g = a(t)(dt^2 + dtheta^2) + flat torus, the JX-invariant
+reduction (no dependence on theta, as for the paper's potentials) of a
+cross-section mode with eigenvalue mu turns the drift Laplacian into
 
-    L_mu u = a(t)^{-1} (u'' - s_mu(t) u) + 2 u',   s_mu(t) = mu_theta + a(t) mu_perp,
+    L_mu u = a(t)^{-1} (u'' - s_mu(t) u) + 2 u',   s_mu(t) = a(t) mu,
 
 using f' = 2a for the drift term.  For the cylinder (a = 1) this is
-u'' + 2u' - mu u.  As t -> +infty the rows converge to the
-translation-invariant model operator u'' + 2u' - mu u.
+u'' + 2u' - mu u, the translation-invariant model operator to which the rows
+converge as t -> +infty.
 
 Discretization: 2nd-order central differences; rows are assembled in the
 equivalent scaled form u'' - s_mu u + 2 a u' = a h, which keeps the matrix
@@ -18,13 +18,13 @@ of these rows for any (c, s) in u'' - s u + 2 c u', and drift applies
 (c, s) = (a, s_mu), twice the continuity method's linearization at (a_phi, 0).  The mode operator is
 solved by banded_solve; the Newton matrix of the continuity method, the case
 (c, s) = (a_phi, 0) on increments, by march_bands and forward_march.
-Boundary closures:
+Boundary closures (BoundaryPolicy):
 
 * outer end: Dirichlet (homogeneous by default, value configurable for
   manufactured-solution studies);
-* inner end, cigar-type models, radial mode mu = 0: ghost-node Neumann
-  (u'(t_min) = 0, smoothness at the zero of X), which keeps the system
-  tridiagonal and an M-matrix;
+* inner end, models with a centre (Kind.neumann_centre), radial mode mu = 0:
+  ghost-node Neumann (u'(t_min) = 0, smoothness at the zero of X), which
+  keeps the system tridiagonal and an M-matrix;
 * inner end otherwise: Dirichlet (non-constant modes vanish at the center;
   pure cylinders are doubly truncated).
 
@@ -48,51 +48,49 @@ import numpy as np
 from . import _lapack
 from .errors import DomainError, SingularSystem
 from .grids import GridFunction
-from .models import Kind, radial_derivatives
+from .models import radial_derivatives
 
 RESIDUAL_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
 class BoundaryPolicy:
-    """(kind, value) pairs; kind is 'dirichlet' or 'neumann' (inner only)."""
+    """Dirichlet values u(t_min) = inner and u(t_max) = outer; inner None is
+    the homogeneous Neumann condition u'(t_min) = 0."""
 
-    inner: tuple = ("dirichlet", 0.0)
-    outer: tuple = ("dirichlet", 0.0)
+    inner: Optional[float] = 0.0
+    outer: float = 0.0
 
 
 def default_boundary(model, mu):
-    if model.kind in (Kind.CIGAR, Kind.GLUED) and mu == 0.0:
-        return BoundaryPolicy(inner=("neumann", 0.0))
+    """Neumann at a centre for the radial mode mu = 0, else homogeneous Dirichlet."""
+    if model.kind.neumann_centre and mu == 0.0:
+        return BoundaryPolicy(inner=None)
     return BoundaryPolicy()
 
 
 @dataclass
 class ModeProblem:
-    """One cross-section mode of the drift equation on a truncated cylinder.
-
-    mu is the total cross-section eigenvalue; mu_circle the part carried by
-    the circle factor (whose metric scales with a(t)); the remainder is the
-    torus part.  JX-invariant problems have mu_circle = 0, which is the
-    default.
+    """One cross-section mode of the drift equation on a truncated cylinder,
+    in the JX-invariant reduction: the cross-section eigenvalue mu >= 0 enters
+    as a(t) mu (module docstring).  boundary None takes default_boundary.
     """
 
     model: object
     mu: float
     rhs: GridFunction
-    mu_circle: float = 0.0
     boundary: Optional[BoundaryPolicy] = None
 
     def __post_init__(self):
-        if self.mu < 0 or self.mu_circle < 0 or self.mu_circle > self.mu + 1e-12:
-            raise DomainError(f"need 0 <= mu_circle <= mu, got {self.mu_circle}, {self.mu}")
+        if self.mu < 0:
+            raise DomainError(f"need mu >= 0, got {self.mu}")
         if self.boundary is None:
             self.boundary = default_boundary(self.model, self.mu)
 
     def coefficients(self):
-        """(a, s_mu) at the nodes of rhs, s_mu = mu_circle + a (mu - mu_circle)."""
+        """(a, s_mu) at the nodes of rhs, s_mu = a mu."""
         a = self.model.sample_a(self.rhs.t)
-        return a, self.mu_circle + a * (self.mu - self.mu_circle)
+        return a, a * self.mu
 
 
 def drift(u, on, c, s=0.0):
@@ -176,27 +174,19 @@ def assemble_mode_operator(problem):
     ab[1, 1:-1] = -2.0 / h**2 - s[1:-1]
     rhs[1:-1] = a[1:-1] * hvals[1:-1]
 
-    inner_kind, inner_value = problem.boundary.inner
-    if inner_kind == "neumann":
-        if inner_value != 0.0:
-            raise DomainError("only homogeneous Neumann inner conditions are supported")
+    if problem.boundary.inner is None:
         # ghost node u_{-1} = u_1: (2u_1 - 2u_0)/h^2 - s_0 u_0 = a_0 h_0
         ab[1, 0] = -2.0 / h**2 - s[0]
         ab[0, 1] = 2.0 / h**2
         rhs[0] = a[0] * hvals[0]
-    elif inner_kind == "dirichlet":
+    else:
         ab[1, 0] = 1.0
         ab[0, 1] = 0.0
-        rhs[0] = inner_value
-    else:
-        raise DomainError(f"unknown inner boundary kind {inner_kind!r}")
+        rhs[0] = problem.boundary.inner
 
-    outer_kind, outer_value = problem.boundary.outer
-    if outer_kind != "dirichlet":
-        raise DomainError(f"unknown outer boundary kind {outer_kind!r}")
     ab[1, -1] = 1.0
     ab[2, -2] = 0.0
-    rhs[-1] = outer_value
+    rhs[-1] = problem.boundary.outer
 
     return ab, rhs
 
@@ -234,8 +224,9 @@ def solve_mode(problem):
     return GridFunction(problem.rhs.t_min, problem.rhs.t_max, problem.rhs.h, u)
 
 
-def solve_field(model, cross_section, rhs_by_mode, mu_max=None, boundary_by_mode=None):
-    """Independent per-mode solves, deterministic ascending-mu order.
+def solve_field(model, cross_section, rhs_by_mode, boundary_by_mode=None):
+    """Independent per-mode solves (ModeProblem, the JX-invariant reduction with
+    mu entering as a(t) mu), deterministic ascending-mu order.
 
     rhs_by_mode maps cross-section eigenvalues (from the invariant spectrum)
     to right-hand-side grid functions.  Eigenvalue membership is validated
@@ -246,8 +237,7 @@ def solve_field(model, cross_section, rhs_by_mode, mu_max=None, boundary_by_mode
     mus = sorted(rhs_by_mode)
     if not mus:
         return {}
-    top = mu_max if mu_max is not None else max(mus) + 1.0
-    allowed = np.array([mu for mu, _ in invariant_spectrum(cross_section, top)])
+    allowed = np.array([mu for mu, _ in invariant_spectrum(cross_section, max(mus) + 1.0)])
     out = {}
     for mu in mus:
         if not np.any(np.abs(allowed - mu) <= 1e-9):

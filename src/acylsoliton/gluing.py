@@ -27,6 +27,7 @@ bump raises kappa: it has compact support only when rho = 0.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -84,17 +85,18 @@ def _bump_profile_integral(s):
 
 @dataclass(frozen=True)
 class GlueSpec:
-    """Transition end t0 > 1, cutoff degree, bump amplitude, positivity margin."""
+    """Transition end t0 > 1, cutoff degree, bump amplitude, positivity margin.
+
+    The gluing grid is (0, grid_end, h)."""
 
     t0: float = 3.0
     smoothstep_degree: int = 7
     rho0: Optional[float] = None      # None: choose automatically
     margin: float = 1e-2
-    t_max: Optional[float] = None     # gluing grid end on the lattice h Z, default ~t0 + 3
-    h: float = 0.005
+    h = 0.005                         # gluing grid spacing, a class constant
 
     def __post_init__(self):
-        for name in ("t0", "rho0", "margin", "t_max", "h"):
+        for name in ("t0", "rho0", "margin"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise DomainError(f"GlueSpec {name} must be finite, got {value}")
@@ -102,24 +104,15 @@ class GlueSpec:
             raise DomainError("transition end t0 must exceed 1")
         if self.margin <= 0:
             raise DomainError("positivity margin must be positive")
-        if self.smoothstep_degree < 3:  # chi'' of a C^0 cutoff is a measure, not a coefficient
-            raise DomainError("cutoff degree must be at least 3")
-        if self.h <= 0:
-            raise DomainError(f"gluing grid spacing must be positive, got h={self.h}")
-        if self.t_max is not None and whole_number(self.t_max / self.h) is None:
-            raise DomainError(f"gluing grid end t_max={self.t_max} is not a multiple of "
-                              f"h={self.h}")
-        if self.grid_end < self.t0 + 0.5:
-            raise DomainError(
-                f"gluing grid ends at t={self.grid_end:.6g}, short of the cylinder region "
-                f"t >= t0 + 1/2 = {self.t0 + 0.5:.6g}; raise t_max"
-            )
+        degree = self.smoothstep_degree
+        # chi'' of a C^0 cutoff is a measure, not a coefficient
+        if (isinstance(degree, bool) or not isinstance(degree, numbers.Integral)
+                or degree < 3 or degree % 2 == 0):
+            raise DomainError(f"cutoff degree must be an odd integer >= 3, got {degree!r}")
 
     @property
     def grid_end(self):
-        """t_max, by default the first node of the lattice h Z at or past t0 + 3."""
-        if self.t_max is not None:
-            return self.t_max
+        """The first node of the lattice h Z at or past t0 + 3."""
         cells = (self.t0 + 3.0) / self.h
         return self.t0 + 3.0 if whole_number(cells) is not None else math.ceil(cells) * self.h
 
@@ -207,20 +200,17 @@ def _piecewise(t0, left, transition, right):
     return evaluate
 
 
-def glue_coefficient(grid, spec, inner_model, rho0=None):
+def glue_coefficient(grid, spec, inner_model, rho0):
     """Coefficient c of the glued Kahler form relative to beta on the nodes of
-    grid = (t_min, t_max, h).
+    grid = (t_min, t_max, h), with bump amplitude rho0 (spec.rho0 is not read).
 
     c is the inner coefficient for t <= 1/2, exactly 1 for t >= t0 + 1/2,
     and the closed form of the module docstring in between.
     """
-    amplitude = spec.rho0 if rho0 is None else rho0
-    if amplitude is None:
-        raise DomainError("bump amplitude rho0 is not set; run auto_rho first")
-    if amplitude < 0:
+    if rho0 < 0:
         raise DomainError("bump amplitude must be nonnegative")
     t_min, t_max, h = grid
-    transition = _transition(inner_model, spec, amplitude)
+    transition = _transition(inner_model, spec, rho0)
     coefficient = _piecewise(spec.t0, inner_model.sample_a, lambda t: transition(t)[0], 1.0)
     return GridFunction(t_min, t_max, h, coefficient(uniform_nodes(t_min, t_max, h)))
 
@@ -298,7 +288,6 @@ def glued_model(inner_model, spec=None):
         a=a,
         log_a=_piecewise(t0, inner_model.log_a, lambda t: np.log(transition(t)[0]), 0.0),
         f_minus_2t=_piecewise(t0, inner_model.f_minus_2t, lambda t: transition(t)[1], kappa),
-        torus=inner_model.torus,
         glue_params={
             "t0": spec.t0,
             "degree": float(spec.smoothstep_degree),

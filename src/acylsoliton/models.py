@@ -34,15 +34,22 @@ class Kind(enum.Enum):
     CIGAR = "cigar"
     GLUED = "glued"
 
+    @property
+    def neumann_centre(self):
+        """Whether the inner end is the model's centre, the zero of X, where radial
+        functions are smooth only with u'(t_min) = 0 (the cylinder is truncated)."""
+        return self in (Kind.CIGAR, Kind.GLUED)
+
 
 @dataclass(frozen=True)
 class RadialKahlerModel:
     """Radially symmetric ACyl Kahler model.
 
     a, log_a, f_minus_2t are vectorized callables of t.  f(t) is recovered
-    as 2t + f_minus_2t(t).  torus is the lattice basis (rows) of the flat
-    factor, or None when n = 1.  glue_params records how a glued model was
-    built so it can be serialized and rebuilt exactly.
+    as 2t + f_minus_2t(t).  The flat factor is the unit square torus
+    T^{2(n-1)}; the spectrum takes its lattice from spectrum.CrossSection.
+    glue_params records how a glued model was built so it can be serialized
+    and rebuilt exactly.
     """
 
     n: int
@@ -51,7 +58,6 @@ class RadialKahlerModel:
     a: Callable = field(repr=False)
     log_a: Callable = field(repr=False)
     f_minus_2t: Callable = field(repr=False)
-    torus: Optional[np.ndarray] = None
     glue_params: Optional[dict] = None
 
     def f(self, t):
@@ -66,12 +72,7 @@ class RadialKahlerModel:
         return vals
 
 
-def _default_torus(n):
-    # unit square lattice in R^{2(n-1)}
-    return np.eye(2 * (n - 1)) if n > 1 else None
-
-
-def cigar_model(n, torus=None):
+def cigar_model(n):
     """Cigar soliton times a flat torus; ACyl with cross-section S^1 x T^{2(n-1)}.
 
     a(t) = (1+e^{-2t})^{-1} tends to 1 (the paper's asymptotic cylinder) and
@@ -93,13 +94,10 @@ def cigar_model(n, torus=None):
         t = np.asarray(t, dtype=float)
         return np.logaddexp(0.0, -2.0 * t) + 1.0
 
-    return RadialKahlerModel(
-        n=n, kind=Kind.CIGAR, c0=1.0, a=a, log_a=log_a, f_minus_2t=f_minus_2t,
-        torus=_default_torus(n) if torus is None else np.asarray(torus, dtype=float),
-    )
+    return RadialKahlerModel(n=n, kind=Kind.CIGAR, c0=1.0, a=a, log_a=log_a, f_minus_2t=f_minus_2t)
 
 
-def cylinder_model(n, torus=None):
+def cylinder_model(n):
     """Ricci-flat product cylinder: a = 1, f = 2t + 1 (min over t >= 0 is 1)."""
     if n < 1:
         raise DomainError(f"complex dimension must be >= 1, got n={n}")
@@ -113,10 +111,8 @@ def cylinder_model(n, torus=None):
     def f_minus_2t(t):
         return np.full_like(np.asarray(t, dtype=float), 1.0)
 
-    return RadialKahlerModel(
-        n=n, kind=Kind.CYLINDER, c0=1.0, a=a, log_a=log_a, f_minus_2t=f_minus_2t,
-        torus=_default_torus(n) if torus is None else np.asarray(torus, dtype=float),
-    )
+    return RadialKahlerModel(n=n, kind=Kind.CYLINDER, c0=1.0, a=a, log_a=log_a,
+                             f_minus_2t=f_minus_2t)
 
 
 def ricci_coefficient(model, grid):
@@ -173,15 +169,20 @@ def half_hessian(model, t, d2):
 
 # ---- plain-text key-value serialization ----
 
+def _lattice_rows(n):
+    """Basis rows of the unit square lattice of T^{2(n-1)}: the identity."""
+    dim = 2 * (n - 1)
+    return [[float(i == j) for j in range(dim)] for i in range(dim)]
+
+
 def model_to_text(model):
     lines = [
         f"kind = {model.kind.value}",
         f"n = {model.n}",
         f"c0 = {model.c0:.17g}",
     ]
-    if model.torus is not None:
-        for row in model.torus:
-            lines.append("lattice_row = " + " ".join(f"{x:.17g}" for x in row))
+    for row in _lattice_rows(model.n):
+        lines.append("lattice_row = " + " ".join(f"{x:.17g}" for x in row))
     if model.glue_params:
         for key in sorted(model.glue_params):
             lines.append(f"glue.{key} = {model.glue_params[key]:.17g}")
@@ -213,11 +214,13 @@ def model_from_text(text):
             raise DomainError(f"unknown model key {key!r}")
     if kind is None or n is None:
         raise DomainError("model text must define kind and n")
-    torus = np.array(rows) if rows else None
+    if rows and rows != _lattice_rows(n):
+        raise DomainError(f"model key 'lattice_row' must give the {2 * (n - 1)} identity rows "
+                          f"of the unit square lattice that n = {n} fixes, got {rows}")
     if kind is Kind.CIGAR:
-        return cigar_model(n, torus=torus)
+        return cigar_model(n)
     if kind is Kind.CYLINDER:
-        return cylinder_model(n, torus=torus)
+        return cylinder_model(n)
     from .gluing import GlueSpec, glued_model  # deferred: gluing imports models
 
     spec = GlueSpec(
@@ -226,4 +229,4 @@ def model_from_text(text):
         rho0=glue.get("rho0"),
         margin=glue.get("margin", 1e-2),
     )
-    return glued_model(cigar_model(n, torus=torus), spec)
+    return glued_model(cigar_model(n), spec)

@@ -7,6 +7,7 @@ read from u's increments by the package's one stencil along t
 fixed resolution they carry no extra information.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +24,9 @@ class WeightedNormSpec:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if self.k not in (0, 1, 2):
-            raise DomainError(f"derivative order k must be 0, 1 or 2, got {self.k}")
+        if (isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral)
+                or self.k not in (0, 1, 2)):
+            raise DomainError(f"derivative order k must be 0, 1 or 2, got {self.k!r}")
 
 
 def weighted_sup_norm(u, spec):

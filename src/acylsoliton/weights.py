@@ -43,9 +43,9 @@ class CriticalWeightSet:
     def epsilons(self):
         return np.array([w.epsilon for w in self.weights])
 
-    def verify_indicial(self, tol=1e-10):
-        """Each weight solves the mode ODE characteristic polynomial."""
-        return all(abs(w.epsilon**2 - 2.0 * w.epsilon - w.mu) < tol for w in self.weights)
+    def verify_indicial(self):
+        """Each weight solves the mode ODE characteristic polynomial to 1e-10."""
+        return all(abs(w.epsilon**2 - 2.0 * w.epsilon - w.mu) < 1e-10 for w in self.weights)
 
 
 def _as_mus(spectrum):

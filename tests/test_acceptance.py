@@ -110,10 +110,8 @@ def test_criterion_03_linear_solver_exactness():
                 exact = rhs.like(rhs.values / (eps**2 - 2 * eps))
                 problem = ak.ModeProblem(
                     model=model, mu=0.0, rhs=rhs,
-                    boundary=ak.BoundaryPolicy(
-                        inner=("dirichlet", float(exact.values[0])),
-                        outer=("dirichlet", float(exact.values[-1])),
-                    ),
+                    boundary=ak.BoundaryPolicy(inner=float(exact.values[0]),
+                                               outer=float(exact.values[-1])),
                 )
                 u = ak.solve_mode(problem)
                 errs.append(float(np.max(np.abs(u.values - exact.values))))

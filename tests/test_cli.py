@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -244,6 +246,22 @@ def test_glue_outputs(tmp_path):
     assert "kind = glued" in text
     coeff = ak.GridFunction.from_csv(tmp_path / "coefficient.csv")
     assert np.min(coeff.values) >= 0.01
+
+
+@pytest.mark.parametrize("t0, model_digest, coefficient_digest", [
+    ("3", "d28e78e0487644fded5c6638aa2bedc877275e0d0e00f562c9f639ab16ae648f",
+     "ac39289682a0b725ea326f9114d632c205c9acfb3bc2f82e19c5213de3dedacb"),
+    # a narrow transition: auto_rho's bump, refined between the nodes
+    ("1.3", "ca225cdaf38a4a429d1af9429a7e895d59fd8387a9de610a4d1b7ebd6c10f06e",
+     "3be82d2ed81731f741eb9fa1398d5f32e340f53a3c11aef355140459d75a2732"),
+], ids=["t0_3", "t0_1.3"])
+def test_glue_bytes_pinned(tmp_path, t0, model_digest, coefficient_digest):
+    """model.txt (its lattice rows come from n) and coefficient.csv (on the
+    h = 0.005 gluing grid) pinned to the last bit."""
+    assert run_cli(["glue", "--t0", t0], tmp_path) == 0
+    assert hashlib.sha256((tmp_path / "model.txt").read_bytes()).hexdigest() == model_digest
+    digest = hashlib.sha256((tmp_path / "coefficient.csv").read_bytes()).hexdigest()
+    assert digest == coefficient_digest
 
 
 @pytest.mark.parametrize(
@@ -494,8 +512,103 @@ PUBLIC_NAMES = """
 """.split()
 
 
+# The parameter names of each public function and dataclass, and of the
+# dataclasses' public methods: a new setting shows up here as a test edit.
+PUBLIC_SIGNATURES = {
+    "BoundaryPolicy": "inner outer",
+    "ContinuityConfig": "s_steps newton_tol max_newton min_step",
+    "CriticalWeight": "epsilon mu branch",
+    "CriticalWeightSet": "weights window mu_max",
+    "CriticalWeightSet.epsilons": "self",
+    "CriticalWeightSet.verify_indicial": "self",
+    "CrossSection": "circle_length lattice quotient",
+    "CyclicQuotient": "order lattice_map",
+    "GlueSpec": "t0 smoothstep_degree rho0 margin",
+    "GlueSpec.bump": "self t rho0",
+    "GlueSpec.bump_integral": "self t rho0",
+    "GlueSpec.cutoff": "self t",
+    "GridFunction": "t_min t_max h values",
+    "GridFunction.from_csv": "path",
+    "GridFunction.like": "self values",
+    "GridFunction.same_grid": "self other",
+    "GridFunction.sample": "fn t_min t_max h",
+    "GridFunction.to_csv": "self path",
+    "GridFunction.zeros_like": "self",
+    "ModeProblem": "model mu rhs boundary",
+    "ModeProblem.coefficients": "self",
+    "RadialKahlerModel": "n kind c0 a log_a f_minus_2t glue_params",
+    "RadialKahlerModel.f": "self t",
+    "RadialKahlerModel.sample_a": "self t",
+    "RadialPotential": "t_min t_max h values increments",
+    "SolitonSolution": "phi phi_anchored records decay_rate",
+    "SolitonSolution.path_dict": "self",
+    "StepRecord": ("s newton_iterations sup_residual min_metric_ratio "
+                   "max_metric_ratio weighted_sup_phi inf_drift_potential sup_radial_derivative"),
+    "StepRecord.as_dict": "self",
+    "VerificationReport": "checks metadata",
+    "VerificationReport.as_dict": "self",
+    "VerificationReport.summary_lines": "self",
+    "VerificationReport.to_json": "self",
+    "WeightedNormSpec": "k epsilon",
+    "apply_mode_operator": "problem u",
+    "assemble_mode_operator": "problem",
+    "auto_rho": "grid spec inner_model",
+    "bump_profile": "s",
+    "cigar_model": "n",
+    "continuity_solve": "model forcing config",
+    "critical_weights": "spectrum window",
+    "cylinder_model": "n",
+    "decay_rate_fit": "u",
+    "decaying_gauge": "u",
+    "default_boundary": "model mu",
+    "fredholm_window_check": "cws interval",
+    "glue_coefficient": "grid spec inner_model rho0",
+    "glued_forcing": "model grid",
+    "glued_model": "inner_model spec",
+    "hexagonal_lattice": "scale",
+    "hexagonal_rotation_quotient": "",
+    "invariant_spectrum": "cs mu_max",
+    "linearized_operator": "model phi",
+    "ma_residual_radial": "model phi forcing s",
+    "manufactured_potential": "grid amplitude",
+    "model_from_text": "text",
+    "model_to_text": "model",
+    "negation_quotient": "dim",
+    "poincare_rayleigh": "model grid",
+    "potential_of": "model grid",
+    "rayleigh_quotient": "model grid u_interior",
+    "ricci_coefficient": "model grid",
+    "smoothstep": "x degree",
+    "soliton_residual": "model phi",
+    "solve_field": "model cross_section rhs_by_mode boundary_by_mode",
+    "solve_mode": "problem",
+    "spectrum": "cs mu_max",
+    "square_lattice": "scale",
+    "uniform_nodes": "t_min t_max h",
+    "uniqueness_check": "model forcing initializations",
+    "verify_solution": "model solution forcing metadata",
+    "weighted_sup_norm": "u spec",
+}
+
+
+def _public_signatures():
+    signatures = {}
+    for name in ak.__all__:
+        value = getattr(ak, name)
+        if inspect.isfunction(value) or dataclasses.is_dataclass(value):
+            signatures[name] = " ".join(inspect.signature(value).parameters)
+        if dataclasses.is_dataclass(value):
+            for attr, member in vars(value).items():
+                if not attr.startswith("_") and (inspect.isfunction(member)
+                                                 or isinstance(member, classmethod)):
+                    signatures[f"{name}.{attr}"] = " ".join(
+                        inspect.signature(getattr(value, attr)).parameters)
+    return signatures
+
+
 def test_public_names_resolve_on_first_access():
     assert sorted(ak.__all__) == PUBLIC_NAMES
+    assert _public_signatures() == PUBLIC_SIGNATURES
     submodules = {"continuity", "diagnostics", "drift", "errors", "fd", "gluing", "grids",
                   "models", "norms", "weights"}
     for name in ak.__all__:

@@ -13,10 +13,7 @@ def cylinder_mms_problem(eps, grid=CYL_GRID, exact_bc=True):
     exact = rhs.like(rhs.values / (eps**2 - 2 * eps))
     boundary = None
     if exact_bc:
-        boundary = ak.BoundaryPolicy(
-            inner=("dirichlet", float(exact.values[0])),
-            outer=("dirichlet", float(exact.values[-1])),
-        )
+        boundary = ak.BoundaryPolicy(inner=float(exact.values[0]), outer=float(exact.values[-1]))
     return ak.ModeProblem(model=model, mu=0.0, rhs=rhs, boundary=boundary), exact
 
 
@@ -145,11 +142,16 @@ def test_solution_decay_transfer():
 
 
 def test_default_boundary_policies():
+    """Neumann (inner None) at a centre for mu = 0, homogeneous Dirichlet otherwise."""
     cigar = ak.cigar_model(1)
+    glued = ak.glued_model(ak.cigar_model(1))
     cyl = ak.cylinder_model(1)
-    assert ak.default_boundary(cigar, 0.0).inner[0] == "neumann"
-    assert ak.default_boundary(cigar, 1.0).inner[0] == "dirichlet"
-    assert ak.default_boundary(cyl, 0.0).inner[0] == "dirichlet"
+    dirichlet = ak.BoundaryPolicy(inner=0.0, outer=0.0)
+    for model in (cigar, glued):
+        assert ak.default_boundary(model, 0.0) == ak.BoundaryPolicy(inner=None, outer=0.0)
+        assert ak.default_boundary(model, 1.0) == dirichlet
+    assert ak.default_boundary(cyl, 0.0) == dirichlet
+    assert ak.default_boundary(cyl, 1.0) == dirichlet
 
 
 def test_neumann_inner_solution_is_flat_at_center():
@@ -195,10 +197,8 @@ def test_solve_field_two_mode_manufactured_recovery():
         problem = ak.ModeProblem(model=model, mu=mu, rhs=u_star.zeros_like())
         applied = ak.apply_mode_operator(problem, u_star)
         rhs[mu] = u_star.like(applied)
-        boundary[mu] = ak.BoundaryPolicy(
-            inner=("dirichlet", float(u_star.values[0])),
-            outer=("dirichlet", float(u_star.values[-1])),
-        )
+        boundary[mu] = ak.BoundaryPolicy(inner=float(u_star.values[0]),
+                                         outer=float(u_star.values[-1]))
     solved = ak.solve_field(model, cs, rhs, boundary_by_mode=boundary)
     for mu, u_star in targets.items():
         err = np.max(np.abs(solved[mu].values - u_star.values))
@@ -211,7 +211,7 @@ def test_singular_system_flagged():
     rhs = ak.GridFunction.sample(lambda t: np.exp(-t), 0.0, 5.0, 0.05)
     problem = ak.ModeProblem(
         model=model, mu=0.0, rhs=rhs,
-        boundary=ak.BoundaryPolicy(inner=("dirichlet", np.nan)),
+        boundary=ak.BoundaryPolicy(inner=np.nan),
     )
     with pytest.raises(ak.SingularSystem):
         ak.solve_mode(problem)

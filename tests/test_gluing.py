@@ -92,7 +92,7 @@ def test_glue_closed_form_matches_mpmath(t0, rho0, positive):
     inner = ak.cigar_model(2)
     spec = ak.GlueSpec(t0=t0, rho0=rho0)
     # seven transition nodes, none on the junctions t = 1, t0
-    c = ak.glue_coefficient((0.6, t0 + 0.4, (t0 - 0.2) / 6), spec, inner)
+    c = ak.glue_coefficient((0.6, t0 + 0.4, (t0 - 0.2) / 6), spec, inner, rho0)
     with mp.workdps(30):
         exact = [_mpmath_glue(mp.mpf(t0), mp.mpf(rho0), mp.mpf(float(t))) for t in c.t]
     assert np.max(np.abs(c.values - [e[0] for e in exact])) <= 1e-13
@@ -109,37 +109,33 @@ def test_finite_difference_coefficient_converges_to_closed_form(t0, steps):
     inner = ak.cigar_model(2)
     errors = []
     for h in steps:
-        spec = ak.GlueSpec(t0=t0, rho0=15.0, h=h)
-        grid = (0.0, spec.grid_end, h)
+        spec = ak.GlueSpec(t0=t0)
+        grid = (0.0, spec.grid_end, h)  # t0 + 3, a node of every step
         p = ak.potential_of(inner, grid)
         chi = spec.cutoff(p.t)
         composite = chi * p.t**2 + (1.0 - chi) * p.values
         c_fd = 0.5 * fd.increment_derivatives(np.diff(composite), h)[1] + spec.bump(p.t, 15.0)
-        c = ak.glue_coefficient(grid, spec, inner)
+        c = ak.glue_coefficient(grid, spec, inner, 15.0)
         transition = (p.t > 0.5) & (p.t < t0 + 0.5)
         errors.append(np.max(np.abs(c_fd - c.values)[transition]))
     orders = np.log2(np.array(errors[:-1]) / errors[1:])
     assert np.all((orders > 1.9) & (orders < 2.1)), orders
 
 
-@pytest.mark.parametrize("kwargs", [{"t0": 3.0, "t_max": 2.0}, {"t0": 1.3, "t_max": 1.2},
-                                    {"t0": 3.0, "t_max": 3.4}, {"h": -1.0}, {"h": 0.0},
-                                    {"smoothstep_degree": 1}])
-def test_glue_spec_rejects_short_grid_bad_spacing_or_c0_cutoff(kwargs):
-    with pytest.raises(ak.DomainError):
-        ak.GlueSpec(**kwargs)
+@pytest.mark.parametrize("degree", [1, 4, 5.0, True, 7.0],
+                         ids=["c0_cutoff", "even", "float", "bool", "float_odd"])
+def test_glue_spec_rejects_bad_cutoff_degree(degree):
+    """An odd integer >= 3 (the cutoff's coefficients are binomials of it),
+    checked when the spec is built rather than at first use."""
+    with pytest.raises(ak.DomainError, match=f"odd integer >= 3, got {degree!r}"):
+        ak.GlueSpec(smoothstep_degree=degree)
 
 
-@pytest.mark.parametrize("name", ["t0", "rho0", "margin", "t_max", "h"])
+@pytest.mark.parametrize("name", ["t0", "rho0", "margin"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_glue_spec_rejects_non_finite_values(name, value):
     with pytest.raises(ak.DomainError, match=f"GlueSpec {name} must be finite, got {value}"):
         ak.GlueSpec(**{name: value})
-
-
-def test_glue_spec_accepts_grid_reaching_the_cylinder_region():
-    model = ak.glued_model(ak.cigar_model(2), ak.GlueSpec(t0=3.0, t_max=3.5))
-    assert model.a(np.array([3.5]))[0] == 1.0
 
 
 def test_glued_model_rejects_other_inner_models():
@@ -153,7 +149,7 @@ def test_glued_model_rejects_other_inner_models():
 def test_glue_cylinder_to_itself():
     spec = ak.GlueSpec(t0=3.0, rho0=0.0)
     grid = (0.0, spec.grid_end, spec.h)
-    c = ak.glue_coefficient(grid, spec, ak.cylinder_model(1))
+    c = ak.glue_coefficient(grid, spec, ak.cylinder_model(1), 0.0)
     assert np.max(np.abs(c.values - 1.0)) < 1e-7
     assert ak.auto_rho(grid, spec, ak.cylinder_model(1)) == 0.0
 
@@ -161,7 +157,7 @@ def test_glue_cylinder_to_itself():
 def test_glue_region_identities_exact():
     inner = ak.cigar_model(2)
     spec = ak.GlueSpec(t0=3.0, rho0=0.0)
-    c = ak.glue_coefficient((0.0, spec.grid_end, spec.h), spec, inner)
+    c = ak.glue_coefficient((0.0, spec.grid_end, spec.h), spec, inner, 0.0)
     t = c.t
     outer = t >= 3.5
     assert np.all(c.values[outer] == 1.0)
@@ -272,7 +268,7 @@ def test_supplied_rho0_is_checked_between_nodes(rho0):
     carries rho0."""
     inner = ak.cigar_model(2)
     spec = ak.GlueSpec(t0=1.3, rho0=rho0)
-    c = ak.glue_coefficient((0.0, spec.grid_end, spec.h), spec, inner)
+    c = ak.glue_coefficient((0.0, spec.grid_end, spec.h), spec, inner, rho0)
     assert np.min(c.values) > 0.0
     with pytest.raises(ak.DomainError, match=r"c = -0.0\d+ <= 0 at t=1.082"):
         ak.glued_model(inner, spec)
@@ -383,13 +379,10 @@ def test_glued_model_text_roundtrip():
 
 
 def test_grid_end_is_a_lattice_node():
-    """The default end is the first node of h Z at or past t0 + 3; a given
-    t_max must be a node."""
+    """The end is the first node of h Z at or past t0 + 3, h = 0.005."""
+    assert ak.GlueSpec.h == 0.005
     assert ak.GlueSpec(t0=3.0).grid_end == 6.0
-    assert ak.GlueSpec(t0=3.001).grid_end == pytest.approx(6.005, abs=1e-12)
-    assert ak.GlueSpec(t0=5.123).grid_end == pytest.approx(8.125, abs=1e-12)
-    for t0, t_max in ((3.001, 6.005), (5.123, 8.125)):
-        spec = ak.GlueSpec(t0=t0, t_max=t_max)
-        assert len(ak.uniform_nodes(0.0, spec.grid_end, spec.h)) == round(t_max / spec.h) + 1
-    with pytest.raises(ak.DomainError, match=r"t_max=6\.001.*h=0\.005"):
-        ak.GlueSpec(t0=3.0, t_max=6.001)
+    for t0, end in ((3.001, 6.005), (5.123, 8.125)):
+        spec = ak.GlueSpec(t0=t0)
+        assert spec.grid_end == pytest.approx(end, abs=1e-12)
+        assert len(ak.uniform_nodes(0.0, spec.grid_end, spec.h)) == round(end / spec.h) + 1

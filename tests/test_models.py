@@ -155,6 +155,19 @@ def test_model_text_roundtrip(cigar):
     t = np.linspace(-5, 5, 11)
     assert np.allclose(clone.a(t), cigar.a(t))
     assert np.allclose(clone.f(t), cigar.f(t))
+    for n in (1, 2, 3):  # n fixes the lattice_row lines: the 2(n - 1) identity rows
+        lines = ak.model_to_text(ak.cigar_model(n)).splitlines()
+        assert [line for line in lines if line.startswith("lattice_row")] == [
+            "lattice_row = " + " ".join("1" if i == j else "0" for j in range(2 * (n - 1)))
+            for i in range(2 * (n - 1))]
+
+
+@pytest.mark.parametrize("rows", [["2 0", "0 1"], ["1 0"], ["1 0 0", "0 1"], ["0 1", "1 0"]],
+                         ids=["scaled", "too_few", "ragged", "swapped"])
+def test_model_text_rejects_other_lattice_rows(rows):
+    text = "kind = cigar\nn = 2\n" + "".join(f"lattice_row = {row}\n" for row in rows)
+    with pytest.raises(ak.DomainError, match="model key 'lattice_row'"):
+        ak.model_from_text(text)
 
 
 def test_gridfunction_csv_roundtrip(tmp_path, default_grid):

@@ -62,9 +62,11 @@ def test_rejects_2d_and_short_grids():
     assert ak.weighted_sup_norm(short, ak.WeightedNormSpec()) == pytest.approx(np.exp(0.4))
     with pytest.raises(ak.DomainError, match="need at least 6 nodes"):
         ak.weighted_sup_norm(short, ak.WeightedNormSpec(k=1))
-    for k in (-1, 3):
+    for k in (-1, 3, 1.0, True):  # a float or bool order is not an order
         with pytest.raises(ak.DomainError, match="k must be 0, 1 or 2"):
             ak.WeightedNormSpec(k=k)
+    spec = ak.WeightedNormSpec(k=np.int64(0))  # an integer of another type is one
+    assert ak.weighted_sup_norm(short, spec) == pytest.approx(np.exp(0.4))
 
 
 @pytest.mark.parametrize("eps", [0.5, 1.0, 1.5, 1.9])
