@@ -1,4 +1,5 @@
-"""SciPy's LAPACK extension module, without running SciPy's package __init__.
+"""SciPy's LAPACK extension module, without running SciPy's package __init__,
+and SHA-256, without loading OpenSSL.
 
 The solvers call four LAPACK routines (dgtsv, dtbtrs, dptsv, dstebz).  They
 live in the compiled module scipy.linalg._flapack, but `import scipy.linalg`
@@ -11,6 +12,12 @@ reuses the same module object.  If the file cannot be loaded it imports the
 same module the usual way.  Loading happens on the first call, so code that
 solves nothing does not touch SciPy.  scipy_version() reads the version
 from scipy/version.py, again without importing SciPy.
+
+sha256_hex() is the same kind of shim for the manifest and report digests:
+`import hashlib` loads OpenSSL's libcrypto through _hashlib, about 3.6 MB
+of resident memory and a few ms per process, so it takes SHA-256 from
+CPython's built-in module (_sha2 from 3.12, _sha256 before), as random.py
+does for its SHA-512, and imports hashlib only when neither exists.
 """
 
 import importlib.machinery
@@ -58,3 +65,15 @@ def scipy_version():
     """SciPy's version string, read from scipy/version.py."""
     with open(os.path.join(_scipy_dir(), "version.py")) as fh:
         return re.search(r"^version = ['\"]([^'\"]+)", fh.read(), re.M).group(1)
+
+
+def sha256_hex(data):
+    """Hex SHA-256 digest of the bytes data, the same string as hashlib's."""
+    try:
+        from _sha2 import sha256  # CPython >= 3.12
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()

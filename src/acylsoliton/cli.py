@@ -13,11 +13,12 @@ manifest is not (it records wall time).  Each config key is declared once
 in KEYS and each command's flags once in COMMANDS; a flag whose dest is a
 config key sets that key.  Each _cmd_* and _build_* function imports the
 library functions it calls, so a process loads only the modules of the
-command it runs.
+command it runs.  It loads neither SciPy's package (the solves take LAPACK
+from its extension module alone) nor OpenSSL (the manifest and report
+digests take CPython's built-in SHA-256); both shims are in _lapack.
 """
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -196,7 +197,7 @@ class Run:
         self.inputs = {}
         for path in input_paths:
             with open(path, "rb") as fh:
-                self.inputs[path] = hashlib.sha256(fh.read()).hexdigest()
+                self.inputs[path] = _lapack.sha256_hex(fh.read())
         self._write_manifest(initial=True)
 
     def path(self, name):
@@ -207,9 +208,7 @@ class Run:
         payload = {
             "subcommand": self.subcommand,
             "config": config,
-            "config_hash": hashlib.sha256(
-                json.dumps(config, sort_keys=True).encode()
-            ).hexdigest(),
+            "config_hash": _lapack.sha256_hex(json.dumps(config, sort_keys=True).encode()),
             "inputs": self.inputs,
             "versions": {
                 "acylsoliton": __version__,

@@ -20,7 +20,6 @@ with it the continuity solver) on first use of one of its names, so
 `import acylsoliton` loads neither it nor SciPy.
 """
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 from typing import List
@@ -257,7 +256,5 @@ def verify_solution(model, solution, forcing, metadata=None):
     }
     if metadata:
         meta.update(metadata)
-    meta["config_hash"] = hashlib.sha256(
-        json.dumps(meta, sort_keys=True).encode()
-    ).hexdigest()[:16]
+    meta["config_hash"] = _lapack.sha256_hex(json.dumps(meta, sort_keys=True).encode())[:16]
     return VerificationReport(checks=checks, metadata=meta)

@@ -40,7 +40,7 @@ acylsoliton` and the numpy-only commands (spectrum, weights, glue) load
 neither it nor SciPy.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -228,20 +228,25 @@ def solve_field(model, cross_section, rhs_by_mode, boundary_by_mode=None):
     """Independent per-mode solves (ModeProblem, the JX-invariant reduction with
     mu entering as a(t) mu), deterministic ascending-mu order.
 
-    rhs_by_mode maps cross-section eigenvalues (from the invariant spectrum)
-    to right-hand-side grid functions.  Eigenvalue membership is validated
-    against the invariant spectrum of the cross-section.
+    rhs_by_mode maps cross-section eigenvalues to right-hand-side grid
+    functions.  The reduction solves the theta-independent (j = 0) modes, so
+    each mu must be a torus eigenvalue; every j = 0 mode is invariant under a
+    quotient, so the quotient allows them all.
     """
-    from .spectrum import invariant_spectrum
+    from .spectrum import spectrum
 
     mus = sorted(rhs_by_mode)
     if not mus:
         return {}
-    allowed = np.array([mu for mu, _ in invariant_spectrum(cross_section, max(mus) + 1.0)])
+    mu_max = max(mus) + 1.0
+    # the j = 0 values: a circle this short has (2 pi / l)^2 = 4 max(mu_max, 1) > mu_max,
+    # so it carries no j != 0 mode up to mu_max
+    torus = replace(cross_section, circle_length=np.pi / np.sqrt(max(mu_max, 1.0)))
+    allowed = np.array([mu for mu, _ in spectrum(torus, mu_max)])
     out = {}
     for mu in mus:
         if not np.any(np.abs(allowed - mu) <= 1e-9):
-            raise DomainError(f"mu={mu} is not in the invariant spectrum")
+            raise DomainError(f"mu={mu} is not a torus eigenvalue (a j = 0 mode)")
         boundary = None if boundary_by_mode is None else boundary_by_mode.get(mu)
         problem = ModeProblem(model=model, mu=float(mu), rhs=rhs_by_mode[mu], boundary=boundary)
         out[mu] = solve_mode(problem)

@@ -43,8 +43,9 @@ LI2_TERMS = 50           # series terms for Li_2(z), z <= 1/2: tail below 1e-18
 
 def smoothstep(x, degree=7):
     """Odd-degree polynomial smoothstep on [0, 1], C^{(degree-1)/2} at junctions."""
-    if degree < 1 or degree % 2 == 0:
-        raise DomainError("smoothstep degree must be odd and >= 1")
+    if (isinstance(degree, bool) or not isinstance(degree, numbers.Integral)
+            or degree < 1 or degree % 2 == 0):
+        raise DomainError(f"smoothstep degree must be an odd integer >= 1, got {degree!r}")
     m = (degree - 1) // 2
     x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
     acc = np.zeros_like(x)
@@ -160,7 +161,7 @@ def _potential_gaps(model, t):
     return np.where(t < 0.0, t**2 - gap, gap), np.logaddexp(0.0, -2.0 * t)
 
 
-def potential_of(model, grid=(0.0, 6.0, 0.005)):
+def potential_of(model, grid):
     """Radial potential P with P'' = 2a, P(0) = 0, in closed form on the nodes
     of grid = (t_min, t_max, h)."""
     t_min, t_max, h = grid

@@ -200,20 +200,28 @@ def model_from_text(text):
             continue
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key == "kind":
-            kind = Kind(value)
-        elif key == "n":
-            n = int(value)
-        elif key == "lattice_row":
-            rows.append([float(x) for x in value.split()])
-        elif key.startswith("glue."):
-            glue[key[5:]] = float(value)
-        elif key == "c0":
-            pass  # fixed by the min f = 1 normalization
-        else:
-            raise DomainError(f"unknown model key {key!r}")
+        try:
+            if key == "kind":
+                kind = Kind(value)
+            elif key == "n":
+                n = int(value)
+            elif key == "lattice_row":
+                rows.append([float(x) for x in value.split()])
+            elif key in ("glue.t0", "glue.degree", "glue.rho0", "glue.margin"):
+                glue[key[5:]] = float(value)
+            elif key == "c0":
+                float(value)  # checked only: the min f = 1 normalization fixes c0
+            else:
+                raise DomainError(f"unknown model key {key!r}")
+        except ValueError:
+            raise DomainError(f"model key {key!r} has a bad value {value!r}") from None
     if kind is None or n is None:
         raise DomainError("model text must define kind and n")
+    if kind is Kind.GLUED and "t0" not in glue:
+        raise DomainError("a glued model text must define model key 'glue.t0'")
+    degree = glue.get("degree", 7.0)
+    if not degree.is_integer():
+        raise DomainError(f"model key 'glue.degree' must be an integer, got {degree!r}")
     if rows and rows != _lattice_rows(n):
         raise DomainError(f"model key 'lattice_row' must give the {2 * (n - 1)} identity rows "
                           f"of the unit square lattice that n = {n} fixes, got {rows}")
@@ -225,7 +233,7 @@ def model_from_text(text):
 
     spec = GlueSpec(
         t0=glue["t0"],
-        smoothstep_degree=int(glue.get("degree", 7)),
+        smoothstep_degree=int(degree),
         rho0=glue.get("rho0"),
         margin=glue.get("margin", 1e-2),
     )

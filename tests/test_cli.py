@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib.util
 import inspect
 import json
 import os
@@ -391,7 +392,7 @@ def scipy_loaded():
 
 import acylsoliton, acylsoliton.cli
 out, names = sys.argv[1], sys.argv[2:]
-steps = [("import", 0, scipy_loaded())]
+steps = [("import", 0, scipy_loaded(), "_hashlib" in sys.modules)]
 rhs = acylsoliton.GridFunction.sample(
     lambda t: np.exp(-1.5 * t) * np.clip(t / 2, 0, 1) ** 4, -12.0, 20.0, 0.01)
 rhs.to_csv(out + "/rhs.csv")
@@ -399,7 +400,7 @@ extra = {"solve-linear": ["--rhs", out + "/rhs.csv"], "solve-ma": ["--rhs", "man
 flapack = None
 for name in names:
     code = acylsoliton.cli.run([name, *extra.get(name, []), "--output", out + "/" + name])
-    steps.append((name, code, scipy_loaded()))
+    steps.append((name, code, scipy_loaded(), "_hashlib" in sys.modules))
     flapack = flapack or sys.modules.get("scipy.linalg._flapack")
 import scipy.linalg.lapack
 print(json.dumps({"steps": steps, "same_flapack": flapack is scipy.linalg.lapack._flapack
@@ -420,11 +421,13 @@ def _import_probe(out, names):
     done = _fresh_python(["-c", IMPORT_PROBE, str(out), *names], None)
     assert done.returncode == 0, done.stderr
     probe = json.loads(done.stdout)
-    return {name: (code, loaded) for name, code, loaded in probe["steps"]}, probe["same_flapack"]
+    steps = {name: (code, loaded) for name, code, loaded, _ in probe["steps"]}
+    openssl = {name: hashlib_loaded for name, *_, hashlib_loaded in probe["steps"]}
+    return steps, probe["same_flapack"], openssl
 
 
 def test_scipy_is_imported_only_by_the_commands_that_call_it(tmp_path):
-    steps, same_flapack = _import_probe(tmp_path, COMMANDS)
+    steps, same_flapack, _ = _import_probe(tmp_path, COMMANDS)
     assert list(steps) == ["import", *COMMANDS]
     assert all(code == 0 for code, _ in steps.values())
     for name in ("import", "spectrum", "weights"):
@@ -435,7 +438,7 @@ def test_scipy_is_imported_only_by_the_commands_that_call_it(tmp_path):
     # solve-linear loads the extension first above; the others load it on their own
     (tmp_path / "alone").mkdir()
     for name in ("solve-ma", "verify", "report"):
-        alone, _ = _import_probe(tmp_path / "alone", [name])
+        alone, _, _ = _import_probe(tmp_path / "alone", [name])
         assert alone[name] == (0, ["scipy.linalg._flapack"]), name
     # a later import of scipy.linalg reuses the LAPACK module the solves loaded
     assert same_flapack is True
@@ -446,6 +449,16 @@ def test_scipy_is_imported_only_by_the_commands_that_call_it(tmp_path):
         assert "scipy" not in versions[name], name
     for name in ("solve-linear", "solve-ma", "verify", "report", "glue"):
         assert versions[name]["scipy"] == scipy.__version__, name
+
+
+@pytest.mark.skipif(not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+                    reason="no built-in SHA-256 module: the digests fall back to hashlib")
+def test_no_command_loads_openssl(tmp_path):
+    """The digests come from CPython's built-in SHA-256, so neither the import
+    nor any of the seven commands loads hashlib's OpenSSL module _hashlib."""
+    steps, _, openssl = _import_probe(tmp_path, COMMANDS)
+    assert all(code == 0 for code, _ in steps.values())
+    assert openssl == dict.fromkeys(["import", *COMMANDS], False)
 
 
 def test_glue_alone_imports_no_scipy(tmp_path):

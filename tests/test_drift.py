@@ -183,6 +183,20 @@ def test_solve_field_validates_membership():
         ak.solve_field(model, cs, {0.37: rhs})
 
 
+def test_solve_field_rejects_circle_only_eigenvalues():
+    """(2 pi / 1.3)^2 is an eigenvalue of the circle modes j = +-1 alone, which
+    the JX-invariant reduction does not solve; the torus values stay allowed."""
+    mu_circle = (2 * np.pi / 1.3) ** 2
+    for quotient in (None, ak.negation_quotient()):
+        cs = ak.CrossSection(1.3, ak.square_lattice(), quotient)
+        assert any(abs(mu - mu_circle) < 1e-9 for mu, _ in ak.spectrum(cs, 30.0))
+        rhs = ak.GridFunction.sample(lambda t: np.exp(-t), *CYL_GRID)
+        with pytest.raises(ak.DomainError, match="not a torus eigenvalue"):
+            ak.solve_field(ak.cigar_model(2), cs, {mu_circle: rhs})
+        # mu_torus = 1 has only j = 0 modes, which the negation quotient keeps
+        assert set(ak.solve_field(ak.cylinder_model(2), cs, {1.0: rhs})) == {1.0}
+
+
 def test_solve_field_two_mode_manufactured_recovery():
     model = ak.cylinder_model(2)
     cs = ak.CrossSection(2 * np.pi, ak.square_lattice())

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -29,6 +30,14 @@ def test_smoothstep_junctions():
 def test_smoothstep_rejects_even_degree():
     with pytest.raises(ak.DomainError):
         ak.smoothstep(0.5, 4)
+
+
+@pytest.mark.parametrize("degree", [5.0, True, np.float64(7.0)],
+                         ids=["float", "bool", "numpy_float"])
+def test_smoothstep_rejects_non_integer_degree(degree):
+    with pytest.raises(ak.DomainError, match=re.escape(f"odd integer >= 1, got {degree!r}")):
+        ak.smoothstep(0.5, degree)
+    assert ak.smoothstep(0.5, np.int64(5)) == ak.smoothstep(0.5, 5) == 0.5
 
 
 def test_cylinder_potential_is_t_squared():

@@ -1,5 +1,8 @@
-"""The direct LAPACK calls give SciPy's bits and keep SciPy's checks."""
+"""The direct LAPACK calls give SciPy's bits and keep SciPy's checks; the
+built-in SHA-256 gives hashlib's digests."""
 
+import hashlib
+import json
 import pathlib
 import re
 import sys
@@ -10,6 +13,7 @@ import scipy.linalg
 
 import acylsoliton as ak
 from acylsoliton import _lapack, diagnostics, drift
+from acylsoliton.cli import parse_config
 from acylsoliton.continuity import ContinuityConfig, _RadialNewton
 from acylsoliton.diagnostics import _lowest_bracket, _lowest_eigenvalue, _poincare_matrix
 
@@ -184,3 +188,37 @@ def test_documented_lapack_routines_are_the_ones_called():
     assert called == {"dgtsv", "dtbtrs", "dptsv", "dstebz"}
     for text in (_lapack.__doc__, (ROOT / "README.md").read_text()):
         assert documented_routines(text) == (len(called), called)
+
+
+DIGEST_INPUTS = {
+    "empty": b"",
+    "config": json.dumps(parse_config("").as_dict(), sort_keys=True).encode(),
+    "one_mb": bytes(range(256)) * 4097,
+}
+
+
+@pytest.mark.parametrize("data", DIGEST_INPUTS.values(), ids=DIGEST_INPUTS)
+def test_sha256_hex_is_hashlibs_digest(data):
+    assert _lapack.sha256_hex(data) == hashlib.sha256(data).hexdigest()
+
+
+def test_sha256_hex_falls_back_to_hashlib(monkeypatch):
+    calls = []
+
+    def sha256(data):
+        calls.append(len(data))
+        return hashlib.new("sha256", data)
+
+    monkeypatch.setitem(sys.modules, "_sha2", None)  # None makes the import fail
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    monkeypatch.setattr(hashlib, "sha256", sha256)
+    data = DIGEST_INPUTS["config"]
+    assert _lapack.sha256_hex(data) == hashlib.new("sha256", data).hexdigest()
+    assert calls == [len(data)]
+
+
+def test_only_the_digest_fallback_imports_hashlib():
+    importers = {path.name: re.findall(r"^\s*((?:import|from) hashlib\b.*)", path.read_text(), re.M)
+                 for path in (ROOT / "src" / "acylsoliton").glob("*.py")}
+    assert {name: lines for name, lines in importers.items() if lines} == {
+        "_lapack.py": ["from hashlib import sha256"]}

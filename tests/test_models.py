@@ -170,6 +170,22 @@ def test_model_text_rejects_other_lattice_rows(rows):
         ak.model_from_text(text)
 
 
+@pytest.mark.parametrize("text, key", [
+    ("kind = glued\nn = 2\n", "glue.t0"),
+    ("kind = cigar\nn = two\n", "n"),
+    ("kind = torus\nn = 2\n", "kind"),
+    ("kind = cigar\nn = 2\nlattice_row = 1 x\n", "lattice_row"),
+    ("kind = glued\nn = 2\nglue.t0 = 3\nglue.degree = 7.5\n", "glue.degree"),
+    ("kind = glued\nn = 2\nglue.t0 = 3\nglue.degree = nan\n", "glue.degree"),
+    ("kind = glued\nn = 2\nglue.t0 = 3\nglue.width = 1\n", "glue.width"),
+    ("kind = cigar\nn = 2\nc0 = one\n", "c0"),
+], ids=["glued_without_t0", "word_n", "unknown_kind", "word_in_row", "fractional_degree",
+        "nan_degree", "unknown_glue_key", "word_c0"])
+def test_model_text_errors_name_the_key(text, key):
+    with pytest.raises(ak.DomainError, match=f"model key '{key}'"):
+        ak.model_from_text(text)
+
+
 def test_gridfunction_csv_roundtrip(tmp_path, default_grid):
     u = ak.GridFunction.sample(lambda t: np.exp(-t) * np.sin(t), -2.0, 3.0, 0.05)
     path = tmp_path / "u.csv"
