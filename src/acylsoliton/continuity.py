@@ -24,8 +24,9 @@ Scaled by 2 a_phi, Jacobian row i is sup_i dv_i - sub_i dv_{i-1} with
 (sub, sup) of drift.drift_bands(a_phi, h): below one boundary row the
 Newton matrix is a forward march (drift.forward_march), stable since its
 factor (1 - a_phi h)/(1 + a_phi h) lies in (-1, 1).  s F is formed once per
-s, and psi''/2 and the rows once per iterate, by its residual: the step (bands
-written straight into the layout dtbtrs reads) and the path record reuse them.
+s, and psi''/2, psi' and the rows once per iterate, by its residual: the step
+(bands written straight into the layout dtbtrs reads) and the path record
+reuse them.
 
 Predictor-corrector (Allgower & Georg, Introduction to Numerical
 Continuation Methods, ch. 2): from the second s-step on, Newton starts at
@@ -33,7 +34,7 @@ the secant extrapolation v_k + (v_k - v_{k-1}) (s_{k+1} - s_k)/(s_k - s_{k-1})
 of the last two accepted points (s_0 = 0, v_0 = 0), or at v_k when that start
 is not admissible.  On the manufactured problems this takes 3 iterations at
 the first step and 2 at the others, against 3 at every step from v_k.  A
-solve allocates its 14 grid-sized arrays once (16 for the cylinder; named,
+solve allocates its 12 grid-sized arrays once (14 for the cylinder; named,
 with the rule each sharing rests on, by _RadialNewton), so neither a Newton
 iteration nor a continuation step allocates one, and every output has the
 bits of separate arrays.
@@ -112,13 +113,12 @@ def decaying_gauge(u):
     return u.like(u.values - u.values[-1])
 
 
-def _decaying(v, out=None):
-    """The samples with increments v and last value zero, summed from the outer end,
-    into out when given: len(v) + 1 values, or len(v) to leave out the last, 0."""
-    out = np.empty(len(v) + 1) if out is None else out
-    np.cumsum(v[::-1], out=out[len(v) - 1::-1])
-    np.negative(out[:len(v)], out=out[:len(v)])
-    out[len(v):] = 0.0
+def _decaying(v):
+    """The samples with increments v and last value zero, summed from the outer end."""
+    out = np.empty(len(v) + 1)
+    np.cumsum(v[::-1], out=out[-2::-1])
+    np.negative(out[:-1], out=out[:-1])
+    out[-1] = 0.0
     return out
 
 
@@ -190,12 +190,17 @@ class _RadialNewton:
 
     The solver lives for one continuity_solve (or uniqueness_check) and owns
     its grid-sized arrays for that long: a, f, the record weight, two increment
-    buffers, one (psi''/2, rows) pair, s F, the direction, the march rows (two
-    arrays; the cylinder adds two march columns) and a scratch array; with the
-    continuation's last two accepted increments, 14.  Sharing is safe as the
-    iterate's pair is dead once its direction is formed, so trials write over
-    it; a trial's v goes to idle(it.v), so a start is only read; and after
-    solve, idle(it.v) is free for the path record and the secant start.
+    buffers, s F, the direction, the march rows (two arrays, whose first 2m
+    values also hold the (psi''/2, rows) pair; the cylinder adds two march
+    columns) and a scratch array; with the continuation's last two accepted
+    increments, 12.  Sharing is safe as the iterate's pair is dead once the
+    step has formed a_phi and the right-hand side from it, so the march bands
+    write over it, and the bands are dead once the march has run, so trials
+    write their pair over them; the scratch holds the residual's psi' until
+    the step writes a_phi and then c/h over it, so after solve it holds the
+    iterate's psi'; a trial's v goes to idle(it.v), so a start is only read;
+    and after solve, idle(it.v) is free for the path record and the secant
+    start.
     """
 
     def __init__(self, model, forcing, config):
@@ -212,12 +217,12 @@ class _RadialNewton:
         self.neumann_inner = model.kind.neumann_centre
         m = len(t) - 2  # interior nodes
         self._increments = (np.empty(m + 1), np.empty(m + 1))
-        self._pair = (np.empty(m), np.empty(m))  # psi''/2 and the rows
         self._target = np.empty(m)
         self._direction = np.empty(m + 1)
         self._rows = np.zeros(2 * m + 1)  # march_bands rows; the last element stays 0
+        self._pair = (self._rows[:m], self._rows[m:2 * m])  # psi''/2 and the rows
         self._columns = None if self.neumann_inner else np.empty((m, 2), order="F")
-        self._scratch = np.empty(m)  # slope, |r|, a_phi: each read before the next write
+        self._scratch = np.empty(m)  # psi' of the last residual, then a_phi and c/h in a step
 
     def idle(self, v):
         """The increment buffer that does not hold v (the second when v is neither)."""
@@ -237,8 +242,7 @@ class _RadialNewton:
         np.divide(np.add(v[1:], v[:-1], out=slope), 2.0 * self.h, out=slope)
         r = np.subtract(np.add(np.log1p(x, out=x), slope, out=x), target, out=x)
         boundary = abs((3.0 * v[0] - v[1]) / (2.0 * self.h) if self.neumann_inner else np.sum(v))
-        sup = float(np.max(np.abs(r, out=self._scratch)))
-        return _Iterate(v, max(sup, boundary), r, half_dd, min_ratio)
+        return _Iterate(v, max(_sup_abs(r), boundary), r, half_dd, min_ratio)
 
     def _newton_step(self, it):
         """Direction dv at the iterate: the boundary row fixes dv_0, then rows 1..n-2
@@ -247,7 +251,7 @@ class _RadialNewton:
         dv = self._direction
         rhs = dv[1:]  # rows scaled by 2 a_phi
         np.multiply(np.multiply(a_phi, -2.0, out=rhs), it.r, out=rhs)
-        ab, sub0 = march_bands(a_phi, self.h, self._rows)
+        ab, sub0 = march_bands(a_phi, self.h, self._rows)  # over a_phi and the pair
         if self.neumann_inner:
             # 3 dv_0 - dv_1 = v_1 - 3 v_0, with dv_1 = (rhs_1 + sub_1 dv_0) / sup_1
             dv[0] = (rhs[0] / ab[0, 0] + v[1] - 3.0 * v[0]) / (3.0 - sub0 / ab[0, 0])
@@ -282,10 +286,9 @@ class _RadialNewton:
                 )
             direction = self._newton_step(it)
             iterations += 1
-            tau, trial = 1.0, self.idle(it.v)
+            tau, trial = 1.0, np.add(direction, it.v, out=self.idle(it.v))  # tau = 1: no product
             while tau > 1e-8:
-                v_trial = np.add(np.multiply(direction, tau, out=trial), it.v, out=trial)
-                candidate = self.residual(v_trial, target, self._pair)
+                candidate = self.residual(trial, target, self._pair)
                 if (
                     candidate.sup is not None
                     and candidate.min_ratio > POSITIVITY_GUARD
@@ -293,6 +296,7 @@ class _RadialNewton:
                 ):
                     break
                 tau *= ARMIJO_FACTOR
+                np.add(np.multiply(direction, tau, out=trial), it.v, out=trial)
             else:
                 raise NewtonDiverged(
                     f"Armijo line search failed at s={s:.6g}",
@@ -302,29 +306,34 @@ class _RadialNewton:
         return it, iterations
 
 
+def _sup_abs(x):
+    """max |x| without forming |x|: max(max x, -min x), with abs turning -0.0 into 0.0;
+    nan propagates as in np.max."""
+    return abs(max(float(np.max(x)), -float(np.min(x))))
+
+
 def _make_record(newton, it, s, iterations):
-    """The StepRecord of a converged iterate, formed in newton._scratch and newton.idle(it.v)."""
+    """The StepRecord of the iterate newton.solve returned, formed in newton.idle(it.v);
+    inside, psi' is read from newton._scratch, where that solve's last residual left it."""
     d1, d2 = fd.increment_edges(it.v, newton.h)  # end nodes; inside, the iterate is read
     ratio = 1.0 + d2 / (2.0 * newton.a[[0, -1]])
     slope, samples = newton._scratch, newton.idle(it.v)
     inner = samples[1:]
-    # psi' inside, as the residual forms it
-    np.divide(np.add(it.v[1:], it.v[:-1], out=slope), 2.0 * newton.h, out=slope)
     # (psi''/2)/a is the psi''/(2a) of increment_derivatives to the bit, as h**2 == h*h
     max_ratio = 1.0 + np.max(np.divide(it.half_dd, newton.a[1:-1], out=inner))
     inf_drift = np.min(np.add(newton.f[1:-1], slope, out=inner))
-    # the last sample is 0, and cannot raise the weighted max
-    phi = _decaying(it.v, samples)
-    weighted = np.max(np.multiply(newton.record_weight[:-1], np.abs(phi, out=phi), out=phi))
+    # -phi but for the last sample, 0, which cannot raise the weighted max; w |phi| = |w phi|
+    np.cumsum(it.v[::-1], out=samples[::-1])
+    weighted = _sup_abs(np.multiply(newton.record_weight[:-1], samples, out=samples))
     return StepRecord(
         s=s,
         newton_iterations=iterations,
         sup_residual=it.sup,
         min_metric_ratio=float(min(it.min_ratio, *ratio)),
         max_metric_ratio=float(max(max_ratio, *ratio)),
-        weighted_sup_phi=float(weighted),
+        weighted_sup_phi=weighted,
         inf_drift_potential=float(min(inf_drift, *(newton.f[[0, -1]] + d1))),
-        sup_radial_derivative=float(max(np.max(np.abs(slope, out=slope)), *np.abs(d1))),
+        sup_radial_derivative=float(max(_sup_abs(slope), *np.abs(d1))),
     )
 
 

@@ -37,7 +37,8 @@ MAX_EXPONENT = float(np.log(np.finfo(float).max))  # e^f overflows above this
 
 
 def _poincare_weights(model, grid):
-    """Nodal and midpoint weights w = e^f / f^2 * a on the grid."""
+    """Nodal and midpoint weights w = e^f / f^2 * a on the grid; the midpoint
+    weights are formed in the buffer of f."""
     t_min, t_max, h = grid
     t = uniform_nodes(t_min, t_max, h)
     a = model.sample_a(t)
@@ -54,8 +55,10 @@ def _poincare_weights(model, grid):
             f"Poincare weight e^f overflows at t = {t[i]:.6g} (f = {f[i]:.6g} > "
             f"{MAX_EXPONENT:.6g}); lower grid.t_max"
         )
-    w = np.exp(f) / f**2 * a
-    return w, 0.5 * (w[1:] + w[:-1])
+    w = np.exp(f)
+    np.multiply(np.divide(w, np.square(f, out=f), out=w), a, out=w)
+    w_mid = np.add(w[1:], w[:-1], out=f[:-1])
+    return w, np.multiply(0.5, w_mid, out=w_mid)
 
 
 def _poincare_matrix(model, grid):
@@ -67,13 +70,19 @@ def _poincare_matrix(model, grid):
     m_i * m_{i+1} overflows once w_i * w_{i+1} * h^2 exceeds the float
     range, far below the e^f overflow the weight check guards, and would
     turn the entry into -0.0.
+
+    Built in place: mass is formed in w, the product of the roots then in
+    mass, and off in the midpoint weights once diag has read them.
     """
     h = grid[2]
     w, w_mid = _poincare_weights(model, grid)
-    mass = w[1:-1] * h
+    mass = np.multiply(w[1:-1], h, out=w[1:-1])
     root = np.sqrt(mass)
-    diag = (w_mid[:-1] + w_mid[1:]) / h / mass
-    off = -w_mid[1:-1] / h / (root[:-1] * root[1:])
+    diag = np.add(w_mid[:-1], w_mid[1:])
+    np.divide(np.divide(diag, h, out=diag), mass, out=diag)
+    product = np.multiply(root[:-1], root[1:], out=mass[:-1])
+    off = np.divide(np.negative(w_mid[1:-1], out=w_mid[1:-1]), h, out=w_mid[1:-1])
+    np.divide(off, product, out=off)
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
         raise DomainError("Poincare matrix is not finite on the grid")
     return diag, off
@@ -149,6 +158,11 @@ def poincare_rayleigh(model, grid):
     spectrum of a long cylinder is dense: at h = 1e-3, length 80 gives
     m = 2 (about the cost of the index call, 40 ms on a 2-vCPU Xeon VM) and
     length 150 gives m = 3 (111 ms against 75 ms).
+
+    Memory, in grid-sized float arrays of 8n bytes: _poincare_matrix traces
+    a peak of 5 (4 for the cylinder) and returns 2, diag and off.  xSTEBZ's
+    outputs and workspace, which the f2py wrapper allocates, add 7.5, so the
+    call peaks at 9.5.
     """
     return _lowest_eigenvalue(*_poincare_matrix(model, grid))
 

@@ -105,11 +105,12 @@ def drift(u, on, c, s=0.0):
     return (d2 - s * u.values) / c + 2.0 * d1
 
 
-def drift_bands(c, h, neg_sub, sup):
+def drift_bands(c, h, neg_sub, sup, c_h=None):
     """Write the central-difference rows of u'' - s u + 2 c u', c at the rows' nodes:
     sup = 1/h^2 + c/h of u_{i+1}, neg_sub = c/h - 1/h^2 minus that of u_{i-1}
-    (-(1/h^2 - c/h) to the bit under round-to-nearest); the diagonal is -2/h^2 - s."""
-    c_h = np.divide(c, h, out=sup)
+    (-(1/h^2 - c/h) to the bit under round-to-nearest); the diagonal is -2/h^2 - s.
+    c/h is formed in c_h, or in sup when c_h is None."""
+    c_h = np.divide(c, h, out=sup if c_h is None else c_h)
     np.subtract(c_h, 1.0 / h**2, out=neg_sub)
     np.add(1.0 / h**2, c_h, out=sup)
 
@@ -120,8 +121,9 @@ def march_bands(c, h, rows):
 
     The pairs (-sub_i, sup_i) are written interleaved into rows, an array of
     2 len(c) + 1 values whose last stays 0; read from one element on, that
-    memory is ab, so the bands are written once and never copied."""
-    drift_bands(c, h, rows[:-2:2], rows[1::2])
+    memory is ab, so the bands are written once and never copied.  c/h, which
+    both bands read, is formed contiguously in c itself, so c is overwritten."""
+    drift_bands(c, h, rows[:-2:2], rows[1::2], c_h=c)
     return rows[1:].reshape(-1, 2).T, -rows[0]
 
 
@@ -130,7 +132,7 @@ def _checked(u, info, routine):
         raise SingularSystem("singular matrix")
     if info < 0:
         raise SingularSystem(f"illegal value in argument {-info} of LAPACK {routine}")
-    if not np.all(np.isfinite(u)):
+    if not (np.isfinite(np.min(u)) and np.isfinite(np.max(u))):  # nan reaches both
         raise SingularSystem("non-finite solution; check boundary policy and weights")
     return u
 

@@ -24,6 +24,11 @@ def whole_number(x):
 
 def uniform_nodes(t_min, t_max, h):
     """Node vector t_min + k*h covering [t_min, t_max]; validates divisibility."""
+    return t_min + h * np.arange(node_count(t_min, t_max, h))
+
+
+def node_count(t_min, t_max, h):
+    """The number of nodes of uniform_nodes(t_min, t_max, h), with its validation."""
     for name, value in (("t_min", t_min), ("t_max", t_max), ("h", h)):
         if not math.isfinite(value):
             raise DomainError(f"grid {name} must be finite, got {value}")
@@ -35,7 +40,7 @@ def uniform_nodes(t_min, t_max, h):
     n = whole_number(n_cells)
     if n is None:
         raise DomainError(f"(t_max - t_min)/h = {n_cells} is not an integer")
-    return t_min + h * np.arange(n + 1)
+    return n + 1
 
 
 def _numbered_rows(path):
@@ -75,7 +80,7 @@ class GridFunction:
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1:
             raise DomainError(f"values must be 1D, got shape {vals.shape}")
-        n_expected = len(uniform_nodes(self.t_min, self.t_max, self.h))
+        n_expected = node_count(self.t_min, self.t_max, self.h)
         if len(vals) != n_expected:
             raise DomainError(
                 f"values length {len(vals)} inconsistent with grid "

@@ -49,8 +49,9 @@ def decay_rate_fit(u):
     lo_frac, hi_frac = TAIL_WINDOW
     lo = u.t_min + lo_frac * (u.t_max - u.t_min)
     hi = u.t_min + hi_frac * (u.t_max - u.t_min)
-    window = (t >= lo) & (t <= hi)
-    vals = np.abs(u.values)[window]
+    # the nodes ascend, so t >= lo and t <= hi hold on one slice
+    window = slice(np.searchsorted(t, lo, side="left"), np.searchsorted(t, hi, side="right"))
+    vals = np.abs(u.values[window])
     tw = t[window]
     nonzero = vals > 0.0
     if np.count_nonzero(nonzero) < 2:

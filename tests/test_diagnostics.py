@@ -74,6 +74,45 @@ def test_poincare_off_diagonal_does_not_overflow():
     assert ak.poincare_rayleigh(model, (0.0, 200.0, 0.1)) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["cigar", "cylinder"])
+def test_poincare_matrix_has_the_bits_of_separate_arrays(kind):
+    """The matrix built in place equals the one from whole-array expressions, to the bit."""
+    model = ak.cigar_model(2) if kind == "cigar" else ak.cylinder_model(2)
+    grid = (-12.0 if kind == "cigar" else 0.0, 20.0, 1e-3)
+    t = ak.uniform_nodes(*grid)
+    f, h = model.f(t), grid[2]
+    w = np.exp(f) / f**2 * model.sample_a(t)
+    w_mid = 0.5 * (w[1:] + w[:-1])
+    mass = w[1:-1] * h
+    root = np.sqrt(mass)
+    diag = (w_mid[:-1] + w_mid[1:]) / h / mass
+    off = -w_mid[1:-1] / h / (root[:-1] * root[1:])
+    built = _poincare_matrix(model, grid)
+    assert built[0].tobytes() == diag.tobytes() and built[1].tobytes() == off.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["cigar", "cylinder"])
+def test_poincare_matrix_keeps_few_grid_arrays(kind):
+    """The traced peak of _poincare_matrix at h = 1e-3 stays within 5.5 grid-sized
+    float arrays: 5 while the cigar's f is sampled beside t and a, then 4 (the
+    weights, the midpoint weights in f's buffer, the roots and diag)."""
+    import tracemalloc
+
+    model = ak.cigar_model(2) if kind == "cigar" else ak.cylinder_model(2)
+    grid = (-12.0 if kind == "cigar" else 0.0, 20.0, 1e-3)
+    _poincare_matrix(model, grid)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        _poincare_matrix(model, grid)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    size = 8 * len(ak.uniform_nodes(*grid))
+    assert peak <= 5.5 * size, peak / size
+
+
 def test_poincare_determinism():
     model = ak.cigar_model(2)
     a = ak.poincare_rayleigh(model, (-12.0, 20.0, 0.01))

@@ -229,3 +229,18 @@ def test_singular_system_flagged():
     )
     with pytest.raises(ak.SingularSystem):
         ak.solve_mode(problem)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_march_is_flagged(bad):
+    """A march result holding nan or an infinity raises, whichever column and
+    node it sits in."""
+    from acylsoliton import drift
+
+    ab = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]], order="F")
+    for node, column in ((0, 0), (2, 0), (2, 1)):
+        rhs = np.ones((3, 2), order="F")
+        rhs[node, column] = bad
+        with pytest.raises(ak.SingularSystem, match="non-finite"):
+            drift.forward_march(ab, rhs)
+    assert drift.forward_march(ab, np.ones((3, 1), order="F")).tolist() == [[1.0]] * 3

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,3 +108,30 @@ def test_decay_fit_scale_invariance(eps, scale):
     u = sample(lambda t: np.exp(-eps * t))
     scaled = u.like(scale * u.values)
     assert ak.decay_rate_fit(scaled) == pytest.approx(ak.decay_rate_fit(u), abs=1e-9)
+
+
+@pytest.mark.parametrize("grid", [(0.0, 20.0, 0.01), (-12.0, 20.0, 1e-3), (0.0, 1.3, 0.1),
+                                  (0.0, 1.0, 0.1)])
+def test_decay_fit_window_is_the_masked_window(grid):
+    """The tail window sliced from the ascending nodes holds the nodes of the
+    mask t_min + (0.6, 0.9) (t_max - t_min), and the fit keeps its bits."""
+    u = ak.GridFunction.sample(lambda t: np.exp(-1.5 * t) * (2.0 + np.sin(7.0 * t)), *grid)
+    t, (lo, hi) = u.t, (grid[0] + f * (grid[1] - grid[0]) for f in (0.6, 0.9))
+    window = (t >= lo) & (t <= hi)
+    expected = np.polyfit(t[window], -np.log(np.abs(u.values)[window]), 1)[0]
+    assert float(ak.decay_rate_fit(u)).hex() == float(expected).hex()
+
+
+@pytest.mark.parametrize("grid", [(0.0, 1.0, 0.1), (-12.0, 20.0, 1e-4), (0.0, 1.0, 0.3),
+                                  (0.0, 0.0, 0.1), (0.0, 1.0, 0.0), (0.0, np.inf, 0.1),
+                                  (np.nan, 1.0, 0.1)])
+def test_node_count_is_the_length_of_the_nodes(grid):
+    from acylsoliton.grids import node_count
+
+    try:
+        expected = len(ak.uniform_nodes(*grid))
+    except ak.DomainError as exc:
+        with pytest.raises(ak.DomainError, match=re.escape(str(exc))):
+            node_count(*grid)
+    else:
+        assert node_count(*grid) == expected
