@@ -33,8 +33,8 @@ _EXPORTS = {
     "gluing": "GlueSpec auto_rho bump_profile glue_coefficient glued_forcing glued_model "
               "potential_of smoothstep",
     "grids": "GridFunction RadialPotential uniform_nodes",
-    "models": "Kind RadialKahlerModel cigar_model cylinder_model model_from_text model_to_text "
-              "ricci_coefficient soliton_residual",
+    "models": "Kind RadialKahlerModel cigar_model cylinder_model model_to_text ricci_coefficient "
+              "soliton_residual",
     "norms": "WeightedNormSpec decay_rate_fit weighted_sup_norm",
     "spectrum": "CrossSection CyclicQuotient hexagonal_lattice hexagonal_rotation_quotient "
                 "invariant_spectrum negation_quotient spectrum square_lattice",

@@ -41,6 +41,22 @@ EXIT_VERIFICATION = 4
 
 MODELS = ("cigar", "cylinder", "glued")
 
+
+def _lattice_rows(text):
+    """The numeric rows "a b; c d" of a square matrix as an array; else ValueError."""
+    lattice = np.array([[float(x) for x in row.split()] for row in text.split(";")])
+    if lattice.ndim != 2 or lattice.shape[0] != lattice.shape[1]:
+        raise ValueError(f"not the rows of a square matrix: {text!r}")
+    return lattice
+
+
+def _rows_text(text):
+    """text itself, if empty (the lattice preset applies) or rows _lattice_rows reads."""
+    if text:
+        _lattice_rows(text)
+    return text
+
+
 # key -> (default, parse, valid); the RunConfig field of key "a.b" is a_b
 KEYS = {
     "model.kind": ("cigar", str, lambda v: v in MODELS),
@@ -57,14 +73,16 @@ KEYS = {
     "glue.degree": (7, int, lambda v: v >= 3 and v % 2 == 1),
     "cross_section.circle": (2.0 * np.pi, float, lambda v: v > 0),
     "cross_section.lattice": ("square", str, lambda v: v in ("square", "hexagonal")),
-    "cross_section.lattice_rows": ("", str, lambda v: True),  # "a b; c d" overrides the preset
+    "cross_section.lattice_rows": ("", _rows_text, lambda v: True),  # overrides the preset
     "cross_section.quotient": (1, int, lambda v: v in (1, 2, 3)),
     "weights.mu_max": (10.0, float, lambda v: v > 0),
     "weights.window_lo": (-1.0, float, lambda v: True),
     "weights.window_hi": (3.0, float, lambda v: True),
     "output.dir": (".", str, lambda v: True),
     "seed": (0, int, lambda v: v >= 0),
-    "plot": (False, lambda s: s.lower() in ("1", "true", "yes"), lambda v: True),
+    # index raises ValueError on a word outside the six
+    "plot": (False, lambda s: ("0", "false", "no", "1", "true", "yes").index(s.lower()) >= 3,
+             lambda v: True),
 }
 
 RunConfig = make_dataclass(
@@ -133,15 +151,8 @@ def _build_cross_section(cfg):
     from .spectrum import (CrossSection, hexagonal_lattice, hexagonal_rotation_quotient,
                            negation_quotient, square_lattice)
 
-    if cfg.cross_section_lattice_rows:
-        try:
-            rows = [
-                [float(x) for x in row.split()]
-                for row in cfg.cross_section_lattice_rows.split(";")
-            ]
-            lattice = np.array(rows, dtype=float)
-        except ValueError:
-            raise ConfigError("cross_section.lattice_rows must be numeric rows 'a b; c d'")
+    if cfg.cross_section_lattice_rows:  # checked when the key was set
+        lattice = _lattice_rows(cfg.cross_section_lattice_rows)
     elif cfg.cross_section_lattice == "square":
         lattice = square_lattice()
     else:
@@ -229,9 +240,9 @@ class Run:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
 
-    def write_svg(self, name, t, values, log_scale=False):
-        vals = np.abs(values) if log_scale else np.asarray(values)
-        y = np.log10(np.maximum(vals, 1e-300)) if log_scale else vals
+    def write_svg(self, name, t, values):
+        """Polyline of log10 |values| against t."""
+        y = np.log10(np.maximum(np.abs(values), 1e-300))
         width, height, pad = 640, 360, 40
         x0, x1 = float(t[0]), float(t[-1])
         y0, y1 = float(np.min(y)), float(np.max(y))
@@ -310,7 +321,7 @@ def _cmd_solve_linear(cfg, run, args):
         diagnostics["convergence_order"] = float(np.log2(d_coarse / d_fine))
     run.write_json("diagnostics.json", diagnostics)
     if cfg.plot:
-        run.write_svg("solution.svg", solution.t, solution.values, log_scale=True)
+        run.write_svg("solution.svg", solution.t, solution.values)
     return EXIT_OK
 
 
@@ -328,27 +339,23 @@ def _cmd_solve_ma(cfg, run, args):
         run.write_json("path.json", {"converged": False, "s_reached": exc.s_reached,
                                      "steps": [r.as_dict() for r in exc.records]})
         return _failure(exc)
-    except PositivityLost as exc:
-        run.write_json("path.json", {"converged": False, "error": str(exc), "steps": []})
-        return _failure(exc)
     solution.phi.to_csv(run.path("phi.csv"))
     run.write_json("path.json", solution.path_dict())
     if cfg.plot:
-        run.write_svg("phi.svg", solution.phi.t, solution.phi.values, log_scale=True)
+        run.write_svg("phi.svg", solution.phi.t, solution.phi.values)
     return EXIT_OK
 
 
 def _cmd_glue(cfg, run, args):
-    from .gluing import glue_coefficient, glued_model
+    from .gluing import glued_model
+    from .grids import GridFunction
     from .models import cigar_model, model_to_text
 
-    inner = cigar_model(cfg.model_n)
     spec = _glue_spec(cfg)
-    model = glued_model(inner, spec)
+    model = glued_model(cigar_model(cfg.model_n), spec)
     with open(run.path("model.txt"), "w") as fh:
         fh.write(model_to_text(model))
-    coefficient = glue_coefficient((0.0, spec.grid_end, spec.h), spec, inner,
-                                   rho0=model.glue_params["rho0"])
+    coefficient = GridFunction.sample(model.a, 0.0, spec.grid_end, spec.h)
     coefficient.to_csv(run.path("coefficient.csv"))
     run.notes["rho0"] = model.glue_params["rho0"]
     run.notes["min_coefficient"] = float(np.min(coefficient.values))

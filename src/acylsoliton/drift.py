@@ -199,7 +199,9 @@ def apply_mode_operator(problem, u):
 
 
 def mode_interior_residual(problem, u_values):
-    """Relative backward-style residual of the discrete equation, interior nodes."""
+    """Relative backward error of the assembled tridiagonal rows on the solved
+    samples at the interior nodes: it reads their second differences, the one
+    exception to fd.increment_derivatives, so that diagnostics.json keeps its bits."""
     h = problem.rhs.h
     a, s = problem.coefficients()
     a, s = a[1:-1], s[1:-1]

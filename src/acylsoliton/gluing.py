@@ -29,7 +29,6 @@ bump raises kappa: it has compact support only when rho = 0.
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -86,20 +85,19 @@ def _bump_profile_integral(s):
 
 @dataclass(frozen=True)
 class GlueSpec:
-    """Transition end t0 > 1, cutoff degree, bump amplitude, positivity margin.
+    """Transition end t0 > 1, cutoff degree, positivity margin.
 
-    The gluing grid is (0, grid_end, h)."""
+    The gluing grid is (0, grid_end, h); the bump amplitude is auto_rho's."""
 
     t0: float = 3.0
     smoothstep_degree: int = 7
-    rho0: Optional[float] = None      # None: choose automatically
     margin: float = 1e-2
     h = 0.005                         # gluing grid spacing, a class constant
 
     def __post_init__(self):
-        for name in ("t0", "rho0", "margin"):
+        for name in ("t0", "margin"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise DomainError(f"GlueSpec {name} must be finite, got {value}")
         if self.t0 <= 1.0:
             raise DomainError("transition end t0 must exceed 1")
@@ -203,7 +201,7 @@ def _piecewise(t0, left, transition, right):
 
 def glue_coefficient(grid, spec, inner_model, rho0):
     """Coefficient c of the glued Kahler form relative to beta on the nodes of
-    grid = (t_min, t_max, h), with bump amplitude rho0 (spec.rho0 is not read).
+    grid = (t_min, t_max, h), with bump amplitude rho0.
 
     c is the inner coefficient for t <= 1/2, exactly 1 for t >= t0 + 1/2,
     and the closed form of the module docstring in between.
@@ -259,19 +257,20 @@ def glued_model(inner_model, spec=None):
     """ACyl background model equal to the inner model (cigar or cylinder) for
     t <= 1/2 and to the cylinder for t >= t0 + 1/2.
 
-    The coefficient is c from the gluing; the soliton potential solves
-    f' = 2c, inherits the inner model's f on the left (so min f = 1 is
-    preserved) and equals 2t + kappa exactly on the cylinder region.  c must
-    be positive on the gluing nodes and at the vertex of the parabola through
-    their minimum, where a narrow transition dips between the nodes.
+    The coefficient is c from the gluing with auto_rho's bump amplitude; the
+    soliton potential solves f' = 2c, inherits the inner model's f on the left
+    (so min f = 1 is preserved) and equals 2t + kappa exactly on the cylinder
+    region.  c must be positive on the gluing nodes and at the vertex of the
+    parabola through their minimum, where a narrow transition dips between
+    the nodes.
     """
     spec = spec or GlueSpec()
     grid = (0.0, spec.grid_end, spec.h)
-    rho0 = spec.rho0 if spec.rho0 is not None else auto_rho(grid, spec, inner_model)
-    c = glue_coefficient(grid, spec, inner_model, rho0=rho0)
+    rho0 = auto_rho(grid, spec, inner_model)
     t0 = spec.t0
     transition = _transition(inner_model, spec, rho0)
     a = _piecewise(t0, inner_model.a, lambda t: transition(t)[0], 1.0)
+    c = GridFunction.sample(a, *grid)
     k = int(np.argmin(c.values))
     c_low, t_low = c.values[k], c.t[k]
     vertex = _peak_vertex(c.t, -c.values, k, c.h)
@@ -279,7 +278,7 @@ def glued_model(inner_model, spec=None):
         c_low, t_low = min((c_low, t_low), (a(vertex)[0], vertex[0]))
     if c_low <= 0.0:
         raise DomainError(f"glued coefficient c = {c_low:.3g} <= 0 at t={t_low:.6g}; "
-                          "increase rho0")
+                          "increase glue.margin")
 
     kappa = 1.0 + 2.0 * float(spec.bump_integral(t0 + 0.5, rho0))
     return RadialKahlerModel(

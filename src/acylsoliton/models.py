@@ -48,8 +48,8 @@ class RadialKahlerModel:
     a, log_a, f_minus_2t are vectorized callables of t.  f(t) is recovered
     as 2t + f_minus_2t(t).  The flat factor is the unit square torus
     T^{2(n-1)}; the spectrum takes its lattice from spectrum.CrossSection.
-    glue_params records how a glued model was built so it can be serialized
-    and rebuilt exactly.
+    glue_params records how a glued model was built; model_to_text writes it
+    out, and nothing reads it back.
     """
 
     n: int
@@ -167,74 +167,14 @@ def half_hessian(model, t, d2):
     return a, half_dd
 
 
-# ---- plain-text key-value serialization ----
-
-def _lattice_rows(n):
-    """Basis rows of the unit square lattice of T^{2(n-1)}: the identity."""
-    dim = 2 * (n - 1)
-    return [[float(i == j) for j in range(dim)] for i in range(dim)]
-
-
 def model_to_text(model):
-    lines = [
-        f"kind = {model.kind.value}",
-        f"n = {model.n}",
-        f"c0 = {model.c0:.17g}",
-    ]
-    for row in _lattice_rows(model.n):
-        lines.append("lattice_row = " + " ".join(f"{x:.17g}" for x in row))
-    if model.glue_params:
-        for key in sorted(model.glue_params):
-            lines.append(f"glue.{key} = {model.glue_params[key]:.17g}")
+    """Key-value record of how model was built (docs/formats.md): kind, n, c0,
+    the 2(n - 1) identity rows of the unit square lattice of T^{2(n-1)} and
+    glue_params.  Nothing reads it back."""
+    dim = 2 * (model.n - 1)
+    lines = [f"kind = {model.kind.value}", f"n = {model.n}", f"c0 = {model.c0:.17g}"]
+    lines += ["lattice_row = " + " ".join("1" if i == j else "0" for j in range(dim))
+              for i in range(dim)]
+    for key in sorted(model.glue_params or ()):
+        lines.append(f"glue.{key} = {model.glue_params[key]:.17g}")
     return "\n".join(lines) + "\n"
-
-
-def model_from_text(text):
-    kind = None
-    n = None
-    rows = []
-    glue = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        try:
-            if key == "kind":
-                kind = Kind(value)
-            elif key == "n":
-                n = int(value)
-            elif key == "lattice_row":
-                rows.append([float(x) for x in value.split()])
-            elif key in ("glue.t0", "glue.degree", "glue.rho0", "glue.margin"):
-                glue[key[5:]] = float(value)
-            elif key == "c0":
-                float(value)  # checked only: the min f = 1 normalization fixes c0
-            else:
-                raise DomainError(f"unknown model key {key!r}")
-        except ValueError:
-            raise DomainError(f"model key {key!r} has a bad value {value!r}") from None
-    if kind is None or n is None:
-        raise DomainError("model text must define kind and n")
-    if kind is Kind.GLUED and "t0" not in glue:
-        raise DomainError("a glued model text must define model key 'glue.t0'")
-    degree = glue.get("degree", 7.0)
-    if not degree.is_integer():
-        raise DomainError(f"model key 'glue.degree' must be an integer, got {degree!r}")
-    if rows and rows != _lattice_rows(n):
-        raise DomainError(f"model key 'lattice_row' must give the {2 * (n - 1)} identity rows "
-                          f"of the unit square lattice that n = {n} fixes, got {rows}")
-    if kind is Kind.CIGAR:
-        return cigar_model(n)
-    if kind is Kind.CYLINDER:
-        return cylinder_model(n)
-    from .gluing import GlueSpec, glued_model  # deferred: gluing imports models
-
-    spec = GlueSpec(
-        t0=glue["t0"],
-        smoothstep_degree=int(degree),
-        rho0=glue.get("rho0"),
-        margin=glue.get("margin", 1e-2),
-    )
-    return glued_model(cigar_model(n), spec)

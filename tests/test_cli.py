@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import hashlib
 import importlib.util
@@ -190,18 +191,17 @@ def test_solve_ma_synthesized_manufactured(tmp_path):
     assert np.max(np.abs(phi.values - target.values)) <= 1e-6
 
 
-def test_solve_ma_huge_amplitude_exits_2_or_3(tmp_path, capsys):
+def test_solve_ma_huge_amplitude_exits_2(tmp_path, capsys):
+    """A Newton step that loses positivity halves the s-step, so the solve stalls."""
     forcing = ak.GridFunction.from_csv(FIXTURE)
     hostile = forcing.like(1e3 * forcing.values)
     hostile_path = tmp_path / "hostile.csv"
     hostile.to_csv(hostile_path)
     code = run_cli(["solve-ma", "--model", "cigar", "--rhs", str(hostile_path)], tmp_path)
-    assert code in (2, 3)
-    prefix = {2: "continuation stalled: ", 3: "positivity lost: "}[code]
-    assert capsys.readouterr().err.startswith(prefix)
-    if code == 2:
-        path = json.loads((tmp_path / "path.json").read_text())
-        assert path["converged"] is False
+    assert code == 2
+    assert capsys.readouterr().err.startswith("continuation stalled: ")
+    path = json.loads((tmp_path / "path.json").read_text())
+    assert path["converged"] is False
 
 
 @pytest.mark.parametrize("args", [["solve-ma", "--rhs", "manufactured"], ["report"]],
@@ -249,17 +249,27 @@ def test_glue_outputs(tmp_path):
     assert np.min(coeff.values) >= 0.01
 
 
-@pytest.mark.parametrize("t0, model_digest, coefficient_digest", [
-    ("3", "d28e78e0487644fded5c6638aa2bedc877275e0d0e00f562c9f639ab16ae648f",
+@pytest.mark.parametrize("t0, n, model_digest, coefficient_digest", [
+    ("3", 2, "d28e78e0487644fded5c6638aa2bedc877275e0d0e00f562c9f639ab16ae648f",
      "ac39289682a0b725ea326f9114d632c205c9acfb3bc2f82e19c5213de3dedacb"),
     # a narrow transition: auto_rho's bump, refined between the nodes
-    ("1.3", "ca225cdaf38a4a429d1af9429a7e895d59fd8387a9de610a4d1b7ebd6c10f06e",
+    ("1.3", 2, "ca225cdaf38a4a429d1af9429a7e895d59fd8387a9de610a4d1b7ebd6c10f06e",
      "3be82d2ed81731f741eb9fa1398d5f32e340f53a3c11aef355140459d75a2732"),
-], ids=["t0_3", "t0_1.3"])
-def test_glue_bytes_pinned(tmp_path, t0, model_digest, coefficient_digest):
+    # t0 + 3 off the gluing lattice: the grid ends at the next node
+    ("3.001", 2, "55bb88ba72181a316ddb077624ad82558c33f6f431b7adedfc8dbf75384fdca0",
+     "228530a7f9f906bbb700ff736982893e78956161a546b62829bcb2f6d847b347"),
+    # no lattice rows; the coefficient is the one of n = 2
+    ("3", 1, "ab49aead9a48857a2d45f9894380be3e2f19779e65fc18f67a19ed2df8f8d37a",
+     "ac39289682a0b725ea326f9114d632c205c9acfb3bc2f82e19c5213de3dedacb"),
+    ("2", 3, "669357dc6b670de24d20434354d1cb7f77f8e5d011b4f48e89844eb172447df3",
+     "a1700b3fa206164113872a4035f334134e4fb41b69520cd0164e297a26f8d420"),
+], ids=["t0_3", "t0_1.3", "t0_3.001", "n_1", "n_3_t0_2"])
+def test_glue_bytes_pinned(tmp_path, t0, n, model_digest, coefficient_digest):
     """model.txt (its lattice rows come from n) and coefficient.csv (on the
     h = 0.005 gluing grid) pinned to the last bit."""
-    assert run_cli(["glue", "--t0", t0], tmp_path) == 0
+    config = tmp_path / "n.cfg"
+    config.write_text(f"model.n = {n}\n")
+    assert run_cli(["glue", "--t0", t0, "--config", str(config)], tmp_path) == 0
     assert hashlib.sha256((tmp_path / "model.txt").read_bytes()).hexdigest() == model_digest
     digest = hashlib.sha256((tmp_path / "coefficient.csv").read_bytes()).hexdigest()
     assert digest == coefficient_digest
@@ -334,6 +344,24 @@ def test_poincare_weight_nonpositive_f_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: Poincare weight needs f > 0, but f = -23 at t = -12;")
     assert "raise grid.t_min" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("solve-linear", "plot", "banana"),
+    ("spectrum", "cross_section.lattice_rows", "1 x; 0 1"),
+    ("glue", "cross_section.lattice_rows", "1 x; 0 1"),
+    ("spectrum", "cross_section.lattice_rows", "1 0 0; 0 1 0"),
+], ids=["plot_word", "word_in_rows", "word_in_rows_glue", "non_square_rows"])
+def test_malformed_config_value_exits_1_before_any_output(tmp_path, capsys, command, key, value):
+    """plot takes six words only, and the lattice rows are read with the
+    config: both name the line before manifest.json is written."""
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"grid.h = 0.01\n{key} = {value}\n")
+    args = ["--rhs", decaying_rhs(tmp_path)[0]] if command == "solve-linear" else []
+    assert run_cli([command, *args, "--config", str(path)], tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: malformed value for {key!r}: {value!r} (line 2)\n"
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("command,config,message", [
@@ -508,6 +536,54 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
     assert spectrum_type == "function"
 
 
+def relative_import_graph(package_dir):
+    """module -> the package modules it imports by relative import, at module
+    level or inside a function; `from . import x` names module x if there is
+    one, else the package's __init__."""
+    modules = {name[:-3] for name in os.listdir(package_dir) if name.endswith(".py")}
+    graph = {}
+    for module in modules:
+        with open(os.path.join(package_dir, module + ".py")) as fh:
+            tree = ast.parse(fh.read())
+        graph[module] = {
+            target
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+            for target in ([node.module.split(".")[0]] if node.module else
+                           [name.name if name.name in modules else "__init__"
+                            for name in node.names])
+        }
+    return graph
+
+
+def import_cycle(graph):
+    """A list of modules that import each other in a ring, or None."""
+    done, path = set(), []
+
+    def visit(module):
+        if module in path:
+            return path[path.index(module):] + [module]
+        if module in done:
+            return None
+        path.append(module)
+        cycle = next(filter(None, map(visit, sorted(graph[module]))), None)
+        path.pop()
+        done.add(module)
+        return cycle
+
+    return next(filter(None, map(visit, sorted(graph))), None)
+
+
+def test_relative_imports_have_no_cycle():
+    """No module of the package imports one that imports it back, even
+    through a deferred import inside a function."""
+    package_dir = os.path.dirname(ak.__file__)
+    graph = relative_import_graph(package_dir)
+    assert {"cli", "gluing", "models"} <= set(graph)
+    assert "models" in graph["gluing"] and "fd" in graph["models"]
+    assert import_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
+    assert import_cycle(graph) is None
+
+
 PUBLIC_NAMES = """
     AcylSolitonError BoundaryPolicy ConfigError ContinuityConfig ContinuityStalled CriticalWeight
     CriticalWeightSet CrossSection CyclicQuotient DomainError GlueSpec GridFunction Kind
@@ -518,7 +594,7 @@ PUBLIC_NAMES = """
     decaying_gauge default_boundary diagnostics drift errors fd fredholm_window_check
     glue_coefficient glued_forcing glued_model gluing grids hexagonal_lattice
     hexagonal_rotation_quotient invariant_spectrum linearized_operator ma_residual_radial
-    manufactured_potential model_from_text model_to_text models
+    manufactured_potential model_to_text models
     negation_quotient norms poincare_rayleigh potential_of rayleigh_quotient ricci_coefficient
     smoothstep soliton_residual solve_field solve_mode spectrum square_lattice uniform_nodes
     uniqueness_check verify_solution weighted_sup_norm weights
@@ -536,7 +612,7 @@ PUBLIC_SIGNATURES = {
     "CriticalWeightSet.verify_indicial": "self",
     "CrossSection": "circle_length lattice quotient",
     "CyclicQuotient": "order lattice_map",
-    "GlueSpec": "t0 smoothstep_degree rho0 margin",
+    "GlueSpec": "t0 smoothstep_degree margin",
     "GlueSpec.bump": "self t rho0",
     "GlueSpec.bump_integral": "self t rho0",
     "GlueSpec.cutoff": "self t",
@@ -584,7 +660,6 @@ PUBLIC_SIGNATURES = {
     "linearized_operator": "model phi",
     "ma_residual_radial": "model phi forcing s",
     "manufactured_potential": "grid amplitude",
-    "model_from_text": "text",
     "model_to_text": "model",
     "negation_quotient": "dim",
     "poincare_rayleigh": "model grid",

@@ -454,10 +454,10 @@ def test_forcing_decay_warning(cigar):
 def test_stall_on_huge_forcing(manufactured):
     model, _, forcing = manufactured
     hostile = forcing.like(1e3 * forcing.values)
-    with pytest.raises((ak.ContinuityStalled, ak.PositivityLost)) as excinfo:
+    # a step that loses positivity is retried at half the s-step, never raised
+    with pytest.raises(ak.ContinuityStalled) as excinfo:
         quiet_solve(model, hostile)
-    if isinstance(excinfo.value, ak.ContinuityStalled):
-        assert excinfo.value.records is not None
+    assert excinfo.value.records is not None
 
 
 def test_uniqueness_from_three_starts(manufactured):

@@ -96,18 +96,23 @@ def _mpmath_glue(t0, rho0, t):
 @pytest.mark.parametrize("t0, rho0, positive", [(3.0, 0.0, True), (3.0, 15.0, True),
                                                 (1.3, 0.0, False), (1.3, 15.0, True)])
 def test_glue_closed_form_matches_mpmath(t0, rho0, positive):
+    """c at the amplitude rho0, and the glued model's f - 2t at its own
+    amplitude, the one auto_rho picks; rho0 reaches it unless t0 = 1.3 has no
+    bump (positive is False)."""
     import mpmath as mp
 
     inner = ak.cigar_model(2)
-    spec = ak.GlueSpec(t0=t0, rho0=rho0)
+    spec = ak.GlueSpec(t0=t0)
+    model = ak.glued_model(inner, spec)
+    own = model.glue_params["rho0"]
+    assert (rho0 >= own) == positive
     # seven transition nodes, none on the junctions t = 1, t0
     c = ak.glue_coefficient((0.6, t0 + 0.4, (t0 - 0.2) / 6), spec, inner, rho0)
     with mp.workdps(30):
-        exact = [_mpmath_glue(mp.mpf(t0), mp.mpf(rho0), mp.mpf(float(t))) for t in c.t]
-    assert np.max(np.abs(c.values - [e[0] for e in exact])) <= 1e-13
-    if positive:  # t0 = 1.3 needs a bump before c > 0 on the gluing grid
-        f_minus_2t = ak.glued_model(inner, spec).f_minus_2t(c.t)
-        assert np.max(np.abs(f_minus_2t - [e[1] for e in exact])) <= 1e-13
+        exact_c = [_mpmath_glue(mp.mpf(t0), mp.mpf(rho0), mp.mpf(float(t)))[0] for t in c.t]
+        exact_f = [_mpmath_glue(mp.mpf(t0), mp.mpf(own), mp.mpf(float(t)))[1] for t in c.t]
+    assert np.max(np.abs(c.values - exact_c)) <= 1e-13
+    assert np.max(np.abs(model.f_minus_2t(c.t) - exact_f)) <= 1e-13
 
 
 @pytest.mark.parametrize("t0, steps", [(3.0, (0.01, 0.005, 0.0025)),
@@ -140,7 +145,7 @@ def test_glue_spec_rejects_bad_cutoff_degree(degree):
         ak.GlueSpec(smoothstep_degree=degree)
 
 
-@pytest.mark.parametrize("name", ["t0", "rho0", "margin"])
+@pytest.mark.parametrize("name", ["t0", "margin"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_glue_spec_rejects_non_finite_values(name, value):
     with pytest.raises(ak.DomainError, match=f"GlueSpec {name} must be finite, got {value}"):
@@ -151,12 +156,10 @@ def test_glued_model_rejects_other_inner_models():
     glued = ak.glued_model(ak.cigar_model(2))
     with pytest.raises(ak.DomainError, match="cigar or cylinder"):
         ak.glued_model(glued)
-    with pytest.raises(ak.DomainError, match="cigar or cylinder"):
-        ak.glued_model(glued, ak.GlueSpec(rho0=0.0))
 
 
 def test_glue_cylinder_to_itself():
-    spec = ak.GlueSpec(t0=3.0, rho0=0.0)
+    spec = ak.GlueSpec(t0=3.0)
     grid = (0.0, spec.grid_end, spec.h)
     c = ak.glue_coefficient(grid, spec, ak.cylinder_model(1), 0.0)
     assert np.max(np.abs(c.values - 1.0)) < 1e-7
@@ -165,7 +168,7 @@ def test_glue_cylinder_to_itself():
 
 def test_glue_region_identities_exact():
     inner = ak.cigar_model(2)
-    spec = ak.GlueSpec(t0=3.0, rho0=0.0)
+    spec = ak.GlueSpec(t0=3.0)
     c = ak.glue_coefficient((0.0, spec.grid_end, spec.h), spec, inner, 0.0)
     t = c.t
     outer = t >= 3.5
@@ -271,26 +274,19 @@ def test_auto_rho_rejects_margin_outside_bump_support():
 
 
 @pytest.mark.parametrize("rho0", [14.96, 14.9458])  # both clear every gluing node
-def test_supplied_rho0_is_checked_between_nodes(rho0):
+def test_supplied_rho0_is_checked_between_nodes(rho0, monkeypatch):
     """c dips to -0.0050 (-0.0186) at t = 1.0822, between the nodes 1.080 and
-    1.085; the model is rejected there, whether the spec or the model text
-    carries rho0."""
+    1.085: glued_model rejects an amplitude that only clears the nodes."""
+    from acylsoliton import gluing
+
     inner = ak.cigar_model(2)
-    spec = ak.GlueSpec(t0=1.3, rho0=rho0)
+    spec = ak.GlueSpec(t0=1.3)
     c = ak.glue_coefficient((0.0, spec.grid_end, spec.h), spec, inner, rho0)
     assert np.min(c.values) > 0.0
-    with pytest.raises(ak.DomainError, match=r"c = -0.0\d+ <= 0 at t=1.082"):
+    monkeypatch.setattr(gluing, "auto_rho", lambda grid, spec, inner_model: rho0)
+    with pytest.raises(ak.DomainError,
+                       match=r"c = -0.0\d+ <= 0 at t=1.082\d*; increase glue.margin"):
         ak.glued_model(inner, spec)
-    text = f"kind = glued\nn = 2\nglue.t0 = 1.3\nglue.rho0 = {rho0!r}\n"
-    with pytest.raises(ak.DomainError, match=r"at t=1.082"):
-        ak.model_from_text(text)
-
-
-def test_auto_rho0_round_trips_through_the_check():
-    """The amplitude auto_rho picks builds, and rebuilds from the model text."""
-    model = ak.glued_model(ak.cigar_model(2), ak.GlueSpec(t0=1.3))
-    clone = ak.model_from_text(ak.model_to_text(model))
-    assert clone.glue_params == model.glue_params
 
 
 def test_narrow_glued_solve_converges_at_fine_grid():
@@ -377,14 +373,6 @@ def test_solution_soliton_residual_from_increments_and_samples():
     from_samples = ak.soliton_residual(model, samples).values
     assert np.max(np.abs(from_increments)) <= 1e-12
     assert np.max(np.abs(from_increments - from_samples)) <= 1e-9
-
-
-def test_glued_model_text_roundtrip():
-    model = ak.glued_model(ak.cigar_model(2))
-    clone = ak.model_from_text(ak.model_to_text(model))
-    t = ak.uniform_nodes(-2.0, 6.0, 0.05)
-    assert np.allclose(clone.a(t), model.a(t), rtol=1e-12, atol=1e-14)
-    assert np.allclose(clone.f(t), model.f(t), rtol=1e-12, atol=1e-12)
 
 
 def test_grid_end_is_a_lattice_node():
