@@ -43,10 +43,12 @@ MODELS = ("cigar", "cylinder", "glued")
 
 
 def _lattice_rows(text):
-    """The numeric rows "a b; c d" of a square matrix as an array; else ValueError."""
+    """The finite rows "a b; c d" of a square matrix as an array; else ValueError."""
     lattice = np.array([[float(x) for x in row.split()] for row in text.split(";")])
     if lattice.ndim != 2 or lattice.shape[0] != lattice.shape[1]:
         raise ValueError(f"not the rows of a square matrix: {text!r}")
+    if not np.isfinite(lattice).all():
+        raise ValueError(f"non-finite lattice entry: {text!r}")
     return lattice
 
 
@@ -264,14 +266,13 @@ class Run:
 
 
 def _cmd_spectrum(cfg, run, args):
-    from .spectrum import invariant_spectrum, spectrum, spectrum_to_csv
+    from .spectrum import spectra, spectrum_to_csv
 
     cs = _build_cross_section(cfg)
-    full = spectrum(cs, cfg.weights_mu_max)
+    full, invariant = spectra(cs, cfg.weights_mu_max)
     spectrum_to_csv(full, run.path("spectrum.csv"))
     if cs.quotient is not None:
-        spectrum_to_csv(invariant_spectrum(cs, cfg.weights_mu_max),
-                        run.path("invariant_spectrum.csv"))
+        spectrum_to_csv(invariant, run.path("invariant_spectrum.csv"))
     run.notes["modes"] = sum(m for _, m in full)
     return EXIT_OK
 

@@ -19,14 +19,18 @@ lattice map R of order m) acts on a mode by (j, alpha) -> (j, R^T alpha)
 with character e^{2 pi i j/m} per generator application.  The invariant
 subspectrum keeps, for each orbit, the dimension of the trivial-character
 subspace: 1 if m divides j * L, where the orbit size L of alpha is the least
-L >= 1 with (R^T)^L alpha = alpha.  So the lattice vectors are reduced to
-distinct (mu_torus, L) groups with member counts, and j is broadcast against
-the groups only; the full spectrum is the order-1 case m = 1, R = I.
-Eigenvalues closer than MERGE_TOL are merged into one cluster reported at
-its smallest value.
+L >= 1 with (R^T)^L alpha = alpha.  So the lattice vectors are reduced, for
+each L = 1..m, to their distinct torus values with member counts (np.unique
+with counts, no inverse), and j is broadcast against these groups only; the
+full spectrum is the order-1 case m = 1, R = I, and spectra() forms both
+from one enumeration.  The kept eigenvalues are sorted once.  Eigenvalues
+closer than MERGE_TOL are merged into one cluster reported at its smallest
+value, and np.add.reduceat sums the integer weights of each cluster, so the
+order of the groups does not matter.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -117,7 +121,8 @@ def _ellipsoid(gram, bound, a_max, dtype):
 
 def spectrum(cs, mu_max):
     """Sorted list of (mu, multiplicity) with mu <= mu_max."""
-    return invariant_spectrum(replace(cs, quotient=None), mu_max)
+    bound, torus, _ = _lattice_modes(cs, mu_max, None)
+    return _grouped(cs.circle_length, bound, torus, None, 1)
 
 
 def invariant_spectrum(cs, mu_max):
@@ -125,6 +130,24 @@ def invariant_spectrum(cs, mu_max):
 
     With no quotient this equals spectrum(cs, mu_max).
     """
+    bound, torus, size = _lattice_modes(cs, mu_max, cs.quotient)
+    m = cs.quotient.order if cs.quotient else 1
+    return _grouped(cs.circle_length, bound, torus, size, m)
+
+
+def spectra(cs, mu_max):
+    """(spectrum(cs, mu_max), invariant_spectrum(cs, mu_max)) from one enumeration
+    of the lattice; with no quotient both are the same list."""
+    bound, torus, size = _lattice_modes(cs, mu_max, cs.quotient)
+    full = _grouped(cs.circle_length, bound, torus, None, 1)
+    if cs.quotient is None:
+        return full, full
+    return full, _grouped(cs.circle_length, bound, torus, size, cs.quotient.order)
+
+
+def _lattice_modes(cs, mu_max, quotient):
+    """bound = mu_max + MERGE_TOL, the torus values <= bound of the enumerated alpha
+    (one of each pair +-alpha != 0) and their orbit sizes under quotient (all 1 if None)."""
     if not 0 < mu_max < np.inf:
         raise DomainError(f"mu_max must be positive and finite, got {mu_max}")
     bound = mu_max + MERGE_TOL
@@ -132,7 +155,7 @@ def invariant_spectrum(cs, mu_max):
     d = gram.shape[0]
     # |alpha| bound from the smallest eigenvalue of the dual Gram matrix
     a_max = int(np.floor(np.sqrt(bound / np.linalg.eigvalsh(gram)[0]))) if d > 0 else 0
-    m, R = (cs.quotient.order, cs.quotient.lattice_map) if cs.quotient else (1, np.eye(d))
+    m, R = (quotient.order, quotient.lattice_map) if quotient else (1, np.eye(d))
     # narrowest integers holding every coefficient, R and the partial sums of alpha @ R
     dtype = np.min_scalar_type(-(a_max + 1) * int(np.abs(R).sum(axis=0).max(initial=1)))
     alphas = _ellipsoid(gram, bound, a_max, dtype) if d > 0 else np.zeros((0, 0), dtype)
@@ -142,20 +165,28 @@ def invariant_spectrum(cs, mu_max):
     # for the rows that no power below m fixes, since R^m = I; -alpha has the same
     size = np.full(np.count_nonzero(keep), m)
     if m > 1:
-        alphas, R = alphas[keep], R.astype(dtype)
+        alphas, R = np.compress(keep, alphas, axis=0), R.astype(dtype)
         image = alphas
         for power in range(1, m):
             image = image @ R
-            size[(size == m) & (image == alphas).all(axis=1)] = power
+            fixed = np.logical_and.reduce([image[:, i] == alphas[:, i] for i in range(d)])
+            size[(size == m) & fixed] = power
+    return bound, mus_torus[keep], size
+
+
+def _grouped(circle_length, bound, torus, size, m):
+    """Sorted (mu, multiplicity) pairs, mu <= bound, of the order-m invariant modes
+    whose torus parts are the representatives (torus, size) and alpha = 0."""
     # member counts of the distinct (torus value, orbit size) groups: each
     # representative stands for +-alpha, and alpha = 0 (value 0.0, size 1) for itself
-    torus_values, torus_index = np.unique(np.append(mus_torus[keep], 0.0), return_inverse=True)
-    cell = torus_index * m + np.append(size, 1) - 1
-    members = 2 * np.bincount(cell, minlength=len(torus_values) * m)
-    members[cell[-1]] -= 1
-    group = np.flatnonzero(members)
-    torus, orbit, members = torus_values[group // m], group % m + 1, members[group]
-    circle_unit = (2.0 * np.pi / cs.circle_length) ** 2
+    values, orbit, members = [np.zeros(1)], [np.ones(1, np.int64)], [np.ones(1, np.int64)]
+    for L in range(1, m + 1):
+        group, count = np.unique(torus if m == 1 else torus[size == L], return_counts=True)
+        values.append(group)
+        orbit.append(np.full(len(group), L, np.int64))
+        members.append(2 * count)
+    torus, orbit, members = (np.concatenate(x) for x in (values, orbit, members))
+    circle_unit = (2.0 * np.pi / circle_length) ** 2
     j_max = int(np.floor(np.sqrt(bound / circle_unit)))
     js = np.arange(j_max + 1)[:, None]
     mu = circle_unit * js * js + torus
@@ -163,25 +194,37 @@ def invariant_spectrum(cs, mu_max):
     # stands for +-j, which have the same mu and the same character test
     weight = np.where(js * orbit % m == 0, (1 + (js > 0)) * members * (m // orbit), 0)
     kept = (mu <= bound) & (weight > 0)
-    values, inverse = np.unique(mu[kept], return_inverse=True)
-    totals = np.bincount(inverse, weights=weight[kept]).astype(np.int64)
-    # clusters in two flat lists: a [value, total] list per cluster would be a
-    # container the cyclic GC tracks and promotes, hundreds per call
-    starts, sums = [], []
-    for value, total in zip(values.tolist(), totals.tolist()):
-        if starts and value - starts[-1] <= MERGE_TOL:
-            sums[-1] += total
-        else:
-            starts.append(value)
-            sums.append(total)
-    return [(value, total // m) for value, total in zip(starts, sums)]
+    mu, weight = mu[kept], weight[kept]
+    order = np.argsort(mu)
+    mu = mu[order]
+    starts = np.flatnonzero(_cluster_starts(mu))
+    totals = np.add.reduceat(weight[order], starts)
+    return list(zip(mu[starts].tolist(), (totals // m).tolist()))
+
+
+def _cluster_starts(values):
+    """Mask of the ascending values that start a cluster: the first, and each one
+    more than MERGE_TOL above the start of the cluster before it.
+
+    A gap above MERGE_TOL always starts a cluster.  In a run of closer gaps only
+    a value more than MERGE_TOL above the run's first value can start one, so the
+    sequential rule runs over those values alone."""
+    start = np.ones(len(values), dtype=bool)
+    start[1:] = np.diff(values) > MERGE_TOL
+    first = np.maximum.accumulate(np.where(start, np.arange(len(values)), 0))
+    cluster = -1  # start of the current cluster
+    for k in np.flatnonzero(values - values[first] > MERGE_TOL).tolist():
+        cluster = max(cluster, first[k])
+        if values[k] - values[cluster] > MERGE_TOL:
+            start[k], cluster = True, k
+    return start
 
 
 def spectrum_to_csv(pairs, path):
+    fields = tuple(chain.from_iterable(pairs))
     with open(path, "w", newline="") as fh:
         fh.write("mu,multiplicity\n")
-        for mu, mult in pairs:
-            fh.write(f"{mu:.17g},{mult}\n")
+        fh.write("%.17g,%s\n" * (len(fields) // 2) % fields)
 
 
 # ---- common lattices and quotient actions ----

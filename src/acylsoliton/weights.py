@@ -48,41 +48,35 @@ class CriticalWeightSet:
         return all(abs(w.epsilon**2 - 2.0 * w.epsilon - w.mu) < 1e-10 for w in self.weights)
 
 
-def _as_mus(spectrum):
-    mus = []
-    for entry in spectrum:
-        mu = entry[0] if isinstance(entry, (tuple, list)) else entry
-        mu = float(mu)
-        if mu < -DEDUP_TOL:
-            raise DomainError(f"negative cross-section eigenvalue mu={mu}")
-        mus.append(max(mu, 0.0))
-    return mus
-
-
 def critical_weights(spectrum, window):
     """All eps = 1 +/- sqrt(1+mu) strictly inside the open window (lo, hi),
     sorted and deduplicated.
 
-    `spectrum` is a list of eigenvalues mu or of (mu, multiplicity) pairs.
+    `spectrum` holds eigenvalues mu or (mu, multiplicity) pairs, as a sequence
+    or as an array of shape (k,) or (k, 2).
     """
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise DomainError(f"empty window ({lo}, {hi})")
-    mus = _as_mus(spectrum)
-    root = np.sqrt(1.0 + np.array(mus, dtype=float))
-    found = []
-    for branch in (-1, +1):
-        eps = 1.0 + branch * root
-        for k in np.flatnonzero((lo + DEDUP_TOL < eps) & (eps < hi - DEDUP_TOL)):
-            found.append(CriticalWeight(epsilon=eps[k], mu=mus[k], branch=branch))
-    found.sort(key=lambda w: (w.epsilon, w.mu, w.branch))
+    mus = np.asarray(spectrum, dtype=float)
+    if mus.ndim == 2:
+        mus = mus[:, 0]
+    negative = mus < -DEDUP_TOL
+    if negative.any():
+        raise DomainError(f"negative cross-section eigenvalue mu={float(mus[negative][0])}")
+    mus = np.where(mus < 0.0, 0.0, mus)
+    root = np.sqrt(1.0 + mus)
+    eps = np.concatenate((1.0 - root, 1.0 + root))
+    mu = np.concatenate((mus, mus))
+    branch = np.repeat([-1, 1], len(mus))
+    inside = (lo + DEDUP_TOL < eps) & (eps < hi - DEDUP_TOL)
     dedup = []
-    for w in found:
-        if dedup and abs(w.epsilon - dedup[-1].epsilon) <= DEDUP_TOL:
+    for e, m, b in sorted(zip(eps[inside].tolist(), mu[inside].tolist(), branch[inside].tolist())):
+        if dedup and abs(e - dedup[-1].epsilon) <= DEDUP_TOL:
             continue
-        dedup.append(w)
+        dedup.append(CriticalWeight(epsilon=e, mu=m, branch=b))
     return CriticalWeightSet(
-        weights=tuple(dedup), window=(lo, hi), mu_max=max(mus) if mus else 0.0
+        weights=tuple(dedup), window=(lo, hi), mu_max=float(mus.max()) if len(mus) else 0.0
     )
 
 
@@ -121,7 +115,7 @@ def fredholm_window_check(cws, interval=(0.0, 2.0)):
 
 
 def weights_to_csv(cws, path):
+    fields = tuple(x for w in cws.weights for x in (w.epsilon, w.mu, "-+"[w.branch > 0]))
     with open(path, "w", newline="") as fh:
         fh.write("epsilon,mu,branch\n")
-        for w in cws.weights:
-            fh.write(f"{w.epsilon:.17g},{w.mu:.17g},{'+' if w.branch > 0 else '-'}\n")
+        fh.write("%.17g,%.17g,%s\n" * len(cws.weights) % fields)

@@ -351,10 +351,11 @@ def test_poincare_weight_nonpositive_f_is_a_usage_error(tmp_path, capsys):
     ("spectrum", "cross_section.lattice_rows", "1 x; 0 1"),
     ("glue", "cross_section.lattice_rows", "1 x; 0 1"),
     ("spectrum", "cross_section.lattice_rows", "1 0 0; 0 1 0"),
-], ids=["plot_word", "word_in_rows", "word_in_rows_glue", "non_square_rows"])
+    ("spectrum", "cross_section.lattice_rows", "nan 0; 0 1"),
+], ids=["plot_word", "word_in_rows", "word_in_rows_glue", "non_square_rows", "nan_lattice_rows"])
 def test_malformed_config_value_exits_1_before_any_output(tmp_path, capsys, command, key, value):
-    """plot takes six words only, and the lattice rows are read with the
-    config: both name the line before manifest.json is written."""
+    """plot takes six words only, and the lattice rows (finite, square) are read
+    with the config: both name the line before manifest.json is written."""
     path = tmp_path / "bad.cfg"
     path.write_text(f"grid.h = 0.01\n{key} = {value}\n")
     args = ["--rhs", decaying_rhs(tmp_path)[0]] if command == "solve-linear" else []
@@ -365,15 +366,13 @@ def test_malformed_config_value_exits_1_before_any_output(tmp_path, capsys, comm
 
 
 @pytest.mark.parametrize("command,config,message", [
-    ("spectrum", "cross_section.lattice_rows = nan 0; 0 1",
-     "error: lattice basis entries must be finite"),
     # grid.h = 8 on [-12, 20] gives 5 nodes; the stencils need 6
     ("report", "grid.h = 8", "error: need at least 6 nodes, got 5"),
     # the rows, not the preset they override, decide whether the rotation acts
     ("spectrum", "cross_section.lattice = hexagonal\n"
      "cross_section.lattice_rows = 6.283185307179586 0; 0 6.283185307179586\n"
      "cross_section.quotient = 3", "error: lattice map is not an isometry of the lattice"),
-], ids=["nan_lattice_rows", "five_node_grid", "square_rows_order_three"])
+], ids=["five_node_grid", "square_rows_order_three"])
 def test_config_the_computation_rejects_is_a_usage_error(tmp_path, capsys, command, config,
                                                          message):
     path = tmp_path / "bad.cfg"

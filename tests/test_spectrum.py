@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import acylsoliton as ak
-from acylsoliton.spectrum import spectrum_to_csv
+from acylsoliton.spectrum import MERGE_TOL, spectrum_to_csv
 from oracles import brute_force_spectrum, character_projection_spectrum
 
 TWO_PI = 2 * np.pi
@@ -221,6 +221,61 @@ def test_spectrum_csv_bytes_pinned(tmp_path, circle, lattice, quotient, mu_max, 
     spectrum_to_csv(ak.invariant_spectrum(ak.CrossSection(circle, lattice, quotient), mu_max),
                     path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def sequential_cluster_starts(values):
+    """The merge rule one value at a time: a value starts a cluster unless it
+    lies within MERGE_TOL of the current cluster's start."""
+    starts, first = [], None
+    for value in values:
+        starts.append(first is None or value - first > MERGE_TOL)
+        first = value if starts[-1] else first
+    return starts
+
+
+@pytest.mark.parametrize("values", [
+    [],
+    [3.0],
+    # spacing 0.6 MERGE_TOL: the third value is within MERGE_TOL of the second
+    # but beyond the first, so it starts the next cluster
+    [k * 0.6 * MERGE_TOL for k in range(7)],
+    # a gap of exactly MERGE_TOL merges; one just above does not
+    [0.0, MERGE_TOL, 2.0, 2.0 + np.nextafter(MERGE_TOL, 1.0)],
+    # repeated values, a chain after a wide gap, and rounding-level gaps
+    [1.0, 1.0, 1.0 + 0.6 * MERGE_TOL, 1.0 + 0.6 * MERGE_TOL, 1.0 + 1.2 * MERGE_TOL, 5.0,
+     5.0 + 0.5 * MERGE_TOL, 5.0 + 0.9 * MERGE_TOL, 5.0 + 1.4 * MERGE_TOL, 5.0 + 1.5 * MERGE_TOL,
+     12.0, np.nextafter(12.0, 13.0), 12.0 + 2 * MERGE_TOL],
+], ids=["empty", "single", "chain_0.6", "gap_exactly_tol", "mixed"])
+def test_cluster_starts_follow_the_sequential_rule(values):
+    from acylsoliton.spectrum import _cluster_starts
+
+    values = np.array(values, dtype=float)
+    assert _cluster_starts(values).tolist() == sequential_cluster_starts(values.tolist())
+
+
+def test_cluster_starts_random_chains():
+    from acylsoliton.spectrum import _cluster_starts
+
+    rng = np.random.default_rng(26)
+    for _ in range(50):
+        gaps = rng.choice([0.0, 0.3, 0.6, 0.9, 1.0, 1.1, 5.0], size=40) * MERGE_TOL
+        values = 7.0 + np.cumsum(gaps)
+        assert _cluster_starts(values).tolist() == sequential_cluster_starts(values.tolist())
+
+
+@pytest.mark.parametrize("circle,lattice,quotient,mu_max", [
+    (TWO_PI, ak.square_lattice(), None, 40.0),
+    (TWO_PI, FOUR_TORUS, FOUR_TORUS_NEGATION, 20.0),
+    (1.3, ak.square_lattice(), ak.negation_quotient(), 300.0),
+    (TWO_PI / np.sqrt(3), ak.hexagonal_lattice(), ak.hexagonal_rotation_quotient(), 60.0),
+], ids=["square", "four_torus_negation", "square_negation_short_circle",
+        "hexagonal_rotation_merge_order"])
+def test_spectra_share_one_enumeration(circle, lattice, quotient, mu_max):
+    """The CLI's one enumeration gives both lists of the two separate calls."""
+    from acylsoliton.spectrum import spectra
+
+    cs = ak.CrossSection(circle, lattice, quotient)
+    assert spectra(cs, mu_max) == (ak.spectrum(cs, mu_max), ak.invariant_spectrum(cs, mu_max))
 
 
 def test_invariant_multiplicities_bounded_by_full():

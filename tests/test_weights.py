@@ -1,9 +1,18 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import acylsoliton as ak
+from acylsoliton.cli import run
+from acylsoliton.weights import weights_to_csv
+
+TWO_PI = 2 * np.pi
+FOUR_TORUS = TWO_PI * np.eye(4)
+# the weights of every spectrum below 3 inside (-1, 3): mu = 0, 1, 2
+NEAR_WINDOW = "6be839df0a1fee6d3978c174d16ff8b0be53a4a08c00df4bea4fd93fd3e9c124"
 
 
 def test_mu_zero_weights():
@@ -102,12 +111,42 @@ def test_accepts_mu_mult_pairs():
     assert [w.epsilon for w in cws_pairs.weights] == [w.epsilon for w in cws_flat.weights]
 
 
+def test_accepts_arrays():
+    pairs = ak.spectrum(ak.CrossSection(TWO_PI, ak.hexagonal_lattice()), 40.0)
+    expected = ak.critical_weights(pairs, (-6.0, 8.0))
+    for spectrum in (np.array(pairs), np.array([mu for mu, _ in pairs])):
+        got = ak.critical_weights(spectrum, (-6.0, 8.0))
+        assert got == expected
+        assert all(type(w.mu) is float and type(w.epsilon) is float for w in got.weights)
+
+
 def test_csv_emission(tmp_path):
     cws = ak.critical_weights([0.0], (-1.0, 3.0))
     path = tmp_path / "weights.csv"
-    from acylsoliton.weights import weights_to_csv
-
     weights_to_csv(cws, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "epsilon,mu,branch"
     assert len(lines) == 3
+
+
+# SHA-256 of weights_to_csv output: the bench's spectrum_sweep cases, and one
+# wide window that reports about 200 weights
+@pytest.mark.parametrize("lattice,quotient,mu_max,window,digest", [
+    (FOUR_TORUS, None, 100.0, (-1.0, 3.0), NEAR_WINDOW),
+    (FOUR_TORUS, ak.CyclicQuotient(order=2, lattice_map=-np.eye(4, dtype=int)), 60.0,
+     (-1.0, 3.0), NEAR_WINDOW),
+    (ak.hexagonal_lattice(), ak.hexagonal_rotation_quotient(), 1000.0, (-1.0, 3.0),
+     "1cb7438f45ada6235e0c2b1ad85449a8cb8c1bf40b2bfc553db741d00de7cb23"),
+    (FOUR_TORUS, None, 100.0, (-20.0, 22.0),
+     "0690e4a22f5fe31b0ecaeb9339422c3f5950066315492b572da1f83964906dc0"),
+], ids=["s1t4", "s1t4_z2", "hex_z3", "s1t4_wide"])
+def test_weights_csv_bytes_pinned(tmp_path, lattice, quotient, mu_max, window, digest):
+    spectrum = ak.invariant_spectrum(ak.CrossSection(TWO_PI, lattice, quotient), mu_max)
+    path = tmp_path / "weights.csv"
+    weights_to_csv(ak.critical_weights(spectrum, window), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_cli_weights_csv_bytes_pinned(tmp_path):
+    assert run(["weights", "--output", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "weights.csv").read_bytes()).hexdigest() == NEAR_WINDOW
