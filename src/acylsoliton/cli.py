@@ -413,11 +413,11 @@ def _cmd_report(cfg, run, args):
 
 # flag -> argparse options; a dest that is a config key makes the flag set that key
 MODEL_FLAG = ("--model", {"dest": "model.kind", "choices": MODELS})
+PLOT_FLAG = ("--plot", {"action": "store_true", "help": "emit an SVG plot"})
 COMMON_FLAGS = (
     ("--config", {"help": "key=value config file"}),
     ("--output", {"dest": "output.dir", "metavar": "OUTPUT",
                   "help": "output directory (overrides config)"}),
-    ("--plot", {"action": "store_true", "help": "emit SVG plots"}),
 )
 # command -> (help, flags); the command runs _cmd_<name with - as _>(cfg, run, args)
 COMMANDS = {
@@ -431,11 +431,13 @@ COMMANDS = {
         ("--rhs", {"required": True, "help": "right-hand side CSV"}),
         ("--order-study", {"action": "store_true", "default": False,
                            "help": "estimate the convergence order by Richardson coarsening"}),
+        PLOT_FLAG,
     )),
     "solve-ma": ("Monge-Ampere continuity solve", (
         MODEL_FLAG,
         ("--n", {"dest": "model.n", "type": int, "metavar": "N"}),
         ("--rhs", {"required": True, "help": "forcing CSV, or 'manufactured'"}),
+        PLOT_FLAG,
     )),
     "glue": ("build a glued ACyl background model", (
         ("--inner", {"choices": ["cigar"], "default": "cigar",

@@ -15,9 +15,11 @@ dominate it.
 
 poincare_rayleigh calls LAPACK dptsv and dstebz through _lapack, which loads
 SciPy's LAPACK extension on the first call without running SciPy's package
-__init__ or importing scipy.linalg.  The package imports this module (and
-with it the continuity solver) on first use of one of its names, so
-`import acylsoliton` loads neither it nor SciPy.
+__init__ or importing scipy.linalg.  The package imports this module on
+first use of one of its names, so `import acylsoliton` loads neither it nor
+SciPy; verify_solution imports the continuity module's residual when it is
+called, so the Poincare constant alone (the verify command) loads neither
+the continuity solver nor the drift solves.
 """
 
 import json
@@ -27,7 +29,6 @@ from typing import List
 import numpy as np
 
 from . import _lapack
-from .continuity import ma_residual_radial
 from .errors import DomainError, SingularSystem
 from .grids import uniform_nodes
 from .norms import decay_rate_fit
@@ -233,6 +234,8 @@ def verify_solution(model, solution, forcing, metadata=None):
     inf(f + X(phi)/2) >= 1; and the path-uniform weighted bound (no record
     exceeds 10x its final value).
     """
+    from .continuity import ma_residual_radial
+
     residual = ma_residual_radial(model, solution.phi, forcing, 1.0)
     sup_res = float(np.max(np.abs(residual.values)))
 

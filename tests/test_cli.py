@@ -508,20 +508,29 @@ def loaded(package):
 steps = {"import": loaded("acylsoliton")}
 scipy_at_import = loaded("scipy")
 import acylsoliton.cli
-for args in (["spectrum"], ["weights"], ["solve-linear", "--rhs", sys.argv[1]], ["glue"]):
-    assert acylsoliton.cli.run(args + ["--output", args[0]]) == 0, args
-    steps[args[0]] = loaded("acylsoliton")
+extra = {"solve-linear": ["--rhs", sys.argv[1]]}
+for name in sys.argv[2:]:
+    assert acylsoliton.cli.run([name, *extra.get(name, []), "--output", name]) == 0, name
+    steps[name] = loaded("acylsoliton")
 import acylsoliton.spectrum
 print(json.dumps([steps, scipy_at_import, type(ak.spectrum).__name__]))
 """
 
 
 def test_each_command_imports_only_the_modules_it_runs(tmp_path):
-    """One fresh interpreter runs the commands in turn, so each step's module
-    set also holds every earlier step's."""
-    done = _fresh_python(["-c", CONTRACT_PROBE, os.path.abspath(FIXTURE)], tmp_path)
-    assert done.returncode == 0, done.stderr
-    steps, scipy_at_import, spectrum_type = json.loads(done.stdout)
+    """A fresh interpreter runs the commands in turn, so each step's module
+    set also holds every earlier step's.  verify loads diagnostics, which
+    glue must not, and solve-linear loads drift, which verify must not, so
+    verify runs in an interpreter of its own."""
+
+    def probe(*commands):
+        done = _fresh_python(["-c", CONTRACT_PROBE, os.path.abspath(FIXTURE), *commands],
+                             tmp_path)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    steps, scipy_at_import, spectrum_type = probe("spectrum", "weights", "solve-linear", "glue")
+    steps["verify"] = probe("verify")[0]["verify"]
 
     def loads(step, *names):
         return {f"acylsoliton.{name}" for name in names} & set(steps[step])
@@ -531,6 +540,7 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
     assert not loads("weights", "continuity", "drift")
     assert not loads("solve-linear", "continuity", "gluing")
     assert not loads("glue", "continuity", "diagnostics")
+    assert not loads("verify", "continuity", "drift")
     # importing the submodule leaves the package's spectrum bound to the function
     assert spectrum_type == "function"
 
@@ -803,8 +813,18 @@ def test_output_flag_beats_env_and_config(tmp_path, monkeypatch):
 
 def test_plot_svg(tmp_path):
     rhs_path, _ = decaying_rhs(tmp_path)
-    code = run(["--plot", "solve-linear", "--model", "cigar", "--mu", "0",
+    code = run(["solve-linear", "--model", "cigar", "--mu", "0", "--plot",
                 "--rhs", rhs_path, "--output", str(tmp_path)])
     assert code == 0
     svg = (tmp_path / "solution.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+
+
+@pytest.mark.parametrize("args", [["spectrum", "--plot"],
+                                  ["--plot", "solve-ma", "--rhs", "manufactured"]],
+                         ids=["spectrum", "before_the_command"])
+def test_plot_flag_only_on_the_commands_that_plot(tmp_path, capsys, args):
+    """--plot belongs to solve-linear and solve-ma, after the command name."""
+    assert run(args + ["--output", str(tmp_path / "out")]) == 1
+    assert "unrecognized arguments: --plot" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
