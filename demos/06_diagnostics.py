@@ -40,8 +40,12 @@ for name, model, t_min in (("cylinder", ak.cylinder_model(1), 0.0),
           f"(domain growth shifts it by {abs(lam_wide - lam) / lam:.2e}; "
           f"barrier reference 1/8 = {ak.REFERENCE_LAMBDA0})")
 
-# the variational principle: any test vector dominates lambda_min
-grid = (0.0, 20.0, 0.01)
-n_interior = len(ak.uniform_nodes(*grid)) - 2
-quotient = ak.rayleigh_quotient(ak.cylinder_model(1), grid, np.ones(n_interior))
+# the variational principle: any test vector dominates lambda_min; here the
+# constant one, zero at the Dirichlet ends, with the weight w = e^f a / f^2
+model, h = ak.cylinder_model(1), 0.01
+t = ak.uniform_nodes(0.0, 20.0, h)
+w = np.exp(model.f(t)) * model.sample_a(t) / model.f(t) ** 2
+u = np.ones(len(t))
+u[[0, -1]] = 0.0
+quotient = np.sum(0.5 * (w[1:] + w[:-1]) * (np.diff(u) / h) ** 2 * h) / np.sum(w * u**2 * h)
 print(f"\nRayleigh quotient of the constant test vector: {quotient:.6f} >= lambda_min")

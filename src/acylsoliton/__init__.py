@@ -22,12 +22,10 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "continuity": "ContinuityConfig SolitonSolution StepRecord continuity_solve decaying_gauge "
-                  "linearized_operator manufactured_potential ma_residual_radial "
-                  "uniqueness_check",
-    "diagnostics": "REFERENCE_LAMBDA0 VerificationReport poincare_rayleigh rayleigh_quotient "
-                   "verify_solution",
-    "drift": "BoundaryPolicy ModeProblem apply_mode_operator assemble_mode_operator "
-             "default_boundary solve_field solve_mode",
+                  "manufactured_potential ma_residual_radial uniqueness_check",
+    "diagnostics": "REFERENCE_LAMBDA0 VerificationReport poincare_rayleigh verify_solution",
+    "drift": "BoundaryPolicy ModeProblem assemble_mode_operator default_boundary solve_field "
+             "solve_mode",
     "errors": "AcylSolitonError ConfigError ContinuityStalled DomainError NewtonDiverged "
               "PositivityLost SingularSystem",
     "gluing": "GlueSpec auto_rho bump_profile glue_coefficient glued_forcing glued_model "

@@ -20,8 +20,8 @@ log1p((v_i - v_{i-1}) / (2 a_i h^2)) + (v_i + v_{i-1}) / (2h) - s F_i.
 Rounding costs about eps_machine * |psi'| / h, where second differences of
 stored psi lose eps_machine * |psi| / h^2 (above the Newton tolerance at
 h = 1e-4); the solution's potentials carry v (grids.RadialPotential).
-Scaled by 2 a_phi, Jacobian row i is sup_i dv_i - sub_i dv_{i-1} with
-(sub, sup) of drift.drift_bands(a_phi, h): below one boundary row the
+Scaled by 2 a_phi, Jacobian row i is sup_i dv_i - sub_i dv_{i-1}, as
+drift.march_bands(a_phi, h) writes it: below one boundary row the
 Newton matrix is a forward march (drift.forward_march), stable since its
 factor (1 - a_phi h)/(1 + a_phi h) lies in (-1, 1).  s F is formed once per
 s, and psi''/2, psi' and the rows once per iterate, by its residual: the step
@@ -44,15 +44,15 @@ instances may run in parallel (no shared mutable state).
 """
 
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import List, NamedTuple, Optional
 
 import numpy as np
 
 from . import fd
-from .drift import drift, forward_march, march_bands
+from .drift import forward_march, march_bands
 from .errors import ContinuityStalled, DomainError, NewtonDiverged, PositivityLost, SingularSystem
-from .grids import GridFunction, RadialPotential, uniform_nodes
+from .grids import RadialPotential, uniform_nodes
 from .models import half_hessian, radial_derivatives, radial_increments
 from .norms import decay_rate_fit
 
@@ -150,23 +150,6 @@ def ma_residual_radial(model, phi, forcing, s):
     return phi.like(r)
 
 
-@dataclass
-class LinearizedOperator:
-    """u -> (1/2) a_phi^{-1} u'' + u' = drift(u, phi, a_phi) / 2, half the drift
-    Laplacian of g_phi on radial modes of phi's grid."""
-
-    a_phi: np.ndarray = field(repr=False)
-    phi: GridFunction = field(repr=False)
-
-    def apply(self, u):
-        return 0.5 * drift(u, self.phi, self.a_phi)
-
-
-def linearized_operator(model, phi):
-    a, half_dd = half_hessian(model, phi.t, radial_derivatives(phi)[1])
-    return LinearizedOperator(a_phi=a + half_dd, phi=phi)
-
-
 # ---- Newton core on the increments ----
 
 
@@ -174,6 +157,7 @@ class _Iterate(NamedTuple):  # increments v and what their residual formed
     v: np.ndarray
     sup: Optional[float]  # sup-norm of all rows; None where a_phi <= 0
     r: Optional[np.ndarray]  # interior residual rows
+    boundary: Optional[float]  # the boundary row
     half_dd: np.ndarray  # psi''/2 at the interior nodes
     min_ratio: float  # 1 + min (psi''/2)/a over the interior nodes
 
@@ -237,12 +221,12 @@ class _RadialNewton:
         np.divide(half_dd, self.a[1:-1], out=x)
         min_ratio = 1.0 + float(np.min(x))
         if min_ratio <= 0.0:
-            return _Iterate(v, None, None, half_dd, min_ratio)
+            return _Iterate(v, None, None, None, half_dd, min_ratio)
         slope = self._scratch
         np.divide(np.add(v[1:], v[:-1], out=slope), 2.0 * self.h, out=slope)
         r = np.subtract(np.add(np.log1p(x, out=x), slope, out=x), target, out=x)
-        boundary = abs((3.0 * v[0] - v[1]) / (2.0 * self.h) if self.neumann_inner else np.sum(v))
-        return _Iterate(v, max(_sup_abs(r), boundary), r, half_dd, min_ratio)
+        boundary = (3.0 * v[0] - v[1]) / (2.0 * self.h) if self.neumann_inner else np.sum(v)
+        return _Iterate(v, max(_sup_abs(r), abs(boundary)), r, boundary, half_dd, min_ratio)
 
     def _newton_step(self, it):
         """Direction dv at the iterate: the boundary row fixes dv_0, then rows 1..n-2

@@ -168,16 +168,6 @@ def poincare_rayleigh(model, grid):
     return _lowest_eigenvalue(*_poincare_matrix(model, grid))
 
 
-def rayleigh_quotient(model, grid, u_interior):
-    """Variational quotient of an interior test vector (Dirichlet extension)."""
-    h = grid[2]
-    w, w_mid = _poincare_weights(model, grid)
-    u = np.concatenate(([0.0], np.asarray(u_interior, dtype=float), [0.0]))
-    num = float(np.sum(w_mid * (np.diff(u) / h) ** 2 * h))
-    den = float(np.sum(w[1:-1] * u[1:-1] ** 2 * h))
-    return num / den
-
-
 @dataclass
 class Check:
     name: str
@@ -205,9 +195,6 @@ class VerificationReport:
             "checks": [c.as_dict() for c in self.checks],
             "metadata": self.metadata,
         }
-
-    def to_json(self):
-        return json.dumps(self.as_dict(), indent=2)
 
     def summary_lines(self):
         lines = []

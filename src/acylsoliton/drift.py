@@ -13,11 +13,10 @@ converge as t -> +infty.
 Discretization: 2nd-order central differences; rows are assembled in the
 equivalent scaled form u'' - s_mu u + 2 a u' = a h, which keeps the matrix
 entries O(1/h^2) where a degenerates.  drift_bands writes the off-diagonals
-of these rows for any (c, s) in u'' - s u + 2 c u', and drift applies
-(u'' - s u)/c + 2u' to a grid function, end nodes included: L_mu at
-(c, s) = (a, s_mu), twice the continuity method's linearization at (a_phi, 0).  The mode operator is
-solved by banded_solve; the Newton matrix of the continuity method, the case
-(c, s) = (a_phi, 0) on increments, by march_bands and forward_march.
+of these rows for any (c, s) in u'' - s u + 2 c u': a L_mu at (c, s) = (a, s_mu),
+and 2 a_phi times the continuity method's linearization at (a_phi, 0).  The
+mode operator is solved by banded_solve; the Newton matrix of the continuity
+method, those rows on increments, by march_bands and forward_march.
 Boundary closures (BoundaryPolicy):
 
 * outer end: Dirichlet (homogeneous by default, value configurable for
@@ -48,7 +47,6 @@ import numpy as np
 from . import _lapack
 from .errors import DomainError, SingularSystem
 from .grids import GridFunction
-from .models import radial_derivatives
 
 RESIDUAL_RTOL = 1e-12
 
@@ -91,18 +89,6 @@ class ModeProblem:
         """(a, s_mu) at the nodes of rhs, s_mu = a mu."""
         a = self.model.sample_a(self.rhs.t)
         return a, a * self.mu
-
-
-def drift(u, on, c, s=0.0):
-    """(u'' - s u)/c + 2u' on the grid of the GridFunction on, whose nodes c samples:
-    u is a GridFunction on that grid or its samples, differenced from its increments
-    (models.radial_derivatives).  DomainError names both grids otherwise."""
-    u = u if isinstance(u, GridFunction) else on.like(u)
-    if not on.same_grid(u):
-        raise DomainError(f"u on the grid {(u.t_min, u.t_max, u.h)} of shape {u.values.shape}, "
-                          f"the operator on {(on.t_min, on.t_max, on.h)} of {on.values.shape}")
-    d1, d2 = radial_derivatives(u)
-    return (d2 - s * u.values) / c + 2.0 * d1
 
 
 def drift_bands(c, h, neg_sub, sup, c_h=None):
@@ -191,11 +177,6 @@ def assemble_mode_operator(problem):
     rhs[-1] = problem.boundary.outer
 
     return ab, rhs
-
-
-def apply_mode_operator(problem, u):
-    """L_mu u on the grid (one-sided stencils at the two end nodes)."""
-    return drift(u, problem.rhs, *problem.coefficients())
 
 
 def mode_interior_residual(problem, u_values):

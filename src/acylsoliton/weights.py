@@ -43,10 +43,6 @@ class CriticalWeightSet:
     def epsilons(self):
         return np.array([w.epsilon for w in self.weights])
 
-    def verify_indicial(self):
-        """Each weight solves the mode ODE characteristic polynomial to 1e-10."""
-        return all(abs(w.epsilon**2 - 2.0 * w.epsilon - w.mu) < 1e-10 for w in self.weights)
-
 
 def critical_weights(spectrum, window):
     """All eps = 1 +/- sqrt(1+mu) strictly inside the open window (lo, hi),

@@ -48,6 +48,50 @@ def seeded_admissible_field(rng, grid=DEFAULT_GRID, amplitude=0.1):
     return ak.GridFunction(*grid, vals * smoothstep(t / 2.0))
 
 
+def newton_rows(a_phi, h, dv):
+    """The Jacobian rows sup_k dv_{k+1} - sub_k dv_k of the Newton step, which
+    drift.march_bands writes at a_phi (rows scaled by 2 a_phi), applied to dv."""
+    from acylsoliton.drift import march_bands
+
+    ab, sub0 = march_bands(np.array(a_phi), h, np.zeros(2 * len(a_phi) + 1))
+    return ab[0] * dv[1:] + np.append(-sub0, ab[1, :-1]) * dv[:-1]
+
+
+def jacobian_gaps(model, grid, rng, pairs=10, tau=1e-6):
+    """(interior, boundary): the largest gaps between finite differences of the
+    Newton residual in the increments v and the Jacobian rows the solver inverts.
+
+    For each seeded pair (phi, psi) the residual at s = 0 is differenced at
+    phi's increments v along psi's increments dv.  Interior row k, which reads
+    dv_k and dv_{k+1}, is compared with the march_bands row sup_k dv_{k+1} -
+    sub_k dv_k divided by 2 a_phi; the boundary row with the Neumann row
+    (3 dv_0 - dv_1) / (2h) (models with a centre) or the Dirichlet row sum(dv).
+    The seeded fields vanish near the inner end, where psi leaves the Neumann
+    row at 0; so the boundary row is also differenced along constant
+    increments, which change no second difference and so are admissible at
+    every node: there the rows read 1/h and n - 1.
+    """
+    from acylsoliton.continuity import _RadialNewton
+
+    h = grid[2]
+    zero = ak.GridFunction(*grid, np.zeros(len(ak.uniform_nodes(*grid))))
+    newton = _RadialNewton(model, zero, ak.ContinuityConfig())
+    target = np.zeros(len(zero.values) - 2)
+    interior = boundary = 0.0
+    for _ in range(pairs):
+        v = np.diff(seeded_admissible_field(rng, grid).values)
+        dv = np.diff(seeded_admissible_field(rng, grid).values)
+        base = newton.residual(v, target)
+        a_phi = newton.a[1:-1] + base.half_dd
+        rows = newton_rows(a_phi, h, dv) / (2.0 * a_phi)
+        along_dv = newton.residual(v + tau * dv, target)
+        interior = max(interior, float(np.max(np.abs((along_dv.r - base.r) / tau - rows))))
+        for bumped, d in ((along_dv, dv), (newton.residual(v + tau, target), np.ones_like(v))):
+            row = (3.0 * d[0] - d[1]) / (2.0 * h) if newton.neumann_inner else np.sum(d)
+            boundary = max(boundary, float(abs((bumped.boundary - base.boundary) / tau - row)))
+    return interior, boundary
+
+
 @pytest.fixture(scope="session")
 def manufactured():
     """Anchored manufactured potential and its exact discrete forcing."""

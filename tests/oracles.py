@@ -3,8 +3,11 @@
 These deliberately avoid the library code paths: spectra by direct box
 enumeration, invariant multiplicities by explicit character projection,
 derivatives by symbolic differentiation (sympy), integrals by mpmath-free
-closed forms where available, and the weighted Poincare constant by a dense
-generalized eigensolve.
+closed forms where available, the weighted Poincare constant by a dense
+generalized eigensolve and the Rayleigh quotient of a test vector by its
+quadratic forms, and the drift operator (u'' - s u)/c + 2u' applied to
+samples (interior_drift), which the package only ever assembles as
+tridiagonal and Newton rows.
 """
 
 import numpy as np
@@ -145,3 +148,29 @@ def dense_poincare_lambda(a, f, t_min, t_max, h):
     inner = slice(1, n)
     return float(scipy.linalg.eigh(K[inner, inner], M[inner, inner],
                                    subset_by_index=[0, 0], eigvals_only=True)[0])
+
+
+def rayleigh_quotient(a, f, t_min, t_max, h, u_interior):
+    """The quotient of the quadratic forms of dense_poincare_lambda at a test
+    vector: sum_k w_{k+1/2} (u_{k+1} - u_k)^2 / h over sum_i w_i u_i^2 h, with
+    u_interior at the interior nodes and 0 at both ends."""
+    n = int(round((t_max - t_min) / h))
+    t = t_min + h * np.arange(n + 1)
+    ft = f(t)
+    w = np.exp(ft) / ft**2 * a(t)
+    u = np.concatenate(([0.0], np.asarray(u_interior, dtype=float), [0.0]))
+    return float(np.sum(0.5 * (w[1:] + w[:-1]) * np.diff(u) ** 2) / h / np.sum(w * u**2 * h))
+
+
+# ---- the drift operator on samples ----
+
+
+def interior_drift(u, h, c, s=0.0):
+    """(u'' - s u)/c + 2u' at the interior nodes of the samples u, by central
+    differences of their increments; c and s are given at those nodes.
+
+    L_mu at (c, s) = (a, a mu), and twice the continuity method's
+    linearization (1/2) a_phi^{-1} u'' + u' at (a_phi, 0).
+    """
+    v = np.diff(u)
+    return (np.diff(v) / h**2 - s * u[1:-1]) / c + (v[1:] + v[:-1]) / h

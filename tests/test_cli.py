@@ -598,13 +598,13 @@ PUBLIC_NAMES = """
     CriticalWeightSet CrossSection CyclicQuotient DomainError GlueSpec GridFunction Kind
     ModeProblem NewtonDiverged PositivityLost REFERENCE_LAMBDA0 RadialKahlerModel
     RadialPotential SingularSystem SolitonSolution StepRecord VerificationReport
-    WeightedNormSpec apply_mode_operator assemble_mode_operator auto_rho bump_profile
+    WeightedNormSpec assemble_mode_operator auto_rho bump_profile
     cigar_model continuity continuity_solve critical_weights cylinder_model decay_rate_fit
     decaying_gauge default_boundary diagnostics drift errors fd fredholm_window_check
     glue_coefficient glued_forcing glued_model gluing grids hexagonal_lattice
-    hexagonal_rotation_quotient invariant_spectrum linearized_operator ma_residual_radial
+    hexagonal_rotation_quotient invariant_spectrum ma_residual_radial
     manufactured_potential model_to_text models
-    negation_quotient norms poincare_rayleigh potential_of rayleigh_quotient ricci_coefficient
+    negation_quotient norms poincare_rayleigh potential_of ricci_coefficient
     smoothstep soliton_residual solve_field solve_mode spectrum square_lattice uniform_nodes
     uniqueness_check verify_solution weighted_sup_norm weights
 """.split()
@@ -618,7 +618,6 @@ PUBLIC_SIGNATURES = {
     "CriticalWeight": "epsilon mu branch",
     "CriticalWeightSet": "weights window mu_max",
     "CriticalWeightSet.epsilons": "self",
-    "CriticalWeightSet.verify_indicial": "self",
     "CrossSection": "circle_length lattice quotient",
     "CyclicQuotient": "order lattice_map",
     "GlueSpec": "t0 smoothstep_degree margin",
@@ -646,9 +645,7 @@ PUBLIC_SIGNATURES = {
     "VerificationReport": "checks metadata",
     "VerificationReport.as_dict": "self",
     "VerificationReport.summary_lines": "self",
-    "VerificationReport.to_json": "self",
     "WeightedNormSpec": "k epsilon",
-    "apply_mode_operator": "problem u",
     "assemble_mode_operator": "problem",
     "auto_rho": "grid spec inner_model",
     "bump_profile": "s",
@@ -666,14 +663,12 @@ PUBLIC_SIGNATURES = {
     "hexagonal_lattice": "scale",
     "hexagonal_rotation_quotient": "",
     "invariant_spectrum": "cs mu_max",
-    "linearized_operator": "model phi",
     "ma_residual_radial": "model phi forcing s",
     "manufactured_potential": "grid amplitude",
     "model_to_text": "model",
     "negation_quotient": "dim",
     "poincare_rayleigh": "model grid",
     "potential_of": "model grid",
-    "rayleigh_quotient": "model grid u_interior",
     "ricci_coefficient": "model grid",
     "smoothstep": "x degree",
     "soliton_residual": "model phi",
