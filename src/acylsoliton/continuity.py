@@ -157,7 +157,7 @@ class _Iterate(NamedTuple):  # increments v and what their residual formed
     v: np.ndarray
     sup: Optional[float]  # sup-norm of all rows; None where a_phi <= 0
     r: Optional[np.ndarray]  # interior residual rows
-    boundary: Optional[float]  # the boundary row
+    boundary: Optional[float]  # the boundary row; None where a_phi <= 0
     half_dd: np.ndarray  # psi''/2 at the interior nodes
     min_ratio: float  # 1 + min (psi''/2)/a over the interior nodes
 
