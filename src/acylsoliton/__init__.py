@@ -24,8 +24,7 @@ _EXPORTS = {
     "continuity": "ContinuityConfig SolitonSolution StepRecord continuity_solve decaying_gauge "
                   "manufactured_potential ma_residual_radial uniqueness_check",
     "diagnostics": "REFERENCE_LAMBDA0 VerificationReport poincare_rayleigh verify_solution",
-    "drift": "BoundaryPolicy ModeProblem assemble_mode_operator default_boundary solve_field "
-             "solve_mode",
+    "drift": "BoundaryPolicy ModeProblem solve_field solve_mode",
     "errors": "AcylSolitonError ConfigError ContinuityStalled DomainError NewtonDiverged "
               "PositivityLost SingularSystem",
     "gluing": "GlueSpec auto_rho bump_profile glue_coefficient glued_forcing glued_model "

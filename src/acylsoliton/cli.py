@@ -366,14 +366,13 @@ def _cmd_glue(cfg, run, args):
 def _cmd_verify(cfg, run, args):
     from .diagnostics import REFERENCE_LAMBDA0, poincare_rayleigh
     from .grids import GridFunction
-    from .norms import TAIL_WINDOW, decay_rate_fit
+    from .norms import decay_rate_fit, tail_window
 
     if args.decay:
         rows = []
         for path in args.decay:
             u = GridFunction.from_csv(path)
-            lo, hi = (u.t_min + frac * (u.t_max - u.t_min) for frac in TAIL_WINDOW)
-            rows.append((os.path.basename(path), decay_rate_fit(u), lo, hi))
+            rows.append((os.path.basename(path), decay_rate_fit(u), *tail_window(u)))
         with open(run.path("decay.csv"), "w", newline="") as fh:
             fh.write("quantity,epsilon_hat,window\n")
             for name, rate, lo, hi in rows:

@@ -384,13 +384,16 @@ def continuity_solve(model, forcing, config=None):
     consecutive single-iteration successes.  Each step after the first starts
     Newton at the secant predictor (_secant_solve).  Raises ContinuityStalled
     when the step falls below config.min_step, with the accepted records attached.
+    Warns when the forcing's fitted decay rate is <= 1: a forcing decaying at
+    rate >= 2 (inf when it vanishes on the fit window) lies in every weighted
+    space of the window (1, 2), so only the slow side is outside the theory.
     """
     cfg = config or ContinuityConfig()
     rate = decay_rate_fit(forcing)
-    if not (1.0 < rate < 2.0):
+    if not rate > 1.0:
         warnings.warn(
-            f"forcing decay rate {rate:.3g} outside (1, 2); the a priori theory "
-            "covers (1, 2), proceeding anyway",
+            f"forcing decay rate {rate:.3g} <= 1; the a priori theory needs a "
+            "rate above 1, proceeding anyway",
             stacklevel=2,
         )
     v, records = _continuation(_RadialNewton(model, forcing, cfg))

@@ -10,13 +10,14 @@ using f' = 2a for the drift term.  For the cylinder (a = 1) this is
 u'' + 2u' - mu u, the translation-invariant model operator to which the rows
 converge as t -> +infty.
 
-Discretization: 2nd-order central differences; rows are assembled in the
-equivalent scaled form u'' - s_mu u + 2 a u' = a h, which keeps the matrix
-entries O(1/h^2) where a degenerates.  drift_bands writes the off-diagonals
-of these rows for any (c, s) in u'' - s u + 2 c u': a L_mu at (c, s) = (a, s_mu),
-and 2 a_phi times the continuity method's linearization at (a_phi, 0).  The
-mode operator is solved by banded_solve; the Newton matrix of the continuity
-method, those rows on increments, by march_bands and forward_march.
+Discretization: 2nd-order central differences of u'' - s u + 2 c u', whose
+rows are (1/h^2 - c/h, -2/h^2 - s, 1/h^2 + c/h).  The mode operator is a L_mu
+at (c, s) = (a, s_mu), assembled in the scaled form u'' - s_mu u + 2 a u' = a h,
+which keeps the entries O(1/h^2) where a degenerates; solve_mode hands these
+rows to dgtsv as its three diagonals and reads its backward error from the
+same rows.  The Newton matrix of the continuity method is 2 a_phi times its
+linearization, the rows at (a_phi, 0) on increments; drift_bands writes them
+for march_bands and forward_march.
 Boundary closures (BoundaryPolicy):
 
 * outer end: Dirichlet (homogeneous by default, value configurable for
@@ -31,7 +32,7 @@ Everything here is pure and reentrant.  Modes are independent, so callers
 may map over them in parallel; solve_field itself iterates in ascending-mu
 order so results are identical regardless of scheduling.
 
-banded_solve and forward_march call LAPACK (dgtsv and dtbtrs) through
+solve_mode and forward_march call LAPACK (dgtsv and dtbtrs) through
 _lapack, which loads SciPy's LAPACK extension on the first solve without
 running SciPy's package __init__ or importing scipy.linalg.  The package
 imports this module on first use of one of its names, so `import
@@ -60,18 +61,12 @@ class BoundaryPolicy:
     outer: float = 0.0
 
 
-def default_boundary(model, mu):
-    """Neumann at a centre for the radial mode mu = 0, else homogeneous Dirichlet."""
-    if model.kind.neumann_centre and mu == 0.0:
-        return BoundaryPolicy(inner=None)
-    return BoundaryPolicy()
-
-
 @dataclass
 class ModeProblem:
     """One cross-section mode of the drift equation on a truncated cylinder,
     in the JX-invariant reduction: the cross-section eigenvalue mu >= 0 enters
-    as a(t) mu (module docstring).  boundary None takes default_boundary.
+    as a(t) mu (module docstring).  boundary None takes Neumann at a centre for
+    the radial mode mu = 0, else homogeneous Dirichlet.
     """
 
     model: object
@@ -83,19 +78,14 @@ class ModeProblem:
         if self.mu < 0:
             raise DomainError(f"need mu >= 0, got {self.mu}")
         if self.boundary is None:
-            self.boundary = default_boundary(self.model, self.mu)
-
-    def coefficients(self):
-        """(a, s_mu) at the nodes of rhs, s_mu = a mu."""
-        a = self.model.sample_a(self.rhs.t)
-        return a, a * self.mu
+            centre = self.model.kind.neumann_centre and self.mu == 0.0
+            self.boundary = BoundaryPolicy(inner=None) if centre else BoundaryPolicy()
 
 
 def drift_bands(c, h, neg_sub, sup, c_h=None):
-    """Write the central-difference rows of u'' - s u + 2 c u', c at the rows' nodes:
-    sup = 1/h^2 + c/h of u_{i+1}, neg_sub = c/h - 1/h^2 minus that of u_{i-1}
-    (-(1/h^2 - c/h) to the bit under round-to-nearest); the diagonal is -2/h^2 - s.
-    c/h is formed in c_h, or in sup when c_h is None."""
+    """Write the off-diagonals of the central-difference rows of u'' - s u + 2 c u',
+    c at the rows' nodes: sup = 1/h^2 + c/h of u_{i+1}, neg_sub = c/h - 1/h^2
+    minus that of u_{i-1}.  c/h is formed in c_h, or in sup when c_h is None."""
     c_h = np.divide(c, h, out=sup if c_h is None else c_h)
     np.subtract(c_h, 1.0 / h**2, out=neg_sub)
     np.add(1.0 / h**2, c_h, out=sup)
@@ -123,19 +113,6 @@ def _checked(u, info, routine):
     return u
 
 
-def banded_solve(ab, rhs):
-    """Solve the tridiagonal system ab (solve_banded layout (1,1)) by dgtsv.
-
-    The call and its arguments are those of scipy.linalg.solve_banded, so
-    the result is the same to the bit.  Raises SingularSystem on non-finite
-    input, a singular matrix or a non-finite solution.
-    """
-    if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(rhs))):
-        raise SingularSystem("array must not contain infs or NaNs")
-    *_, u, info = _lapack.flapack().dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs)
-    return _checked(u, info, "gtsv")
-
-
 def forward_march(ab, rhs):
     """x with ab[0, i] x_i + ab[1, i-1] x_{i-1} = rhs_i (x_{-1} = 0), column by column.
 
@@ -147,63 +124,48 @@ def forward_march(ab, rhs):
     return _checked(x, info, "tbtrs")
 
 
-def assemble_mode_operator(problem):
-    """(ab, rhs): L_mu in solve_banded layout (1,1) with the problem's boundary rows."""
+def _mode_rows(problem):
+    """(sub, diag, sup, rhs): the rows of L_mu as dgtsv's arguments, interior
+    rows scaled by a, boundary rows in place."""
     h = problem.rhs.h
-    a, s = problem.coefficients()
-    hvals = problem.rhs.values
-    n = len(a)
-
-    ab = np.zeros((3, n))
-    rhs = np.empty(n)
-    # interior rows, scaled by a: u'' - s u + 2 a u' = a h
-    drift_bands(a[1:-1], h, ab[2, :-2], ab[0, 2:])
-    np.negative(ab[2, :-2], out=ab[2, :-2])  # the sub-diagonal, to the bit
-    ab[1, 1:-1] = -2.0 / h**2 - s[1:-1]
-    rhs[1:-1] = a[1:-1] * hvals[1:-1]
-
+    a = problem.model.sample_a(problem.rhs.t)
+    a_h = a[1:-1] / h
+    # interior rows: u'' - s u + 2 a u' = a h with s = a mu
+    sub = np.append(1.0 / h**2 - a_h, 0.0)
+    sup = np.append(0.0, 1.0 / h**2 + a_h)
+    diag = -2.0 / h**2 - a * problem.mu
+    rhs = a * problem.rhs.values
     if problem.boundary.inner is None:
-        # ghost node u_{-1} = u_1: (2u_1 - 2u_0)/h^2 - s_0 u_0 = a_0 h_0
-        ab[1, 0] = -2.0 / h**2 - s[0]
-        ab[0, 1] = 2.0 / h**2
-        rhs[0] = a[0] * hvals[0]
+        sup[0] = 2.0 / h**2  # ghost node u_{-1} = u_1: (2u_1 - 2u_0)/h^2 - s_0 u_0 = a_0 h_0
     else:
-        ab[1, 0] = 1.0
-        ab[0, 1] = 0.0
-        rhs[0] = problem.boundary.inner
+        diag[0], rhs[0] = 1.0, problem.boundary.inner
+    diag[-1], rhs[-1] = 1.0, problem.boundary.outer
+    return sub, diag, sup, rhs
 
-    ab[1, -1] = 1.0
-    ab[2, -2] = 0.0
-    rhs[-1] = problem.boundary.outer
 
-    return ab, rhs
+def _backward_error(rows, u):
+    """max over the interior rows of |sub u_- + diag u + sup u_+ - rhs| over
+    |sub u_-| + |diag u| + |sup u_+| + |rhs|."""
+    sub, diag, sup, rhs = rows
+    terms = (sub[:-1] * u[:-2], diag[1:-1] * u[1:-1], sup[1:] * u[2:], -rhs[1:-1])
+    scale = np.maximum(sum(np.abs(term) for term in terms), 1e-300)
+    return float(np.max(np.abs(sum(terms)) / scale))
 
 
 def mode_interior_residual(problem, u_values):
-    """Relative backward error of the assembled tridiagonal rows on the solved
-    samples at the interior nodes: it reads their second differences, the one
-    exception to fd.increment_derivatives, so that diagnostics.json keeps its bits."""
-    h = problem.rhs.h
-    a, s = problem.coefficients()
-    a, s = a[1:-1], s[1:-1]
-    hv = problem.rhs.values[1:-1]
-    um, u0, up = u_values[:-2], u_values[1:-1], u_values[2:]
-    lhs = (up - 2.0 * u0 + um) / h**2 - s * u0 + 2.0 * a * (up - um) / (2.0 * h)
-    scale = (
-        (np.abs(up) + 2.0 * np.abs(u0) + np.abs(um)) / h**2
-        + np.abs(s * u0)
-        + 2.0 * a * (np.abs(up) + np.abs(um)) / (2.0 * h)
-        + np.abs(a * hv)
-    )
-    scale = np.maximum(scale, 1e-300)
-    return float(np.max(np.abs(lhs - a * hv) / scale))
+    """The componentwise backward error of the rows solve_mode solves, on u_values."""
+    return _backward_error(_mode_rows(problem), u_values)
 
 
 def solve_mode(problem):
-    """Direct tridiagonal solve; verifies the interior residual is at rounding level."""
-    ab, rhs = assemble_mode_operator(problem)
-    u = banded_solve(ab, rhs)
-    rel = mode_interior_residual(problem, u)
+    """Direct tridiagonal solve by dgtsv; raises SingularSystem on non-finite
+    rows, a singular matrix, a non-finite solution or a backward error above
+    RESIDUAL_RTOL."""
+    rows = _mode_rows(problem)
+    if not all(np.all(np.isfinite(x)) for x in rows):
+        raise SingularSystem("array must not contain infs or NaNs")
+    *_, u, info = _lapack.flapack().dgtsv(*rows)
+    rel = _backward_error(rows, _checked(u, info, "gtsv"))
     if rel > RESIDUAL_RTOL:
         raise SingularSystem(f"interior residual {rel:.3e} exceeds {RESIDUAL_RTOL:.0e}")
     return GridFunction(problem.rhs.t_min, problem.rhs.t_max, problem.rhs.h, u)

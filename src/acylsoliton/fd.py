@@ -3,14 +3,11 @@
 Every derivative along t in the package, first or second, comes from one
 stencil, increment_derivatives, which reads the increments v = diff(u) of
 the samples, not the samples: rounding then costs about eps |u'| / h
-instead of eps |u| / h^2.  The one exception is drift.mode_interior_residual,
-the backward error of the assembled tridiagonal rows on the solved samples,
-which reads their second differences so that diagnostics.json keeps its bits.
-Interior nodes use 2nd-order central differences.  The two end nodes use
-one-sided stencils of order 4 so that boundary values of reported residuals
-are not the accuracy bottleneck (the radial operators divide second
-derivatives by coefficients as small as e^{2t}, which magnifies stencil
-truncation error near the inner end).
+instead of eps |u| / h^2.  Interior nodes use 2nd-order central
+differences.  The two end nodes use one-sided stencils of order 4 so that
+boundary values of reported residuals are not the accuracy bottleneck (the
+radial operators divide second derivatives by coefficients as small as
+e^{2t}, which magnifies stencil truncation error near the inner end).
 """
 
 import numpy as np

@@ -284,7 +284,6 @@ def glued_model(inner_model, spec=None):
     return RadialKahlerModel(
         n=inner_model.n,
         kind=Kind.GLUED,
-        c0=inner_model.c0,
         a=a,
         log_a=_piecewise(t0, inner_model.log_a, lambda t: np.log(transition(t)[0]), 0.0),
         f_minus_2t=_piecewise(t0, inner_model.f_minus_2t, lambda t: transition(t)[1], kappa),

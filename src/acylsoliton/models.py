@@ -13,7 +13,7 @@ f = 2t + 1, Ricci-flat) and the cigar times a flat torus, with
 
 The model also exposes log a and f - 2t as separate callables.  Both are
 built from the same log1p(e^{-2t}) expression, so the soliton bracket
-log a + (f - 2t) collapses to the constant c0 without floating-point
+log a + (f - 2t) collapses to the constant C0 without floating-point
 cancellation; this is what makes the exact-soliton residual vanish to
 machine precision on wide grids.
 """
@@ -27,6 +27,8 @@ import numpy as np
 from . import fd
 from .errors import DomainError, PositivityLost
 from .grids import GridFunction, RadialPotential, uniform_nodes
+
+C0 = 1.0  # log a + (f - 2t) of the cigar and the cylinder: min f = 1
 
 
 class Kind(enum.Enum):
@@ -54,7 +56,6 @@ class RadialKahlerModel:
 
     n: int
     kind: Kind
-    c0: float
     a: Callable = field(repr=False)
     log_a: Callable = field(repr=False)
     f_minus_2t: Callable = field(repr=False)
@@ -94,7 +95,7 @@ def cigar_model(n):
         t = np.asarray(t, dtype=float)
         return np.logaddexp(0.0, -2.0 * t) + 1.0
 
-    return RadialKahlerModel(n=n, kind=Kind.CIGAR, c0=1.0, a=a, log_a=log_a, f_minus_2t=f_minus_2t)
+    return RadialKahlerModel(n=n, kind=Kind.CIGAR, a=a, log_a=log_a, f_minus_2t=f_minus_2t)
 
 
 def cylinder_model(n):
@@ -111,8 +112,7 @@ def cylinder_model(n):
     def f_minus_2t(t):
         return np.full_like(np.asarray(t, dtype=float), 1.0)
 
-    return RadialKahlerModel(n=n, kind=Kind.CYLINDER, c0=1.0, a=a, log_a=log_a,
-                             f_minus_2t=f_minus_2t)
+    return RadialKahlerModel(n=n, kind=Kind.CYLINDER, a=a, log_a=log_a, f_minus_2t=f_minus_2t)
 
 
 def ricci_coefficient(model, grid):
@@ -168,11 +168,11 @@ def half_hessian(model, t, d2):
 
 
 def model_to_text(model):
-    """Key-value record of how model was built (docs/formats.md): kind, n, c0,
+    """Key-value record of how model was built (docs/formats.md): kind, n, C0,
     the 2(n - 1) identity rows of the unit square lattice of T^{2(n-1)} and
     glue_params.  Nothing reads it back."""
     dim = 2 * (model.n - 1)
-    lines = [f"kind = {model.kind.value}", f"n = {model.n}", f"c0 = {model.c0:.17g}"]
+    lines = [f"kind = {model.kind.value}", f"n = {model.n}", f"c0 = {C0:.17g}"]
     lines += ["lattice_row = " + " ".join("1" if i == j else "0" for j in range(dim))
               for i in range(dim)]
     for key in sorted(model.glue_params or ()):

@@ -40,15 +40,19 @@ def weighted_sup_norm(u, spec):
     return max(float(np.max(weight * np.abs(d))) for d in derivatives[: spec.k + 1])
 
 
+def tail_window(u):
+    """(lo, hi): the t range that decay_rate_fit fits over, the TAIL_WINDOW
+    fraction of [t_min, t_max]."""
+    return tuple(u.t_min + frac * (u.t_max - u.t_min) for frac in TAIL_WINDOW)
+
+
 def decay_rate_fit(u):
-    """Least-squares slope of -log|u| against t over the TAIL_WINDOW fraction.
+    """Least-squares slope of -log|u| against t over tail_window(u).
 
     Returns +inf when u vanishes identically on the window (decays faster
     than any exponential the grid can see).
     """
-    lo_frac, hi_frac = TAIL_WINDOW
-    lo = u.t_min + lo_frac * (u.t_max - u.t_min)
-    hi = u.t_min + hi_frac * (u.t_max - u.t_min)
+    lo, hi = tail_window(u)
     # the nodes t_min + k h ascend, so t >= lo and t <= hi hold on one slice
     first, stop = _node_search(u, lo, "left"), _node_search(u, hi, "right")
     vals = np.abs(u.values[first:stop])

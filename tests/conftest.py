@@ -58,8 +58,9 @@ def newton_rows(a_phi, h, dv):
 
 
 def jacobian_gaps(model, grid, rng, pairs=10, tau=1e-6):
-    """(interior, boundary): the largest gaps between finite differences of the
-    Newton residual in the increments v and the Jacobian rows the solver inverts.
+    """(interior, boundary, scaled): the largest gaps between finite differences
+    of the Newton residual in the increments v and the Jacobian rows the solver
+    inverts.
 
     For each seeded pair (phi, psi) the residual at s = 0 is differenced at
     phi's increments v along psi's increments dv.  Interior row k, which reads
@@ -69,7 +70,11 @@ def jacobian_gaps(model, grid, rng, pairs=10, tau=1e-6):
     The seeded fields vanish near the inner end, where psi leaves the Neumann
     row at 0; so the boundary row is also differenced along constant
     increments, which change no second difference and so are admissible at
-    every node: there the rows read 1/h and n - 1.
+    every node: there the rows read 1/h and n - 1.  Where a_phi is tiny (the
+    cigar's inner rows, a_phi ~ 4e-11 at t = -12) dividing by 2 a_phi turns
+    the rows' rounding into large gaps, so scaled compares 2 a_phi times the
+    finite difference with the rows, relative to 1/h^2, along both directions:
+    along the constant increments it reaches every interior row.
     """
     from acylsoliton.continuity import _RadialNewton
 
@@ -77,19 +82,21 @@ def jacobian_gaps(model, grid, rng, pairs=10, tau=1e-6):
     zero = ak.GridFunction(*grid, np.zeros(len(ak.uniform_nodes(*grid))))
     newton = _RadialNewton(model, zero, ak.ContinuityConfig())
     target = np.zeros(len(zero.values) - 2)
-    interior = boundary = 0.0
+    interior = boundary = scaled = 0.0
     for _ in range(pairs):
         v = np.diff(seeded_admissible_field(rng, grid).values)
         dv = np.diff(seeded_admissible_field(rng, grid).values)
         base = newton.residual(v, target)
         a_phi = newton.a[1:-1] + base.half_dd
-        rows = newton_rows(a_phi, h, dv) / (2.0 * a_phi)
         along_dv = newton.residual(v + tau * dv, target)
-        interior = max(interior, float(np.max(np.abs((along_dv.r - base.r) / tau - rows))))
         for bumped, d in ((along_dv, dv), (newton.residual(v + tau, target), np.ones_like(v))):
+            fd, rows = (bumped.r - base.r) / tau, newton_rows(a_phi, h, d)
+            if d is dv:
+                interior = max(interior, float(np.max(np.abs(fd - rows / (2.0 * a_phi)))))
+            scaled = max(scaled, float(np.max(np.abs(2.0 * a_phi * fd - rows))) * h**2)
             row = (3.0 * d[0] - d[1]) / (2.0 * h) if newton.neumann_inner else np.sum(d)
             boundary = max(boundary, float(abs((bumped.boundary - base.boundary) / tau - row)))
-    return interior, boundary
+    return interior, boundary, scaled
 
 
 @pytest.fixture(scope="session")

@@ -598,9 +598,9 @@ PUBLIC_NAMES = """
     CriticalWeightSet CrossSection CyclicQuotient DomainError GlueSpec GridFunction Kind
     ModeProblem NewtonDiverged PositivityLost REFERENCE_LAMBDA0 RadialKahlerModel
     RadialPotential SingularSystem SolitonSolution StepRecord VerificationReport
-    WeightedNormSpec assemble_mode_operator auto_rho bump_profile
+    WeightedNormSpec auto_rho bump_profile
     cigar_model continuity continuity_solve critical_weights cylinder_model decay_rate_fit
-    decaying_gauge default_boundary diagnostics drift errors fd fredholm_window_check
+    decaying_gauge diagnostics drift errors fd fredholm_window_check
     glue_coefficient glued_forcing glued_model gluing grids hexagonal_lattice
     hexagonal_rotation_quotient invariant_spectrum ma_residual_radial
     manufactured_potential model_to_text models
@@ -632,8 +632,7 @@ PUBLIC_SIGNATURES = {
     "GridFunction.to_csv": "self path",
     "GridFunction.zeros_like": "self",
     "ModeProblem": "model mu rhs boundary",
-    "ModeProblem.coefficients": "self",
-    "RadialKahlerModel": "n kind c0 a log_a f_minus_2t glue_params",
+    "RadialKahlerModel": "n kind a log_a f_minus_2t glue_params",
     "RadialKahlerModel.f": "self t",
     "RadialKahlerModel.sample_a": "self t",
     "RadialPotential": "t_min t_max h values increments",
@@ -646,7 +645,6 @@ PUBLIC_SIGNATURES = {
     "VerificationReport.as_dict": "self",
     "VerificationReport.summary_lines": "self",
     "WeightedNormSpec": "k epsilon",
-    "assemble_mode_operator": "problem",
     "auto_rho": "grid spec inner_model",
     "bump_profile": "s",
     "cigar_model": "n",
@@ -655,7 +653,6 @@ PUBLIC_SIGNATURES = {
     "cylinder_model": "n",
     "decay_rate_fit": "u",
     "decaying_gauge": "u",
-    "default_boundary": "model mu",
     "fredholm_window_check": "cws interval",
     "glue_coefficient": "grid spec inner_model rho0",
     "glued_forcing": "model grid",

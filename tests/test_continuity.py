@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import acylsoliton as ak
+from acylsoliton import drift
 from conftest import jacobian_gaps, newton_rows
 from oracles import interior_drift, manufactured_forcing_fn
 
@@ -128,9 +129,9 @@ def test_linearization_at_zero_matches_half_drift(cigar):
     interior rows of the mu = 0 drift operator that solve_mode assembles, on
     u: both read u'' + 2a u', that is a L_0 = 2a times the linearization."""
     u = ak.GridFunction.sample(lambda t: np.exp(-0.5 * (t - 2) ** 2), *GRID)
-    ab, _ = ak.assemble_mode_operator(ak.ModeProblem(model=cigar, mu=0.0, rhs=u.zeros_like()))
+    sub, diag, sup, _ = drift._mode_rows(ak.ModeProblem(model=cigar, mu=0.0, rhs=u.zeros_like()))
     x = u.values
-    mode_rows = ab[2, :-2] * x[:-2] + ab[1, 1:-1] * x[1:-1] + ab[0, 2:] * x[2:]
+    mode_rows = sub[:-1] * x[:-2] + diag[1:-1] * x[1:-1] + sup[1:] * x[2:]
     rows = newton_rows(cigar.sample_a(u.t)[1:-1], GRID[2], np.diff(x))
     assert np.max(np.abs(rows - mode_rows)) <= 1e-9
 
@@ -155,9 +156,12 @@ def test_linearization_constant_curvature_region(cylinder):
 def test_jacobian_consistency_seeded():
     """Criterion 10's check on the glued model, the cigar cut off into the
     cylinder: finite differences of the Newton residual match the rows the
-    solver inverts to 1e-4, Neumann row included (conftest.jacobian_gaps)."""
+    solver inverts to 1e-4, Neumann row included, and to 1e-10 of 1/h^2 when
+    scaled by 2 a_phi (conftest.jacobian_gaps)."""
     model = ak.glued_model(ak.cigar_model(2), ak.GlueSpec(t0=3.0))
-    assert max(jacobian_gaps(model, GRID, np.random.default_rng(7))) <= 1e-4
+    interior, boundary, scaled = jacobian_gaps(model, GRID, np.random.default_rng(7))
+    assert max(interior, boundary) <= 1e-4
+    assert scaled <= 1e-10
 
 
 @pytest.mark.parametrize("kind,grid", [("cigar", GRID), ("cylinder", (0.0, 20.0, 0.01))])
@@ -192,8 +196,6 @@ def test_newton_step_solves_linearized_system(kind, grid):
 def reference_step(newton, v, s):
     """The Newton direction with every quantity formed afresh from v: the
     residual rows, (sub, sup) from drift_bands and a band array filled by copies."""
-    from acylsoliton import drift
-
     h = newton.h
     half_dd = (v[1:] - v[:-1]) / (2.0 * h**2)
     r = np.log1p(half_dd / newton.a[1:-1]) + (v[1:] + v[:-1]) / (2.0 * h) \
@@ -430,6 +432,20 @@ def test_forcing_decay_warning(cigar):
         ak.continuity_solve(cigar, slow)
 
 
+def test_fast_decaying_forcing_does_not_warn(cigar):
+    """A forcing decaying at rate >= 2 lies in every weighted space of the
+    window: the glued forcing (zero on the fit window, rate inf) and e^{-3t}."""
+    model = ak.glued_model(cigar)
+    glued = ak.glued_forcing(model, GRID)
+    fast = ak.GridFunction.sample(lambda t: 1e-3 * np.exp(-3.0 * t) * np.clip(t / 2, 0, 1) ** 4,
+                                  *GRID)
+    assert ak.decay_rate_fit(glued) == np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ak.continuity_solve(model, glued)
+        ak.continuity_solve(cigar, fast)
+
+
 def test_stall_on_huge_forcing(manufactured):
     model, _, forcing = manufactured
     hostile = forcing.like(1e3 * forcing.values)
@@ -467,8 +483,7 @@ def test_short_grid_is_rejected_before_any_newton_step(cylinder, monkeypatch):
     monkeypatch.setattr(cont._RadialNewton, "_newton_step",
                         lambda self, it: steps.append(it) or newton_step(self, it))
     forcing = ak.GridFunction.sample(lambda t: 0.1 * np.exp(-t), 0.0, 0.4, 0.1)  # 5 nodes
-    with pytest.raises(ak.DomainError, match="at least 6 grid nodes, got 5"), \
-            pytest.warns(UserWarning, match="decay rate"):
+    with pytest.raises(ak.DomainError, match="at least 6 grid nodes, got 5"):
         ak.continuity_solve(cylinder, forcing)
     with pytest.raises(ak.DomainError, match="at least 6 grid nodes, got 5"):
         ak.uniqueness_check(cylinder, forcing, initializations=[forcing.zeros_like()] * 2)

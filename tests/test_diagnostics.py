@@ -34,7 +34,7 @@ def test_poincare_weight_scale_invariance():
     # scale the model coefficient (volume density) uniformly
     base = ak.cylinder_model(1)
     scaled = ak.RadialKahlerModel(
-        n=1, kind=ak.Kind.CYLINDER, c0=base.c0,
+        n=1, kind=ak.Kind.CYLINDER,
         a=lambda t: 3.0 * np.ones_like(np.asarray(t, dtype=float)),
         log_a=lambda t: np.full_like(np.asarray(t, dtype=float), np.log(3.0)),
         f_minus_2t=base.f_minus_2t,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import acylsoliton as ak
+from acylsoliton import drift
 from oracles import interior_drift
 
 CYL_GRID = (0.0, 20.0, 0.01)
@@ -21,23 +22,23 @@ def cylinder_mms_problem(eps, grid=CYL_GRID, exact_bc=True):
 def test_interior_stencil_coefficients():
     # cylinder, mu=0: rows (1/h^2 - 1/h, -2/h^2, 1/h^2 + 1/h), scaled by a = 1
     problem, _ = cylinder_mms_problem(1.0)
-    ab, _ = ak.assemble_mode_operator(problem)
+    sub, diag, sup, _ = drift._mode_rows(problem)
     h = problem.rhs.h
     i = 100
-    assert ab[2, i - 1] == pytest.approx(1 / h**2 - 1 / h)
-    assert ab[1, i] == pytest.approx(-2 / h**2)
-    assert ab[0, i + 1] == pytest.approx(1 / h**2 + 1 / h)
+    assert sub[i - 1] == pytest.approx(1 / h**2 - 1 / h)
+    assert diag[i] == pytest.approx(-2 / h**2)
+    assert sup[i] == pytest.approx(1 / h**2 + 1 / h)
 
 
 def test_cigar_rows_converge_to_cylinder_rows():
     # asymptotic translation invariance: rows at large t match the a = 1 rows
     grid = (-12.0, 20.0, 0.01)
     rhs = ak.GridFunction.sample(lambda t: np.exp(-t), *grid)
-    cigar_ab, _ = ak.assemble_mode_operator(ak.ModeProblem(model=ak.cigar_model(1), mu=0.0, rhs=rhs))
+    sub, _, sup, _ = drift._mode_rows(ak.ModeProblem(model=ak.cigar_model(1), mu=0.0, rhs=rhs))
     h = 0.01
-    tail = slice(-50, -1)
-    assert np.allclose(cigar_ab[0, :][tail], 1 / h**2 + 1 / h, rtol=1e-10)
-    assert np.allclose(cigar_ab[2, -52:-3], 1 / h**2 - 1 / h, rtol=1e-10)
+    rows = np.arange(len(rhs.values) - 50, len(rhs.values) - 1)  # the last 49 interior rows
+    assert np.allclose(sup[rows], 1 / h**2 + 1 / h, rtol=1e-10)
+    assert np.allclose(sub[rows - 1], 1 / h**2 - 1 / h, rtol=1e-10)
 
 
 def test_weighted_adjoint_symmetry_order():
@@ -147,12 +148,17 @@ def test_default_boundary_policies():
     cigar = ak.cigar_model(1)
     glued = ak.glued_model(ak.cigar_model(1))
     cyl = ak.cylinder_model(1)
+    rhs = ak.GridFunction.sample(np.exp, *CYL_GRID)
     dirichlet = ak.BoundaryPolicy(inner=0.0, outer=0.0)
+
+    def boundary(model, mu):
+        return ak.ModeProblem(model=model, mu=mu, rhs=rhs).boundary
+
     for model in (cigar, glued):
-        assert ak.default_boundary(model, 0.0) == ak.BoundaryPolicy(inner=None, outer=0.0)
-        assert ak.default_boundary(model, 1.0) == dirichlet
-    assert ak.default_boundary(cyl, 0.0) == dirichlet
-    assert ak.default_boundary(cyl, 1.0) == dirichlet
+        assert boundary(model, 0.0) == ak.BoundaryPolicy(inner=None, outer=0.0)
+        assert boundary(model, 1.0) == dirichlet
+    assert boundary(cyl, 0.0) == dirichlet
+    assert boundary(cyl, 1.0) == dirichlet
 
 
 def test_neumann_inner_solution_is_flat_at_center():
@@ -238,8 +244,6 @@ def test_singular_system_flagged():
 def test_non_finite_march_is_flagged(bad):
     """A march result holding nan or an infinity raises, whichever column and
     node it sits in."""
-    from acylsoliton import drift
-
     ab = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]], order="F")
     for node, column in ((0, 0), (2, 0), (2, 1)):
         rhs = np.ones((3, 2), order="F")

@@ -29,13 +29,12 @@ def same_bits(x, y):
     return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
-def mode_system(kind, h):
-    """The radial mode operator: Neumann center for the cigar, (1,1) either way."""
+def mode_problem(kind, h):
+    """The radial mode problem: Neumann center for the cigar, Dirichlet for the cylinder."""
     t_min, t_max = GRIDS[kind]
     rhs = ak.GridFunction.sample(lambda t: np.exp(-1.5 * t) * np.clip(t / 2, 0, 1) ** 4,
                                  t_min, t_max, h)
-    ab, b = drift.assemble_mode_operator(ak.ModeProblem(model=MODELS[kind], mu=0.0, rhs=rhs))
-    return (1, 1), ab, b
+    return ak.ModeProblem(model=MODELS[kind], mu=0.0, rhs=rhs)
 
 
 def newton_system(kind, h):
@@ -54,9 +53,13 @@ def newton_system(kind, h):
     return v, dv, sub, sup, -2.0 * a_phi * it.r
 
 
-def assert_solves_match(bands, ab, b):
-    expected = scipy.linalg.solve_banded(bands, ab, b)
-    assert same_bits(drift.banded_solve(ab.copy(), b.copy()), expected)
+def assert_solves_match(problem):
+    """solve_mode has the bits of solve_banded on the (1,1) band array of its rows."""
+    sub, diag, sup, b = drift._mode_rows(problem)
+    ab = np.zeros((3, len(diag)))
+    ab[0, 1:], ab[1], ab[2, :-1] = sup, diag, sub
+    expected = scipy.linalg.solve_banded((1, 1), ab, b)
+    assert same_bits(ak.solve_mode(problem).values, expected)
 
 
 def assert_cigar_march_matches(h):
@@ -86,7 +89,7 @@ def index_call(diag, off):
 @pytest.mark.parametrize("h", LADDER)
 @pytest.mark.parametrize("kind", ["cigar", "cylinder"])
 def test_banded_solve_has_solve_banded_bits(kind, h):
-    assert_solves_match(*mode_system(kind, h))
+    assert_solves_match(mode_problem(kind, h))
 
 
 @pytest.mark.parametrize("h", LADDER)
@@ -146,7 +149,7 @@ def test_fallback_import_gives_the_same_bits(monkeypatch):
     monkeypatch.setattr(_lapack, "_load_file", fail)
     assert _lapack.flapack() is scipy.linalg.lapack._flapack
     for kind in ("cigar", "cylinder"):
-        assert_solves_match(*mode_system(kind, 1e-2))
+        assert_solves_match(mode_problem(kind, 1e-2))
         assert_poincare_matches(kind, 1e-2)
     assert_cigar_march_matches(1e-2)
     assert loads
@@ -161,19 +164,26 @@ def test_file_load_registers_the_extension(monkeypatch):
     assert_cigar_march_matches(1e-2)
 
 
-def test_banded_solve_raises_singular_system():
+def test_banded_solve_raises_singular_system(monkeypatch):
+    """solve_mode refuses non-finite rows and a singular matrix before it reads
+    a backward error; the rows are made by hand on a 6-node grid."""
     n = 6
-    ab = np.zeros((3, n))
-    ab[1] = 2.0  # the diagonal
-    b = np.ones(n)
-    assert np.all(np.isfinite(drift.banded_solve(ab, b)))
-    for bad_ab, bad_b in ((ab, np.full(n, np.nan)), (np.where(ab == 2.0, np.inf, ab), b)):
+    problem = ak.ModeProblem(model=MODELS["cylinder"], mu=0.0,
+                             rhs=ak.GridFunction.sample(np.exp, 0.0, 0.5, 0.1))
+    zero, diag, b = np.zeros(n - 1), np.full(n, 2.0), np.ones(n)
+
+    def solve(rows):
+        monkeypatch.setattr(drift, "_mode_rows", lambda p: rows)
+        return ak.solve_mode(problem).values
+
+    assert np.all(np.isfinite(solve((zero, diag, zero, b))))
+    for bad_diag, bad_b in ((diag, np.full(n, np.nan)), (np.full(n, np.inf), b)):
         with pytest.raises(ak.SingularSystem, match="infs or NaNs"):
-            drift.banded_solve(bad_ab, bad_b)
-    singular = ab.copy()
-    singular[1, 3] = 0.0  # a zero row and column
+            solve((zero, bad_diag, zero, bad_b))
+    singular = diag.copy()
+    singular[3] = 0.0  # a zero row and column
     with pytest.raises(ak.SingularSystem, match="singular matrix"):
-        drift.banded_solve(singular, b)
+        solve((zero, singular, zero, b))
 
 
 def documented_routines(text):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import acylsoliton as ak
-from acylsoliton import fd
+from acylsoliton import fd, models
 from oracles import cigar_ricci_fn, cigar_residual_fn
 
 import sympy as sp
@@ -24,18 +24,18 @@ def test_cigar_rejects_bad_dimension():
 
 
 def test_cigar_potential_asymptotics(cigar, default_grid):
-    # |f(t) - 2t - c0| = log(1 + e^{-2t}) <= e^{-2t}
+    # |f(t) - 2t - C0| = log(1 + e^{-2t}) <= e^{-2t}
     t = ak.uniform_nodes(*default_grid)
-    gap = np.abs(cigar.f(t) - 2 * t - cigar.c0)
+    gap = np.abs(cigar.f(t) - 2 * t - models.C0)
     # atol at the ulp of f ~ 41: the tail gap e^{-2t} drops below representability
     assert np.allclose(gap, np.log1p(np.exp(-2 * t)), rtol=1e-12, atol=1e-14)
     assert np.all(gap <= np.exp(-2 * t) + 1e-14)
 
 
 def test_cigar_volume_identity(cigar, default_grid):
-    # a(t) e^{f(t) - c0 - 2t} = 1: the soliton volume identity in closed form
+    # a(t) e^{f(t) - C0 - 2t} = 1: the soliton volume identity in closed form
     t = ak.uniform_nodes(*default_grid)
-    lhs = cigar.a(t) * np.exp(cigar.f(t) - cigar.c0 - 2 * t)
+    lhs = cigar.a(t) * np.exp(cigar.f(t) - models.C0 - 2 * t)
     assert np.max(np.abs(lhs - 1.0)) < 1e-13
 
 
@@ -108,7 +108,7 @@ def test_ricci_refinement_order(cigar):
 
 def test_ricci_rejects_nonpositive_coefficient(default_grid):
     bad = ak.RadialKahlerModel(
-        n=1, kind=ak.Kind.CYLINDER, c0=1.0,
+        n=1, kind=ak.Kind.CYLINDER,
         a=lambda t: np.asarray(t, dtype=float),  # vanishes at t=0
         log_a=lambda t: np.log(np.asarray(t, dtype=float)),
         f_minus_2t=lambda t: np.zeros_like(np.asarray(t, dtype=float)),

@@ -51,7 +51,7 @@ DIGESTS = {
     "weights/weights.csv":
         "260a1e8db8f0cbfeecd174fbc712c9e147c368d4f66a0459bc216330ce142c5c",
     "solve_linear/diagnostics.json":
-        "f6144f370494e85bd1c36363fa3ebb4a8494063ce167335a71ac7394d574aa16",
+        "efe03970ea0edb7301cee1525383139fa2f7979d8022906e2a0d86746828bea9",
     "solve_linear/solution.csv":
         "ebf2347ea34da129b4ba7dcb9f3627f1a6dda1217b9641ec7ef4a17576608275",
     "solve_ma/path.json":
