@@ -10,8 +10,6 @@ two-sided metric bounds, the drift-potential lower bound inf(f + phi') >= 1,
 the uniform weighted sup of phi, and the radial-derivative bound.
 """
 
-import warnings
-
 import numpy as np
 
 import acylsoliton as ak
@@ -24,9 +22,7 @@ forcing = ak.ma_residual_radial(model, phi_star, None, 0.0)
 print(f"manufactured forcing: sup |F| = {np.max(np.abs(forcing.values)):.4f}, "
       f"decay rate {ak.decay_rate_fit(forcing):.3f}")
 
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")
-    solution = ak.continuity_solve(model, forcing)
+solution = ak.continuity_solve(model, forcing)
 
 print("\n  s    Newton  residual    metric ratio     inf(f+phi')   e^{1.4t}|phi|")
 for r in solution.records:

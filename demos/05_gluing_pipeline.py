@@ -11,8 +11,6 @@ Monge-Ampere forcing F = -residual(glued, 0) is compactly supported, and
 the continuity method turns the background into an exact steady soliton.
 """
 
-import warnings
-
 import numpy as np
 
 import acylsoliton as ak
@@ -20,9 +18,8 @@ import acylsoliton as ak
 inner = ak.cigar_model(2)
 spec = ak.GlueSpec(t0=3.0)
 
-glue_grid = (0.0, spec.grid_end, spec.h)
-rho0 = ak.auto_rho(glue_grid, spec, inner)
-coefficient = ak.glue_coefficient(glue_grid, spec, inner, rho0=rho0)
+rho0 = ak.auto_rho(spec, inner)
+coefficient = ak.glue_coefficient(spec.grid, spec, inner, rho0=rho0)
 print(f"bump amplitude rho0 = {rho0} (the default transition stays positive on its own)")
 print(f"min c = {np.min(coefficient.values):.4f}, "
       f"c = 1 exactly beyond t0 + 1/2: {bool(np.all(coefficient.values[coefficient.t >= 3.5] == 1.0))}")
@@ -43,9 +40,7 @@ support = forcing.t[np.abs(forcing.values) > 0]
 print(f"\nforcing support: [{support.min():.2f}, {support.max():.2f}] "
       f"(compact, vanishes on the cylinder region)")
 
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")
-    solution = ak.continuity_solve(model, forcing)
+solution = ak.continuity_solve(model, forcing)
 
 residual = ak.soliton_residual(model, solution.phi)  # read from the increments phi carries
 print(f"soliton residual of the corrected metric: sup = {np.max(np.abs(residual.values)):.3e}")

@@ -15,7 +15,7 @@ import acylsoliton as ak
 # --- weighted norms -------------------------------------------------------
 u = ak.GridFunction.sample(lambda t: np.exp(-1.5 * t), 0.0, 20.0, 0.01)
 for k in (0, 1, 2):
-    norm = ak.weighted_sup_norm(u, ak.WeightedNormSpec(k=k, epsilon=1.5))
+    norm = ak.weighted_sup_norm(u, k, 1.5)
     print(f"||e^{{-1.5t}}||_C^{k}_1.5 = {norm:.6f}   (1.5^k from each derivative)")
 
 # --- decay-rate fits ------------------------------------------------------

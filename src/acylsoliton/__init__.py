@@ -27,12 +27,12 @@ _EXPORTS = {
     "drift": "BoundaryPolicy ModeProblem solve_field solve_mode",
     "errors": "AcylSolitonError ConfigError ContinuityStalled DomainError NewtonDiverged "
               "PositivityLost SingularSystem",
-    "gluing": "GlueSpec auto_rho bump_profile glue_coefficient glued_forcing glued_model "
-              "potential_of smoothstep",
+    "gluing": "GlueSpec auto_rho glue_coefficient glued_forcing glued_model potential_of "
+              "smoothstep",
     "grids": "GridFunction RadialPotential uniform_nodes",
     "models": "Kind RadialKahlerModel cigar_model cylinder_model model_to_text ricci_coefficient "
               "soliton_residual",
-    "norms": "WeightedNormSpec decay_rate_fit weighted_sup_norm",
+    "norms": "decay_rate_fit weighted_sup_norm",
     "spectrum": "CrossSection CyclicQuotient hexagonal_lattice hexagonal_rotation_quotient "
                 "invariant_spectrum negation_quotient spectrum square_lattice",
     "weights": "CriticalWeight CriticalWeightSet critical_weights fredholm_window_check",

@@ -312,9 +312,9 @@ def _cmd_solve_linear(cfg, run, args):
     }
     if args.order_study:
         # Richardson order from coarsened solves at 4h, 2h, h (subsampled rhs,
-        # differences compared on the common 4h nodes)
-        levels = {}
-        for factor in (1, 2, 4):
+        # differences compared on the common 4h nodes; the h level is solution)
+        levels = {1: solution}
+        for factor in (2, 4):
             sub = GridFunction(rhs.t_min, rhs.t_max, rhs.h * factor, rhs.values[::factor])
             levels[factor] = solve_mode(ModeProblem(model=model, mu=mu, rhs=sub))
         d_coarse = float(np.max(np.abs(levels[4].values - levels[2].values[::2])))
@@ -356,7 +356,7 @@ def _cmd_glue(cfg, run, args):
     model = glued_model(cigar_model(cfg.model_n), spec)
     with open(run.path("model.txt"), "w") as fh:
         fh.write(model_to_text(model))
-    coefficient = GridFunction.sample(model.a, 0.0, spec.grid_end, spec.h)
+    coefficient = GridFunction.sample(model.a, *spec.grid)
     coefficient.to_csv(run.path("coefficient.csv"))
     run.notes["rho0"] = model.glue_params["rho0"]
     run.notes["min_coefficient"] = float(np.min(coefficient.values))

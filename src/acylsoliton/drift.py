@@ -40,7 +40,7 @@ acylsoliton` and the numpy-only commands (spectrum, weights, glue) load
 neither it nor SciPy.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -171,7 +171,7 @@ def solve_mode(problem):
     return GridFunction(problem.rhs.t_min, problem.rhs.t_max, problem.rhs.h, u)
 
 
-def solve_field(model, cross_section, rhs_by_mode, boundary_by_mode=None):
+def solve_field(model, cross_section, rhs_by_mode):
     """Independent per-mode solves (ModeProblem, the JX-invariant reduction with
     mu entering as a(t) mu), deterministic ascending-mu order.
 
@@ -180,21 +180,18 @@ def solve_field(model, cross_section, rhs_by_mode, boundary_by_mode=None):
     each mu must be a torus eigenvalue; every j = 0 mode is invariant under a
     quotient, so the quotient allows them all.
     """
-    from .spectrum import spectrum
+    from .spectrum import _lattice_modes
 
     mus = sorted(rhs_by_mode)
     if not mus:
         return {}
-    mu_max = max(mus) + 1.0
-    # the j = 0 values: a circle this short has (2 pi / l)^2 = 4 max(mu_max, 1) > mu_max,
-    # so it carries no j != 0 mode up to mu_max
-    torus = replace(cross_section, circle_length=np.pi / np.sqrt(max(mu_max, 1.0)))
-    allowed = np.array([mu for mu, _ in spectrum(torus, mu_max)])
+    # the j = 0 values: the torus values up to max(mu) + 1, and 0 for alpha = 0
+    _, torus, _ = _lattice_modes(cross_section, max(mus) + 1.0, None)
+    allowed = np.append(torus, 0.0)
     out = {}
     for mu in mus:
         if not np.any(np.abs(allowed - mu) <= 1e-9):
             raise DomainError(f"mu={mu} is not a torus eigenvalue (a j = 0 mode)")
-        boundary = None if boundary_by_mode is None else boundary_by_mode.get(mu)
-        problem = ModeProblem(model=model, mu=float(mu), rhs=rhs_by_mode[mu], boundary=boundary)
+        problem = ModeProblem(model=model, mu=float(mu), rhs=rhs_by_mode[mu])
         out[mu] = solve_mode(problem)
     return out

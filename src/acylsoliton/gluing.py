@@ -66,7 +66,7 @@ def _smoothstep_derivatives(x, degree):
     return d1, d2
 
 
-def bump_profile(s):
+def _bump_profile(s):
     """Nonnegative C^3 profile (1 - s^2)^4 on [-1, 1], zero outside."""
     s = np.asarray(s, dtype=float)
     inside = np.abs(s) < 1.0
@@ -76,7 +76,7 @@ def bump_profile(s):
 
 
 def _bump_profile_integral(s):
-    """Integral of bump_profile from -1 to s (degree 9; 256/315 for s >= 1)."""
+    """Integral of _bump_profile from -1 to s (degree 9; 256/315 for s >= 1)."""
     s = np.clip(s, -1.0, 1.0)
     s2 = s * s
     return s * (1.0 + s2 * (-4.0 / 3.0 + s2 * (6.0 / 5.0 + s2 * (-4.0 / 7.0 + s2 / 9.0)))) \
@@ -87,7 +87,7 @@ def _bump_profile_integral(s):
 class GlueSpec:
     """Transition end t0 > 1, cutoff degree, positivity margin.
 
-    The gluing grid is (0, grid_end, h); the bump amplitude is auto_rho's."""
+    The gluing grid is spec.grid; the bump amplitude is auto_rho's."""
 
     t0: float = 3.0
     smoothstep_degree: int = 7
@@ -110,10 +110,11 @@ class GlueSpec:
             raise DomainError(f"cutoff degree must be an odd integer >= 3, got {degree!r}")
 
     @property
-    def grid_end(self):
-        """The first node of the lattice h Z at or past t0 + 3."""
+    def grid(self):
+        """(0, end, h), end the first node of the lattice h Z at or past t0 + 3."""
         cells = (self.t0 + 3.0) / self.h
-        return self.t0 + 3.0 if whole_number(cells) is not None else math.ceil(cells) * self.h
+        end = self.t0 + 3.0 if whole_number(cells) is not None else math.ceil(cells) * self.h
+        return 0.0, end, self.h
 
     def cutoff(self, t):
         return smoothstep((np.asarray(t, dtype=float) - 1.0) / (self.t0 - 1.0),
@@ -125,7 +126,7 @@ class GlueSpec:
         return (np.asarray(t, dtype=float) - center) / halfwidth
 
     def bump(self, t, rho0):
-        return rho0 * bump_profile(self._bump_coordinate(t))
+        return rho0 * _bump_profile(self._bump_coordinate(t))
 
     def bump_integral(self, t, rho0):
         """Integral of bump(., rho0) from 1/2 to t."""
@@ -225,14 +226,14 @@ def _peak_vertex(t, y, k, h):
     return None
 
 
-def auto_rho(grid, spec, inner_model):
+def auto_rho(spec, inner_model):
     """Smallest bump amplitude rho0 with c >= spec.margin across the transition.
 
     c = c_0 + rho0 b, b the unit bump: rho0 is the largest (margin - c_0)/b on
-    the nodes of grid = (t_min, t_max, h), refined at the vertex of the parabola
-    through it and its neighbours, then raised by ulps until every node clears.
+    the nodes of spec.grid, refined at the vertex of the parabola through it
+    and its neighbours, then raised by ulps until every node clears.
     """
-    c = glue_coefficient(grid, spec, inner_model, rho0=0.0)
+    c = glue_coefficient(spec.grid, spec, inner_model, rho0=0.0)
     t, c0, margin = c.t, c.values, spec.margin
     if np.all(c0 >= margin):
         return 0.0
@@ -265,12 +266,11 @@ def glued_model(inner_model, spec=None):
     the nodes.
     """
     spec = spec or GlueSpec()
-    grid = (0.0, spec.grid_end, spec.h)
-    rho0 = auto_rho(grid, spec, inner_model)
+    rho0 = auto_rho(spec, inner_model)
     t0 = spec.t0
     transition = _transition(inner_model, spec, rho0)
     a = _piecewise(t0, inner_model.a, lambda t: transition(t)[0], 1.0)
-    c = GridFunction.sample(a, *grid)
+    c = GridFunction.sample(a, *spec.grid)
     k = int(np.argmin(c.values))
     c_low, t_low = c.values[k], c.t[k]
     vertex = _peak_vertex(c.t, -c.values, k, c.h)

@@ -9,7 +9,6 @@ fixed resolution they carry no extra information.
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,25 +18,17 @@ from .models import radial_derivatives
 TAIL_WINDOW = (0.6, 0.9)  # decay fits use this fraction of [t_min, t_max]
 
 
-@dataclass(frozen=True)
-class WeightedNormSpec:
-    k: int = 0
-    epsilon: float = 0.0
-
-    def __post_init__(self):
-        if (isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral)
-                or self.k not in (0, 1, 2)):
-            raise DomainError(f"derivative order k must be 0, 1 or 2, got {self.k!r}")
-
-
-def weighted_sup_norm(u, spec):
-    """max over 0 <= j <= k of max over the nodes of e^{eps t} |D^j u|.
+def weighted_sup_norm(u, k, epsilon):
+    """max over 0 <= j <= k of max over the nodes of e^{epsilon t} |D^j u|, for
+    the derivative order k = 0, 1 or 2.
 
     D u and D^2 u are models.radial_derivatives(u): a RadialPotential's
     carried increments, else np.diff of the samples."""
-    derivatives = (u.values, *radial_derivatives(u)) if spec.k else (u.values,)
-    weight = np.exp(spec.epsilon * u.t)
-    return max(float(np.max(weight * np.abs(d))) for d in derivatives[: spec.k + 1])
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k not in (0, 1, 2):
+        raise DomainError(f"derivative order k must be 0, 1 or 2, got {k!r}")
+    derivatives = (u.values, *radial_derivatives(u)) if k else (u.values,)
+    weight = np.exp(epsilon * u.t)
+    return max(float(np.max(weight * np.abs(d))) for d in derivatives[: k + 1])
 
 
 def tail_window(u):

@@ -23,10 +23,11 @@ L >= 1 with (R^T)^L alpha = alpha.  So the lattice vectors are reduced, for
 each L = 1..m, to their distinct torus values with member counts (np.unique
 with counts, no inverse), and j is broadcast against these groups only; the
 full spectrum is the order-1 case m = 1, R = I, and spectra() forms both
-from one enumeration.  The kept eigenvalues are sorted once.  Eigenvalues
-closer than MERGE_TOL are merged into one cluster reported at its smallest
-value, and np.add.reduceat sums the integer weights of each cluster, so the
-order of the groups does not matter.
+from one enumeration.  The kept eigenvalues are sorted once.  Each gap of more
+than MERGE_TOL between neighbours starts a new cluster, so a run of closer
+gaps is one cluster, reported at its smallest value, and np.add.reduceat sums
+the integer weights of each cluster, so the order of the groups does not
+matter.
 """
 
 from dataclasses import dataclass, field
@@ -52,6 +53,8 @@ class CyclicQuotient:
         object.__setattr__(self, "lattice_map", R)
         if self.order < 2:
             raise DomainError(f"quotient order must be >= 2, got {self.order}")
+        if R.ndim != 2 or R.shape[0] != R.shape[1]:
+            raise DomainError(f"lattice map must be a square matrix, got shape {R.shape}")
         if not np.array_equal(R, np.round(R)):
             raise DomainError("lattice map must be an integer matrix")
         if abs(abs(np.linalg.det(R)) - 1.0) > 1e-9:
@@ -204,19 +207,9 @@ def _grouped(circle_length, bound, torus, size, m):
 
 def _cluster_starts(values):
     """Mask of the ascending values that start a cluster: the first, and each one
-    more than MERGE_TOL above the start of the cluster before it.
-
-    A gap above MERGE_TOL always starts a cluster.  In a run of closer gaps only
-    a value more than MERGE_TOL above the run's first value can start one, so the
-    sequential rule runs over those values alone."""
+    more than MERGE_TOL above the value before it."""
     start = np.ones(len(values), dtype=bool)
     start[1:] = np.diff(values) > MERGE_TOL
-    first = np.maximum.accumulate(np.where(start, np.arange(len(values)), 0))
-    cluster = -1  # start of the current cluster
-    for k in np.flatnonzero(values - values[first] > MERGE_TOL).tolist():
-        cluster = max(cluster, first[k])
-        if values[k] - values[cluster] > MERGE_TOL:
-            start[k], cluster = True, k
     return start
 
 
@@ -229,12 +222,12 @@ def spectrum_to_csv(pairs, path):
 
 # ---- common lattices and quotient actions ----
 
-def square_lattice(scale=2.0 * np.pi):
-    return scale * np.eye(2)
+def square_lattice():
+    return 2.0 * np.pi * np.eye(2)
 
 
-def hexagonal_lattice(scale=2.0 * np.pi):
-    return scale * np.array([[1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
+def hexagonal_lattice():
+    return 2.0 * np.pi * np.array([[1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
 
 
 def negation_quotient(dim=2):

@@ -40,9 +40,6 @@ class CriticalWeightSet:
     window: Tuple[float, float]
     mu_max: float
 
-    def epsilons(self):
-        return np.array([w.epsilon for w in self.weights])
-
 
 def critical_weights(spectrum, window):
     """All eps = 1 +/- sqrt(1+mu) strictly inside the open window (lo, hi),
@@ -76,7 +73,7 @@ def critical_weights(spectrum, window):
     )
 
 
-def fredholm_window_check(cws, interval=(0.0, 2.0)):
+def fredholm_window_check(cws, interval):
     """True iff no critical weight lies in the open interval.
 
     Also returns the margin: the distance from the interval to the nearest
@@ -99,15 +96,10 @@ def fredholm_window_check(cws, interval=(0.0, 2.0)):
         raise DomainError(
             f"insufficient mu_max={cws.mu_max:.6g} to certify interval ({lo}, {hi})"
         )
-    eps = cws.epsilons()
-    inside = (eps > lo + DEDUP_TOL) & (eps < hi - DEDUP_TOL)
-    ok = not bool(np.any(inside))
-    if len(eps) == 0:
-        margin = float("inf")
-    else:
-        dist = np.maximum(np.maximum(lo - eps, eps - hi), 0.0)
-        margin = float(np.min(dist))
-    return ok, margin
+    eps = np.array([w.epsilon for w in cws.weights])
+    ok = not np.any((eps > lo + DEDUP_TOL) & (eps < hi - DEDUP_TOL))
+    margin = np.min(np.maximum(np.maximum(lo - eps, eps - hi), 0.0), initial=np.inf)
+    return ok, float(margin)
 
 
 def weights_to_csv(cws, path):

@@ -110,10 +110,6 @@ def manufactured():
 
 @pytest.fixture(scope="session")
 def manufactured_solution(manufactured):
-    import warnings
-
     model, phi_star, forcing = manufactured
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        solution = ak.continuity_solve(model, forcing)
+    solution = ak.continuity_solve(model, forcing)
     return model, phi_star, forcing, solution

@@ -8,7 +8,6 @@ budget.
 import filecmp
 import os
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -42,9 +41,7 @@ def manufactured_run():
     phi_star = ak.manufactured_potential(GRID)
     forcing = ak.ma_residual_radial(model, phi_star, None, 0.0)
     with Timer() as timer:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            solution = ak.continuity_solve(model, forcing)
+        solution = ak.continuity_solve(model, forcing)
     return model, phi_star, forcing, solution, timer.elapsed
 
 
@@ -216,13 +213,11 @@ def test_criterion_08_gluing_pipeline():
         outer_exact = bool(np.all(coeff[t >= 3.5] == 1.0))
         # positivity margin on the gluing grid (the inner cigar coefficient
         # decays like e^{2t} below it, by design)
-        glue_nodes = ak.uniform_nodes(0.0, spec.grid_end, spec.h)
+        glue_nodes = ak.uniform_nodes(*spec.grid)
         min_c = float(np.min(model.sample_a(glue_nodes)))
         forcing = ak.glued_forcing(model, GRID)
         compact = float(np.max(np.abs(forcing.values[t >= 3.5]))) == 0.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            solution = ak.continuity_solve(model, forcing)
+        solution = ak.continuity_solve(model, forcing)
         residual = float(np.max(np.abs(ak.soliton_residual(model, solution.phi).values)))
     ok = outer_exact and min_c >= 1e-2 and compact and residual <= 1e-8 and timer.elapsed < 60.0
     _report(

@@ -150,6 +150,18 @@ def test_solve_linear_order_study(tmp_path, mu):
     assert abs(diag["convergence_order"] - 2.0) <= 0.05
 
 
+def test_solve_linear_order_study_solves_each_level_once(tmp_path, monkeypatch):
+    """The h level of the study is the solution itself: 3 solves, at h, 2h and 4h."""
+    from acylsoliton import drift
+
+    steps, solve_mode = [], drift.solve_mode
+    monkeypatch.setattr(drift, "solve_mode", lambda problem: steps.append(problem.rhs.h)
+                        or solve_mode(problem))
+    rhs_path, _ = decaying_rhs(tmp_path)
+    assert run_cli(["solve-linear", "--rhs", rhs_path, "--order-study"], tmp_path) == 0
+    assert steps == [0.01, 0.02, 0.04]
+
+
 def test_solve_linear_order_study_rejects_node_count_before_solving(tmp_path, capsys):
     rhs_path, nodes = decaying_rhs(tmp_path, 19.98)
     assert nodes == 3199
@@ -598,7 +610,7 @@ PUBLIC_NAMES = """
     CriticalWeightSet CrossSection CyclicQuotient DomainError GlueSpec GridFunction Kind
     ModeProblem NewtonDiverged PositivityLost REFERENCE_LAMBDA0 RadialKahlerModel
     RadialPotential SingularSystem SolitonSolution StepRecord VerificationReport
-    WeightedNormSpec auto_rho bump_profile
+    auto_rho
     cigar_model continuity continuity_solve critical_weights cylinder_model decay_rate_fit
     decaying_gauge diagnostics drift errors fd fredholm_window_check
     glue_coefficient glued_forcing glued_model gluing grids hexagonal_lattice
@@ -617,7 +629,6 @@ PUBLIC_SIGNATURES = {
     "ContinuityConfig": "s_steps newton_tol max_newton min_step",
     "CriticalWeight": "epsilon mu branch",
     "CriticalWeightSet": "weights window mu_max",
-    "CriticalWeightSet.epsilons": "self",
     "CrossSection": "circle_length lattice quotient",
     "CyclicQuotient": "order lattice_map",
     "GlueSpec": "t0 smoothstep_degree margin",
@@ -644,9 +655,7 @@ PUBLIC_SIGNATURES = {
     "VerificationReport": "checks metadata",
     "VerificationReport.as_dict": "self",
     "VerificationReport.summary_lines": "self",
-    "WeightedNormSpec": "k epsilon",
-    "auto_rho": "grid spec inner_model",
-    "bump_profile": "s",
+    "auto_rho": "spec inner_model",
     "cigar_model": "n",
     "continuity_solve": "model forcing config",
     "critical_weights": "spectrum window",
@@ -657,7 +666,7 @@ PUBLIC_SIGNATURES = {
     "glue_coefficient": "grid spec inner_model rho0",
     "glued_forcing": "model grid",
     "glued_model": "inner_model spec",
-    "hexagonal_lattice": "scale",
+    "hexagonal_lattice": "",
     "hexagonal_rotation_quotient": "",
     "invariant_spectrum": "cs mu_max",
     "ma_residual_radial": "model phi forcing s",
@@ -669,14 +678,14 @@ PUBLIC_SIGNATURES = {
     "ricci_coefficient": "model grid",
     "smoothstep": "x degree",
     "soliton_residual": "model phi",
-    "solve_field": "model cross_section rhs_by_mode boundary_by_mode",
+    "solve_field": "model cross_section rhs_by_mode",
     "solve_mode": "problem",
     "spectrum": "cs mu_max",
-    "square_lattice": "scale",
+    "square_lattice": "",
     "uniform_nodes": "t_min t_max h",
     "uniqueness_check": "model forcing initializations",
     "verify_solution": "model solution forcing metadata",
-    "weighted_sup_norm": "u spec",
+    "weighted_sup_norm": "u k epsilon",
 }
 
 

@@ -11,12 +11,6 @@ from oracles import interior_drift, manufactured_forcing_fn
 GRID = (-12.0, 20.0, 0.01)
 
 
-def quiet_solve(model, forcing, config=None):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return ak.continuity_solve(model, forcing, config)
-
-
 # ---- residual operator ----
 
 def test_residual_zero_potential(cigar, zero_field):
@@ -310,13 +304,13 @@ def _solve_peak_arrays(kind):
     grid = (-12.0 if kind == "cigar" else 0.0, 20.0, 1e-3)
     model = ak.cigar_model(2) if kind == "cigar" else ak.cylinder_model(2)
     coarse = ak.ma_residual_radial(model, ak.manufactured_potential(grid[:2] + (0.1,)), None, 0.0)
-    quiet_solve(model, coarse)  # the solve's modules and LAPACK load outside the trace
+    ak.continuity_solve(model, coarse)  # the solve's modules and LAPACK load outside the trace
     forcing = ak.ma_residual_radial(model, ak.manufactured_potential(grid), None, 0.0)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        quiet_solve(model, forcing)
+        ak.continuity_solve(model, forcing)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -353,7 +347,7 @@ def test_sup_abs_has_the_bits_of_max_abs(x):
 # ---- continuity method ----
 
 def test_zero_forcing_zero_solution(cigar, zero_field):
-    solution = quiet_solve(cigar, zero_field)
+    solution = ak.continuity_solve(cigar, zero_field)
     assert np.max(np.abs(solution.phi.values)) == 0.0
     assert all(r.newton_iterations == 0 for r in solution.records)
     assert solution.decay_rate == np.inf
@@ -372,7 +366,7 @@ def continuum_solve(h):
     """(solution, forcing, sup|phi - phi*|) under the exact continuum forcing."""
     grid = (-12.0, 20.0, h)
     forcing = ak.GridFunction.sample(manufactured_forcing_fn(), *grid)
-    solution = quiet_solve(ak.cigar_model(2), forcing)
+    solution = ak.continuity_solve(ak.cigar_model(2), forcing)
     target = ak.decaying_gauge(ak.manufactured_potential(grid))
     return solution, forcing, np.max(np.abs(solution.phi.values - target.values))
 
@@ -404,7 +398,7 @@ def test_linear_regime_matches_drift_solve(cigar):
     amp = 1e-6
     smooth = lambda t: amp * np.exp(-1.5 * t) * np.clip(t / 2, 0, 1) ** 4
     forcing = ak.GridFunction.sample(smooth, *GRID)
-    solution = quiet_solve(cigar, forcing)
+    solution = ak.continuity_solve(cigar, forcing)
     doubled = forcing.like(2.0 * forcing.values)
     linear = ak.solve_mode(ak.ModeProblem(model=cigar, mu=0.0, rhs=doubled))
     rel = np.max(np.abs(solution.phi.values - linear.values)) / np.max(np.abs(linear.values))
@@ -451,7 +445,7 @@ def test_stall_on_huge_forcing(manufactured):
     hostile = forcing.like(1e3 * forcing.values)
     # a step that loses positivity is retried at half the s-step, never raised
     with pytest.raises(ak.ContinuityStalled) as excinfo:
-        quiet_solve(model, hostile)
+        ak.continuity_solve(model, hostile)
     assert excinfo.value.records is not None
 
 
@@ -521,7 +515,7 @@ def test_adaptive_schedule_halves_doubles_and_caps(cigar, zero_field, monkeypatc
         return it, 1  # report single-iteration successes to trigger doubling
 
     monkeypatch.setattr(cont._RadialNewton, "solve", scripted)
-    solution = quiet_solve(cigar, zero_field)
+    solution = ak.continuity_solve(cigar, zero_field)
     s_values = [r.s for r in solution.records]
     # 0.1 ok; 0.2 fails -> step 0.05; two successes at 0.15, 0.2 double the
     # step back to its 0.1 cap, after which the uniform schedule resumes
@@ -542,7 +536,7 @@ def test_secant_predictor_iterations(kind, expected):
     model = ak.cigar_model(2) if kind == "cigar" else ak.cylinder_model(2)
     forcing = ak.ma_residual_radial(model, ak.manufactured_potential(grid, amplitude=0.3),
                                     None, 0.0)
-    solution = quiet_solve(model, forcing)
+    solution = ak.continuity_solve(model, forcing)
     assert [r.newton_iterations for r in solution.records] == expected
 
 
@@ -553,7 +547,7 @@ def test_inadmissible_prediction_restarts_from_last_solution(manufactured, monke
     from acylsoliton import continuity as cont
 
     model, _, forcing = manufactured
-    plain = quiet_solve(model, forcing)
+    plain = ak.continuity_solve(model, forcing)
     calls, accepted = [], {}
     original_solve, original_residual = cont._RadialNewton.solve, cont._RadialNewton.residual
     refuse = {"armed": False}
@@ -574,7 +568,7 @@ def test_inadmissible_prediction_restarts_from_last_solution(manufactured, monke
 
     monkeypatch.setattr(cont._RadialNewton, "solve", solve)
     monkeypatch.setattr(cont._RadialNewton, "residual", residual)
-    solution = quiet_solve(model, forcing)
+    solution = ak.continuity_solve(model, forcing)
     s_calls = [s for s, _ in calls]
     assert s_calls == pytest.approx([0.1, 0.2, 0.3, 0.3] + [k / 10 for k in range(4, 11)])
     (s1, _), (s2, _), (s3, _) = calls[:3]
@@ -590,11 +584,11 @@ def test_solves_share_no_arrays(manufactured):
     """Back-to-back solves, with a uniqueness check between them, give the same
     bits, and no later solve writes into the arrays an earlier one returned."""
     model, phi_star, forcing = manufactured
-    first = quiet_solve(model, forcing)
+    first = ak.continuity_solve(model, forcing)
     kept = [x.copy() for x in (first.phi.values, first.phi.increments,
                                first.phi_anchored.values)]
     ak.uniqueness_check(model, forcing, initializations=[phi_star.zeros_like(), phi_star])
-    second = quiet_solve(model, forcing)
+    second = ak.continuity_solve(model, forcing)
     assert second.phi.values.tobytes() == first.phi.values.tobytes()
     assert second.phi.increments.tobytes() == first.phi.increments.tobytes()
     assert [r.as_dict() for r in second.records] == [r.as_dict() for r in first.records]
@@ -611,7 +605,7 @@ def test_cylinder_continuity_manufactured(cylinder):
     t = ak.uniform_nodes(*grid)
     phi_star = ak.GridFunction(*grid, 0.1 * smoothstep(t / 2.0) * np.exp(-1.5 * t))
     forcing = ak.ma_residual_radial(cylinder, phi_star, None, 0.0)
-    solution = quiet_solve(cylinder, forcing)
+    solution = ak.continuity_solve(cylinder, forcing)
     err = np.max(np.abs(solution.phi.values - ak.decaying_gauge(phi_star).values))
     assert err <= 1e-8
     assert 1.4 <= solution.decay_rate <= 1.6

@@ -137,11 +137,7 @@ def test_verify_solution_passes_on_manufactured(manufactured_solution):
 
 
 def test_verify_solution_zero_forcing(cigar, zero_field):
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        solution = ak.continuity_solve(cigar, zero_field)
+    solution = ak.continuity_solve(cigar, zero_field)
     report = ak.verify_solution(cigar, solution, zero_field)
     residual_check = next(c for c in report.checks if c.name == "monge_ampere_residual_sup")
     assert residual_check.value == 0.0
@@ -151,13 +147,9 @@ def test_verify_solution_zero_forcing(cigar, zero_field):
 
 def test_verify_solution_negative_control(manufactured):
     """A deliberately unconverged run fails the residual check but reports cleanly."""
-    import warnings
-
     model, _, forcing = manufactured
     loose = ak.ContinuityConfig(newton_tol=1e-2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        sloppy = ak.continuity_solve(model, forcing, loose)
+    sloppy = ak.continuity_solve(model, forcing, loose)
     report = ak.verify_solution(model, sloppy, forcing)
     residual_check = next(c for c in report.checks if c.name == "monge_ampere_residual_sup")
     assert not residual_check.passed

@@ -1,6 +1,5 @@
 import math
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -124,7 +123,7 @@ def test_finite_difference_coefficient_converges_to_closed_form(t0, steps):
     errors = []
     for h in steps:
         spec = ak.GlueSpec(t0=t0)
-        grid = (0.0, spec.grid_end, h)  # t0 + 3, a node of every step
+        grid = (0.0, spec.grid[1], h)  # t0 + 3, a node of every step
         p = ak.potential_of(inner, grid)
         chi = spec.cutoff(p.t)
         composite = chi * p.t**2 + (1.0 - chi) * p.values
@@ -160,16 +159,15 @@ def test_glued_model_rejects_other_inner_models():
 
 def test_glue_cylinder_to_itself():
     spec = ak.GlueSpec(t0=3.0)
-    grid = (0.0, spec.grid_end, spec.h)
-    c = ak.glue_coefficient(grid, spec, ak.cylinder_model(1), 0.0)
+    c = ak.glue_coefficient(spec.grid, spec, ak.cylinder_model(1), 0.0)
     assert np.max(np.abs(c.values - 1.0)) < 1e-7
-    assert ak.auto_rho(grid, spec, ak.cylinder_model(1)) == 0.0
+    assert ak.auto_rho(spec, ak.cylinder_model(1)) == 0.0
 
 
 def test_glue_region_identities_exact():
     inner = ak.cigar_model(2)
     spec = ak.GlueSpec(t0=3.0)
-    c = ak.glue_coefficient((0.0, spec.grid_end, spec.h), spec, inner, 0.0)
+    c = ak.glue_coefficient(spec.grid, spec, inner, 0.0)
     t = c.t
     outer = t >= 3.5
     assert np.all(c.values[outer] == 1.0)
@@ -180,10 +178,9 @@ def test_glue_region_identities_exact():
 def test_auto_rho_cigar_default_transition():
     inner = ak.cigar_model(2)
     spec = ak.GlueSpec(t0=3.0)
-    grid = (0.0, spec.grid_end, spec.h)
-    rho0 = ak.auto_rho(grid, spec, inner)
+    rho0 = ak.auto_rho(spec, inner)
     assert np.isfinite(rho0) and rho0 >= 0.0
-    c = ak.glue_coefficient(grid, spec, inner, rho0=rho0)
+    c = ak.glue_coefficient(spec.grid, spec, inner, rho0=rho0)
     assert np.min(c.values) >= 1e-2
 
 
@@ -191,20 +188,19 @@ def test_auto_rho_narrow_transition_needs_bump():
     # a narrow transition makes the interpolation dip strongly negative
     inner = ak.cigar_model(2)
     spec = ak.GlueSpec(t0=1.3)
-    grid = (0.0, spec.grid_end, spec.h)
-    rho0 = ak.auto_rho(grid, spec, inner)
+    rho0 = ak.auto_rho(spec, inner)
     assert rho0 > 1.0
-    c = ak.glue_coefficient(grid, spec, inner, rho0=rho0)
+    c = ak.glue_coefficient(spec.grid, spec, inner, rho0=rho0)
     assert np.min(c.values) >= spec.margin
     # near-minimality: 10% less amplitude violates the margin
-    c_less = ak.glue_coefficient(grid, spec, inner, rho0=0.9 * rho0)
+    c_less = ak.glue_coefficient(spec.grid, spec, inner, rho0=0.9 * rho0)
     assert np.min(c_less.values) < spec.margin
 
 
 def test_auto_rho_margin_monotonicity():
     inner = ak.cigar_model(2)
-    rho_small = ak.auto_rho((0.0, 4.3, 0.005), ak.GlueSpec(t0=1.3, margin=1e-2), inner)
-    rho_large = ak.auto_rho((0.0, 4.3, 0.005), ak.GlueSpec(t0=1.3, margin=2e-2), inner)
+    rho_small = ak.auto_rho(ak.GlueSpec(t0=1.3, margin=1e-2), inner)
+    rho_large = ak.auto_rho(ak.GlueSpec(t0=1.3, margin=2e-2), inner)
     assert rho_large >= rho_small
 
 
@@ -243,7 +239,7 @@ def test_auto_rho_evaluates_the_coefficient_once(monkeypatch):
     monkeypatch.setattr(gluing, "glue_coefficient", counted_coefficient)
     monkeypatch.setattr(gluing, "_transition", counted_transition)
     spec = ak.GlueSpec(t0=1.3)
-    assert ak.auto_rho((0.0, spec.grid_end, spec.h), spec, ak.cigar_model(2)) > 1.0
+    assert ak.auto_rho(spec, ak.cigar_model(2)) > 1.0
     assert len(coefficient_calls) == 1
     assert len(sizes) <= 2 and all(n == 1 for n in sizes[1:])  # the grid, then one vertex
 
@@ -255,11 +251,10 @@ def test_coefficient_affine_in_rho_and_kappa_closed_form(inner, t0):
     from acylsoliton import gluing
 
     spec = ak.GlueSpec(t0=t0)
-    grid = (0.0, spec.grid_end, spec.h)
-    c0 = ak.glue_coefficient(grid, spec, inner, rho0=0.0)
+    c0 = ak.glue_coefficient(spec.grid, spec, inner, rho0=0.0)
     b = spec.bump(c0.t, 1.0)
     for rho0 in np.random.default_rng(int(10 * t0)).uniform(0.0, 50.0, 5):
-        c = ak.glue_coefficient(grid, spec, inner, rho0=rho0)
+        c = ak.glue_coefficient(spec.grid, spec, inner, rho0=rho0)
         assert np.array_equal(c.values, c0.values + rho0 * b)
     model = ak.glued_model(inner, spec)
     rho0 = model.glue_params["rho0"]
@@ -281,9 +276,9 @@ def test_supplied_rho0_is_checked_between_nodes(rho0, monkeypatch):
 
     inner = ak.cigar_model(2)
     spec = ak.GlueSpec(t0=1.3)
-    c = ak.glue_coefficient((0.0, spec.grid_end, spec.h), spec, inner, rho0)
+    c = ak.glue_coefficient(spec.grid, spec, inner, rho0)
     assert np.min(c.values) > 0.0
-    monkeypatch.setattr(gluing, "auto_rho", lambda grid, spec, inner_model: rho0)
+    monkeypatch.setattr(gluing, "auto_rho", lambda spec, inner_model: rho0)
     with pytest.raises(ak.DomainError,
                        match=r"c = -0.0\d+ <= 0 at t=1.082\d*; increase glue.margin"):
         ak.glued_model(inner, spec)
@@ -292,9 +287,7 @@ def test_supplied_rho0_is_checked_between_nodes(rho0, monkeypatch):
 def test_narrow_glued_solve_converges_at_fine_grid():
     model = ak.glued_model(ak.cigar_model(2), ak.GlueSpec(t0=1.3))
     forcing = ak.glued_forcing(model, (-12.0, 20.0, 1e-3))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        solution = ak.continuity_solve(model, forcing)
+    solution = ak.continuity_solve(model, forcing)
     assert len(solution.records) == 10  # the uniform schedule, no step halved
     # node 0 carries the Neumann closure against a constant F (3.3e-7 here)
     assert np.max(np.abs(ak.soliton_residual(model, solution.phi).values[1:])) <= 1e-8
@@ -350,9 +343,7 @@ def test_glued_forcing_is_zero_outside_and_constant_inside(t0, inner_value):
 def test_glued_pipeline_end_to_end():
     model = ak.glued_model(ak.cigar_model(2))
     forcing = ak.glued_forcing(model, GRID)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        solution = ak.continuity_solve(model, forcing)
+    solution = ak.continuity_solve(model, forcing)
     residual = ak.soliton_residual(model, solution.phi)
     assert np.max(np.abs(residual.values)) <= 1e-8
 
@@ -365,9 +356,7 @@ def test_solution_soliton_residual_from_increments_and_samples():
     model = ak.glued_model(ak.cigar_model(2))
     grid = (-12.0, 20.0, 1e-3)
     forcing = ak.glued_forcing(model, grid)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        solution = ak.continuity_solve(model, forcing)
+    solution = ak.continuity_solve(model, forcing)
     from_increments = ak.soliton_residual(model, solution.phi).values
     samples = ak.GridFunction(*grid, solution.phi_anchored.values)
     from_samples = ak.soliton_residual(model, samples).values
@@ -376,10 +365,10 @@ def test_solution_soliton_residual_from_increments_and_samples():
 
 
 def test_grid_end_is_a_lattice_node():
-    """The end is the first node of h Z at or past t0 + 3, h = 0.005."""
+    """The grid is (0, end, h), end the first node of h Z at or past t0 + 3, h = 0.005."""
     assert ak.GlueSpec.h == 0.005
-    assert ak.GlueSpec(t0=3.0).grid_end == 6.0
+    assert ak.GlueSpec(t0=3.0).grid == (0.0, 6.0, 0.005)
     for t0, end in ((3.001, 6.005), (5.123, 8.125)):
         spec = ak.GlueSpec(t0=t0)
-        assert spec.grid_end == pytest.approx(end, abs=1e-12)
-        assert len(ak.uniform_nodes(0.0, spec.grid_end, spec.h)) == round(end / spec.h) + 1
+        assert spec.grid[1] == pytest.approx(end, abs=1e-12)
+        assert len(ak.uniform_nodes(*spec.grid)) == round(end / spec.h) + 1

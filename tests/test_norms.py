@@ -15,20 +15,18 @@ def sample(fn, grid=(0.0, 20.0, 0.01)):
 def test_weighted_sup_pure_exponential():
     for eps in (0.5, 1.0, 1.5):
         u = sample(lambda t: np.exp(-eps * t))
-        spec = ak.WeightedNormSpec(k=0, epsilon=eps)
-        assert ak.weighted_sup_norm(u, spec) == pytest.approx(1.0, abs=1e-12)
+        assert ak.weighted_sup_norm(u, 0, eps) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_weighted_sup_zero():
     u = sample(lambda t: np.zeros_like(t))
-    assert ak.weighted_sup_norm(u, ak.WeightedNormSpec(k=2, epsilon=1.0)) == 0.0
+    assert ak.weighted_sup_norm(u, 2, 1.0) == 0.0
 
 
 def test_weighted_sup_with_derivatives():
     # e^{-1.5t}: derivatives scale by 1.5 and 2.25; max is 2.25, at order 2 in h
     # (the error reads 1.69e-4 and 4.22e-5 at h = 0.02 and 0.01)
-    spec = ak.WeightedNormSpec(k=2, epsilon=1.5)
-    errors = [ak.weighted_sup_norm(sample(lambda t: np.exp(-1.5 * t), (0.0, 20.0, h)), spec) - 2.25
+    errors = [ak.weighted_sup_norm(sample(lambda t: np.exp(-1.5 * t), (0.0, 20.0, h)), 2, 1.5) - 2.25
               for h in (0.02, 0.01)]
     assert abs(errors[1]) <= 1e-4
     assert errors[0] / errors[1] == pytest.approx(4.0, abs=0.2)
@@ -41,17 +39,16 @@ def test_weighted_sup_reads_carried_increments():
     t = ak.uniform_nodes(0.0, 20.0, h)
     increments = np.exp(-1.5 * t[:-1]) * np.expm1(-1.5 * h)
     u = ak.RadialPotential(0.0, 20.0, h, np.exp(-1.5 * t), increments)
-    spec = ak.WeightedNormSpec(k=2, epsilon=1.5)
-    assert ak.weighted_sup_norm(u, spec) == pytest.approx(2.25, abs=5e-9)
+    assert ak.weighted_sup_norm(u, 2, 1.5) == pytest.approx(2.25, abs=5e-9)
     samples = ak.GridFunction(0.0, 20.0, h, u.values)
-    assert abs(ak.weighted_sup_norm(samples, spec) - 2.25) > 1e-7
+    assert abs(ak.weighted_sup_norm(samples, 2, 1.5) - 2.25) > 1e-7
 
 
 def test_weight_monotonicity_on_decaying_tail():
     # on t >= 0, a faster-decaying u has weighted norms increasing in eps
     u = sample(lambda t: np.exp(-1.9 * t))
     norms = [
-        ak.weighted_sup_norm(u, ak.WeightedNormSpec(k=0, epsilon=eps))
+        ak.weighted_sup_norm(u, 0, eps)
         for eps in (0.3, 0.9, 1.5, 1.9)
     ]
     assert all(a <= b + 1e-12 for a, b in zip(norms, norms[1:]))
@@ -61,14 +58,14 @@ def test_rejects_2d_and_short_grids():
     with pytest.raises(ak.DomainError, match="values must be 1D"):
         ak.GridFunction(0.0, 2.0, 0.1, np.zeros((21, 8)))
     short = ak.GridFunction.sample(np.exp, 0.0, 0.4, 0.1)  # 5 nodes: no edge stencil
-    assert ak.weighted_sup_norm(short, ak.WeightedNormSpec()) == pytest.approx(np.exp(0.4))
+    assert ak.weighted_sup_norm(short, 0, 0.0) == pytest.approx(np.exp(0.4))
     with pytest.raises(ak.DomainError, match="need at least 6 nodes"):
-        ak.weighted_sup_norm(short, ak.WeightedNormSpec(k=1))
+        ak.weighted_sup_norm(short, 1, 0.0)
     for k in (-1, 3, 1.0, True):  # a float or bool order is not an order
         with pytest.raises(ak.DomainError, match="k must be 0, 1 or 2"):
-            ak.WeightedNormSpec(k=k)
-    spec = ak.WeightedNormSpec(k=np.int64(0))  # an integer of another type is one
-    assert ak.weighted_sup_norm(short, spec) == pytest.approx(np.exp(0.4))
+            ak.weighted_sup_norm(short, k, 0.0)
+    # an integer of another type is one
+    assert ak.weighted_sup_norm(short, np.int64(0), 0.0) == pytest.approx(np.exp(0.4))
 
 
 @pytest.mark.parametrize("eps", [0.5, 1.0, 1.5, 1.9])

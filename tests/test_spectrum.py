@@ -223,44 +223,54 @@ def test_spectrum_csv_bytes_pinned(tmp_path, circle, lattice, quotient, mu_max, 
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
-def sequential_cluster_starts(values):
-    """The merge rule one value at a time: a value starts a cluster unless it
-    lies within MERGE_TOL of the current cluster's start."""
-    starts, first = [], None
-    for value in values:
-        starts.append(first is None or value - first > MERGE_TOL)
-        first = value if starts[-1] else first
-    return starts
-
-
-@pytest.mark.parametrize("values", [
-    [],
-    [3.0],
-    # spacing 0.6 MERGE_TOL: the third value is within MERGE_TOL of the second
-    # but beyond the first, so it starts the next cluster
-    [k * 0.6 * MERGE_TOL for k in range(7)],
+@pytest.mark.parametrize("values, starts", [
+    ([], []),
+    ([3.0], [True]),
+    # spacing 0.6 MERGE_TOL: every gap merges, so the chain is one cluster
+    ([k * 0.6 * MERGE_TOL for k in range(7)], [True] + [False] * 6),
     # a gap of exactly MERGE_TOL merges; one just above does not
-    [0.0, MERGE_TOL, 2.0, 2.0 + np.nextafter(MERGE_TOL, 1.0)],
+    ([0.0, MERGE_TOL, 2.0, 2.0 + np.nextafter(MERGE_TOL, 1.0)], [True, False, True, True]),
     # repeated values, a chain after a wide gap, and rounding-level gaps
-    [1.0, 1.0, 1.0 + 0.6 * MERGE_TOL, 1.0 + 0.6 * MERGE_TOL, 1.0 + 1.2 * MERGE_TOL, 5.0,
-     5.0 + 0.5 * MERGE_TOL, 5.0 + 0.9 * MERGE_TOL, 5.0 + 1.4 * MERGE_TOL, 5.0 + 1.5 * MERGE_TOL,
-     12.0, np.nextafter(12.0, 13.0), 12.0 + 2 * MERGE_TOL],
+    ([1.0, 1.0, 1.0 + 0.6 * MERGE_TOL, 1.0 + 0.6 * MERGE_TOL, 1.0 + 1.2 * MERGE_TOL, 5.0,
+      5.0 + 0.5 * MERGE_TOL, 5.0 + 0.9 * MERGE_TOL, 5.0 + 1.4 * MERGE_TOL, 5.0 + 1.5 * MERGE_TOL,
+      12.0, np.nextafter(12.0, 13.0), 12.0 + 2 * MERGE_TOL],
+     [True, False, False, False, False, True, False, False, False, False, True, False, True]),
 ], ids=["empty", "single", "chain_0.6", "gap_exactly_tol", "mixed"])
-def test_cluster_starts_follow_the_sequential_rule(values):
+def test_cluster_starts_follow_the_sequential_rule(values, starts):
+    """Read in sequence, a value starts a cluster when it lies more than
+    MERGE_TOL above the value before it."""
     from acylsoliton.spectrum import _cluster_starts
 
-    values = np.array(values, dtype=float)
-    assert _cluster_starts(values).tolist() == sequential_cluster_starts(values.tolist())
+    assert _cluster_starts(np.array(values, dtype=float)).tolist() == starts
 
 
-def test_cluster_starts_random_chains():
-    from acylsoliton.spectrum import _cluster_starts
+@pytest.mark.parametrize("circle,lattice,quotient,mu_max", [
+    (TWO_PI, ak.square_lattice(), None, 10.0),
+    (TWO_PI, ak.square_lattice(), ak.negation_quotient(), 10.0),
+    (TWO_PI, ak.hexagonal_lattice(), ak.hexagonal_rotation_quotient(), 10.0),
+    (TWO_PI, FOUR_TORUS, None, 100.0),
+    (TWO_PI, FOUR_TORUS, FOUR_TORUS_NEGATION, 60.0),
+    (TWO_PI, ak.hexagonal_lattice(), ak.hexagonal_rotation_quotient(), 1000.0),
+], ids=["cli_default", "cli_quotient_2", "cli_quotient_3", "sweep_s1t4", "sweep_s1t4_z2",
+        "sweep_hex_z3"])
+def test_merged_clusters_span_at_most_merge_tol(monkeypatch, circle, lattice, quotient, mu_max):
+    """On the spectra that the commands and the benchmark compute, each merged
+    cluster spans at most MERGE_TOL, so every member lies within MERGE_TOL of
+    the cluster's start: merging by gaps or by distance from the start agree."""
+    spectrum_module = importlib.import_module("acylsoliton.spectrum")
+    sorted_values, cluster_starts = [], spectrum_module._cluster_starts
 
-    rng = np.random.default_rng(26)
-    for _ in range(50):
-        gaps = rng.choice([0.0, 0.3, 0.6, 0.9, 1.0, 1.1, 5.0], size=40) * MERGE_TOL
-        values = 7.0 + np.cumsum(gaps)
-        assert _cluster_starts(values).tolist() == sequential_cluster_starts(values.tolist())
+    def recorded(values):
+        sorted_values.append(values)
+        return cluster_starts(values)
+
+    monkeypatch.setattr(spectrum_module, "_cluster_starts", recorded)
+    spectrum_module.spectra(ak.CrossSection(circle, lattice, quotient), mu_max)
+    assert len(sorted_values) == (1 if quotient is None else 2)
+    for values in sorted_values:
+        starts = np.flatnonzero(cluster_starts(values))
+        ends = np.append(starts[1:], len(values)) - 1
+        assert np.all(values[ends] - values[starts] <= MERGE_TOL)
 
 
 @pytest.mark.parametrize("circle,lattice,quotient,mu_max", [
@@ -356,3 +366,7 @@ def test_non_isometric_lattice_map_rejected():
 def test_non_unimodular_map_rejected():
     with pytest.raises(ak.DomainError):
         ak.CyclicQuotient(order=2, lattice_map=np.array([[2, 0], [0, 1]]))
+    # a map that is not a square matrix fails before its determinant is taken
+    for lattice_map in (np.ones((2, 3), dtype=int), np.array([-1])):
+        with pytest.raises(ak.DomainError, match="must be a square matrix"):
+            ak.CyclicQuotient(order=2, lattice_map=lattice_map)
