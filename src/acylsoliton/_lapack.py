@@ -1,17 +1,40 @@
-"""SciPy's LAPACK extension module, without running SciPy's package __init__,
-and SHA-256, without loading OpenSSL.
+"""The LAPACK provider of the solvers, chosen here alone, and SHA-256
+without loading OpenSSL.
 
-The solvers call four LAPACK routines (dgtsv, dtbtrs, dptsv, dstebz).  They
-live in the compiled module scipy.linalg._flapack, but `import scipy.linalg`
-also loads SciPy's array-API layer, several times the cost of the extension,
-and even `import scipy` pulls in its test utilities.  flapack() finds the
-scipy package directory with importlib.util.find_spec, which does not
-execute the package, loads the extension from its file under its own name,
-and registers it in sys.modules, so that a later `import scipy.linalg`
-reuses the same module object.  If the file cannot be loaded it imports the
-same module the usual way.  Loading happens on the first call, so code that
-solves nothing does not touch SciPy.  scipy_version() reads the version
-from scipy/version.py, again without importing SciPy.
+The solvers call four LAPACK routines (dgtsv, dtbtrs, dptsv, dstebz), each
+through the method of the same name of provider(), one signature per
+routine whichever library serves it:
+
+    dgtsv(sub, diag, sup, rhs)        -> (u, info), the inputs left intact
+    dtbtrs(ab, b)                     -> (x, info), lower band, b overwritten
+    dptsv(d, e, b)                    -> (x, info), d and e left intact
+    dstebz(d, e, range, vl, vu, il, iu) -> (m, w, info), range "V" or "I",
+                                         ABSTOL = 0, ORDER = "E"
+
+The first choice is the OpenBLAS that numpy's wheels link, which
+`import numpy` has already mapped: it exports the LAPACK routines with
+64-bit integers as scipy_<name>_64_.  They are bound with ctypes, which
+numpy imports too, so choosing them loads nothing.  The handle is numpy's
+core extension module; dlsym on it also searches the libraries it links,
+so the path of the BLAS library itself is never needed.  The binding
+copies what SciPy's f2py wrappers copy (dgtsv's rows, which solve_mode
+reads after the solve, and dptsv's d and e, which dstebz reads after it),
+passes gfortran's hidden size_t lengths of the CHARACTER arguments, and
+allocates dstebz's outputs and workspace uninitialised, so the pages
+bisection never writes are never touched.
+
+The second choice, taken only when numpy's core extension, the library or
+any of the four symbols is missing (a numpy built against Accelerate, MKL
+or a system BLAS), is SciPy's compiled scipy.linalg._flapack.  flapack()
+loads it from its file, found by importlib.util.find_spec, without running
+SciPy's package __init__ (whose array-API layer costs several times the
+extension), registers it in sys.modules so that a later `import
+scipy.linalg` reuses it, and imports it the usual way when the file cannot
+be loaded.  Both choices give the same bits on the grids of the tests.
+The provider is chosen on the first call of provider(), so code that
+solves nothing loads neither; chosen() reports it without choosing, and
+its name (the OpenBLAS configuration string, or "scipy <version>") is
+what the manifest records.
 
 sha256_hex() is the same kind of shim for the manifest and report digests:
 `import hashlib` loads OpenSSL's libcrypto through _hashlib, about 3.6 MB
@@ -20,13 +43,139 @@ CPython's built-in module (_sha2 from 3.12, _sha256 before), as random.py
 does for its SHA-512, and imports hashlib only when neither exists.
 """
 
+import ctypes
 import importlib.machinery
 import importlib.util
 import os
 import re
 import sys
 
+import numpy as np
+
 NAME = "scipy.linalg._flapack"
+
+_INT, _DOUBLE, _PTR, _LEN = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_size_t
+_INT_P, _DOUBLE_P = ctypes.POINTER(_INT), ctypes.POINTER(_DOUBLE)
+
+
+def _ints(*values):
+    return [ctypes.byref(_INT(v)) for v in values]
+
+
+def _symbol(lib, name, *argtypes):
+    function = getattr(lib, f"scipy_{name}_64_")  # AttributeError when missing
+    function.argtypes, function.restype = argtypes, None
+    return function
+
+
+class _OpenBLAS:
+    """The ILP64 routines of the OpenBLAS linked by numpy, through ctypes."""
+
+    def __init__(self, lib):
+        self._gtsv = _symbol(lib, "dgtsv", *[_INT_P] * 2, *[_PTR] * 4, _INT_P, _INT_P)
+        self._tbtrs = _symbol(lib, "dtbtrs", *[ctypes.c_char_p] * 3, *[_INT_P] * 3, _PTR,
+                              _INT_P, _PTR, _INT_P, _INT_P, *[_LEN] * 3)
+        self._ptsv = _symbol(lib, "dptsv", *[_INT_P] * 2, *[_PTR] * 3, _INT_P, _INT_P)
+        self._stebz = _symbol(lib, "dstebz", *[ctypes.c_char_p] * 2, _INT_P, *[_DOUBLE_P] * 2,
+                              *[_INT_P] * 2, _DOUBLE_P, *[_PTR] * 2, *[_INT_P] * 2,
+                              *[_PTR] * 5, _INT_P, *[_LEN] * 2)
+        config = lib.scipy_openblas_get_config64_
+        config.argtypes, config.restype = (), ctypes.c_char_p
+        self.name = config().decode()
+
+    def dgtsv(self, sub, diag, sup, rhs):
+        dl, d, du, b = (np.array(x, dtype=np.float64) for x in (sub, diag, sup, rhs))
+        info = _INT()
+        n = len(d)
+        self._gtsv(*_ints(n, 1), dl.ctypes.data, d.ctypes.data, du.ctypes.data,
+                   b.ctypes.data, *_ints(n), ctypes.byref(info))
+        return b, info.value
+
+    def dtbtrs(self, ab, b):
+        ab = np.require(ab, np.float64, "F")
+        b = np.require(b, np.float64, ["F", "W"])
+        info = _INT()
+        (ldab, n), nrhs = ab.shape, b.shape[1]
+        self._tbtrs(b"L", b"N", b"N", *_ints(n, ldab - 1, nrhs), ab.ctypes.data,
+                    *_ints(ldab), b.ctypes.data, *_ints(max(1, b.shape[0])),
+                    ctypes.byref(info), 1, 1, 1)
+        return b, info.value
+
+    def dptsv(self, d, e, b):
+        d, e = np.array(d, dtype=np.float64), np.array(e, dtype=np.float64)
+        b = np.require(b, np.float64, ["F", "W"])
+        info = _INT()
+        n = len(d)
+        self._ptsv(*_ints(n, 1), d.ctypes.data, e.ctypes.data, b.ctypes.data, *_ints(n),
+                   ctypes.byref(info))
+        return b, info.value
+
+    def dstebz(self, d, e, range, vl, vu, il, iu):
+        d, e = np.require(d, np.float64, "C"), np.require(e, np.float64, "C")
+        n = len(d)
+        m, nsplit, info = _INT(), _INT(), _INT()
+        w = np.empty(n)
+        iblock, isplit = np.empty(n, np.int64), np.empty(n, np.int64)
+        work, iwork = np.empty(4 * n), np.empty(3 * n, np.int64)
+        self._stebz(range.encode(), b"E", *_ints(n), ctypes.byref(_DOUBLE(vl)),
+                    ctypes.byref(_DOUBLE(vu)), *_ints(il, iu), ctypes.byref(_DOUBLE(0.0)),
+                    d.ctypes.data, e.ctypes.data, ctypes.byref(m), ctypes.byref(nsplit),
+                    w.ctypes.data, iblock.ctypes.data, isplit.ctypes.data, work.ctypes.data,
+                    iwork.ctypes.data, ctypes.byref(info), 1, 1)
+        return m.value, w, info.value
+
+
+class _SciPy:
+    """The same four routines from SciPy's f2py wrappers."""
+
+    RANGES = {"V": 1, "I": 2}
+
+    def __init__(self, module):
+        self._flapack = module
+        self.name = f"scipy {scipy_version()}"
+
+    def dgtsv(self, sub, diag, sup, rhs):
+        *_, u, info = self._flapack.dgtsv(sub, diag, sup, rhs)
+        return u, info
+
+    def dtbtrs(self, ab, b):
+        return self._flapack.dtbtrs(ab, b, uplo="L", overwrite_b=True)
+
+    def dptsv(self, d, e, b):
+        *_, x, info = self._flapack.dptsv(d, e, b, overwrite_b=True)
+        return x, info
+
+    def dstebz(self, d, e, range, vl, vu, il, iu):
+        m, w, _, _, info = self._flapack.dstebz(d, e, self.RANGES[range], vl, vu, il, iu,
+                                                0.0, "E")
+        return m, w, info
+
+
+_provider = None
+
+
+def _numpy_core():
+    """The file of numpy's core extension module, which links numpy's BLAS."""
+    from numpy._core import _multiarray_umath
+
+    return _multiarray_umath.__file__
+
+
+def provider():
+    """The LAPACK provider of this process, chosen on the first call: numpy's
+    OpenBLAS when it has the four routines, else SciPy's extension module."""
+    global _provider
+    if _provider is None:
+        try:
+            _provider = _OpenBLAS(ctypes.CDLL(_numpy_core()))
+        except (ImportError, OSError, AttributeError):  # no such module, library or symbol
+            _provider = _SciPy(flapack())
+    return _provider
+
+
+def chosen():
+    """The provider, or None when nothing in this process has called LAPACK."""
+    return _provider
 
 
 def _scipy_dir():

@@ -13,9 +13,9 @@ manifest is not (it records wall time).  Each config key is declared once
 in KEYS and each command's flags once in COMMANDS; a flag whose dest is a
 config key sets that key.  Each _cmd_* and _build_* function imports the
 library functions it calls, so a process loads only the modules of the
-command it runs.  It loads neither SciPy's package (the solves take LAPACK
-from its extension module alone) nor OpenSSL (the manifest and report
-digests take CPython's built-in SHA-256); both shims are in _lapack.
+command it runs.  It loads neither SciPy (the solves take LAPACK from the
+OpenBLAS numpy has loaded) nor OpenSSL (the manifest and report digests
+take CPython's built-in SHA-256); _lapack makes both choices.
 """
 
 import argparse
@@ -179,15 +179,19 @@ def _manufactured_forcing(cfg, model):
     return ma_residual_radial(model, manufactured_potential(_grid(cfg)), None, 0.0)
 
 
-def _continuity_solve(cfg, model, forcing):
-    """The continuity solve with the solver.* keys; the forcing-decay warning is not shown."""
+def _continuity_solve(cfg, model, forcing, run):
+    """The continuity solve with the solver.* keys; the messages of the warnings
+    it raises (the forcing-decay warning) go into the manifest's notes."""
     from .continuity import ContinuityConfig, continuity_solve
 
     solver = ContinuityConfig(s_steps=cfg.solver_s_steps, newton_tol=cfg.solver_tol,
                               max_newton=cfg.solver_max_newton, min_step=cfg.solver_min_step)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return continuity_solve(model, forcing, solver)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return continuity_solve(model, forcing, solver)
+        finally:
+            run.notes["warnings"] = [str(w.message) for w in caught]
 
 
 def _fredholm_check(mus):
@@ -231,10 +235,10 @@ class Run:
             "notes": self.notes,
             "wall_time_s": None if initial else round(time.monotonic() - self.start, 6),
         }
-        # LAPACK from SciPy's build computed the numbers; record the version
-        # without importing SciPy, and only when the run loaded the extension
-        if not initial and _lapack.NAME in sys.modules:
-            payload["versions"]["scipy"] = _lapack.scipy_version()
+        # the LAPACK that computed the numbers, once the run has called it
+        lapack = _lapack.chosen()
+        if not initial and lapack is not None:
+            payload["versions"]["lapack"] = lapack.name
         self.write_json("manifest.json", payload)
 
     def write_json(self, name, payload):
@@ -335,7 +339,7 @@ def _cmd_solve_ma(cfg, run, args):
     else:
         forcing = GridFunction.from_csv(args.rhs)
     try:
-        solution = _continuity_solve(cfg, model, forcing)
+        solution = _continuity_solve(cfg, model, forcing, run)
     except ContinuityStalled as exc:
         run.write_json("path.json", {"converged": False, "s_reached": exc.s_reached,
                                      "steps": [r.as_dict() for r in exc.records]})
@@ -399,7 +403,7 @@ def _cmd_report(cfg, run, args):
     fredholm_ok, margin = _fredholm_check(
         invariant_spectrum(_build_cross_section(cfg), cfg.weights_mu_max))
     forcing = _manufactured_forcing(cfg, model)
-    solution = _continuity_solve(cfg, model, forcing)
+    solution = _continuity_solve(cfg, model, forcing, run)
     report = verify_solution(model, solution, forcing, metadata={"seed": cfg.seed})
     payload = report.as_dict()
     payload["exact_soliton_residual"] = exact

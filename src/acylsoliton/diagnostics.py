@@ -13,11 +13,11 @@ argument behind the analytic inequality suggests the reference value 1/8,
 which is reported for orientation only; the discrete constant need not
 dominate it.
 
-poincare_rayleigh calls LAPACK dptsv and dstebz through _lapack, which loads
-SciPy's LAPACK extension on the first call without running SciPy's package
-__init__ or importing scipy.linalg.  The package imports this module on
-first use of one of its names, so `import acylsoliton` loads neither it nor
-SciPy; verify_solution imports the continuity module's residual when it is
+poincare_rayleigh calls LAPACK dptsv and dstebz through _lapack's provider:
+the OpenBLAS numpy has already loaded, or SciPy's LAPACK extension where
+numpy's library lacks the routines.  The package imports this module on
+first use of one of its names, so `import acylsoliton` does not load it;
+verify_solution imports the continuity module's residual when it is
 called, so the Poincare constant alone (the verify command) loads neither
 the continuity solver nor the drift solves.
 """
@@ -108,7 +108,7 @@ def _lowest_bracket(diag, off):
     radius[1:] += np.abs(off)
     pad = 2.1 * float(np.max(np.abs(diag) + radius)) * np.finfo(float).eps * n
     low = float(np.min(diag - radius)) - pad
-    *_, x, info = _lapack.flapack().dptsv(diag, off, np.ones(n), overwrite_b=True)
+    x, info = _lapack.provider().dptsv(diag, off, np.ones(n))
     if info != 0:
         return None
     high = float(np.sum(x) / np.sum(x * x)) + pad
@@ -123,13 +123,13 @@ def _lowest_eigenvalue(diag, off):
     bracket = _lowest_bracket(diag, off)
     if bracket is not None:
         # eigvalsh_tridiagonal(select="v", select_range=bracket): default tolerance
-        m, eig, _, _, info = _lapack.flapack().dstebz(diag, off, 1, *bracket, 0, 0, 0.0, "E")
+        m, eig, info = _lapack.provider().dstebz(diag, off, "V", *bracket, 0, 0)
         if info != 0:
             raise SingularSystem(f"LAPACK dstebz failed (info = {info})")
         if m > 0:
             return float(eig[0])
     # eigvalsh_tridiagonal(select="i", select_range=(0, 0))
-    _, eig, _, _, info = _lapack.flapack().dstebz(diag, off, 2, 0.0, 1.0, 1, 1, 0.0, "E")
+    _, eig, info = _lapack.provider().dstebz(diag, off, "I", 0.0, 1.0, 1, 1)
     if info != 0:
         raise SingularSystem(f"LAPACK dstebz failed (info = {info})")
     return float(eig[0])
@@ -162,8 +162,12 @@ def poincare_rayleigh(model, grid):
 
     Memory, in grid-sized float arrays of 8n bytes: _poincare_matrix traces
     a peak of 5 (4 for the cylinder) and returns 2, diag and off.  xSTEBZ's
-    outputs and workspace, which the f2py wrapper allocates, add 7.5, so the
-    call peaks at 9.5.
+    outputs and workspace add 10 with numpy's 64-bit-integer OpenBLAS (7.5
+    with SciPy's extension), so the call traces a peak of 12.0.  They are
+    allocated uninitialised, and bisection writes little of them beyond the
+    n squared off-diagonals, whereas SciPy's f2py wrapper zero-fills all 7.5.
+    Measured at h = 1e-4 on the cigar, the eigenvalue call raises the
+    resident high-water mark by 3.6-4.0 arrays, against 5.5 with SciPy's.
     """
     return _lowest_eigenvalue(*_poincare_matrix(model, grid))
 

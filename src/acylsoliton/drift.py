@@ -33,11 +33,11 @@ may map over them in parallel; solve_field itself iterates in ascending-mu
 order so results are identical regardless of scheduling.
 
 solve_mode and forward_march call LAPACK (dgtsv and dtbtrs) through
-_lapack, which loads SciPy's LAPACK extension on the first solve without
-running SciPy's package __init__ or importing scipy.linalg.  The package
+_lapack's provider: the OpenBLAS numpy has already loaded, or SciPy's
+LAPACK extension where numpy's library lacks the routines.  The package
 imports this module on first use of one of its names, so `import
-acylsoliton` and the numpy-only commands (spectrum, weights, glue) load
-neither it nor SciPy.
+acylsoliton` and the numpy-only commands (spectrum, weights, glue) do not
+load it.
 """
 
 from dataclasses import dataclass
@@ -120,7 +120,7 @@ def forward_march(ab, rhs):
     Fortran-ordered rhs is overwritten.  For c > 0 the march factor sub/sup
     lies in (-1, 1), so errors do not grow.
     """
-    x, info = _lapack.flapack().dtbtrs(ab, rhs, uplo="L", overwrite_b=True)
+    x, info = _lapack.provider().dtbtrs(ab, rhs)
     return _checked(x, info, "tbtrs")
 
 
@@ -164,7 +164,7 @@ def solve_mode(problem):
     rows = _mode_rows(problem)
     if not all(np.all(np.isfinite(x)) for x in rows):
         raise SingularSystem("array must not contain infs or NaNs")
-    *_, u, info = _lapack.flapack().dgtsv(*rows)
+    u, info = _lapack.provider().dgtsv(*rows)
     rel = _backward_error(rows, _checked(u, info, "gtsv"))
     if rel > RESIDUAL_RTOL:
         raise SingularSystem(f"interior residual {rel:.3e} exceeds {RESIDUAL_RTOL:.0e}")

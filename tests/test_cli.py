@@ -14,6 +14,7 @@ import pytest
 import scipy
 
 import acylsoliton as ak
+from acylsoliton import _lapack
 from acylsoliton.cli import KEYS, parse_config, run
 from acylsoliton.spectrum import spectrum_to_csv
 
@@ -201,6 +202,22 @@ def test_solve_ma_synthesized_manufactured(tmp_path):
     phi = ak.GridFunction.from_csv(tmp_path / "phi.csv")
     target = ak.decaying_gauge(ak.manufactured_potential((-12.0, 20.0, 0.01)))
     assert np.max(np.abs(phi.values - target.values)) <= 1e-6
+
+
+def test_solve_ma_records_the_forcing_decay_warning(tmp_path):
+    """A forcing whose fitted rate is <= 1 still solves; the warning that says
+    so reaches the manifest's notes, and a clean solve records none."""
+    slow = ak.GridFunction.sample(lambda t: 1e-8 * np.exp(-0.5 * t) * np.clip(t / 2, 0, 1) ** 4,
+                                  -12.0, 20.0, 0.01)
+    assert ak.decay_rate_fit(slow) <= 1.0
+    slow.to_csv(tmp_path / "slow.csv")
+    assert run_cli(["solve-ma", "--rhs", str(tmp_path / "slow.csv")], tmp_path / "slow") == 0
+    notes = json.loads((tmp_path / "slow" / "manifest.json").read_text())["notes"]
+    assert len(notes["warnings"]) == 1
+    assert notes["warnings"][0].startswith("forcing decay rate 0.5 <= 1;")
+    assert run_cli(["solve-ma", "--rhs", "manufactured"], tmp_path / "clean") == 0
+    notes = json.loads((tmp_path / "clean" / "manifest.json").read_text())["notes"]
+    assert notes["warnings"] == []
 
 
 def test_solve_ma_huge_amplitude_exits_2(tmp_path, capsys):
@@ -430,7 +447,9 @@ def scipy_loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 import acylsoliton, acylsoliton.cli
-out, names = sys.argv[1], sys.argv[2:]
+out, provider, names = sys.argv[1], sys.argv[2], sys.argv[3:]
+if provider == "scipy":  # as when numpy links no scipy-openblas64
+    acylsoliton._lapack._numpy_core = lambda: "no-such-library.so"
 steps = [("import", 0, scipy_loaded(), "_hashlib" in sys.modules)]
 rhs = acylsoliton.GridFunction.sample(
     lambda t: np.exp(-1.5 * t) * np.clip(t / 2, 0, 1) ** 4, -12.0, 20.0, 0.01)
@@ -456,8 +475,8 @@ def _fresh_python(args, cwd):
                           capture_output=True, text=True, timeout=120)
 
 
-def _import_probe(out, names):
-    done = _fresh_python(["-c", IMPORT_PROBE, str(out), *names], None)
+def _import_probe(out, names, provider="chosen"):
+    done = _fresh_python(["-c", IMPORT_PROBE, str(out), provider, *names], None)
     assert done.returncode == 0, done.stderr
     probe = json.loads(done.stdout)
     steps = {name: (code, loaded) for name, code, loaded, _ in probe["steps"]}
@@ -465,8 +484,15 @@ def _import_probe(out, names):
     return steps, probe["same_flapack"], openssl
 
 
+def _versions(out, names):
+    return {name: json.loads((out / name / "manifest.json").read_text())["versions"]
+            for name in names}
+
+
 def test_scipy_is_imported_only_by_the_commands_that_call_it(tmp_path):
-    steps, same_flapack, _ = _import_probe(tmp_path, COMMANDS)
+    """With SciPy's extension as the LAPACK provider (numpy without
+    scipy-openblas64), only that extension loads, and only on the first solve."""
+    steps, same_flapack, _ = _import_probe(tmp_path, COMMANDS, "scipy")
     assert list(steps) == ["import", *COMMANDS]
     assert all(code == 0 for code, _ in steps.values())
     for name in ("import", "spectrum", "weights"):
@@ -477,17 +503,30 @@ def test_scipy_is_imported_only_by_the_commands_that_call_it(tmp_path):
     # solve-linear loads the extension first above; the others load it on their own
     (tmp_path / "alone").mkdir()
     for name in ("solve-ma", "verify", "report"):
-        alone, _, _ = _import_probe(tmp_path / "alone", [name])
+        alone, _, _ = _import_probe(tmp_path / "alone", [name], "scipy")
         assert alone[name] == (0, ["scipy.linalg._flapack"]), name
     # a later import of scipy.linalg reuses the LAPACK module the solves loaded
     assert same_flapack is True
-    # the manifest records the SciPy version exactly when SciPy is loaded
-    versions = {name: json.loads((tmp_path / name / "manifest.json").read_text())["versions"]
-                for name in steps if name != "import"}
+    # the manifest names the LAPACK exactly when the run has called it
+    versions = _versions(tmp_path, COMMANDS)
     for name in ("spectrum", "weights"):
-        assert "scipy" not in versions[name], name
+        assert "lapack" not in versions[name] and "scipy" not in versions[name], name
     for name in ("solve-linear", "solve-ma", "verify", "report", "glue"):
-        assert versions[name]["scipy"] == scipy.__version__, name
+        assert versions[name]["lapack"] == f"scipy {scipy.__version__}", name
+
+
+@pytest.mark.skipif(not isinstance(_lapack.provider(), _lapack._OpenBLAS),
+                    reason="numpy links no scipy-openblas64")
+def test_no_command_imports_scipy_with_numpys_openblas(tmp_path):
+    """Where numpy's OpenBLAS has the four routines, none of the seven commands
+    imports any scipy module, and the manifest names that OpenBLAS."""
+    steps, _, _ = _import_probe(tmp_path, COMMANDS)
+    assert steps == {name: (0, []) for name in ["import", *COMMANDS]}
+    versions = _versions(tmp_path, COMMANDS)
+    for name in ("spectrum", "weights"):
+        assert "lapack" not in versions[name], name
+    for name in ("solve-linear", "solve-ma", "verify", "report", "glue"):
+        assert versions[name]["lapack"] == _lapack.provider().name, name
 
 
 @pytest.mark.skipif(not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
@@ -507,12 +546,13 @@ def test_glue_alone_imports_no_scipy(tmp_path):
     done = _fresh_python(["-c", probe], tmp_path)
     assert json.loads(done.stdout) == [0, []], done.stderr
     manifest = json.loads((tmp_path / "g" / "manifest.json").read_text())
-    assert "scipy" not in manifest["versions"]
+    assert "lapack" not in manifest["versions"]
 
 
 CONTRACT_PROBE = """
 import json, sys
 import acylsoliton as ak
+from acylsoliton import _lapack
 
 def loaded(package):
     return sorted(m for m in sys.modules if m.split(".")[0] == package)

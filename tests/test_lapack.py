@@ -1,5 +1,6 @@
-"""The direct LAPACK calls give SciPy's bits and keep SciPy's checks; the
-built-in SHA-256 gives hashlib's digests."""
+"""The LAPACK calls give SciPy's bits and keep SciPy's checks from either
+provider, numpy's OpenBLAS or SciPy's extension module; the built-in SHA-256
+gives hashlib's digests."""
 
 import hashlib
 import json
@@ -23,6 +24,12 @@ LADDER = (1e-2, 1e-3, 1e-4)
 GRIDS = {"cigar": (-12.0, 20.0), "cylinder": (0.0, 20.0), "glued": (-12.0, 20.0)}
 MODELS = {"cigar": ak.cigar_model(2), "cylinder": ak.cylinder_model(1),
           "glued": ak.glued_model(ak.cigar_model(2))}
+
+
+# the provider the solvers use here, and SciPy's f2py wrappers of the same routines
+PROVIDERS = {"chosen": _lapack.provider(), "scipy": _lapack._SciPy(_lapack.flapack())}
+OPENBLAS = isinstance(PROVIDERS["chosen"], _lapack._OpenBLAS)
+needs_openblas = pytest.mark.skipif(not OPENBLAS, reason="numpy links no scipy-openblas64")
 
 
 def same_bits(x, y):
@@ -138,7 +145,29 @@ def test_empty_bracket_takes_the_index_call(monkeypatch):
     assert same_bits(np.array([_lowest_eigenvalue(diag, off)]), index_call(diag, off))
 
 
+def lapack_outputs(h):
+    """What each LAPACK call of the solvers returns on the cigar and the
+    cylinder: the mode solve (dgtsv), the Newton march (dtbtrs), the bracket's
+    solve (dptsv) and the value-range and index-range bisections (dstebz)."""
+    out = []
+    for kind in ("cigar", "cylinder"):
+        out.append(ak.solve_mode(mode_problem(kind, h)).values)
+        out.append(newton_system(kind, h)[1])
+        diag, off = _poincare_matrix(MODELS[kind], GRIDS[kind] + (h,))
+        out.append(_lapack.provider().dptsv(diag, off, np.ones(len(diag)))[0])
+        for call in (("V", *_lowest_bracket(diag, off), 0, 0), ("I", 0.0, 1.0, 1, 1)):
+            m, w, info = _lapack.provider().dstebz(diag, off, *call)
+            assert (m, info) == (1, 0)
+            out.append(w[:m])
+        out.append(np.array([ak.poincare_rayleigh(MODELS[kind], GRIDS[kind] + (h,))]))
+    return out
+
+
+@needs_openblas
 def test_fallback_import_gives_the_same_bits(monkeypatch):
+    """SciPy's extension, imported the usual way when its file does not load,
+    gives every output of numpy's OpenBLAS bit for bit."""
+    expected = {h: lapack_outputs(h) for h in LADDER[:2]}
     loads = []
 
     def fail():
@@ -147,12 +176,79 @@ def test_fallback_import_gives_the_same_bits(monkeypatch):
 
     monkeypatch.delitem(sys.modules, _lapack.NAME)
     monkeypatch.setattr(_lapack, "_load_file", fail)
-    assert _lapack.flapack() is scipy.linalg.lapack._flapack
-    for kind in ("cigar", "cylinder"):
-        assert_solves_match(mode_problem(kind, 1e-2))
-        assert_poincare_matches(kind, 1e-2)
-    assert_cigar_march_matches(1e-2)
+    monkeypatch.setattr(_lapack, "_numpy_core", lambda: "no-such-library.so")
+    monkeypatch.setattr(_lapack, "_provider", None)
+    assert isinstance(_lapack.provider(), _lapack._SciPy)
+    assert _lapack.provider()._flapack is scipy.linalg.lapack._flapack
     assert loads
+    for h, arrays in expected.items():
+        got = lapack_outputs(h)
+        assert len(got) == len(arrays) == 12
+        assert all(same_bits(x, y) for x, y in zip(got, arrays)), h
+
+
+def continuation_bits(kind, h):
+    """phi and every path record of the manufactured continuity solve, as bytes."""
+    grid = GRIDS[kind] + (h,)
+    forcing = ak.ma_residual_radial(MODELS[kind], ak.manufactured_potential(grid), None, 0.0)
+    solution = ak.continuity_solve(MODELS[kind], forcing)
+    return solution.phi.values.tobytes(), json.dumps(solution.path_dict())
+
+
+@needs_openblas
+@pytest.mark.parametrize("kind", ["cigar", "cylinder", "glued"])
+def test_providers_give_the_same_continuation_bits(monkeypatch, kind):
+    expected = continuation_bits(kind, 1e-3)
+    monkeypatch.setattr(_lapack, "_provider", PROVIDERS["scipy"])
+    assert continuation_bits(kind, 1e-3) == expected
+
+
+@pytest.mark.parametrize("core", ["missing_library", "missing_symbols", "no_core_module"])
+def test_missing_openblas_falls_back_to_scipy(monkeypatch, core):
+    """Without numpy's core extension, without the library, or without one of
+    the symbols, the first call chooses SciPy's extension and solves."""
+    import numpy.random.bit_generator
+
+    def no_module():
+        raise ImportError("no numpy._core")
+
+    monkeypatch.setattr(_lapack, "_numpy_core", {
+        "missing_library": lambda: "no-such-library.so",
+        "missing_symbols": lambda: numpy.random.bit_generator.__file__,  # links no BLAS
+        "no_core_module": no_module}[core])
+    monkeypatch.setattr(_lapack, "_provider", None)
+    assert _lapack.chosen() is None
+    chosen = _lapack.provider()
+    assert isinstance(chosen, _lapack._SciPy) and _lapack.chosen() is chosen
+    assert chosen.name == f"scipy {scipy.__version__}"
+    assert_solves_match(mode_problem("cigar", 1e-2))
+
+
+@needs_openblas
+def test_provider_name_is_the_openblas_config():
+    name = PROVIDERS["chosen"].name
+    assert name.startswith("OpenBLAS ") and "USE64BITINT" in name
+
+
+@needs_openblas
+def test_openblas_binding_copies_what_f2py_copies():
+    """dgtsv leaves its rows intact and dptsv its d and e, as the f2py wrappers
+    do; dtbtrs writes into a Fortran-ordered b."""
+    rows = drift._mode_rows(mode_problem("cigar", 1e-2))
+    before = [x.copy() for x in rows]
+    PROVIDERS["chosen"].dgtsv(*rows)
+    assert all(same_bits(x, y) for x, y in zip(rows, before))
+    diag, off = _poincare_matrix(MODELS["cigar"], GRIDS["cigar"] + (1e-2,))
+    kept = diag.copy(), off.copy()
+    b = np.ones(len(diag))
+    x, info = PROVIDERS["chosen"].dptsv(diag, off, b)
+    assert info == 0 and x is b
+    assert same_bits(diag, kept[0]) and same_bits(off, kept[1])
+    ab = np.asfortranarray([[2.0, 2.0, 2.0], [1.0, 1.0, 0.0]])
+    rhs = np.ones((3, 1), order="F")
+    x, info = PROVIDERS["chosen"].dtbtrs(ab, rhs)
+    assert info == 0 and x is rhs
+    assert np.array_equal(rhs[:, 0], [0.5, 0.25, 0.375])
 
 
 def test_file_load_registers_the_extension(monkeypatch):
@@ -165,8 +261,9 @@ def test_file_load_registers_the_extension(monkeypatch):
 
 
 def test_banded_solve_raises_singular_system(monkeypatch):
-    """solve_mode refuses non-finite rows and a singular matrix before it reads
-    a backward error; the rows are made by hand on a 6-node grid."""
+    """On either provider, solve_mode refuses non-finite rows and a singular
+    matrix before it reads a backward error, and forward_march a singular
+    band; the rows are made by hand on a 6-node grid."""
     n = 6
     problem = ak.ModeProblem(model=MODELS["cylinder"], mu=0.0,
                              rhs=ak.GridFunction.sample(np.exp, 0.0, 0.5, 0.1))
@@ -176,14 +273,22 @@ def test_banded_solve_raises_singular_system(monkeypatch):
         monkeypatch.setattr(drift, "_mode_rows", lambda p: rows)
         return ak.solve_mode(problem).values
 
-    assert np.all(np.isfinite(solve((zero, diag, zero, b))))
-    for bad_diag, bad_b in ((diag, np.full(n, np.nan)), (np.full(n, np.inf), b)):
-        with pytest.raises(ak.SingularSystem, match="infs or NaNs"):
-            solve((zero, bad_diag, zero, bad_b))
     singular = diag.copy()
     singular[3] = 0.0  # a zero row and column
-    with pytest.raises(ak.SingularSystem, match="singular matrix"):
-        solve((zero, singular, zero, b))
+    for provider in PROVIDERS.values():
+        monkeypatch.setattr(_lapack, "_provider", provider)
+        assert np.all(np.isfinite(solve((zero, diag, zero, b))))
+        for bad_diag, bad_b in ((diag, np.full(n, np.nan)), (np.full(n, np.inf), b)):
+            with pytest.raises(ak.SingularSystem, match="infs or NaNs"):
+                solve((zero, bad_diag, zero, bad_b))
+        with pytest.raises(ak.SingularSystem, match="singular matrix"):
+            solve((zero, singular, zero, b))
+        ab = np.asfortranarray([singular, np.append(zero, 0.0)])
+        with pytest.raises(ak.SingularSystem, match="singular matrix"):
+            drift.forward_march(ab, np.ones((n, 1), order="F"))
+        with pytest.raises(ak.SingularSystem, match="non-finite solution"):
+            drift.forward_march(np.asfortranarray([diag, np.append(zero, 0.0)]),
+                                np.full((n, 1), np.inf, order="F"))
 
 
 def documented_routines(text):
@@ -194,8 +299,12 @@ def documented_routines(text):
 
 def test_documented_lapack_routines_are_the_ones_called():
     called = {name for path in (ROOT / "src" / "acylsoliton").glob("*.py")
-              for name in re.findall(r"flapack\(\)\.(\w+)\(", path.read_text())}
+              for name in re.findall(r"provider\(\)\.(\w+)\(", path.read_text())}
     assert called == {"dgtsv", "dtbtrs", "dptsv", "dstebz"}
+    for kind in (_lapack._OpenBLAS, _lapack._SciPy):  # one signature per routine
+        methods = {name for name, value in vars(kind).items()
+                   if callable(value) and not name.startswith("_")}
+        assert methods == called, kind
     for text in (_lapack.__doc__, (ROOT / "README.md").read_text()):
         assert documented_routines(text) == (len(called), called)
 
