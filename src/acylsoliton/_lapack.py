@@ -20,8 +20,8 @@ so the path of the BLAS library itself is never needed.  The binding
 copies what SciPy's f2py wrappers copy (dgtsv's rows, which solve_mode
 reads after the solve, and dptsv's d and e, which dstebz reads after it),
 passes gfortran's hidden size_t lengths of the CHARACTER arguments, and
-allocates dstebz's outputs and workspace uninitialised, so the pages
-bisection never writes are never touched.
+maps dstebz's outputs and workspace from the system (_lazy_zeros), so the
+pages bisection never writes never become resident.
 
 The second choice, taken only when numpy's core extension, the library or
 any of the four symbols is missing (a numpy built against Accelerate, MKL
@@ -60,6 +60,16 @@ _INT_P, _DOUBLE_P = ctypes.POINTER(_INT), ctypes.POINTER(_DOUBLE)
 
 def _ints(*values):
     return [ctypes.byref(_INT(v)) for v in values]
+
+
+def _lazy_zeros(size, dtype):
+    """An array of size zeros in an anonymous mapping of its own, whose pages
+    become resident only when written.  numpy advises transparent huge pages
+    for arrays of 4 MiB and more, and then each of the few scattered entries
+    that bisection writes in its workspace makes a whole 2 MiB page resident."""
+    import mmap  # only the processes that call dstebz load it
+
+    return np.frombuffer(mmap.mmap(-1, size * np.dtype(dtype).itemsize), dtype)
 
 
 def _symbol(lib, name, *argtypes):
@@ -114,9 +124,8 @@ class _OpenBLAS:
         d, e = np.require(d, np.float64, "C"), np.require(e, np.float64, "C")
         n = len(d)
         m, nsplit, info = _INT(), _INT(), _INT()
-        w = np.empty(n)
-        iblock, isplit = np.empty(n, np.int64), np.empty(n, np.int64)
-        work, iwork = np.empty(4 * n), np.empty(3 * n, np.int64)
+        w, work = _lazy_zeros(n, np.float64), _lazy_zeros(4 * n, np.float64)
+        iblock, isplit, iwork = (_lazy_zeros(k * n, np.int64) for k in (1, 1, 3))
         self._stebz(range.encode(), b"E", *_ints(n), ctypes.byref(_DOUBLE(vl)),
                     ctypes.byref(_DOUBLE(vu)), *_ints(il, iu), ctypes.byref(_DOUBLE(0.0)),
                     d.ctypes.data, e.ctypes.data, ctypes.byref(m), ctypes.byref(nsplit),

@@ -161,13 +161,15 @@ def poincare_rayleigh(model, grid):
     length 150 gives m = 3 (111 ms against 75 ms).
 
     Memory, in grid-sized float arrays of 8n bytes: _poincare_matrix traces
-    a peak of 5 (4 for the cylinder) and returns 2, diag and off.  xSTEBZ's
-    outputs and workspace add 10 with numpy's 64-bit-integer OpenBLAS (7.5
-    with SciPy's extension), so the call traces a peak of 12.0.  They are
-    allocated uninitialised, and bisection writes little of them beyond the
-    n squared off-diagonals, whereas SciPy's f2py wrapper zero-fills all 7.5.
-    Measured at h = 1e-4 on the cigar, the eigenvalue call raises the
-    resident high-water mark by 3.6-4.0 arrays, against 5.5 with SciPy's.
+    a peak of 5 (4 for the cylinder) and returns 2, diag and off; the
+    bracket's dptsv adds its copies of both, the right-hand side and x * x,
+    so the call traces a peak of 6.0.  With numpy's OpenBLAS, xSTEBZ's
+    outputs and workspace (10 arrays, its integers being 64-bit) are mapped
+    outside numpy's allocator, and only the pages bisection writes become
+    resident: the n squared off-diagonals and a few more.  SciPy's f2py
+    wrapper allocates and zero-fills all 7.5 of its own (a traced peak of
+    9.5).  Measured at h = 1e-4 on the cigar, the eigenvalue call raises the
+    resident high-water mark by 1.0 array, against 5.5 with SciPy's wrapper.
     """
     return _lowest_eigenvalue(*_poincare_matrix(model, grid))
 
