@@ -225,6 +225,27 @@ def test_missing_openblas_falls_back_to_scipy(monkeypatch, core):
 
 
 @needs_openblas
+def test_poincare_traces_no_stebz_workspace():
+    """dstebz's outputs and workspace live outside numpy's allocator, so the
+    traced peak of poincare_rayleigh is the bracket's: diag and off, dptsv's
+    copies of both, its right-hand side and x * x (a numpy workspace of
+    10 arrays would read 12)."""
+    import tracemalloc
+
+    model, grid = MODELS["cigar"], GRIDS["cigar"] + (1e-3,)
+    ak.poincare_rayleigh(model, grid)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        ak.poincare_rayleigh(model, grid)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * 8 * len(ak.uniform_nodes(*grid)), peak
+
+
+@needs_openblas
 def test_provider_name_is_the_openblas_config():
     name = PROVIDERS["chosen"].name
     assert name.startswith("OpenBLAS ") and "USE64BITINT" in name
