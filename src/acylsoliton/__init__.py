@@ -27,8 +27,7 @@ _EXPORTS = {
     "drift": "BoundaryPolicy ModeProblem solve_field solve_mode",
     "errors": "AcylSolitonError ConfigError ContinuityStalled DomainError NewtonDiverged "
               "PositivityLost SingularSystem",
-    "gluing": "GlueSpec auto_rho glue_coefficient glued_forcing glued_model potential_of "
-              "smoothstep",
+    "gluing": "GlueSpec auto_rho glue_coefficient glued_forcing glued_model smoothstep",
     "grids": "GridFunction RadialPotential uniform_nodes",
     "models": "Kind RadialKahlerModel cigar_model cylinder_model model_to_text ricci_coefficient "
               "soliton_residual",

@@ -25,34 +25,24 @@ pages bisection never writes never become resident.
 
 The second choice, taken only when numpy's core extension, the library or
 any of the four symbols is missing (a numpy built against Accelerate, MKL
-or a system BLAS), is SciPy's compiled scipy.linalg._flapack.  flapack()
-loads it from its file, found by importlib.util.find_spec, without running
-SciPy's package __init__ (whose array-API layer costs several times the
-extension), registers it in sys.modules so that a later `import
-scipy.linalg` reuses it, and imports it the usual way when the file cannot
-be loaded.  Both choices give the same bits on the grids of the tests.
+or a system BLAS), is SciPy's compiled scipy.linalg._flapack, imported the
+usual way.  Both choices give the same bits on the grids of the tests.
 The provider is chosen on the first call of provider(), so code that
 solves nothing loads neither; chosen() reports it without choosing, and
 its name (the OpenBLAS configuration string, or "scipy <version>") is
 what the manifest records.
 
-sha256_hex() is the same kind of shim for the manifest and report digests:
-`import hashlib` loads OpenSSL's libcrypto through _hashlib, about 3.6 MB
-of resident memory and a few ms per process, so it takes SHA-256 from
-CPython's built-in module (_sha2 from 3.12, _sha256 before), as random.py
-does for its SHA-512, and imports hashlib only when neither exists.
+sha256_hex() keeps another library out of the process, for the manifest
+and report digests: `import hashlib` loads OpenSSL's libcrypto through
+_hashlib, about 3.6 MB of resident memory and a few ms per process, so it
+takes SHA-256 from CPython's built-in module (_sha2 from 3.12, _sha256
+before), as random.py does for its SHA-512, and imports hashlib only when
+neither exists.
 """
 
 import ctypes
-import importlib.machinery
-import importlib.util
-import os
-import re
-import sys
 
 import numpy as np
-
-NAME = "scipy.linalg._flapack"
 
 _INT, _DOUBLE, _PTR, _LEN = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_size_t
 _INT_P, _DOUBLE_P = ctypes.POINTER(_INT), ctypes.POINTER(_DOUBLE)
@@ -139,9 +129,12 @@ class _SciPy:
 
     RANGES = {"V": 1, "I": 2}
 
-    def __init__(self, module):
-        self._flapack = module
-        self.name = f"scipy {scipy_version()}"
+    def __init__(self):
+        import scipy
+        from scipy.linalg import _flapack
+
+        self._flapack = _flapack
+        self.name = f"scipy {scipy.__version__}"
 
     def dgtsv(self, sub, diag, sup, rhs):
         *_, u, info = self._flapack.dgtsv(sub, diag, sup, rhs)
@@ -178,51 +171,13 @@ def provider():
         try:
             _provider = _OpenBLAS(ctypes.CDLL(_numpy_core()))
         except (ImportError, OSError, AttributeError):  # no such module, library or symbol
-            _provider = _SciPy(flapack())
+            _provider = _SciPy()
     return _provider
 
 
 def chosen():
     """The provider, or None when nothing in this process has called LAPACK."""
     return _provider
-
-
-def _scipy_dir():
-    """The scipy package directory, found without importing the package."""
-    spec = importlib.util.find_spec("scipy")
-    if spec is None or not spec.submodule_search_locations:
-        raise ImportError("no scipy package")
-    return spec.submodule_search_locations[0]
-
-
-def _load_file():
-    """The extension loaded from its file; ImportError when it is not there."""
-    stem = os.path.join(_scipy_dir(), "linalg", "_flapack")
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        if os.path.isfile(stem + suffix):
-            spec = importlib.util.spec_from_file_location(NAME, stem + suffix)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            sys.modules[NAME] = module
-            return module
-    raise ImportError(f"no extension module {stem}.*")
-
-
-def flapack():
-    """The scipy.linalg._flapack module, loaded on the first call."""
-    module = sys.modules.get(NAME)
-    if module is None:
-        try:
-            module = _load_file()
-        except ImportError:
-            from scipy.linalg import _flapack as module
-    return module
-
-
-def scipy_version():
-    """SciPy's version string, read from scipy/version.py."""
-    with open(os.path.join(_scipy_dir(), "version.py")) as fh:
-        return re.search(r"^version = ['\"]([^'\"]+)", fh.read(), re.M).group(1)
 
 
 def sha256_hex(data):

@@ -3,9 +3,10 @@
 Subcommands: spectrum, weights, solve-linear, solve-ma, glue, verify,
 report.  Runs are configured by flags plus an optional key=value config
 file; every run writes manifest.json (effective config, config hash, input
-hashes, library versions, wall time) before any other output.  Exit codes:
-0 success, 1 usage or configuration error, 2 continuation stall,
-3 positivity loss, 4 verification failure.
+hashes, library versions) before any other output, and again with its wall
+time and exit code on every exit.  Exit codes: 0 success, 1 usage or
+configuration error, 2 continuation stall, 3 positivity loss,
+4 verification failure.
 
 All output formats are documented in docs/formats.md.  Result files
 (CSV/JSON) are byte-deterministic for identical configs and inputs; the
@@ -181,7 +182,8 @@ def _manufactured_forcing(cfg, model):
 
 def _continuity_solve(cfg, model, forcing, run):
     """The continuity solve with the solver.* keys; the messages of the warnings
-    it raises (the forcing-decay warning) go into the manifest's notes."""
+    it raises (the forcing-decay warning) go into the manifest's notes.  A
+    stall writes the steps taken to path.json and propagates."""
     from .continuity import ContinuityConfig, continuity_solve
 
     solver = ContinuityConfig(s_steps=cfg.solver_s_steps, newton_tol=cfg.solver_tol,
@@ -190,6 +192,10 @@ def _continuity_solve(cfg, model, forcing, run):
         warnings.simplefilter("always")
         try:
             return continuity_solve(model, forcing, solver)
+        except ContinuityStalled as exc:
+            run.write_json("path.json", {"converged": False, "s_reached": exc.s_reached,
+                                         "steps": [r.as_dict() for r in exc.records]})
+            raise
         finally:
             run.notes["warnings"] = [str(w.message) for w in caught]
 
@@ -215,12 +221,13 @@ class Run:
         for path in input_paths:
             with open(path, "rb") as fh:
                 self.inputs[path] = _lapack.sha256_hex(fh.read())
-        self._write_manifest(initial=True)
+        self.write_manifest()
 
     def path(self, name):
         return os.path.join(self.outdir, name)
 
-    def _write_manifest(self, initial=False):
+    def write_manifest(self, exit_code=None):
+        """The manifest; given exit_code, the final one, with the wall time and LAPACK."""
         config = self.cfg.as_dict()
         payload = {
             "subcommand": self.subcommand,
@@ -233,12 +240,13 @@ class Run:
                 "python": ".".join(str(x) for x in sys.version_info[:3]),
             },
             "notes": self.notes,
-            "wall_time_s": None if initial else round(time.monotonic() - self.start, 6),
+            "wall_time_s": None,
         }
-        # the LAPACK that computed the numbers, once the run has called it
-        lapack = _lapack.chosen()
-        if not initial and lapack is not None:
-            payload["versions"]["lapack"] = lapack.name
+        if exit_code is not None:
+            payload.update(wall_time_s=round(time.monotonic() - self.start, 6), exit_code=exit_code)
+            lapack = _lapack.chosen()
+            if lapack is not None:
+                payload["versions"]["lapack"] = lapack.name
         self.write_json("manifest.json", payload)
 
     def write_json(self, name, payload):
@@ -264,9 +272,6 @@ class Run:
                 f'<polyline points="{points}" fill="none" stroke="black" stroke-width="1"/>\n'
                 "</svg>\n"
             )
-
-    def finish(self):
-        self._write_manifest(initial=False)
 
 
 def _cmd_spectrum(cfg, run, args):
@@ -338,12 +343,7 @@ def _cmd_solve_ma(cfg, run, args):
         forcing = _manufactured_forcing(cfg, model)
     else:
         forcing = GridFunction.from_csv(args.rhs)
-    try:
-        solution = _continuity_solve(cfg, model, forcing, run)
-    except ContinuityStalled as exc:
-        run.write_json("path.json", {"converged": False, "s_reached": exc.s_reached,
-                                     "steps": [r.as_dict() for r in exc.records]})
-        return _failure(exc)
+    solution = _continuity_solve(cfg, model, forcing, run)
     solution.phi.to_csv(run.path("phi.csv"))
     run.write_json("path.json", solution.path_dict())
     if cfg.plot:
@@ -465,14 +465,6 @@ FAILURES = (
 )
 
 
-def _failure(exc):
-    """Print exc on stderr with its prefix and return its exit code."""
-    prefix, code = next((prefix, code) for kind, prefix, code in FAILURES
-                        if isinstance(exc, kind))
-    print(f"{prefix}: {exc}", file=sys.stderr)
-    return code
-
-
 def build_parser():
     # flags left out are absent from the namespace, so only given flags set keys
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
@@ -498,6 +490,7 @@ def run(argv=None):
     except SystemExit as exc:  # argparse exits 2 on a usage error, the stall code
         return EXIT_USAGE if exc.code else EXIT_OK
     flags = vars(args)
+    runner, code = None, EXIT_USAGE  # an uncaught exception also exits 1
     try:
         if flags.get("config"):
             with open(flags["config"]) as fh:
@@ -518,10 +511,14 @@ def run(argv=None):
                   if path not in (None, "manufactured")]
         runner = Run(args.subcommand, cfg, inputs)
         code = globals()["_cmd_" + args.subcommand.replace("-", "_")](cfg, runner, args)
-        runner.finish()
-        return code
     except (AcylSolitonError, OSError, UnicodeDecodeError) as exc:
-        return _failure(exc)
+        prefix, code = next((prefix, code) for kind, prefix, code in FAILURES
+                            if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+    finally:
+        if runner is not None:  # every exit after the run starts finishes its manifest
+            runner.write_manifest(code)
+    return code
 
 
 def main():  # pragma: no cover

@@ -75,15 +75,21 @@ def run_cli(args, outdir):
     return run(args + ["--output", str(outdir)])
 
 
+def finished_manifest(outdir, code):
+    """The manifest of a run that exited with code, checked to be the final write."""
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["exit_code"] == code and manifest["wall_time_s"] is not None
+    return manifest
+
+
 def test_weights_window_empty_body(tmp_path):
     code = run_cli(["weights", "--window", "0", "2"], tmp_path)
     assert code == 0
     lines = (tmp_path / "weights.csv").read_text().strip().splitlines()
     assert lines == ["epsilon,mu,branch"]
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest = finished_manifest(tmp_path, 0)
     assert manifest["notes"]["fredholm_clear"] is True
     assert manifest["notes"]["margin"] == 0.0
-    assert manifest["wall_time_s"] is not None
 
 
 def test_spectrum_outputs(tmp_path):
@@ -242,9 +248,23 @@ def test_solver_config_stall_exits_2_with_its_cause(tmp_path, capsys, args):
     out = tmp_path / "out"
     assert run_cli(args + ["--config", str(config)], out) == 2
     assert capsys.readouterr().err.startswith("continuation stalled: s-step fell below")
-    if args[0] == "solve-ma":
-        path = json.loads((out / "path.json").read_text())
-        assert path["converged"] is False and path["s_reached"] == 0.0
+    path = json.loads((out / "path.json").read_text())
+    assert path["converged"] is False and path["s_reached"] == 0.0 and path["steps"] == []
+    manifest = finished_manifest(out, 2)
+    assert "warnings" in manifest["notes"] and "lapack" in manifest["versions"]
+
+
+@pytest.mark.parametrize("args", [["solve-ma", "--rhs", "manufactured"], ["report"]],
+                         ids=["solve_ma", "report"])
+def test_inadmissible_manufactured_potential_exits_3(tmp_path, capsys, args):
+    """At h = 2 the manufactured potential has a + phi''/2 < 0 at t = -10, so
+    its forcing cannot be built: exit 3 with a finished manifest."""
+    config = tmp_path / "coarse.cfg"
+    config.write_text("grid.h = 2\n")
+    out = tmp_path / "out"
+    assert run_cli(args + ["--config", str(config)], out) == 3
+    assert capsys.readouterr().err.startswith("positivity lost: metric positivity lost at node 1")
+    finished_manifest(out, 3)
 
 
 def test_solve_ma_short_forcing_is_a_usage_error(tmp_path, capsys):
@@ -254,6 +274,7 @@ def test_solve_ma_short_forcing_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: the radial solve needs at least 6 grid nodes, got 5")
     assert "Traceback" not in err
+    finished_manifest(tmp_path / "out", 1)
 
 
 @pytest.mark.parametrize("command", [
@@ -455,14 +476,14 @@ rhs = acylsoliton.GridFunction.sample(
     lambda t: np.exp(-1.5 * t) * np.clip(t / 2, 0, 1) ** 4, -12.0, 20.0, 0.01)
 rhs.to_csv(out + "/rhs.csv")
 extra = {"solve-linear": ["--rhs", out + "/rhs.csv"], "solve-ma": ["--rhs", "manufactured"]}
-flapack = None
 for name in names:
     code = acylsoliton.cli.run([name, *extra.get(name, []), "--output", out + "/" + name])
     steps.append((name, code, scipy_loaded(), "_hashlib" in sys.modules))
-    flapack = flapack or sys.modules.get("scipy.linalg._flapack")
-import scipy.linalg.lapack
-print(json.dumps({"steps": steps, "same_flapack": flapack is scipy.linalg.lapack._flapack
-                  is sys.modules["scipy.linalg._flapack"] is acylsoliton._lapack.flapack()}))
+same_flapack = None
+if provider == "scipy":  # the solves' module is the attribute scipy.linalg._flapack
+    import scipy.linalg
+    same_flapack = scipy.linalg._flapack is acylsoliton._lapack.chosen()._flapack
+print(json.dumps({"steps": steps, "same_flapack": same_flapack}))
 """
 COMMANDS = ["spectrum", "weights", "solve-linear", "solve-ma", "verify", "report", "glue"]
 
@@ -491,21 +512,19 @@ def _versions(out, names):
 
 def test_scipy_is_imported_only_by_the_commands_that_call_it(tmp_path):
     """With SciPy's extension as the LAPACK provider (numpy without
-    scipy-openblas64), only that extension loads, and only on the first solve."""
+    scipy-openblas64), SciPy loads on the first solve and not before."""
     steps, same_flapack, _ = _import_probe(tmp_path, COMMANDS, "scipy")
     assert list(steps) == ["import", *COMMANDS]
     assert all(code == 0 for code, _ in steps.values())
     for name in ("import", "spectrum", "weights"):
         assert steps[name][1] == [], name
-    # LAPACK without running SciPy's package __init__: only the extension loads
-    for name in ("solve-linear", "solve-ma", "verify", "report", "glue"):
-        assert steps[name][1] == ["scipy.linalg._flapack"], name
+    assert "scipy.linalg._flapack" in steps["solve-linear"][1]
     # solve-linear loads the extension first above; the others load it on their own
     (tmp_path / "alone").mkdir()
     for name in ("solve-ma", "verify", "report"):
         alone, _, _ = _import_probe(tmp_path / "alone", [name], "scipy")
-        assert alone[name] == (0, ["scipy.linalg._flapack"]), name
-    # a later import of scipy.linalg reuses the LAPACK module the solves loaded
+        assert alone[name][0] == 0 and "scipy.linalg._flapack" in alone[name][1], name
+    # the provider's module is the one scipy.linalg itself holds
     assert same_flapack is True
     # the manifest names the LAPACK exactly when the run has called it
     versions = _versions(tmp_path, COMMANDS)
@@ -656,7 +675,7 @@ PUBLIC_NAMES = """
     glue_coefficient glued_forcing glued_model gluing grids hexagonal_lattice
     hexagonal_rotation_quotient invariant_spectrum ma_residual_radial
     manufactured_potential model_to_text models
-    negation_quotient norms poincare_rayleigh potential_of ricci_coefficient
+    negation_quotient norms poincare_rayleigh ricci_coefficient
     smoothstep soliton_residual solve_field solve_mode spectrum square_lattice uniform_nodes
     uniqueness_check verify_solution weighted_sup_norm weights
 """.split()
@@ -714,7 +733,6 @@ PUBLIC_SIGNATURES = {
     "model_to_text": "model",
     "negation_quotient": "dim",
     "poincare_rayleigh": "model grid",
-    "potential_of": "model grid",
     "ricci_coefficient": "model grid",
     "smoothstep": "x degree",
     "soliton_residual": "model phi",
@@ -810,6 +828,17 @@ def test_report_rejects_a_model_other_than_the_cigar(tmp_path, capsys, kind):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+def test_report_failing_check_exits_4_with_a_finished_manifest(tmp_path):
+    """On t_min = 0 the manufactured Monge-Ampere residual check fails (2.2e-6 at
+    h = 0.01): report.json says so and the manifest records exit 4."""
+    config = tmp_path / "cut.cfg"
+    config.write_text("grid.t_min = 0\n")
+    assert run_cli(["report", "--config", str(config)], tmp_path / "out") == 4
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["passed"] is False
+    assert "lapack" in finished_manifest(tmp_path / "out", 4)["versions"]
+
+
 def test_manifest_written_before_outputs(tmp_path, monkeypatch):
     # fail inside the subcommand: the manifest must already exist
     import acylsoliton.cli as cli
@@ -820,7 +849,7 @@ def test_manifest_written_before_outputs(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_cmd_spectrum", boom)
     code = run_cli(["spectrum"], tmp_path)
     assert code == 1
-    assert (tmp_path / "manifest.json").exists()
+    finished_manifest(tmp_path, 1)
 
 
 def test_usage_error_on_missing_rhs(tmp_path):

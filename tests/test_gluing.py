@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import acylsoliton as ak
+from acylsoliton import gluing
 
 GRID = (-12.0, 20.0, 0.01)
 
@@ -40,14 +41,14 @@ def test_smoothstep_rejects_non_integer_degree(degree):
 
 
 def test_cylinder_potential_is_t_squared():
-    p = ak.potential_of(ak.cylinder_model(1), (0.0, 6.0, 0.01))
+    p = gluing.potential_of(ak.cylinder_model(1), (0.0, 6.0, 0.01))
     assert np.array_equal(p.values, p.t**2)
 
 
 def test_cigar_potential_matches_mpmath_dilogarithm():
     import mpmath as mp
 
-    p = ak.potential_of(ak.cigar_model(1), (-3.0, 8.0, 0.25))
+    p = gluing.potential_of(ak.cigar_model(1), (-3.0, 8.0, 0.25))
     with mp.workdps(30):
         exact = [float(t**2 + mp.polylog(2, -mp.exp(-2 * t)) / 2 + mp.pi**2 / 24)
                  for t in map(mp.mpf, p.t.tolist())]
@@ -58,7 +59,7 @@ def test_potential_second_derivative_recovers_a():
     from acylsoliton import fd
 
     model = ak.cigar_model(1)
-    p = ak.potential_of(model, (0.0, 6.0, 0.005))
+    p = gluing.potential_of(model, (0.0, 6.0, 0.005))
     a_rec = 0.5 * fd.increment_derivatives(np.diff(p.values), p.h)[1]
     err = np.max(np.abs(a_rec - model.a(p.t))[1:-1])
     assert err < 1e-5  # O(h^2)
@@ -124,7 +125,7 @@ def test_finite_difference_coefficient_converges_to_closed_form(t0, steps):
     for h in steps:
         spec = ak.GlueSpec(t0=t0)
         grid = (0.0, spec.grid[1], h)  # t0 + 3, a node of every step
-        p = ak.potential_of(inner, grid)
+        p = gluing.potential_of(inner, grid)
         chi = spec.cutoff(p.t)
         composite = chi * p.t**2 + (1.0 - chi) * p.values
         c_fd = 0.5 * fd.increment_derivatives(np.diff(composite), h)[1] + spec.bump(p.t, 15.0)
@@ -223,8 +224,6 @@ def test_auto_rho_margin_holds_between_nodes(t0, tol):
 
 
 def test_auto_rho_evaluates_the_coefficient_once(monkeypatch):
-    from acylsoliton import gluing
-
     coefficient_calls, sizes = [], []
     glue_coefficient, transition = gluing.glue_coefficient, gluing._transition
 
@@ -248,8 +247,6 @@ def test_auto_rho_evaluates_the_coefficient_once(monkeypatch):
                          ids=["cigar", "cylinder"])
 @pytest.mark.parametrize("t0", [1.3, 1.5, 2.0, 3.0, 4.5])
 def test_coefficient_affine_in_rho_and_kappa_closed_form(inner, t0):
-    from acylsoliton import gluing
-
     spec = ak.GlueSpec(t0=t0)
     c0 = ak.glue_coefficient(spec.grid, spec, inner, rho0=0.0)
     b = spec.bump(c0.t, 1.0)
@@ -272,8 +269,6 @@ def test_auto_rho_rejects_margin_outside_bump_support():
 def test_supplied_rho0_is_checked_between_nodes(rho0, monkeypatch):
     """c dips to -0.0050 (-0.0186) at t = 1.0822, between the nodes 1.080 and
     1.085: glued_model rejects an amplitude that only clears the nodes."""
-    from acylsoliton import gluing
-
     inner = ak.cigar_model(2)
     spec = ak.GlueSpec(t0=1.3)
     c = ak.glue_coefficient(spec.grid, spec, inner, rho0)

@@ -27,7 +27,7 @@ MODELS = {"cigar": ak.cigar_model(2), "cylinder": ak.cylinder_model(1),
 
 
 # the provider the solvers use here, and SciPy's f2py wrappers of the same routines
-PROVIDERS = {"chosen": _lapack.provider(), "scipy": _lapack._SciPy(_lapack.flapack())}
+PROVIDERS = {"chosen": _lapack.provider(), "scipy": _lapack._SciPy()}
 OPENBLAS = isinstance(PROVIDERS["chosen"], _lapack._OpenBLAS)
 needs_openblas = pytest.mark.skipif(not OPENBLAS, reason="numpy links no scipy-openblas64")
 
@@ -165,22 +165,13 @@ def lapack_outputs(h):
 
 @needs_openblas
 def test_fallback_import_gives_the_same_bits(monkeypatch):
-    """SciPy's extension, imported the usual way when its file does not load,
-    gives every output of numpy's OpenBLAS bit for bit."""
+    """SciPy's extension, the provider when numpy's library is missing, gives
+    every output of numpy's OpenBLAS bit for bit."""
     expected = {h: lapack_outputs(h) for h in LADDER[:2]}
-    loads = []
-
-    def fail():
-        loads.append(1)
-        raise ImportError("no such file")
-
-    monkeypatch.delitem(sys.modules, _lapack.NAME)
-    monkeypatch.setattr(_lapack, "_load_file", fail)
     monkeypatch.setattr(_lapack, "_numpy_core", lambda: "no-such-library.so")
     monkeypatch.setattr(_lapack, "_provider", None)
     assert isinstance(_lapack.provider(), _lapack._SciPy)
     assert _lapack.provider()._flapack is scipy.linalg.lapack._flapack
-    assert loads
     for h, arrays in expected.items():
         got = lapack_outputs(h)
         assert len(got) == len(arrays) == 12
@@ -270,15 +261,6 @@ def test_openblas_binding_copies_what_f2py_copies():
     x, info = PROVIDERS["chosen"].dtbtrs(ab, rhs)
     assert info == 0 and x is rhs
     assert np.array_equal(rhs[:, 0], [0.5, 0.25, 0.375])
-
-
-def test_file_load_registers_the_extension(monkeypatch):
-    monkeypatch.delitem(sys.modules, _lapack.NAME)
-    module = _lapack.flapack()
-    assert sys.modules[_lapack.NAME] is module
-    assert _lapack.flapack() is module
-    assert module.__file__ == scipy.linalg.lapack._flapack.__file__
-    assert_cigar_march_matches(1e-2)
 
 
 def test_banded_solve_raises_singular_system(monkeypatch):
