@@ -20,9 +20,9 @@ log1p((v_i - v_{i-1}) / (2 a_i h^2)) + (v_i + v_{i-1}) / (2h) - s F_i.
 Rounding costs about eps_machine * |psi'| / h, where second differences of
 stored psi lose eps_machine * |psi| / h^2 (above the Newton tolerance at
 h = 1e-4); the solution's potentials carry v (grids.RadialPotential).
-Scaled by 2 a_phi, Jacobian row i is sup_i dv_i - sub_i dv_{i-1}, as
-drift.march_bands(a_phi, h) writes it: below one boundary row the
-Newton matrix is a forward march (drift.forward_march), stable since its
+Scaled by 2 a_phi, Jacobian row i is sup_i dv_i - sub_i dv_{i-1}, with
+sub, sup = 1/h^2 -+ a_phi/h, as _march_bands writes it: below one boundary row
+the Newton matrix is a forward march (drift.forward_march), stable since its
 factor (1 - a_phi h)/(1 + a_phi h) lies in (-1, 1).  s F is formed once per
 s, and psi''/2, psi' and the rows once per iterate, by its residual: the step
 (bands written straight into the layout dtbtrs reads) and the path record
@@ -50,7 +50,7 @@ from typing import List, NamedTuple, Optional
 import numpy as np
 
 from . import fd
-from .drift import forward_march, march_bands
+from .drift import forward_march
 from .errors import ContinuityStalled, DomainError, NewtonDiverged, PositivityLost, SingularSystem
 from .grids import RadialPotential, uniform_nodes
 from .models import half_hessian, radial_derivatives, radial_increments
@@ -181,7 +181,7 @@ class _RadialNewton:
     step has formed a_phi and the right-hand side from it, so the march bands
     write over it, and the bands are dead once the march has run, so trials
     write their pair over them; the scratch holds the residual's psi' until
-    the step writes a_phi and then c/h over it, so after solve it holds the
+    the step writes a_phi and then a_phi/h over it, so after solve it holds the
     iterate's psi'; a trial's v goes to idle(it.v), so a start is only read;
     and after solve, idle(it.v) is free for the path record and the secant
     start.
@@ -196,17 +196,17 @@ class _RadialNewton:
         self.t_min, self.h = forcing.t_min, forcing.h
         t = forcing.t
         self.a = model.sample_a(t)
-        self.f = 2.0 * t + np.asarray(model.f_minus_2t(t), dtype=float)
+        self.f = model.f(t)
         self.record_weight = np.exp(RECORD_WEIGHT * t)
         self.neumann_inner = model.kind.neumann_centre
         m = len(t) - 2  # interior nodes
         self._increments = (np.empty(m + 1), np.empty(m + 1))
         self._target = np.empty(m)
         self._direction = np.empty(m + 1)
-        self._rows = np.zeros(2 * m + 1)  # march_bands rows; the last element stays 0
+        self._rows = np.zeros(2 * m + 1)  # _march_bands rows; the last element stays 0
         self._pair = (self._rows[:m], self._rows[m:2 * m])  # psi''/2 and the rows
         self._columns = None if self.neumann_inner else np.empty((m, 2), order="F")
-        self._scratch = np.empty(m)  # psi' of the last residual, then a_phi and c/h in a step
+        self._scratch = np.empty(m)  # psi' of the last residual, then a_phi and a_phi/h in a step
 
     def idle(self, v):
         """The increment buffer that does not hold v (the second when v is neither)."""
@@ -235,7 +235,7 @@ class _RadialNewton:
         dv = self._direction
         rhs = dv[1:]  # rows scaled by 2 a_phi
         np.multiply(np.multiply(a_phi, -2.0, out=rhs), it.r, out=rhs)
-        ab, sub0 = march_bands(a_phi, self.h, self._rows)  # over a_phi and the pair
+        ab, sub0 = _march_bands(a_phi, self.h, self._rows)  # over a_phi and the pair
         if self.neumann_inner:
             # 3 dv_0 - dv_1 = v_1 - 3 v_0, with dv_1 = (rhs_1 + sub_1 dv_0) / sup_1
             dv[0] = (rhs[0] / ab[0, 0] + v[1] - 3.0 * v[0]) / (3.0 - sub0 / ab[0, 0])
@@ -288,6 +288,22 @@ class _RadialNewton:
                 )
             it = candidate
         return it, iterations
+
+
+def _march_bands(a_phi, h, rows):
+    """(ab, sub_0): the Newton rows sup_i dv_i - sub_i dv_{i-1}, sub, sup =
+    1/h^2 -+ a_phi/h, as the Fortran-order lower band array of dtbtrs,
+    ab[0] = sup, ab[1, :-1] = -sub[1:].
+
+    The pairs (-sub_i, sup_i) are written interleaved into rows, an array of
+    2 len(a_phi) + 1 values whose last stays 0; read from one element on, that
+    memory is ab, so the bands are written once and never copied.  a_phi/h,
+    which both bands read, is formed contiguously in a_phi itself, so a_phi
+    is overwritten."""
+    a_h = np.divide(a_phi, h, out=a_phi)
+    np.subtract(a_h, 1.0 / h**2, out=rows[:-2:2])
+    np.add(1.0 / h**2, a_h, out=rows[1::2])
+    return rows[1:].reshape(-1, 2).T, -rows[0]
 
 
 def _sup_abs(x):

@@ -15,9 +15,8 @@ rows are (1/h^2 - c/h, -2/h^2 - s, 1/h^2 + c/h).  The mode operator is a L_mu
 at (c, s) = (a, s_mu), assembled in the scaled form u'' - s_mu u + 2 a u' = a h,
 which keeps the entries O(1/h^2) where a degenerates; solve_mode hands these
 rows to dgtsv as its three diagonals and reads its backward error from the
-same rows.  The Newton matrix of the continuity method is 2 a_phi times its
-linearization, the rows at (a_phi, 0) on increments; drift_bands writes them
-for march_bands and forward_march.
+same rows.
+
 Boundary closures (BoundaryPolicy):
 
 * outer end: Dirichlet (homogeneous by default, value configurable for
@@ -82,27 +81,6 @@ class ModeProblem:
             self.boundary = BoundaryPolicy(inner=None) if centre else BoundaryPolicy()
 
 
-def drift_bands(c, h, neg_sub, sup, c_h=None):
-    """Write the off-diagonals of the central-difference rows of u'' - s u + 2 c u',
-    c at the rows' nodes: sup = 1/h^2 + c/h of u_{i+1}, neg_sub = c/h - 1/h^2
-    minus that of u_{i-1}.  c/h is formed in c_h, or in sup when c_h is None."""
-    c_h = np.divide(c, h, out=sup if c_h is None else c_h)
-    np.subtract(c_h, 1.0 / h**2, out=neg_sub)
-    np.add(1.0 / h**2, c_h, out=sup)
-
-
-def march_bands(c, h, rows):
-    """(ab, sub_0): rows sup_i x_i - sub_i x_{i-1} of drift_bands(c, h) as the
-    Fortran-order lower band array of dtbtrs, ab[0] = sup, ab[1, :-1] = -sub[1:].
-
-    The pairs (-sub_i, sup_i) are written interleaved into rows, an array of
-    2 len(c) + 1 values whose last stays 0; read from one element on, that
-    memory is ab, so the bands are written once and never copied.  c/h, which
-    both bands read, is formed contiguously in c itself, so c is overwritten."""
-    drift_bands(c, h, rows[:-2:2], rows[1::2], c_h=c)
-    return rows[1:].reshape(-1, 2).T, -rows[0]
-
-
 def _checked(u, info, routine):
     if info > 0:
         raise SingularSystem("singular matrix")
@@ -116,9 +94,9 @@ def _checked(u, info, routine):
 def forward_march(ab, rhs):
     """x with ab[0, i] x_i + ab[1, i-1] x_{i-1} = rhs_i (x_{-1} = 0), column by column.
 
-    A lower-bidiagonal solve by dtbtrs on ab from march_bands; a
-    Fortran-ordered rhs is overwritten.  For c > 0 the march factor sub/sup
-    lies in (-1, 1), so errors do not grow.
+    A lower-bidiagonal solve by dtbtrs on ab, the Fortran-order lower band
+    array: the diagonal in ab[0], the subdiagonal in ab[1, :-1], ab[1, -1]
+    unread.  A Fortran-ordered rhs is overwritten.
     """
     x, info = _lapack.provider().dtbtrs(ab, rhs)
     return _checked(x, info, "tbtrs")

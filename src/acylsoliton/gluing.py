@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError
 from .grids import GridFunction, uniform_nodes, whole_number
-from .models import Kind, RadialKahlerModel
+from .models import Kind, RadialKahlerModel, soliton_residual
 
 RHO_CAP = 1e6            # largest bump amplitude auto_rho returns
 LI2_TERMS = 50           # series terms for Li_2(z), z <= 1/2: tail below 1e-18
@@ -304,8 +304,6 @@ def glued_forcing(model, grid):
     continuity method with this F produces an exact steady soliton metric on
     the glued background.
     """
-    from .models import soliton_residual
-
     t_min, t_max, h = grid
     zero = GridFunction(t_min, t_max, h, np.zeros(len(uniform_nodes(t_min, t_max, h))))
     residual = soliton_residual(model, zero)

@@ -7,7 +7,6 @@ read from u's increments by the package's one stencil along t
 fixed resolution they carry no extra information.
 """
 
-import math
 import numbers
 
 import numpy as np
@@ -44,25 +43,12 @@ def decay_rate_fit(u):
     than any exponential the grid can see).
     """
     lo, hi = tail_window(u)
-    # the nodes t_min + k h ascend, so t >= lo and t <= hi hold on one slice
-    first, stop = _node_search(u, lo, "left"), _node_search(u, hi, "right")
+    t = u.t  # the nodes ascend, so t >= lo and t <= hi hold on one slice
+    first, stop = np.searchsorted(t, lo, "left"), np.searchsorted(t, hi, "right")
     vals = np.abs(u.values[first:stop])
-    tw = u.t_min + u.h * np.arange(first, stop)  # the bits of u.t[first:stop]
+    tw = t[first:stop]
     nonzero = vals > 0.0
     if np.count_nonzero(nonzero) < 2:
         return float("inf")
     slope = np.polyfit(tw[nonzero], -np.log(vals[nonzero]), 1)[0]
     return float(slope)
-
-
-def _node_search(u, x, side):
-    """np.searchsorted(u.t, x, side) without forming u.t: from the node next to x,
-    step to the first node t_min + k h that is >= x (side "left") or > x ("right")."""
-    past = (lambda t: t >= x) if side == "left" else (lambda t: t > x)
-    n = len(u.values)
-    k = min(max(math.ceil((x - u.t_min) / u.h), 0), n)
-    while k > 0 and past(u.t_min + u.h * (k - 1)):
-        k -= 1
-    while k < n and not past(u.t_min + u.h * k):
-        k += 1
-    return k

@@ -50,10 +50,10 @@ def seeded_admissible_field(rng, grid=DEFAULT_GRID, amplitude=0.1):
 
 def newton_rows(a_phi, h, dv):
     """The Jacobian rows sup_k dv_{k+1} - sub_k dv_k of the Newton step, which
-    drift.march_bands writes at a_phi (rows scaled by 2 a_phi), applied to dv."""
-    from acylsoliton.drift import march_bands
+    continuity._march_bands writes at a_phi (rows scaled by 2 a_phi), applied to dv."""
+    from acylsoliton.continuity import _march_bands
 
-    ab, sub0 = march_bands(np.array(a_phi), h, np.zeros(2 * len(a_phi) + 1))
+    ab, sub0 = _march_bands(np.array(a_phi), h, np.zeros(2 * len(a_phi) + 1))
     return ab[0] * dv[1:] + np.append(-sub0, ab[1, :-1]) * dv[:-1]
 
 
@@ -64,7 +64,7 @@ def jacobian_gaps(model, grid, rng, pairs=10, tau=1e-6):
 
     For each seeded pair (phi, psi) the residual at s = 0 is differenced at
     phi's increments v along psi's increments dv.  Interior row k, which reads
-    dv_k and dv_{k+1}, is compared with the march_bands row sup_k dv_{k+1} -
+    dv_k and dv_{k+1}, is compared with the _march_bands row sup_k dv_{k+1} -
     sub_k dv_k divided by 2 a_phi; the boundary row with the Neumann row
     (3 dv_0 - dv_1) / (2h) (models with a centre) or the Dirichlet row sum(dv).
     The seeded fields vanish near the inner end, where psi leaves the Neumann

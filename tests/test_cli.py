@@ -176,6 +176,7 @@ def test_solve_linear_order_study_rejects_node_count_before_solving(tmp_path, ca
     assert run_cli(["solve-linear", "--rhs", rhs_path, "--order-study"], out) == 1
     assert "4k + 1" in capsys.readouterr().err
     assert not (out / "solution.csv").exists()
+    finished_manifest(out, 1)
 
 
 @pytest.mark.parametrize("mu_args,value", [
@@ -385,6 +386,7 @@ def test_poincare_weight_overflow_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: Poincare weight e^f overflows at t = 354.4")
     assert "Traceback" not in err
+    finished_manifest(tmp_path / "out", 1)
 
 
 def test_poincare_weight_nonpositive_f_is_a_usage_error(tmp_path, capsys):
@@ -394,6 +396,7 @@ def test_poincare_weight_nonpositive_f_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: Poincare weight needs f > 0, but f = -23 at t = -12;")
     assert "raise grid.t_min" in err and "Traceback" not in err
+    finished_manifest(tmp_path, 1)
 
 
 @pytest.mark.parametrize("command,key,value", [
@@ -422,14 +425,18 @@ def test_malformed_config_value_exits_1_before_any_output(tmp_path, capsys, comm
     ("spectrum", "cross_section.lattice = hexagonal\n"
      "cross_section.lattice_rows = 6.283185307179586 0; 0 6.283185307179586\n"
      "cross_section.quotient = 3", "error: lattice map is not an isometry of the lattice"),
-], ids=["five_node_grid", "square_rows_order_three"])
+    ("weights --window 2 0", "", "error: empty window (2.0, 0.0)"),
+    # the cigar's c(0) = 1/2 lies below the margin, left of the bump support
+    ("glue --margin 1e7", "", "error: c = 0.5 < margin at t=0, outside the bump"),
+], ids=["five_node_grid", "square_rows_order_three", "empty_window", "glue_margin"])
 def test_config_the_computation_rejects_is_a_usage_error(tmp_path, capsys, command, config,
                                                          message):
     path = tmp_path / "bad.cfg"
     path.write_text(config + "\n")
-    assert run_cli([command, "--config", str(path)], tmp_path / "out") == 1
+    assert run_cli([*command.split(), "--config", str(path)], tmp_path / "out") == 1
     err = capsys.readouterr().err
     assert err.startswith(message) and "Traceback" not in err
+    finished_manifest(tmp_path / "out", 1)
 
 
 @pytest.mark.parametrize("command", [["verify", "--decay"], ["solve-linear", "--rhs"]],
@@ -447,6 +454,7 @@ def test_bad_csv_is_a_usage_error(tmp_path, capsys, command, body):
     assert run_cli(command + [str(path)], tmp_path / "out") == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "line" in err and "Traceback" not in err
+    finished_manifest(tmp_path / "out", 1)
 
 
 def test_unreadable_input_is_a_usage_error(tmp_path, capsys):
@@ -826,6 +834,7 @@ def test_report_rejects_a_model_other_than_the_cigar(tmp_path, capsys, kind):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "model.kind" in err and repr(kind) in err
     assert not (tmp_path / "out" / "report.json").exists()
+    finished_manifest(tmp_path / "out", 1)
 
 
 def test_report_failing_check_exits_4_with_a_finished_manifest(tmp_path):

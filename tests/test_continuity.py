@@ -189,15 +189,13 @@ def test_newton_step_solves_linearized_system(kind, grid):
 
 def reference_step(newton, v, s):
     """The Newton direction with every quantity formed afresh from v: the
-    residual rows, (sub, sup) from drift_bands and a band array filled by copies."""
+    residual rows, (sub, sup) = 1/h^2 -+ a_phi/h and a band array filled by copies."""
     h = newton.h
     half_dd = (v[1:] - v[:-1]) / (2.0 * h**2)
     r = np.log1p(half_dd / newton.a[1:-1]) + (v[1:] + v[:-1]) / (2.0 * h) \
         - s * newton.forcing[1:-1]
     a_phi = newton.a[1:-1] + half_dd
-    neg_sub, sup = np.empty_like(a_phi), np.empty_like(a_phi)
-    drift.drift_bands(a_phi, h, neg_sub, sup)
-    sub = -neg_sub
+    sub, sup = 1.0 / h**2 - a_phi / h, 1.0 / h**2 + a_phi / h
     rhs = -2.0 * a_phi * r
     ab = np.zeros((2, len(sup)), order="F")
     ab[0], ab[1, :-1] = sup, -sub[1:]
@@ -467,6 +465,20 @@ def test_uniqueness_zero_forcing(cigar, zero_field):
 def test_uniqueness_needs_two_starts(cigar, zero_field):
     with pytest.raises(ak.DomainError):
         ak.uniqueness_check(cigar, zero_field, initializations=[zero_field])
+
+
+def test_fields_on_another_grid_are_rejected(cigar, zero_field):
+    coarse = ak.GridFunction(-12.0, 20.0, 0.02, np.zeros(1601))
+    with pytest.raises(ak.DomainError, match="phi and F must share the grid"):
+        ak.ma_residual_radial(cigar, zero_field, coarse, 1.0)
+    with pytest.raises(ak.DomainError, match="initialization grid mismatch"):
+        ak.uniqueness_check(cigar, zero_field, initializations=[zero_field, coarse])
+
+
+@pytest.mark.parametrize("settings", [{"newton_tol": 0.0}, {"min_step": -1.0}, {"s_steps": 0}])
+def test_config_rejects_nonpositive_settings(settings):
+    with pytest.raises(ak.DomainError, match="tolerances and schedule must be positive"):
+        ak.ContinuityConfig(**settings)
 
 
 def test_short_grid_is_rejected_before_any_newton_step(cylinder, monkeypatch):

@@ -182,6 +182,12 @@ def test_solve_field_modes_independent():
     assert np.array_equal(out[0.0].values, single.values)
 
 
+def test_negative_mu_is_rejected():
+    rhs = ak.GridFunction.sample(lambda t: np.exp(-t), *CYL_GRID)
+    with pytest.raises(ak.DomainError, match="need mu >= 0, got -1.0"):
+        ak.ModeProblem(model=ak.cylinder_model(2), mu=-1.0, rhs=rhs)
+
+
 def test_solve_field_validates_membership():
     model = ak.cylinder_model(2)
     cs = ak.CrossSection(2 * np.pi, ak.square_lattice())

@@ -152,6 +152,21 @@ def test_glue_spec_rejects_non_finite_values(name, value):
         ak.GlueSpec(**{name: value})
 
 
+@pytest.mark.parametrize("settings,message", [
+    ({"t0": 1.0}, "transition end t0 must exceed 1"),
+    ({"margin": 0.0}, "positivity margin must be positive"),
+], ids=["t0", "margin"])
+def test_glue_spec_rejects_out_of_range_values(settings, message):
+    with pytest.raises(ak.DomainError, match=message):
+        ak.GlueSpec(**settings)
+
+
+def test_glue_coefficient_rejects_negative_amplitude():
+    spec = ak.GlueSpec()
+    with pytest.raises(ak.DomainError, match="bump amplitude must be nonnegative"):
+        ak.glue_coefficient(spec.grid, spec, ak.cigar_model(2), -1.0)
+
+
 def test_glued_model_rejects_other_inner_models():
     glued = ak.glued_model(ak.cigar_model(2))
     with pytest.raises(ak.DomainError, match="cigar or cylinder"):

@@ -284,6 +284,13 @@ def test_gridfunction_csv_rejects_malformed_rows(tmp_path, body, line):
         ak.GridFunction.from_csv(path)
 
 
+def test_gridfunction_csv_needs_two_rows(tmp_path):
+    path = tmp_path / "one.csv"
+    path.write_text("t,value\n0,1\n")
+    with pytest.raises(ak.DomainError, match="need at least two grid nodes"):
+        ak.GridFunction.from_csv(path)
+
+
 def test_gridfunction_validation():
     with pytest.raises(ak.DomainError):
         ak.GridFunction(0.0, 1.0, 0.1, np.zeros(5))  # wrong length

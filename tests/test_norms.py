@@ -119,22 +119,6 @@ def test_decay_fit_window_is_the_masked_window(grid):
     assert float(ak.decay_rate_fit(u)).hex() == float(expected).hex()
 
 
-@pytest.mark.parametrize("grid", [(0.0, 1.0, 0.1), (-12.0, 20.0, 1e-3), (0.0, 1.3, 0.1),
-                                  (-3.7, 11.3, 0.005), (0.0, 3.0, 1.0)])
-def test_node_search_is_searchsorted_on_the_nodes(grid):
-    """The window ends found from (t_min, h) are np.searchsorted's on u.t, for
-    points on the nodes, next to them, between them and past both ends."""
-    from acylsoliton.norms import _node_search
-
-    u = ak.GridFunction(*grid, np.ones(len(ak.uniform_nodes(*grid))))
-    t = u.t
-    points = np.concatenate((t[::7], np.nextafter(t[::7], -np.inf), np.nextafter(t[::7], np.inf),
-                             t[:-1:5] + 0.5 * grid[2], [t[0] - 1.0, t[-1] + 1.0]))
-    for x in points.tolist():
-        for side in ("left", "right"):
-            assert _node_search(u, x, side) == np.searchsorted(t, x, side=side), (x, side)
-
-
 @pytest.mark.parametrize("grid", [(0.0, 1.0, 0.1), (-12.0, 20.0, 1e-4), (0.0, 1.0, 0.3),
                                   (0.0, 0.0, 0.1), (0.0, 1.0, 0.0), (0.0, np.inf, 0.1),
                                   (np.nan, 1.0, 0.1)])

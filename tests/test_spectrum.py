@@ -370,3 +370,21 @@ def test_non_unimodular_map_rejected():
     for lattice_map in (np.ones((2, 3), dtype=int), np.array([-1])):
         with pytest.raises(ak.DomainError, match="must be a square matrix"):
             ak.CyclicQuotient(order=2, lattice_map=lattice_map)
+    # so do a trivial order, a non-integer map and a map whose order is not m
+    for order, lattice_map, message in (
+        (1, -np.eye(2, dtype=int), "quotient order must be >= 2, got 1"),
+        (2, np.array([[0.5, 0.0], [0.0, 1.0]]), "must be an integer matrix"),
+        (3, -np.eye(2, dtype=int), r"does not satisfy R\^m = identity"),
+    ):
+        with pytest.raises(ak.DomainError, match=message):
+            ak.CyclicQuotient(order=order, lattice_map=lattice_map)
+
+
+@pytest.mark.parametrize("lattice,lattice_map,message", [
+    (np.ones((2, 3)), None, "lattice basis must be a square matrix"),
+    (ak.square_lattice(), -np.eye(3, dtype=int), "lattice map dimension mismatch"),
+], ids=["non_square_lattice", "map_of_another_dimension"])
+def test_malformed_cross_section_rejected(lattice, lattice_map, message):
+    quotient = None if lattice_map is None else ak.CyclicQuotient(2, lattice_map)
+    with pytest.raises(ak.DomainError, match=message):
+        ak.CrossSection(TWO_PI, lattice, quotient)

@@ -61,6 +61,14 @@ def test_interval_outside_window_rejected():
         ak.fredholm_window_check(cws, (-1.0, 3.0))
 
 
+def test_empty_window_and_interval_rejected():
+    with pytest.raises(ak.DomainError, match=r"empty window \(1.0, 1.0\)"):
+        ak.critical_weights([0.0], (1.0, 1.0))
+    cws = ak.critical_weights([0.0, 8.0], (0.0, 2.0))
+    with pytest.raises(ak.DomainError, match=r"empty interval \(2.0, 0.0\)"):
+        ak.fredholm_window_check(cws, (2.0, 0.0))
+
+
 def test_negative_mu_rejected():
     with pytest.raises(ak.DomainError):
         ak.critical_weights([-0.5], (0.0, 2.0))
