@@ -25,7 +25,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import fields, make_dataclass
+from dataclasses import asdict, make_dataclass
 
 import numpy as np
 
@@ -91,10 +91,7 @@ KEYS = {
 RunConfig = make_dataclass(
     "RunConfig",
     [(key.replace(".", "_"), type(default), default) for key, (default, _, _) in KEYS.items()],
-    namespace={
-        "__doc__": "Effective configuration with the defaults of KEYS.",
-        "as_dict": lambda self: {f.name: getattr(self, f.name) for f in fields(self)},
-    },
+    namespace={"__doc__": "Effective configuration with the defaults of KEYS."},
 )
 
 
@@ -184,7 +181,7 @@ def _continuity_solve(cfg, model, forcing, run):
     """The continuity solve with the solver.* keys; the messages of the warnings
     it raises (the forcing-decay warning) go into the manifest's notes.  A
     stall writes the steps taken to path.json and propagates."""
-    from .continuity import ContinuityConfig, continuity_solve
+    from .continuity import ContinuityConfig, continuity_solve, path_payload
 
     solver = ContinuityConfig(s_steps=cfg.solver_s_steps, newton_tol=cfg.solver_tol,
                               max_newton=cfg.solver_max_newton, min_step=cfg.solver_min_step)
@@ -193,8 +190,8 @@ def _continuity_solve(cfg, model, forcing, run):
         try:
             return continuity_solve(model, forcing, solver)
         except ContinuityStalled as exc:
-            run.write_json("path.json", {"converged": False, "s_reached": exc.s_reached,
-                                         "steps": [r.as_dict() for r in exc.records]})
+            run.write_json("path.json", path_payload(exc.records, converged=False,
+                                                     s_reached=exc.s_reached))
             raise
         finally:
             run.notes["warnings"] = [str(w.message) for w in caught]
@@ -228,7 +225,7 @@ class Run:
 
     def write_manifest(self, exit_code=None):
         """The manifest; given exit_code, the final one, with the wall time and LAPACK."""
-        config = self.cfg.as_dict()
+        config = asdict(self.cfg)
         payload = {
             "subcommand": self.subcommand,
             "config": config,

@@ -71,8 +71,9 @@ class ContinuityConfig:
     min_step: float = 1.0 / 160.0   # smallest allowed s-step
 
     def __post_init__(self):
-        if self.newton_tol <= 0 or self.min_step <= 0 or self.s_steps < 1:
-            raise DomainError("tolerances and schedule must be positive")
+        if not (0 < self.newton_tol < np.inf and 0 < self.min_step < np.inf
+                and self.s_steps >= 1 and self.max_newton >= 1):
+            raise DomainError("tolerances must be finite and positive, and counts at least 1")
 
 
 @dataclass
@@ -86,9 +87,6 @@ class StepRecord:
     inf_drift_potential: float
     sup_radial_derivative: float
 
-    def as_dict(self):
-        return asdict(self)
-
 
 @dataclass
 class SolitonSolution:
@@ -101,11 +99,12 @@ class SolitonSolution:
     decay_rate: float
 
     def path_dict(self):
-        return {
-            "decay_rate": self.decay_rate,
-            "converged": True,
-            "steps": [r.as_dict() for r in self.records],
-        }
+        return path_payload(self.records, decay_rate=self.decay_rate, converged=True)
+
+
+def path_payload(records, **outcome):
+    """path.json: the outcome fields in the order given, then the steps, one per record."""
+    return {**outcome, "steps": [asdict(r) for r in records]}
 
 
 def decaying_gauge(u):
@@ -140,12 +139,12 @@ def ma_residual_radial(model, phi, forcing, s):
     share the grid; F may be None (treated as zero), which turns this into the
     manufactured-forcing generator: the returned field is the exact discrete
     forcing for which phi solves the s = 1 equation."""
+    if forcing is not None and not phi.same_grid(forcing):
+        raise DomainError("phi and F must share the grid")
     d1, d2 = radial_derivatives(phi)
     a, half_dd = half_hessian(model, phi.t, d2)
     r = np.log1p(half_dd / a) + d1
     if forcing is not None:
-        if not phi.same_grid(forcing):
-            raise DomainError("phi and F must share the grid")
         r = r - s * forcing.values
     return phi.like(r)
 
@@ -370,7 +369,7 @@ def _continuation(newton):
         target = min(1.0, s + step)
         try:
             it, iterations = _secant_solve(newton, s_prev, v_prev, s, v, target)
-        except (NewtonDiverged, PositivityLost, SingularSystem):
+        except (NewtonDiverged, SingularSystem):  # every start is admissible (_secant_solve)
             step *= 0.5
             if step < cfg.min_step * (1.0 - 1e-12):
                 raise ContinuityStalled(
@@ -432,11 +431,11 @@ def uniqueness_check(model, forcing, initializations):
     """
     if len(initializations) < 2:
         raise DomainError("need at least two initializations")
+    if not all(forcing.same_grid(init) for init in initializations):
+        raise DomainError("initialization grid mismatch")
     newton = _RadialNewton(model, forcing, ContinuityConfig())
     solutions = []
     for init in initializations:
-        if not forcing.same_grid(init):
-            raise DomainError("initialization grid mismatch")
         it, _ = newton.solve(radial_increments(init), 1.0)
         solutions.append(_decaying(it.v))
     return float(np.max(np.ptp(np.array(solutions), axis=0)))

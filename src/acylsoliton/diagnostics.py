@@ -182,9 +182,6 @@ class Check:
     comparison: str  # "<=" or ">="
     passed: bool
 
-    def as_dict(self):
-        return asdict(self)
-
 
 @dataclass
 class VerificationReport:
@@ -198,7 +195,7 @@ class VerificationReport:
     def as_dict(self):
         return {
             "passed": self.passed,
-            "checks": [c.as_dict() for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
             "metadata": self.metadata,
         }
 

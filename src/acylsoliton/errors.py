@@ -12,7 +12,7 @@ class DomainError(AcylSolitonError):
 class PositivityLost(AcylSolitonError):
     """The deformed Kahler coefficient a + phi''/2 is not positive.
 
-    Carries the first violating node so failures are reproducible.
+    Carries the worst node, the argmin of (a + phi''/2)/a, for reproducible failures.
     """
 
     def __init__(self, node, t, value):

@@ -718,7 +718,6 @@ PUBLIC_SIGNATURES = {
     "SolitonSolution.path_dict": "self",
     "StepRecord": ("s newton_iterations sup_residual min_metric_ratio "
                    "max_metric_ratio weighted_sup_phi inf_drift_potential sup_radial_derivative"),
-    "StepRecord.as_dict": "self",
     "VerificationReport": "checks metadata",
     "VerificationReport.as_dict": "self",
     "VerificationReport.summary_lines": "self",
