@@ -298,12 +298,10 @@ def test_converged_start_in_idle_buffer_is_only_read(kind):
     assert it.v.tobytes() == start.tobytes()
 
 
-@pytest.mark.parametrize("kind,arrays", [("cigar", 13), ("cylinder", 15)])
-def test_newton_pair_shares_the_band_rows(kind, arrays):
-    """The traced peak of one continuity_solve at h = 1e-3 stays within a fixed
-    number of grid-sized float arrays: with the iterate's (psi''/2, rows) pair
-    kept in the march band rows, 12 work arrays for the cigar and 14 for the
-    cylinder, plus temporaries far below one array."""
+@functools.cache
+def _solve_peak_arrays(kind):
+    """Traced peak of one continuity_solve at h = 1e-3, in grid-sized float arrays.
+    Cached per model, so the two bounds below read one traced solve."""
     import tracemalloc
 
     grid = (-12.0 if kind == "cigar" else 0.0, 20.0, 1e-3)
@@ -319,7 +317,25 @@ def test_newton_pair_shares_the_band_rows(kind, arrays):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak / (8 * len(forcing.values)) <= arrays, peak
+    return peak / (8 * len(forcing.values))
+
+
+@pytest.mark.parametrize("kind,arrays", [("cigar", 15), ("cylinder", 17)])
+def test_solve_keeps_few_grid_arrays(kind, arrays):
+    """The traced peak of one continuity_solve at h = 1e-3 stays within a fixed
+    number of grid-sized float arrays: 14 work arrays for the cigar and 16 for
+    the cylinder, plus temporaries far below one array."""
+    peak = _solve_peak_arrays(kind)
+    assert peak <= arrays, peak
+
+
+@pytest.mark.parametrize("kind,arrays", [("cigar", 13), ("cylinder", 15)])
+def test_newton_pair_shares_the_band_rows(kind, arrays):
+    """With the iterate's (psi''/2, rows) pair kept in the march band rows, the
+    solve keeps two arrays fewer: 12 work arrays for the cigar and 14 for the
+    cylinder, plus temporaries far below one array."""
+    peak = _solve_peak_arrays(kind)
+    assert peak <= arrays, peak
 
 
 @pytest.mark.parametrize("x", [[0.0, -0.0], [-0.0, -0.0], [-0.0, 0.0], [0.0, 0.0],
