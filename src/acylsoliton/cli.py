@@ -223,8 +223,9 @@ class Run:
     def path(self, name):
         return os.path.join(self.outdir, name)
 
-    def write_manifest(self, exit_code=None):
-        """The manifest; given exit_code, the final one, with the wall time and LAPACK."""
+    def write_manifest(self, exit_code=None, error=None):
+        """The manifest; given exit_code, the final one, with the wall time and LAPACK,
+        and the failure line printed on stderr, if any."""
         config = asdict(self.cfg)
         payload = {
             "subcommand": self.subcommand,
@@ -244,6 +245,8 @@ class Run:
             lapack = _lapack.chosen()
             if lapack is not None:
                 payload["versions"]["lapack"] = lapack.name
+            if error is not None:
+                payload["error"] = error
         self.write_json("manifest.json", payload)
 
     def write_json(self, name, payload):
@@ -487,7 +490,7 @@ def run(argv=None):
     except SystemExit as exc:  # argparse exits 2 on a usage error, the stall code
         return EXIT_USAGE if exc.code else EXIT_OK
     flags = vars(args)
-    runner, code = None, EXIT_USAGE  # an uncaught exception also exits 1
+    runner, code, error = None, EXIT_USAGE, None  # an uncaught exception also exits 1
     try:
         if flags.get("config"):
             with open(flags["config"]) as fh:
@@ -511,10 +514,11 @@ def run(argv=None):
     except (AcylSolitonError, OSError, UnicodeDecodeError) as exc:
         prefix, code = next((prefix, code) for kind, prefix, code in FAILURES
                             if isinstance(exc, kind))
-        print(f"{prefix}: {exc}", file=sys.stderr)
+        error = f"{prefix}: {exc}"
+        print(error, file=sys.stderr)
     finally:
         if runner is not None:  # every exit after the run starts finishes its manifest
-            runner.write_manifest(code)
+            runner.write_manifest(code, error)
     return code
 
 

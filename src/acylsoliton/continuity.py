@@ -156,7 +156,7 @@ class _Iterate(NamedTuple):  # increments v and what their residual formed
     v: np.ndarray
     sup: Optional[float]  # sup-norm of all rows; None where a_phi <= 0
     r: Optional[np.ndarray]  # interior residual rows
-    boundary: Optional[float]  # the boundary row; None where a_phi <= 0
+    slope: Optional[np.ndarray]  # psi' at the interior nodes; None where a_phi <= 0
     half_dd: np.ndarray  # psi''/2 at the interior nodes
     min_ratio: float  # 1 + min (psi''/2)/a over the interior nodes
 
@@ -172,18 +172,18 @@ class _RadialNewton:
     quadratically.
 
     The solver lives for one continuity_solve (or uniqueness_check) and owns
-    its grid-sized arrays for that long: a, f, the record weight, two increment
-    buffers, s F, the direction, the march rows (two arrays, whose first 2m
-    values also hold the (psi''/2, rows) pair; the cylinder adds two march
-    columns) and a scratch array; with the continuation's last two accepted
-    increments, 12.  Sharing is safe as the iterate's pair is dead once the
-    step has formed a_phi and the right-hand side from it, so the march bands
-    write over it, and the bands are dead once the march has run, so trials
-    write their pair over them; the scratch holds the residual's psi' until
-    the step writes a_phi and then a_phi/h over it, so after solve it holds the
-    iterate's psi'; a trial's v goes to idle(it.v), so a start is only read;
-    and after solve, idle(it.v) is free for the path record and the secant
-    start.
+    its grid-sized arrays for that long: a, two increment buffers, s F, the
+    direction, the march rows (two arrays, whose first 2m values also hold
+    the (psi''/2, rows) pair; the cylinder adds two march columns) and a
+    scratch array; with the continuation's f, record weight and last two
+    accepted increments, 12.  Sharing is safe as the iterate's pair is dead
+    once the step has formed a_phi and the right-hand side from it, so the
+    march bands write over it, and the bands are dead once the march has
+    run, so trials write their pair over them; the scratch holds the
+    residual's psi' until the step writes a_phi and then a_phi/h over it, so
+    after solve it holds the iterate's psi'; a trial's v goes to idle(it.v),
+    so a start is only read; and after solve, idle(it.v) is free for the
+    path record and the secant start.
     """
 
     def __init__(self, model, forcing, config):
@@ -193,12 +193,9 @@ class _RadialNewton:
         self.cfg = config
         self.forcing = forcing.values
         self.t_min, self.h = forcing.t_min, forcing.h
-        t = forcing.t
-        self.a = model.sample_a(t)
-        self.f = model.f(t)
-        self.record_weight = np.exp(RECORD_WEIGHT * t)
+        self.a = model.sample_a(forcing.t)
         self.neumann_inner = model.kind.neumann_centre
-        m = len(t) - 2  # interior nodes
+        m = len(self.a) - 2  # interior nodes
         self._increments = (np.empty(m + 1), np.empty(m + 1))
         self._target = np.empty(m)
         self._direction = np.empty(m + 1)
@@ -212,10 +209,10 @@ class _RadialNewton:
         first, second = self._increments
         return first if v is second else second
 
-    def residual(self, v, target, out=None):
+    def residual(self, v, target, out):
         """The _Iterate at v; target is s F at the interior nodes.  psi''/2 and
-        the rows are written into out = (half_dd, r), else into new arrays."""
-        half_dd, x = (np.empty(len(v) - 1), np.empty(len(v) - 1)) if out is None else out
+        the rows are written into out = (half_dd, r), psi' into the scratch."""
+        half_dd, x = out
         np.divide(np.subtract(v[1:], v[:-1], out=half_dd), 2.0 * self.h**2, out=half_dd)
         np.divide(half_dd, self.a[1:-1], out=x)
         min_ratio = 1.0 + float(np.min(x))
@@ -225,7 +222,7 @@ class _RadialNewton:
         np.divide(np.add(v[1:], v[:-1], out=slope), 2.0 * self.h, out=slope)
         r = np.subtract(np.add(np.log1p(x, out=x), slope, out=x), target, out=x)
         boundary = (3.0 * v[0] - v[1]) / (2.0 * self.h) if self.neumann_inner else np.sum(v)
-        return _Iterate(v, max(_sup_abs(r), abs(boundary)), r, boundary, half_dd, min_ratio)
+        return _Iterate(v, max(_sup_abs(r), abs(boundary)), r, slope, half_dd, min_ratio)
 
     def _newton_step(self, it):
         """Direction dv at the iterate: the boundary row fixes dv_0, then rows 1..n-2
@@ -300,8 +297,8 @@ def _march_bands(a_phi, h, rows):
     which both bands read, is formed contiguously in a_phi itself, so a_phi
     is overwritten."""
     a_h = np.divide(a_phi, h, out=a_phi)
-    np.subtract(a_h, 1.0 / h**2, out=rows[:-2:2])
-    np.add(1.0 / h**2, a_h, out=rows[1::2])
+    # both bands in one call; C order over the (2, m) view keeps the inner loop along a_h
+    np.add(a_h, ((-1 / h**2,), (1 / h**2,)), out=rows[:-1].reshape(-1, 2).T, order="C")
     return rows[1:].reshape(-1, 2).T, -rows[0]
 
 
@@ -311,19 +308,19 @@ def _sup_abs(x):
     return abs(max(float(np.max(x)), -float(np.min(x))))
 
 
-def _make_record(newton, it, s, iterations):
+def _make_record(newton, it, s, iterations, f, weight):
     """The StepRecord of the iterate newton.solve returned, formed in newton.idle(it.v);
-    inside, psi' is read from newton._scratch, where that solve's last residual left it."""
+    f and weight are the model's f and e^{RECORD_WEIGHT t} on the grid."""
     d1, d2 = fd.increment_edges(it.v, newton.h)  # end nodes; inside, the iterate is read
     ratio = 1.0 + d2 / (2.0 * newton.a[[0, -1]])
-    slope, samples = newton._scratch, newton.idle(it.v)
+    samples = newton.idle(it.v)
     inner = samples[1:]
     # (psi''/2)/a is the psi''/(2a) of increment_derivatives to the bit, as h**2 == h*h
     max_ratio = 1.0 + np.max(np.divide(it.half_dd, newton.a[1:-1], out=inner))
-    inf_drift = np.min(np.add(newton.f[1:-1], slope, out=inner))
+    inf_drift = np.min(np.add(f[1:-1], it.slope, out=inner))
     # -phi but for the last sample, 0, which cannot raise the weighted max; w |phi| = |w phi|
     np.cumsum(it.v[::-1], out=samples[::-1])
-    weighted = _sup_abs(np.multiply(newton.record_weight[:-1], samples, out=samples))
+    weighted = _sup_abs(np.multiply(weight[:-1], samples, out=samples))
     return StepRecord(
         s=s,
         newton_iterations=iterations,
@@ -331,8 +328,8 @@ def _make_record(newton, it, s, iterations):
         min_metric_ratio=float(min(it.min_ratio, *ratio)),
         max_metric_ratio=float(max(max_ratio, *ratio)),
         weighted_sup_phi=weighted,
-        inf_drift_potential=float(min(inf_drift, *(newton.f[[0, -1]] + d1))),
-        sup_radial_derivative=float(max(_sup_abs(slope), *np.abs(d1))),
+        inf_drift_potential=float(min(inf_drift, *(f[[0, -1]] + d1))),
+        sup_radial_derivative=float(max(_sup_abs(it.slope), *np.abs(d1))),
     )
 
 
@@ -352,9 +349,9 @@ def _secant_solve(newton, s_prev, v_prev, s, v, target):
     return newton.solve(v, target)
 
 
-def _continuation(newton):
-    """(v, records): the s-loop of continuity_solve on the solver's problem;
-    the solver and its work arrays go when it returns."""
+def _continuation(newton, f, weight):
+    """(v, records): the s-loop of continuity_solve on the solver's problem, with
+    the path record's f and weight; the solver and its work arrays go when it returns."""
     cfg = newton.cfg
     # the last accepted increments v at s and the ones before them at s_prev
     # (None until a step is accepted), copied out of the solver's buffers
@@ -379,7 +376,7 @@ def _continuation(newton):
                 ) from None
             streak = 0
             continue
-        records.append(_make_record(newton, it, target, iterations))
+        records.append(_make_record(newton, it, target, iterations, f, weight))
         np.copyto(v_prev, it.v)  # over the increments two steps back
         s_prev, s, v_prev, v, it = s, target, v, v_prev, None
         if iterations <= 1:
@@ -411,7 +408,8 @@ def continuity_solve(model, forcing, config=None):
             "rate above 1, proceeding anyway",
             stacklevel=2,
         )
-    v, records = _continuation(_RadialNewton(model, forcing, cfg))
+    f, weight = model.f(forcing.t), np.exp(RECORD_WEIGHT * forcing.t)  # no t lives on
+    v, records = _continuation(_RadialNewton(model, forcing, cfg), f, weight)
     phi = RadialPotential(forcing.t_min, forcing.t_max, forcing.h, _decaying(v), v)
     return SolitonSolution(
         phi=phi,
@@ -434,9 +432,10 @@ def uniqueness_check(model, forcing, initializations):
     if not all(forcing.same_grid(init) for init in initializations):
         raise DomainError("initialization grid mismatch")
     newton = _RadialNewton(model, forcing, ContinuityConfig())
-    solutions = []
+    lo = hi = None  # running extrema of the decaying-gauge solutions; max - min is exact
     for init in initializations:
-        it, _ = newton.solve(radial_increments(init), 1.0)
-        solutions.append(_decaying(it.v))
-    return float(np.max(np.ptp(np.array(solutions), axis=0)))
+        u = _decaying(newton.solve(radial_increments(init), 1.0)[0].v)
+        lo, hi = (u, u.copy()) if lo is None else (np.minimum(lo, u, out=lo),
+                                                  np.maximum(hi, u, out=hi))
+    return float(np.max(np.subtract(hi, lo, out=hi)))
 

@@ -29,7 +29,7 @@ from typing import List
 import numpy as np
 
 from . import _lapack
-from .errors import DomainError, SingularSystem
+from .errors import DomainError, PositivityLost, SingularSystem
 from .grids import uniform_nodes
 from .norms import decay_rate_fit
 
@@ -218,7 +218,8 @@ def _check_ge(name, value, threshold):
 def verify_solution(model, solution, forcing, metadata=None):
     """Verification report for a converged continuity solution.
 
-    Checks: Monge-Ampere residual at s = 1 (sup <= 1e-9); decay-rate transfer from the
+    Checks: Monge-Ampere residual at s = 1 (sup <= 1e-9; inf where a + phi''/2 <= 0 at
+    some node, so the check fails instead of raising); decay-rate transfer from the
     forcing (capped at the Fredholm window edge 2); two-sided metric
     equivalence along the path; the drift-potential lower bound
     inf(f + X(phi)/2) >= 1; and the path-uniform weighted bound (no record
@@ -226,8 +227,11 @@ def verify_solution(model, solution, forcing, metadata=None):
     """
     from .continuity import ma_residual_radial
 
-    residual = ma_residual_radial(model, solution.phi, forcing, 1.0)
-    sup_res = float(np.max(np.abs(residual.values)))
+    try:
+        residual = ma_residual_radial(model, solution.phi, forcing, 1.0)
+        sup_res = float(np.max(np.abs(residual.values)))
+    except PositivityLost:  # the end stencils can see a + phi''/2 <= 0 where Newton's rows do not
+        sup_res = np.inf
 
     forcing_rate = decay_rate_fit(forcing)
     target_rate = min(forcing_rate, 2.0) - 0.1

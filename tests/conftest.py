@@ -57,6 +57,13 @@ def newton_rows(a_phi, h, dv):
     return ab[0] * dv[1:] + np.append(-sub0, ab[1, :-1]) * dv[:-1]
 
 
+def fresh_residual(newton, v, target):
+    """newton.residual at v with its (psi''/2, rows) pair in new arrays, which
+    outlive a later residual or Newton step (the solver's own pair does not)."""
+    m = len(v) - 1
+    return newton.residual(v, target, (np.empty(m), np.empty(m)))
+
+
 def jacobian_gaps(model, grid, rng, pairs=10, tau=1e-6):
     """(interior, boundary, scaled): the largest gaps between finite differences
     of the Newton residual in the increments v and the Jacobian rows the solver
@@ -82,20 +89,24 @@ def jacobian_gaps(model, grid, rng, pairs=10, tau=1e-6):
     zero = ak.GridFunction(*grid, np.zeros(len(ak.uniform_nodes(*grid))))
     newton = _RadialNewton(model, zero, ak.ContinuityConfig())
     target = np.zeros(len(zero.values) - 2)
+
+    def boundary_row(v):  # the Neumann row, or the Dirichlet row sum(v)
+        return (3.0 * v[0] - v[1]) / (2.0 * h) if newton.neumann_inner else np.sum(v)
+
     interior = boundary = scaled = 0.0
     for _ in range(pairs):
         v = np.diff(seeded_admissible_field(rng, grid).values)
         dv = np.diff(seeded_admissible_field(rng, grid).values)
-        base = newton.residual(v, target)
+        base = fresh_residual(newton, v, target)
         a_phi = newton.a[1:-1] + base.half_dd
-        along_dv = newton.residual(v + tau * dv, target)
-        for bumped, d in ((along_dv, dv), (newton.residual(v + tau, target), np.ones_like(v))):
+        for d in (dv, np.ones_like(v)):
+            bumped = fresh_residual(newton, v + tau * d, target)
             fd, rows = (bumped.r - base.r) / tau, newton_rows(a_phi, h, d)
             if d is dv:
                 interior = max(interior, float(np.max(np.abs(fd - rows / (2.0 * a_phi)))))
             scaled = max(scaled, float(np.max(np.abs(2.0 * a_phi * fd - rows))) * h**2)
-            row = (3.0 * d[0] - d[1]) / (2.0 * h) if newton.neumann_inner else np.sum(d)
-            boundary = max(boundary, float(abs((bumped.boundary - base.boundary) / tau - row)))
+            fd_boundary = (boundary_row(v + tau * d) - boundary_row(v)) / tau
+            boundary = max(boundary, float(abs(fd_boundary - boundary_row(d))))
     return interior, boundary, scaled
 
 

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import scipy
 
 import acylsoliton as ak
 from acylsoliton import _lapack
-from acylsoliton.cli import KEYS, parse_config, run
+from acylsoliton.cli import EXIT_OK, EXIT_VERIFICATION, KEYS, parse_config, run
 from acylsoliton.spectrum import spectrum_to_csv
 
 FIXTURE = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
@@ -75,10 +76,16 @@ def run_cli(args, outdir):
     return run(args + ["--output", str(outdir)])
 
 
-def finished_manifest(outdir, code):
-    """The manifest of a run that exited with code, checked to be the final write."""
+def finished_manifest(outdir, code, err=None):
+    """The manifest of a run that exited with code, checked to be the final write.
+    A failed run (exit 1, 2 or 3) records its stderr line err as error; exits 0
+    and 4 record none."""
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["exit_code"] == code and manifest["wall_time_s"] is not None
+    if code in (EXIT_OK, EXIT_VERIFICATION):
+        assert "error" not in manifest
+    else:
+        assert manifest["error"] + "\n" == err
     return manifest
 
 
@@ -174,9 +181,10 @@ def test_solve_linear_order_study_rejects_node_count_before_solving(tmp_path, ca
     assert nodes == 3199
     out = tmp_path / "out"
     assert run_cli(["solve-linear", "--rhs", rhs_path, "--order-study"], out) == 1
-    assert "4k + 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "4k + 1" in err
     assert not (out / "solution.csv").exists()
-    finished_manifest(out, 1)
+    finished_manifest(out, 1, err)
 
 
 @pytest.mark.parametrize("mu_args,value", [
@@ -235,9 +243,11 @@ def test_solve_ma_huge_amplitude_exits_2(tmp_path, capsys):
     hostile.to_csv(hostile_path)
     code = run_cli(["solve-ma", "--model", "cigar", "--rhs", str(hostile_path)], tmp_path)
     assert code == 2
-    assert capsys.readouterr().err.startswith("continuation stalled: ")
+    err = capsys.readouterr().err
+    assert err.startswith("continuation stalled: ")
     path = json.loads((tmp_path / "path.json").read_text())
     assert path["converged"] is False
+    finished_manifest(tmp_path, 2, err)
 
 
 @pytest.mark.parametrize("args", [["solve-ma", "--rhs", "manufactured"], ["report"]],
@@ -248,10 +258,11 @@ def test_solver_config_stall_exits_2_with_its_cause(tmp_path, capsys, args):
     config.write_text("solver.max_newton = 1\n")
     out = tmp_path / "out"
     assert run_cli(args + ["--config", str(config)], out) == 2
-    assert capsys.readouterr().err.startswith("continuation stalled: s-step fell below")
+    err = capsys.readouterr().err
+    assert err.startswith("continuation stalled: s-step fell below")
     path = json.loads((out / "path.json").read_text())
     assert path["converged"] is False and path["s_reached"] == 0.0 and path["steps"] == []
-    manifest = finished_manifest(out, 2)
+    manifest = finished_manifest(out, 2, err)
     assert "warnings" in manifest["notes"] and "lapack" in manifest["versions"]
 
 
@@ -264,8 +275,52 @@ def test_inadmissible_manufactured_potential_exits_3(tmp_path, capsys, args):
     config.write_text("grid.h = 2\n")
     out = tmp_path / "out"
     assert run_cli(args + ["--config", str(config)], out) == 3
-    assert capsys.readouterr().err.startswith("positivity lost: metric positivity lost at node 1")
-    finished_manifest(out, 3)
+    err = capsys.readouterr().err
+    assert err.startswith("positivity lost: metric positivity lost at node 1")
+    finished_manifest(out, 3, err)
+
+
+def library_exit(kind, n, grid):
+    """The exit code solve-ma owes the manufactured problem on grid: 0 when
+    continuity_solve returns, else that of the library error raised."""
+    model = ak.cigar_model(n) if kind == "cigar" else ak.cylinder_model(n)
+    try:
+        with warnings.catch_warnings(record=True):  # solve-ma records them in its manifest
+            warnings.simplefilter("always")
+            ak.continuity_solve(model, ak.ma_residual_radial(
+                model, ak.manufactured_potential(grid), None, 0.0))
+    except ak.DomainError:
+        return 1
+    except ak.ContinuityStalled:
+        return 2
+    except ak.PositivityLost:
+        return 3
+    return 0
+
+
+def test_solve_ma_exits_as_the_library_on_the_grid_lattice(tmp_path, capsys):
+    """solve-ma on 10 seeded cigar and cylinder points of the lattice of
+    test_continuity.py::test_solve_and_verify_fail_only_with_library_errors
+    exits with the code of the in-process outcome, and its manifest records
+    it.  N = (t_max - t_min)/h is drawn log-uniform on [4, 1000], so the
+    coarse grids, where exits 1 and 3 come from, are drawn as often as fine ones."""
+    rng = np.random.default_rng(0)
+    codes = []
+    for case in range(10):
+        kind, n = ("cigar", "cylinder")[rng.integers(2)], int(rng.integers(1, 4))
+        t_min = float(rng.choice([-12.0, -6.0, -3.0, 0.0]))
+        t_max = float(rng.choice([6.0, 8.0, 12.0, 20.0, 30.0]))
+        grid = (t_min, t_max, (t_max - t_min) / round(4 * 250 ** rng.random()))
+        config = tmp_path / f"{case}.cfg"
+        config.write_text("".join(f"grid.{key} = {value!r}\n"
+                                  for key, value in zip(("t_min", "t_max", "h"), grid)))
+        out = tmp_path / str(case)
+        code = run_cli(["solve-ma", "--model", kind, "--n", str(n), "--rhs", "manufactured",
+                        "--config", str(config)], out)
+        assert code == library_exit(kind, n, grid), (kind, n, grid)
+        finished_manifest(out, code, capsys.readouterr().err)
+        codes.append(code)
+    assert {0, 1, 3} <= set(codes), codes
 
 
 def test_solve_ma_short_forcing_is_a_usage_error(tmp_path, capsys):
@@ -275,7 +330,7 @@ def test_solve_ma_short_forcing_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: the radial solve needs at least 6 grid nodes, got 5")
     assert "Traceback" not in err
-    finished_manifest(tmp_path / "out", 1)
+    finished_manifest(tmp_path / "out", 1, err)
 
 
 @pytest.mark.parametrize("command", [
@@ -386,7 +441,7 @@ def test_poincare_weight_overflow_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: Poincare weight e^f overflows at t = 354.4")
     assert "Traceback" not in err
-    finished_manifest(tmp_path / "out", 1)
+    finished_manifest(tmp_path / "out", 1, err)
 
 
 def test_poincare_weight_nonpositive_f_is_a_usage_error(tmp_path, capsys):
@@ -396,7 +451,7 @@ def test_poincare_weight_nonpositive_f_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: Poincare weight needs f > 0, but f = -23 at t = -12;")
     assert "raise grid.t_min" in err and "Traceback" not in err
-    finished_manifest(tmp_path, 1)
+    finished_manifest(tmp_path, 1, err)
 
 
 @pytest.mark.parametrize("command,key,value", [
@@ -436,7 +491,7 @@ def test_config_the_computation_rejects_is_a_usage_error(tmp_path, capsys, comma
     assert run_cli([*command.split(), "--config", str(path)], tmp_path / "out") == 1
     err = capsys.readouterr().err
     assert err.startswith(message) and "Traceback" not in err
-    finished_manifest(tmp_path / "out", 1)
+    finished_manifest(tmp_path / "out", 1, err)
 
 
 @pytest.mark.parametrize("command", [["verify", "--decay"], ["solve-linear", "--rhs"]],
@@ -454,7 +509,7 @@ def test_bad_csv_is_a_usage_error(tmp_path, capsys, command, body):
     assert run_cli(command + [str(path)], tmp_path / "out") == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "line" in err and "Traceback" not in err
-    finished_manifest(tmp_path / "out", 1)
+    finished_manifest(tmp_path / "out", 1, err)
 
 
 def test_unreadable_input_is_a_usage_error(tmp_path, capsys):
@@ -833,7 +888,7 @@ def test_report_rejects_a_model_other_than_the_cigar(tmp_path, capsys, kind):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "model.kind" in err and repr(kind) in err
     assert not (tmp_path / "out" / "report.json").exists()
-    finished_manifest(tmp_path / "out", 1)
+    finished_manifest(tmp_path / "out", 1, err)
 
 
 def test_report_failing_check_exits_4_with_a_finished_manifest(tmp_path):
@@ -847,7 +902,7 @@ def test_report_failing_check_exits_4_with_a_finished_manifest(tmp_path):
     assert "lapack" in finished_manifest(tmp_path / "out", 4)["versions"]
 
 
-def test_manifest_written_before_outputs(tmp_path, monkeypatch):
+def test_manifest_written_before_outputs(tmp_path, monkeypatch, capsys):
     # fail inside the subcommand: the manifest must already exist
     import acylsoliton.cli as cli
 
@@ -857,7 +912,8 @@ def test_manifest_written_before_outputs(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_cmd_spectrum", boom)
     code = run_cli(["spectrum"], tmp_path)
     assert code == 1
-    finished_manifest(tmp_path, 1)
+    assert finished_manifest(tmp_path, 1, capsys.readouterr().err)["error"] == \
+        "error: forced failure"
 
 
 def test_usage_error_on_missing_rhs(tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import acylsoliton as ak
 from acylsoliton import drift
-from conftest import jacobian_gaps, newton_rows
+from conftest import fresh_residual, jacobian_gaps, newton_rows
 from oracles import interior_drift, manufactured_forcing_fn
 
 GRID = (-12.0, 20.0, 0.01)
@@ -142,7 +142,7 @@ def test_linearization_constant_curvature_region(cylinder):
     h = grid[2]
     phi = ak.GridFunction.sample(lambda t: (np.e - 1.0) * t**2, *grid)
     newton = _RadialNewton(cylinder, phi.zeros_like(), ak.ContinuityConfig())
-    it = newton.residual(np.diff(phi.values), np.zeros(len(phi.values) - 2))
+    it = fresh_residual(newton, np.diff(phi.values), np.zeros(len(phi.values) - 2))
     a_phi = newton.a[1:-1] + it.half_dd
     assert np.allclose(a_phi, np.e, rtol=1e-9)
     dv = np.diff(np.sin(phi.t))
@@ -177,7 +177,7 @@ def test_newton_step_solves_linearized_system(kind, grid):
     for _ in range(3):
         phi = seeded_admissible_field(rng, grid)
         v = np.diff(phi.values)
-        it = newton.residual(v, forcing.values[1:-1])  # s = 1
+        it = fresh_residual(newton, v, forcing.values[1:-1])  # s = 1
         dv, r = newton._newton_step(it), it.r
         a_phi = model.sample_a(phi.t)[1:-1] + np.diff(phi.values, 2) / (2.0 * h**2)
         lin = 0.5 * interior_drift(np.append(0.0, np.cumsum(dv)), h, a_phi)
@@ -213,7 +213,7 @@ def reference_step(newton, v, s):
     return np.concatenate(([dv0], y + dv0 * z))
 
 
-def reference_record(newton, v, s, iterations, sup_residual):
+def reference_record(newton, f, weight, v, s, iterations, sup_residual):
     """A StepRecord with the derivatives rebuilt by fd.increment_derivatives."""
     from acylsoliton import fd
     from acylsoliton.continuity import StepRecord, _decaying
@@ -226,20 +226,22 @@ def reference_record(newton, v, s, iterations, sup_residual):
         sup_residual=sup_residual,
         min_metric_ratio=float(np.min(ratio)),
         max_metric_ratio=float(np.max(ratio)),
-        weighted_sup_phi=float(np.max(newton.record_weight * np.abs(_decaying(v)))),
-        inf_drift_potential=float(np.min(newton.f + d1psi)),
+        weighted_sup_phi=float(np.max(weight * np.abs(_decaying(v)))),
+        inf_drift_potential=float(np.min(f + d1psi)),
         sup_radial_derivative=float(np.max(np.abs(d1psi))),
     )
 
 
 def newton_ladder(kind, h):
-    """The Newton solver of the manufactured problem on the cigar or cylinder grid."""
-    from acylsoliton.continuity import _RadialNewton
+    """The Newton solver of the manufactured problem on the cigar or cylinder grid,
+    the solution's increments, and the path record's f and weight e^{1.4 t}."""
+    from acylsoliton.continuity import RECORD_WEIGHT, _RadialNewton
 
     model = ak.cigar_model(2) if kind == "cigar" else ak.cylinder_model(2)
     psi = ak.manufactured_potential((-12.0 if kind == "cigar" else 0.0, 20.0, h))
     forcing = ak.ma_residual_radial(model, psi, None, 0.0)
-    return _RadialNewton(model, forcing, ak.ContinuityConfig()), np.diff(psi.values)
+    path = model.f(psi.t), np.exp(RECORD_WEIGHT * psi.t)
+    return _RadialNewton(model, forcing, ak.ContinuityConfig()), np.diff(psi.values), path
 
 
 @pytest.mark.parametrize("h", [1e-2, 1e-3])
@@ -247,10 +249,11 @@ def newton_ladder(kind, h):
 def test_newton_step_has_reference_bits(kind, h):
     """The direction from the iterate's kept half-Hessian and the march bands
     written in place equals the one formed afresh, to the bit."""
-    newton, v_star = newton_ladder(kind, h)
+    newton, v_star, _ = newton_ladder(kind, h)
     for weight, s in ((0.5, 1.0), (1.0, 0.7), (0.2, 0.3)):
         v = weight * v_star
-        direction = newton._newton_step(newton.residual(v, s * newton.forcing[1:-1]))
+        direction = newton._newton_step(newton.residual(v, s * newton.forcing[1:-1],
+                                                        newton._pair))
         assert direction.tobytes() == reference_step(newton, v, s).tobytes()
 
 
@@ -263,12 +266,12 @@ def test_step_records_have_reference_bits(kind, h):
 
     from acylsoliton.continuity import _make_record
 
-    newton, v_star = newton_ladder(kind, h)
+    newton, v_star, path = newton_ladder(kind, h)
     v = np.zeros_like(v_star)
     for s in np.linspace(0.1, 1.0, 10):
         it, iterations = newton.solve(v, s)
-        record = _make_record(newton, it, s, iterations)
-        expected = reference_record(newton, it.v, s, iterations, it.sup)
+        record = _make_record(newton, it, s, iterations, *path)
+        expected = reference_record(newton, *path, it.v, s, iterations, it.sup)
         assert [float(x).hex() for x in astuple(record)] == \
             [float(x).hex() for x in astuple(expected)]
         v = it.v
@@ -284,36 +287,42 @@ def test_converged_start_in_idle_buffer_is_only_read(kind):
 
     from acylsoliton.continuity import _make_record
 
-    newton, v_star = newton_ladder(kind, 1e-3)
+    newton, v_star, path = newton_ladder(kind, 1e-3)
     start = newton.solve(v_star, 1.0)[0].v.copy()
     copy, iterations = newton.solve(start.copy(), 1.0)
-    expected = _make_record(newton, copy, 1.0, iterations)
+    expected = _make_record(newton, copy, 1.0, iterations, *path)
     buffer = newton.idle(start)
     np.copyto(buffer, start)
     it, iterations = newton.solve(buffer, 1.0)
     assert iterations == 0 and it.v is buffer
-    record = _make_record(newton, it, 1.0, iterations)
+    record = _make_record(newton, it, 1.0, iterations, *path)
     assert [float(x).hex() for x in astuple(record)] == \
         [float(x).hex() for x in astuple(expected)]
     assert it.v.tobytes() == start.tobytes()
 
 
 @functools.cache
-def _solve_peak_arrays(kind):
-    """Traced peak of one continuity_solve at h = 1e-3, in grid-sized float arrays.
-    Cached per model, so the two bounds below read one traced solve."""
+def _peak_arrays(kind, call="solve"):
+    """Traced peak of one continuity_solve, or of a uniqueness_check from three
+    starts, at h = 1e-3, in grid-sized float arrays.  Cached per model and call,
+    so the two solve bounds below read one traced solve."""
     import tracemalloc
 
     grid = (-12.0 if kind == "cigar" else 0.0, 20.0, 1e-3)
     model = ak.cigar_model(2) if kind == "cigar" else ak.cylinder_model(2)
     coarse = ak.ma_residual_radial(model, ak.manufactured_potential(grid[:2] + (0.1,)), None, 0.0)
     ak.continuity_solve(model, coarse)  # the solve's modules and LAPACK load outside the trace
-    forcing = ak.ma_residual_radial(model, ak.manufactured_potential(grid), None, 0.0)
+    psi = ak.manufactured_potential(grid)
+    forcing = ak.ma_residual_radial(model, psi, None, 0.0)
+    starts = [psi.zeros_like(), psi.like(0.5 * psi.values), psi]
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        ak.continuity_solve(model, forcing)
+        if call == "solve":
+            ak.continuity_solve(model, forcing)
+        else:
+            ak.uniqueness_check(model, forcing, starts)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -325,7 +334,7 @@ def test_solve_keeps_few_grid_arrays(kind, arrays):
     """The traced peak of one continuity_solve at h = 1e-3 stays within a fixed
     number of grid-sized float arrays: 14 work arrays for the cigar and 16 for
     the cylinder, plus temporaries far below one array."""
-    peak = _solve_peak_arrays(kind)
+    peak = _peak_arrays(kind)
     assert peak <= arrays, peak
 
 
@@ -334,7 +343,17 @@ def test_newton_pair_shares_the_band_rows(kind, arrays):
     """With the iterate's (psi''/2, rows) pair kept in the march band rows, the
     solve keeps two arrays fewer: 12 work arrays for the cigar and 14 for the
     cylinder, plus temporaries far below one array."""
-    peak = _solve_peak_arrays(kind)
+    peak = _peak_arrays(kind)
+    assert peak <= arrays, peak
+
+
+@pytest.mark.parametrize("kind,arrays", [("cigar", 13), ("cylinder", 15)])
+def test_uniqueness_check_keeps_running_extrema(kind, arrays):
+    """uniqueness_check keeps the running min and max of the decaying-gauge
+    solutions, not every solution: with the solver's 8 work arrays (10 for the
+    cylinder), the current start and solution, 12 arrays for the cigar and 14
+    for the cylinder, plus temporaries far below one array."""
+    peak = _peak_arrays(kind, "uniqueness")
     assert peak <= arrays, peak
 
 
@@ -586,7 +605,7 @@ def test_inadmissible_prediction_restarts_from_last_solution(manufactured, monke
         accepted[round(s, 6)] = it.v.copy()
         return it, iterations
 
-    def residual(self, v, target, out=None):
+    def residual(self, v, target, out):
         it = original_residual(self, v, target, out)
         if refuse["armed"]:
             refuse["armed"] = False

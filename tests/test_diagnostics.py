@@ -157,6 +157,22 @@ def test_verify_solution_negative_control(manufactured):
     assert json.dumps(report.as_dict())  # well-formed
 
 
+def test_verify_solution_reports_lost_positivity_as_a_failed_check():
+    """The glued t0 = 2 solve on (-12, 20, 32/67) converges, but the one-sided
+    end stencils read a + phi''/2 = -3.0e-10 at node 0: the residual check
+    fails with value inf instead of raising PositivityLost."""
+    model = ak.glued_model(ak.cigar_model(2), ak.GlueSpec(t0=2.0))
+    forcing = ak.glued_forcing(model, (-12.0, 20.0, 32 / 67))
+    solution = ak.continuity_solve(model, forcing)
+    with pytest.raises(ak.PositivityLost):
+        ak.ma_residual_radial(model, solution.phi, forcing, 1.0)
+    report = ak.verify_solution(model, solution, forcing)
+    failed = {c.name: c.value for c in report.checks if not c.passed}
+    assert failed["monge_ampere_residual_sup"] == np.inf
+    assert failed["min_metric_ratio_along_path"] < 0.0
+    assert not report.passed
+
+
 def test_report_json_deterministic(manufactured_solution):
     """The report's dict, as report.json serialises it, repeats to the byte."""
     model, _, forcing, solution = manufactured_solution

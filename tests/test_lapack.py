@@ -17,6 +17,7 @@ import acylsoliton as ak
 from acylsoliton import _lapack, diagnostics, drift
 from acylsoliton.cli import parse_config
 from acylsoliton.continuity import ContinuityConfig, _RadialNewton
+from conftest import fresh_residual
 from acylsoliton.diagnostics import _lowest_bracket, _lowest_eigenvalue, _poincare_matrix
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -54,7 +55,7 @@ def newton_system(kind, h):
     forcing = ak.ma_residual_radial(model, psi, None, 0.0)
     newton = _RadialNewton(model, forcing, ContinuityConfig())
     v = 0.5 * np.diff(psi.values)
-    it = newton.residual(v, forcing.values[1:-1])  # s = 1
+    it = fresh_residual(newton, v, forcing.values[1:-1])  # s = 1
     dv = newton._newton_step(it)
     a_phi = newton.a[1:-1] + (v[1:] - v[:-1]) / (2.0 * h**2)
     sub, sup = 1.0 / h**2 - a_phi / h, 1.0 / h**2 + a_phi / h
