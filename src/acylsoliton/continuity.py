@@ -193,9 +193,10 @@ class _RadialNewton:
         self.cfg = config
         self.forcing = forcing.values
         self.t_min, self.h = forcing.t_min, forcing.h
-        self.a = model.sample_a(forcing.t)
+        t = forcing.t  # freed after the buffers: freed first, it raised later peak RSS
+        self.a = model.sample_a(t)
         self.neumann_inner = model.kind.neumann_centre
-        m = len(self.a) - 2  # interior nodes
+        m = len(t) - 2  # interior nodes
         self._increments = (np.empty(m + 1), np.empty(m + 1))
         self._target = np.empty(m)
         self._direction = np.empty(m + 1)
