@@ -250,8 +250,10 @@ class Run:
         self.write_json("manifest.json", payload)
 
     def write_json(self, name, payload):
+        """payload as strict JSON; the round trip spells non-finite floats "inf", "-inf", "nan"."""
+        payload = json.loads(json.dumps(payload), parse_constant=lambda token: str(float(token)))
         with open(self.path(name), "w") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(payload, fh, indent=2, allow_nan=False)
             fh.write("\n")
 
     def write_svg(self, name, t, values):

@@ -22,11 +22,11 @@ stored psi lose eps_machine * |psi| / h^2 (above the Newton tolerance at
 h = 1e-4); the solution's potentials carry v (grids.RadialPotential).
 Scaled by 2 a_phi, Jacobian row i is sup_i dv_i - sub_i dv_{i-1}, with
 sub, sup = 1/h^2 -+ a_phi/h, as _march_bands writes it: below one boundary row
-the Newton matrix is a forward march (drift.forward_march), stable since its
-factor (1 - a_phi h)/(1 + a_phi h) lies in (-1, 1).  s F is formed once per
-s, and psi''/2, psi' and the rows once per iterate, by its residual: the step
-(bands written straight into the layout dtbtrs reads) and the path record
-reuse them.
+the Newton matrix is a forward march (_forward_march, by LAPACK's dtbtrs),
+stable since its factor (1 - a_phi h)/(1 + a_phi h) lies in (-1, 1).  s F is
+formed once per s, and psi''/2, psi' and the rows once per iterate, by its
+residual: the step (bands written straight into the layout dtbtrs reads) and
+the path record reuse them.
 
 Predictor-corrector (Allgower & Georg, Introduction to Numerical
 Continuation Methods, ch. 2): from the second s-step on, Newton starts at
@@ -49,8 +49,7 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from . import fd
-from .drift import forward_march
+from . import _lapack, fd
 from .errors import ContinuityStalled, DomainError, NewtonDiverged, PositivityLost, SingularSystem
 from .grids import RadialPotential, uniform_nodes
 from .models import half_hessian, radial_derivatives, radial_increments
@@ -237,12 +236,12 @@ class _RadialNewton:
             # 3 dv_0 - dv_1 = v_1 - 3 v_0, with dv_1 = (rhs_1 + sub_1 dv_0) / sup_1
             dv[0] = (rhs[0] / ab[0, 0] + v[1] - 3.0 * v[0]) / (3.0 - sub0 / ab[0, 0])
             rhs[0] += sub0 * dv[0]
-            forward_march(ab, rhs[:, None])  # overwrites rhs with dv[1:]
+            _forward_march(ab, rhs[:, None])  # overwrites rhs with dv[1:]
         else:
             # dv = y + dv_0 z, z the march of a unit dv_0; then sum(v + dv) = 0
             columns = self._columns
             columns[:, 0], columns[:, 1], columns[0, 1] = rhs, 0.0, sub0
-            y, z = forward_march(ab, columns).T
+            y, z = _forward_march(ab, columns).T
             dv[0] = -(np.sum(v) + np.sum(y)) / (1.0 + np.sum(z))
             np.add(y, np.multiply(z, dv[0], out=rhs), out=rhs)
         return dv
@@ -301,6 +300,18 @@ def _march_bands(a_phi, h, rows):
     # both bands in one call; C order over the (2, m) view keeps the inner loop along a_h
     np.add(a_h, ((-1 / h**2,), (1 / h**2,)), out=rows[:-1].reshape(-1, 2).T, order="C")
     return rows[1:].reshape(-1, 2).T, -rows[0]
+
+
+def _forward_march(ab, rhs):
+    """x with ab[0, i] x_i + ab[1, i-1] x_{i-1} = rhs_i (x_{-1} = 0), column by column,
+    by dtbtrs on the band array of _march_bands; a Fortran-ordered rhs is overwritten."""
+    x, info = _lapack.provider().dtbtrs(ab, rhs)
+    if info:
+        raise SingularSystem("singular matrix" if info > 0
+                             else f"illegal value in argument {-info} of LAPACK tbtrs")
+    if not (np.isfinite(np.min(x)) and np.isfinite(np.max(x))):  # nan reaches both
+        raise SingularSystem("non-finite solution; check boundary policy and weights")
+    return x
 
 
 def _sup_abs(x):

@@ -31,12 +31,11 @@ Everything here is pure and reentrant.  Modes are independent, so callers
 may map over them in parallel; solve_field itself iterates in ascending-mu
 order so results are identical regardless of scheduling.
 
-solve_mode and forward_march call LAPACK (dgtsv and dtbtrs) through
-_lapack's provider: the OpenBLAS numpy has already loaded, or SciPy's
-LAPACK extension where numpy's library lacks the routines.  The package
-imports this module on first use of one of its names, so `import
-acylsoliton` and the numpy-only commands (spectrum, weights, glue) do not
-load it.
+solve_mode calls LAPACK's dgtsv through _lapack's provider: the OpenBLAS
+numpy has already loaded, or SciPy's LAPACK extension where numpy's library
+lacks the routines.  The package imports this module on first use of one of
+its names; of the CLI commands only solve-linear loads it (the Newton
+solver's band march is continuity's own).
 """
 
 from dataclasses import dataclass
@@ -81,27 +80,6 @@ class ModeProblem:
             self.boundary = BoundaryPolicy(inner=None) if centre else BoundaryPolicy()
 
 
-def _checked(u, info, routine):
-    if info > 0:
-        raise SingularSystem("singular matrix")
-    if info < 0:
-        raise SingularSystem(f"illegal value in argument {-info} of LAPACK {routine}")
-    if not (np.isfinite(np.min(u)) and np.isfinite(np.max(u))):  # nan reaches both
-        raise SingularSystem("non-finite solution; check boundary policy and weights")
-    return u
-
-
-def forward_march(ab, rhs):
-    """x with ab[0, i] x_i + ab[1, i-1] x_{i-1} = rhs_i (x_{-1} = 0), column by column.
-
-    A lower-bidiagonal solve by dtbtrs on ab, the Fortran-order lower band
-    array: the diagonal in ab[0], the subdiagonal in ab[1, :-1], ab[1, -1]
-    unread.  A Fortran-ordered rhs is overwritten.
-    """
-    x, info = _lapack.provider().dtbtrs(ab, rhs)
-    return _checked(x, info, "tbtrs")
-
-
 def _mode_rows(problem):
     """(sub, diag, sup, rhs): the rows of L_mu as dgtsv's arguments, interior
     rows scaled by a, boundary rows in place."""
@@ -143,7 +121,12 @@ def solve_mode(problem):
     if not all(np.all(np.isfinite(x)) for x in rows):
         raise SingularSystem("array must not contain infs or NaNs")
     u, info = _lapack.provider().dgtsv(*rows)
-    rel = _backward_error(rows, _checked(u, info, "gtsv"))
+    if info:
+        raise SingularSystem("singular matrix" if info > 0
+                             else f"illegal value in argument {-info} of LAPACK gtsv")
+    if not (np.isfinite(np.min(u)) and np.isfinite(np.max(u))):  # nan reaches both
+        raise SingularSystem("non-finite solution; check boundary policy and weights")
+    rel = _backward_error(rows, u)
     if rel > RESIDUAL_RTOL:
         raise SingularSystem(f"interior residual {rel:.3e} exceeds {RESIDUAL_RTOL:.0e}")
     return GridFunction(problem.rhs.t_min, problem.rhs.t_max, problem.rhs.h, u)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,16 @@ def seeded_admissible_field(rng, grid=DEFAULT_GRID, amplitude=0.1):
     ):
         vals += amp * np.exp(-0.5 * ((t - c) / width) ** 2)
     return ak.GridFunction(*grid, vals * smoothstep(t / 2.0))
+
+
+def strict_json(path):
+    """The JSON file at path, parsed with the non-standard tokens NaN, Infinity
+    and -Infinity refused."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token} in {path}")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=refuse)
 
 
 def newton_rows(a_phi, h, dv):

@@ -18,6 +18,7 @@ import acylsoliton as ak
 from acylsoliton import _lapack
 from acylsoliton.cli import EXIT_OK, EXIT_VERIFICATION, KEYS, parse_config, run
 from acylsoliton.spectrum import spectrum_to_csv
+from conftest import DEFAULT_GRID, strict_json
 
 FIXTURE = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
                        "F_manufactured_cigar.csv")
@@ -80,7 +81,7 @@ def finished_manifest(outdir, code, err=None):
     """The manifest of a run that exited with code, checked to be the final write.
     A failed run (exit 1, 2 or 3) records its stderr line err as error; exits 0
     and 4 record none."""
-    manifest = json.loads((outdir / "manifest.json").read_text())
+    manifest = strict_json(outdir / "manifest.json")
     assert manifest["exit_code"] == code and manifest["wall_time_s"] is not None
     if code in (EXIT_OK, EXIT_VERIFICATION):
         assert "error" not in manifest
@@ -152,6 +153,59 @@ def test_solve_linear(tmp_path):
     assert (tmp_path / "solution.csv").exists()
     diag = json.loads((tmp_path / "diagnostics.json").read_text())
     assert diag["decay_rate"] >= 1.45
+
+
+def zero_rhs(tmp_path):
+    """A zero field on the default grid, as a CSV file; its path and node count."""
+    zero = ak.GridFunction(*DEFAULT_GRID, np.zeros(len(ak.uniform_nodes(*DEFAULT_GRID))))
+    zero.to_csv(tmp_path / "zero.csv")
+    return str(tmp_path / "zero.csv"), len(zero.values)
+
+
+def test_infinite_decay_rates_are_strict_json(tmp_path):
+    """A zero forcing, and the zero solution it gives, vanish on the fit window,
+    so their decay rates are inf: path.json and diagnostics.json hold the string
+    "inf", which float() reads back, and every JSON file of both runs parses
+    with the non-standard constants refused."""
+    rhs, _ = zero_rhs(tmp_path)
+    assert run_cli(["solve-ma", "--rhs", rhs], tmp_path / "ma") == 0
+    assert run_cli(["solve-linear", "--mu", "0", "--rhs", rhs], tmp_path / "linear") == 0
+    path = strict_json(tmp_path / "ma" / "path.json")
+    diagnostics = strict_json(tmp_path / "linear" / "diagnostics.json")
+    assert path["decay_rate"] == diagnostics["decay_rate"] == diagnostics["rhs_decay_rate"] == "inf"
+    assert float(path["decay_rate"]) == np.inf
+    for name in ("ma", "linear"):
+        finished_manifest(tmp_path / name, 0)
+
+
+def test_write_json_spells_out_non_finite_floats(tmp_path):
+    """Every non-finite float, at any depth, becomes "inf", "-inf" or "nan";
+    finite values, keys and their order are written as json.dump writes them."""
+    from acylsoliton.cli import Run, RunConfig
+
+    payload = {"b": [1.5, np.inf, {"c": (-np.inf, np.float64(np.nan))}], "a": 0.1, "d": None}
+    Run("spectrum", RunConfig(output_dir=str(tmp_path))).write_json("x.json", payload)
+    assert strict_json(tmp_path / "x.json") == {
+        "b": [1.5, "inf", {"c": ["-inf", "nan"]}], "a": 0.1, "d": None}
+    assert list(strict_json(tmp_path / "x.json")) == ["b", "a", "d"]
+    finite = {"b": [1.5, 2.0, {"c": (3.0, 1e-300)}], "a": 0.1, "d": None}
+    Run("spectrum", RunConfig(output_dir=str(tmp_path))).write_json("y.json", finite)
+    assert (tmp_path / "y.json").read_text() == json.dumps(finite, indent=2) + "\n"
+
+
+def test_solve_linear_plot_of_a_zero_solution_is_flat(tmp_path):
+    """The zero solution has no range of log10 |u| to scale: solution.svg is
+    still well-formed, with one point per node on one horizontal line."""
+    from xml.etree import ElementTree
+
+    rhs, nodes = zero_rhs(tmp_path)
+    assert run_cli(["solve-linear", "--mu", "0", "--rhs", rhs, "--plot"], tmp_path / "out") == 0
+    svg = ElementTree.parse(tmp_path / "out" / "solution.svg").getroot()
+    points = [point.split(",") for point in
+              svg.find("{http://www.w3.org/2000/svg}polyline").get("points").split()]
+    assert len(points) == nodes
+    assert {y for _, y in points} == {"320.00"}  # the bottom of the 360-high plot, less its pad
+    assert (points[0][0], points[-1][0]) == ("40.00", "600.00")
 
 
 @pytest.mark.parametrize("mu", ["0", "2"])
@@ -525,23 +579,22 @@ def test_unreadable_input_is_a_usage_error(tmp_path, capsys):
 
 IMPORT_PROBE = """
 import json, sys
-import numpy as np
 
 def scipy_loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+def package_loaded():
+    return sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("acylsoliton."))
 
 import acylsoliton, acylsoliton.cli
 out, provider, names = sys.argv[1], sys.argv[2], sys.argv[3:]
 if provider == "scipy":  # as when numpy links no scipy-openblas64
     acylsoliton._lapack._numpy_core = lambda: "no-such-library.so"
-steps = [("import", 0, scipy_loaded(), "_hashlib" in sys.modules)]
-rhs = acylsoliton.GridFunction.sample(
-    lambda t: np.exp(-1.5 * t) * np.clip(t / 2, 0, 1) ** 4, -12.0, 20.0, 0.01)
-rhs.to_csv(out + "/rhs.csv")
+steps = [("import", 0, scipy_loaded(), "_hashlib" in sys.modules, package_loaded())]
 extra = {"solve-linear": ["--rhs", out + "/rhs.csv"], "solve-ma": ["--rhs", "manufactured"]}
 for name in names:
     code = acylsoliton.cli.run([name, *extra.get(name, []), "--output", out + "/" + name])
-    steps.append((name, code, scipy_loaded(), "_hashlib" in sys.modules))
+    steps.append((name, code, scipy_loaded(), "_hashlib" in sys.modules, package_loaded()))
 same_flapack = None
 if provider == "scipy":  # the solves' module is the attribute scipy.linalg._flapack
     import scipy.linalg
@@ -560,12 +613,17 @@ def _fresh_python(args, cwd):
 
 
 def _import_probe(out, names, provider="chosen"):
+    """(steps, same_flapack, openssl, modules) of a fresh interpreter that runs the
+    commands names in turn, writing into out: per step its (exit code, SciPy
+    modules loaded), whether _hashlib is loaded and the acylsoliton modules loaded."""
+    decaying_rhs(out)  # solve-linear's rhs, written here so that the probe loads only what runs
     done = _fresh_python(["-c", IMPORT_PROBE, str(out), provider, *names], None)
     assert done.returncode == 0, done.stderr
     probe = json.loads(done.stdout)
-    steps = {name: (code, loaded) for name, code, loaded, _ in probe["steps"]}
-    openssl = {name: hashlib_loaded for name, *_, hashlib_loaded in probe["steps"]}
-    return steps, probe["same_flapack"], openssl
+    steps = {name: (code, loaded) for name, code, loaded, *_ in probe["steps"]}
+    openssl = {name: hashlib_loaded for name, _, _, hashlib_loaded, _ in probe["steps"]}
+    modules = {name: package for name, *_, package in probe["steps"]}
+    return steps, probe["same_flapack"], openssl, modules
 
 
 def _versions(out, names):
@@ -576,7 +634,7 @@ def _versions(out, names):
 def test_scipy_is_imported_only_by_the_commands_that_call_it(tmp_path):
     """With SciPy's extension as the LAPACK provider (numpy without
     scipy-openblas64), SciPy loads on the first solve and not before."""
-    steps, same_flapack, _ = _import_probe(tmp_path, COMMANDS, "scipy")
+    steps, same_flapack, _, _ = _import_probe(tmp_path, COMMANDS, "scipy")
     assert list(steps) == ["import", *COMMANDS]
     assert all(code == 0 for code, _ in steps.values())
     for name in ("import", "spectrum", "weights"):
@@ -585,7 +643,7 @@ def test_scipy_is_imported_only_by_the_commands_that_call_it(tmp_path):
     # solve-linear loads the extension first above; the others load it on their own
     (tmp_path / "alone").mkdir()
     for name in ("solve-ma", "verify", "report"):
-        alone, _, _ = _import_probe(tmp_path / "alone", [name], "scipy")
+        alone, _, _, _ = _import_probe(tmp_path / "alone", [name], "scipy")
         assert alone[name][0] == 0 and "scipy.linalg._flapack" in alone[name][1], name
     # the provider's module is the one scipy.linalg itself holds
     assert same_flapack is True
@@ -602,7 +660,7 @@ def test_scipy_is_imported_only_by_the_commands_that_call_it(tmp_path):
 def test_no_command_imports_scipy_with_numpys_openblas(tmp_path):
     """Where numpy's OpenBLAS has the four routines, none of the seven commands
     imports any scipy module, and the manifest names that OpenBLAS."""
-    steps, _, _ = _import_probe(tmp_path, COMMANDS)
+    steps, _, _, _ = _import_probe(tmp_path, COMMANDS)
     assert steps == {name: (0, []) for name in ["import", *COMMANDS]}
     versions = _versions(tmp_path, COMMANDS)
     for name in ("spectrum", "weights"):
@@ -616,9 +674,34 @@ def test_no_command_imports_scipy_with_numpys_openblas(tmp_path):
 def test_no_command_loads_openssl(tmp_path):
     """The digests come from CPython's built-in SHA-256, so neither the import
     nor any of the seven commands loads hashlib's OpenSSL module _hashlib."""
-    steps, _, openssl = _import_probe(tmp_path, COMMANDS)
+    steps, _, openssl, _ = _import_probe(tmp_path, COMMANDS)
     assert all(code == 0 for code, _ in steps.values())
     assert openssl == dict.fromkeys(["import", *COMMANDS], False)
+
+
+# command -> the acylsoliton modules it loads when it runs alone in a fresh process
+COMMAND_MODULES = {
+    "spectrum": "_lapack cli errors spectrum",
+    "weights": "_lapack cli errors spectrum weights",
+    "solve-linear": "_lapack cli drift errors fd grids models norms spectrum",
+    "solve-ma": "_lapack cli continuity errors fd grids models norms spectrum",
+    "verify": "_lapack cli diagnostics errors fd grids models norms spectrum",
+    "report": "_lapack cli continuity diagnostics errors fd grids models norms spectrum weights",
+    "glue": "_lapack cli errors fd gluing grids models spectrum",
+}
+
+
+def test_each_command_alone_loads_exactly_its_modules(tmp_path):
+    """The exact package modules of each command, run alone.  The Newton
+    solver's band march is continuity's own, so solve-ma and report leave drift
+    (the linear mode solve) unloaded."""
+    assert list(COMMAND_MODULES) == COMMANDS
+    for name, modules in COMMAND_MODULES.items():
+        (tmp_path / name).mkdir()
+        steps, _, _, loaded = _import_probe(tmp_path / name, [name])
+        assert steps[name][0] == 0, name
+        assert loaded["import"] == "_lapack cli errors spectrum".split()
+        assert loaded[name] == modules.split(), name
 
 
 def test_glue_alone_imports_no_scipy(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import acylsoliton as ak
-from acylsoliton import drift
+from acylsoliton import continuity, drift
 from conftest import fresh_residual, jacobian_gaps, newton_rows
 from oracles import interior_drift, manufactured_forcing_fn
 
@@ -205,10 +205,10 @@ def reference_step(newton, v, s):
     if newton.neumann_inner:
         dv0 = (rhs[0] / sup[0] + v[1] - 3.0 * v[0]) / (3.0 - sub[0] / sup[0])
         rhs[0] += sub[0] * dv0
-        return np.concatenate(([dv0], drift.forward_march(ab, rhs[:, None])[:, 0]))
+        return np.concatenate(([dv0], continuity._forward_march(ab, rhs[:, None])[:, 0]))
     columns = np.zeros((len(rhs), 2), order="F")
     columns[:, 0], columns[0, 1] = rhs, sub[0]
-    y, z = drift.forward_march(ab, columns).T
+    y, z = continuity._forward_march(ab, columns).T
     dv0 = -(np.sum(v) + np.sum(y)) / (1.0 + np.sum(z))
     return np.concatenate(([dv0], y + dv0 * z))
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import acylsoliton as ak
-from acylsoliton import drift
+from acylsoliton import continuity, drift
 from oracles import interior_drift
 
 CYL_GRID = (0.0, 20.0, 0.01)
@@ -254,5 +254,10 @@ def test_non_finite_march_is_flagged(bad):
         rhs = np.ones((3, 2), order="F")
         rhs[node, column] = bad
         with pytest.raises(ak.SingularSystem, match="non-finite"):
-            drift.forward_march(ab, rhs)
-    assert drift.forward_march(ab, np.ones((3, 1), order="F")).tolist() == [[1.0]] * 3
+            continuity._forward_march(ab, rhs)
+    assert continuity._forward_march(ab, np.ones((3, 1), order="F")).tolist() == [[1.0]] * 3
+
+
+def test_solve_field_without_modes_is_empty():
+    cs = ak.CrossSection(2 * np.pi, ak.square_lattice())
+    assert ak.solve_field(ak.cigar_model(2), cs, {}) == {}

@@ -14,7 +14,7 @@ import pytest
 import scipy.linalg
 
 import acylsoliton as ak
-from acylsoliton import _lapack, diagnostics, drift
+from acylsoliton import _lapack, continuity, diagnostics, drift
 from acylsoliton.cli import parse_config
 from acylsoliton.continuity import ContinuityConfig, _RadialNewton
 from conftest import fresh_residual
@@ -267,8 +267,8 @@ def test_openblas_binding_copies_what_f2py_copies():
 
 def test_banded_solve_raises_singular_system(monkeypatch):
     """On either provider, solve_mode refuses non-finite rows and a singular
-    matrix before it reads a backward error, and forward_march a singular
-    band; the rows are made by hand on a 6-node grid."""
+    matrix before it reads a backward error, and continuity._forward_march a
+    singular band; the rows are made by hand on a 6-node grid."""
     n = 6
     problem = ak.ModeProblem(model=MODELS["cylinder"], mu=0.0,
                              rhs=ak.GridFunction.sample(np.exp, 0.0, 0.5, 0.1))
@@ -290,9 +290,9 @@ def test_banded_solve_raises_singular_system(monkeypatch):
             solve((zero, singular, zero, b))
         ab = np.asfortranarray([singular, np.append(zero, 0.0)])
         with pytest.raises(ak.SingularSystem, match="singular matrix"):
-            drift.forward_march(ab, np.ones((n, 1), order="F"))
+            continuity._forward_march(ab, np.ones((n, 1), order="F"))
         with pytest.raises(ak.SingularSystem, match="non-finite solution"):
-            drift.forward_march(np.asfortranarray([diag, np.append(zero, 0.0)]),
+            continuity._forward_march(np.asfortranarray([diag, np.append(zero, 0.0)]),
                                 np.full((n, 1), np.inf, order="F"))
 
 

@@ -22,6 +22,7 @@ import pytest
 
 import acylsoliton as ak
 from acylsoliton.cli import run
+from conftest import strict_json
 
 FIXTURE = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
                        "F_manufactured_cigar.csv")
@@ -118,3 +119,13 @@ def test_output_bytes_pinned(outputs, output):
     name, file = output.split("/")
     digest = hashlib.sha256((outputs[name] / file).read_bytes()).hexdigest()
     assert digest == DIGESTS[output]
+
+
+def test_every_json_output_is_strict(outputs):
+    """Every JSON file of the runs, manifest.json included, parses with the
+    non-standard constants NaN and Infinity refused."""
+    files = [path / file for path in outputs.values() for file in os.listdir(path)
+             if file.endswith(".json")]
+    assert len(files) == len(outputs) + 6  # a manifest per run, and six result files
+    for file in files:
+        strict_json(file)
