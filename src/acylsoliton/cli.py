@@ -214,6 +214,7 @@ class Run:
         os.makedirs(self.outdir, exist_ok=True)
         self.start = time.monotonic()
         self.notes = {}
+        self.error = None  # the manifest's error line of a run that fails its checks
         self.inputs = {}
         for path in input_paths:
             with open(path, "rb") as fh:
@@ -412,8 +413,11 @@ def _cmd_report(cfg, run, args):
     payload["fredholm_window_clear"] = fredholm_ok
     payload["fredholm_margin"] = margin
     run.write_json("report.json", payload)
-    ok = report.passed and exact < 1e-12 and fredholm_ok
-    return EXIT_OK if ok else EXIT_VERIFICATION
+    failed = [line for line in report.summary_lines() if line.startswith("[FAIL]")]
+    if failed:  # one line per failed check on stderr; the first is the manifest's error
+        print(*failed, sep="\n", file=sys.stderr)
+        run.error = failed[0]
+    return EXIT_OK if not failed and exact < 1e-12 and fredholm_ok else EXIT_VERIFICATION
 
 
 # flag -> argparse options; a dest that is a config key makes the flag set that key
@@ -520,7 +524,7 @@ def run(argv=None):
         print(error, file=sys.stderr)
     finally:
         if runner is not None:  # every exit after the run starts finishes its manifest
-            runner.write_manifest(code, error)
+            runner.write_manifest(code, error or runner.error)
     return code
 
 

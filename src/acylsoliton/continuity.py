@@ -49,7 +49,7 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from . import _lapack, fd
+from . import _lapack
 from .errors import ContinuityStalled, DomainError, NewtonDiverged, PositivityLost, SingularSystem
 from .grids import RadialPotential, uniform_nodes
 from .models import half_hessian, radial_derivatives, radial_increments
@@ -168,7 +168,7 @@ class _RadialNewton:
     update keeps phi'(t_min) = 0, matching smoothness at the center) or the
     Dirichlet row sum(v) = psi(t_max) = 0 (cylinder; the inner Dirichlet is
     the anchoring itself).  The Jacobian is exact, so Newton converges
-    quadratically.
+    quadratically.  It takes any grid of at least 3 nodes (one interior row).
 
     The solver lives for one continuity_solve (or uniqueness_check) and owns
     its grid-sized arrays for that long: a, two increment buffers, s F, the
@@ -186,8 +186,8 @@ class _RadialNewton:
     """
 
     def __init__(self, model, forcing, config):
-        if len(forcing.values) < fd.MIN_NODES:  # the path record's edge stencils
-            raise DomainError(f"the radial solve needs at least {fd.MIN_NODES} grid nodes, "
+        if len(forcing.values) < 3:  # an interior row, and the Neumann row's two increments
+            raise DomainError("the radial solve needs at least 3 grid nodes, "
                               f"got {len(forcing.values)}")
         self.cfg = config
         self.forcing = forcing.values
@@ -321,15 +321,13 @@ def _sup_abs(x):
 
 
 def _make_record(newton, it, s, iterations, f, weight):
-    """The StepRecord of the iterate newton.solve returned, formed in newton.idle(it.v);
-    f and weight are the model's f and e^{RECORD_WEIGHT t} on the grid."""
-    d1, d2 = fd.increment_edges(it.v, newton.h)  # end nodes; inside, the iterate is read
-    ratio = 1.0 + d2 / (2.0 * newton.a[[0, -1]])
+    """The StepRecord of the iterate newton.solve returned, formed in newton.idle(it.v),
+    at the interior nodes, whose rows the solver solves (the weighted sup of phi reads
+    every sample); f and weight are the model's f and e^{RECORD_WEIGHT t} on the grid."""
     samples = newton.idle(it.v)
-    inner = samples[1:]
     # (psi''/2)/a is the psi''/(2a) of increment_derivatives to the bit, as h**2 == h*h
-    max_ratio = 1.0 + np.max(np.divide(it.half_dd, newton.a[1:-1], out=inner))
-    inf_drift = np.min(np.add(f[1:-1], it.slope, out=inner))
+    max_ratio = 1.0 + np.max(np.divide(it.half_dd, newton.a[1:-1], out=samples[1:]))
+    inf_drift = np.min(np.add(f[1:-1], it.slope, out=samples[1:]))
     # -phi but for the last sample, 0, which cannot raise the weighted max; w |phi| = |w phi|
     np.cumsum(it.v[::-1], out=samples[::-1])
     weighted = _sup_abs(np.multiply(weight[:-1], samples, out=samples))
@@ -337,11 +335,11 @@ def _make_record(newton, it, s, iterations, f, weight):
         s=s,
         newton_iterations=iterations,
         sup_residual=it.sup,
-        min_metric_ratio=float(min(it.min_ratio, *ratio)),
-        max_metric_ratio=float(max(max_ratio, *ratio)),
+        min_metric_ratio=it.min_ratio,
+        max_metric_ratio=float(max_ratio),
         weighted_sup_phi=weighted,
-        inf_drift_potential=float(min(inf_drift, *(f[[0, -1]] + d1))),
-        sup_radial_derivative=float(max(_sup_abs(it.slope), *np.abs(d1))),
+        inf_drift_potential=float(inf_drift),
+        sup_radial_derivative=_sup_abs(it.slope),
     )
 
 

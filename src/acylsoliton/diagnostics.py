@@ -218,12 +218,12 @@ def _check_ge(name, value, threshold):
 def verify_solution(model, solution, forcing, metadata=None):
     """Verification report for a converged continuity solution.
 
-    Checks: Monge-Ampere residual at s = 1 (sup <= 1e-9; inf where a + phi''/2 <= 0 at
-    some node, so the check fails instead of raising); decay-rate transfer from the
-    forcing (capped at the Fredholm window edge 2); two-sided metric
-    equivalence along the path; the drift-potential lower bound
-    inf(f + X(phi)/2) >= 1; and the path-uniform weighted bound (no record
-    exceeds 10x its final value).
+    Checks: Monge-Ampere residual at s = 1 (sup <= 1e-9 over every node, the ends by
+    one-sided stencils; inf where a + phi''/2 <= 0 at some node, so the check fails
+    instead of raising); decay-rate transfer from the forcing (capped at the Fredholm
+    window edge 2); and over the path records (derivatives at the interior nodes, whose
+    rows the solver solves): two-sided metric equivalence, the drift-potential lower
+    bound inf(f + X(phi)/2) >= 1 and the weighted bound (no record exceeds 10x its final value).
     """
     from .continuity import ma_residual_radial
 

@@ -79,12 +79,15 @@ def run_cli(args, outdir):
 
 def finished_manifest(outdir, code, err=None):
     """The manifest of a run that exited with code, checked to be the final write.
-    A failed run (exit 1, 2 or 3) records its stderr line err as error; exits 0
-    and 4 record none."""
+    A failed run (exit 1, 2 or 3) records its stderr line err as error; a run
+    that fails its checks (exit 4) records the first of err's lines; exit 0
+    records none."""
     manifest = strict_json(outdir / "manifest.json")
     assert manifest["exit_code"] == code and manifest["wall_time_s"] is not None
-    if code in (EXIT_OK, EXIT_VERIFICATION):
+    if code == EXIT_OK:
         assert "error" not in manifest
+    elif code == EXIT_VERIFICATION:
+        assert manifest["error"] == err.splitlines()[0]
     else:
         assert manifest["error"] + "\n" == err
     return manifest
@@ -379,10 +382,10 @@ def test_solve_ma_exits_as_the_library_on_the_grid_lattice(tmp_path, capsys):
 
 def test_solve_ma_short_forcing_is_a_usage_error(tmp_path, capsys):
     short = tmp_path / "short.csv"
-    ak.GridFunction.sample(lambda t: 0.1 * np.exp(-t), 0.0, 0.4, 0.1).to_csv(short)
+    ak.GridFunction.sample(lambda t: 0.1 * np.exp(-t), 0.0, 0.1, 0.1).to_csv(short)
     assert run_cli(["solve-ma", "--model", "cylinder", "--rhs", str(short)], tmp_path / "out") == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: the radial solve needs at least 6 grid nodes, got 5")
+    assert err.startswith("error: the radial solve needs at least 3 grid nodes, got 2")
     assert "Traceback" not in err
     finished_manifest(tmp_path / "out", 1, err)
 
@@ -974,15 +977,21 @@ def test_report_rejects_a_model_other_than_the_cigar(tmp_path, capsys, kind):
     finished_manifest(tmp_path / "out", 1, err)
 
 
-def test_report_failing_check_exits_4_with_a_finished_manifest(tmp_path):
+def test_report_failing_check_exits_4_with_a_finished_manifest(tmp_path, capsys):
     """On t_min = 0 the manufactured Monge-Ampere residual check fails (2.2e-6 at
-    h = 0.01): report.json says so and the manifest records exit 4."""
+    h = 0.01): report.json says so, stderr names the check, and the manifest
+    records exit 4 with that line as its error."""
     config = tmp_path / "cut.cfg"
     config.write_text("grid.t_min = 0\n")
     assert run_cli(["report", "--config", str(config)], tmp_path / "out") == 4
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["passed"] is False
-    assert "lapack" in finished_manifest(tmp_path / "out", 4)["versions"]
+    captured = capsys.readouterr()
+    failed = [c for c in report["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["monge_ampere_residual_sup"]
+    assert captured.err == f"[FAIL] monge_ampere_residual_sup: {failed[0]['value']:.6g} <= 1e-09\n"
+    manifest = finished_manifest(tmp_path / "out", 4, captured.err)
+    assert "lapack" in manifest["versions"]
 
 
 def test_manifest_written_before_outputs(tmp_path, monkeypatch, capsys):

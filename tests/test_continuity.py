@@ -214,12 +214,13 @@ def reference_step(newton, v, s):
 
 
 def reference_record(newton, f, weight, v, s, iterations, sup_residual):
-    """A StepRecord with the derivatives rebuilt by fd.increment_derivatives."""
+    """A StepRecord with the derivatives rebuilt by fd.increment_derivatives and
+    read at the interior nodes, whose rows the solver solves."""
     from acylsoliton import fd
     from acylsoliton.continuity import StepRecord, _decaying
 
-    d1psi, d2psi = fd.increment_derivatives(v, newton.h)
-    ratio = 1.0 + d2psi / (2.0 * newton.a)
+    d1psi, d2psi = (d[1:-1] for d in fd.increment_derivatives(v, newton.h))
+    ratio = 1.0 + d2psi / (2.0 * newton.a[1:-1])
     return StepRecord(
         s=s,
         newton_iterations=iterations,
@@ -227,7 +228,7 @@ def reference_record(newton, f, weight, v, s, iterations, sup_residual):
         min_metric_ratio=float(np.min(ratio)),
         max_metric_ratio=float(np.max(ratio)),
         weighted_sup_phi=float(np.max(weight * np.abs(_decaying(v)))),
-        inf_drift_potential=float(np.min(f + d1psi)),
+        inf_drift_potential=float(np.min(f[1:-1] + d1psi)),
         sup_radial_derivative=float(np.max(np.abs(d1psi))),
     )
 
@@ -522,12 +523,28 @@ def test_short_grid_is_rejected_before_any_newton_step(cylinder, monkeypatch):
     newton_step = cont._RadialNewton._newton_step
     monkeypatch.setattr(cont._RadialNewton, "_newton_step",
                         lambda self, it: steps.append(it) or newton_step(self, it))
-    forcing = ak.GridFunction.sample(lambda t: 0.1 * np.exp(-t), 0.0, 0.4, 0.1)  # 5 nodes
-    with pytest.raises(ak.DomainError, match="at least 6 grid nodes, got 5"):
+    forcing = ak.GridFunction.sample(lambda t: 0.1 * np.exp(-t), 0.0, 0.1, 0.1)  # 2 nodes
+    with pytest.raises(ak.DomainError, match="at least 3 grid nodes, got 2"):
         ak.continuity_solve(cylinder, forcing)
-    with pytest.raises(ak.DomainError, match="at least 6 grid nodes, got 5"):
+    with pytest.raises(ak.DomainError, match="at least 3 grid nodes, got 2"):
         ak.uniqueness_check(cylinder, forcing, initializations=[forcing.zeros_like()] * 2)
     assert steps == []
+
+
+@pytest.mark.parametrize("kind", ["cigar", "cylinder"])
+def test_three_node_grid_solves(kind):
+    """One interior row and the boundary row are a whole problem: the solve
+    converges, and its phi meets both rows when they are formed from its samples."""
+    model = ak.cigar_model(2) if kind == "cigar" else ak.cylinder_model(2)
+    forcing = ak.GridFunction.sample(lambda t: 0.5 * np.exp(-t), 0.0, 0.2, 0.1)  # 3 nodes
+    solution = ak.continuity_solve(model, forcing)
+    assert solution.records[-1].sup_residual <= ak.ContinuityConfig().newton_tol
+    (p0, p1, p2), h = solution.phi.values, forcing.h
+    a1 = model.sample_a(forcing.t)[1]
+    row = np.log1p((p2 - 2.0 * p1 + p0) / (2.0 * a1 * h * h)) + (p2 - p0) / (2.0 * h)
+    assert abs(row - forcing.values[1]) <= 1e-9
+    boundary = (-3.0 * p0 + 4.0 * p1 - p2) / (2.0 * h) if kind == "cigar" else p2 - p0
+    assert abs(boundary) <= 1e-12
 
 
 def test_uniqueness_rejects_inadmissible_start(cigar, zero_field):

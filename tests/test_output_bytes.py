@@ -56,7 +56,7 @@ DIGESTS = {
     "solve_linear/solution.csv":
         "ebf2347ea34da129b4ba7dcb9f3627f1a6dda1217b9641ec7ef4a17576608275",
     "solve_ma/path.json":
-        "4072ba806dd7732406330e82e0d67ce3471597553db6e55a8bb26e2bf7965083",
+        "1f3a26137ecee684f72c3fd36ea1a94dc630c1d943a25bb038d294bab4b32c55",
     "solve_ma/phi.csv":
         "10a1de134df89f0db3dbf66cee8e8bd50f88029d9accd0bed56b01a7d19196e4",
     "glue/coefficient.csv":
@@ -68,13 +68,13 @@ DIGESTS = {
     "verify/poincare.json":
         "d7384840b11b2cdb8e26e58b53e49a038bf21305a254c25982576d417583555b",
     "report/report.json":
-        "d9e950de27b56a2e3f4ab40193b20688117a098febbc955eaa6eea6f891efdcd",
+        "a0ec3fcbc40570b4183c048b396e507618742e290e331afa6a76221e147d605b",
     "solve_ma_glued/path.json":
-        "683f4aa51b5bfd92561167be8146723e06d9c137e9b86b94e3bc7ea486b1d62a",
+        "b245e29ef6173bbdceca77755a159ecdbdc9c4f1ec5013cf7810b2bf6e317095",
     "solve_ma_glued/phi.csv":
         "3b48a352dc5bcc96304f6044318ccd7cecd4f228d9fd66da285e4bbc92b49172",
     "solve_ma_cylinder/path.json":
-        "3410f6f3b892cb9601a2aa3739a5ef347ee216645c88839b900c814b2e2c666b",
+        "5782ccd56b4d2ad9c26e4896d39f8a5cd8863bea13a3c5045802934a4dafe740",
     "solve_ma_cylinder/phi.csv":
         "704c878f23e83193b22f69fd31e718865d69f18a2798d5807c9149b3fdaeaeec",
     "solve_ma_cylinder/phi.svg":
