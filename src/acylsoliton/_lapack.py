@@ -11,6 +11,9 @@ routine whichever library serves it:
     dstebz(d, e, range, vl, vu, il, iu) -> (m, w, info), range "V" or "I",
                                          ABSTOL = 0, ORDER = "E"
 
+solved() checks what dgtsv and dtbtrs return, raising SingularSystem for a
+singular matrix, an illegal argument or a non-finite solution.
+
 The first choice is the OpenBLAS that numpy's wheels link, which
 `import numpy` has already mapped: it exports the LAPACK routines with
 64-bit integers as scipy_<name>_64_.  They are bound with ctypes, which
@@ -43,6 +46,8 @@ neither exists.
 import ctypes
 
 import numpy as np
+
+from .errors import SingularSystem
 
 _INT, _DOUBLE, _PTR, _LEN = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_size_t
 _INT_P, _DOUBLE_P = ctypes.POINTER(_INT), ctypes.POINTER(_DOUBLE)
@@ -173,6 +178,17 @@ def provider():
         except (ImportError, OSError, AttributeError):  # no such module, library or symbol
             _provider = _SciPy()
     return _provider
+
+
+def solved(x, info, routine):
+    """x, the solution LAPACK's d<routine> returned with info; raises SingularSystem
+    when info reports a singular matrix or an illegal argument, or x is not finite."""
+    if info:
+        raise SingularSystem("singular matrix" if info > 0
+                             else f"illegal value in argument {-info} of LAPACK {routine}")
+    if not (np.isfinite(np.min(x)) and np.isfinite(np.max(x))):  # nan reaches both
+        raise SingularSystem("non-finite solution; check boundary policy and weights")
+    return x
 
 
 def chosen():

@@ -278,13 +278,14 @@ class Run:
 
 
 def _cmd_spectrum(cfg, run, args):
-    from .spectrum import spectra, spectrum_to_csv
+    from .spectrum import invariant_spectrum, spectrum, spectrum_to_csv
 
     cs = _build_cross_section(cfg)
-    full, invariant = spectra(cs, cfg.weights_mu_max)
+    full = spectrum(cs, cfg.weights_mu_max)
     spectrum_to_csv(full, run.path("spectrum.csv"))
     if cs.quotient is not None:
-        spectrum_to_csv(invariant, run.path("invariant_spectrum.csv"))
+        spectrum_to_csv(invariant_spectrum(cs, cfg.weights_mu_max),
+                        run.path("invariant_spectrum.csv"))
     run.notes["modes"] = sum(m for _, m in full)
     return EXIT_OK
 

@@ -304,14 +304,9 @@ def _march_bands(a_phi, h, rows):
 
 def _forward_march(ab, rhs):
     """x with ab[0, i] x_i + ab[1, i-1] x_{i-1} = rhs_i (x_{-1} = 0), column by column,
-    by dtbtrs on the band array of _march_bands; a Fortran-ordered rhs is overwritten."""
-    x, info = _lapack.provider().dtbtrs(ab, rhs)
-    if info:
-        raise SingularSystem("singular matrix" if info > 0
-                             else f"illegal value in argument {-info} of LAPACK tbtrs")
-    if not (np.isfinite(np.min(x)) and np.isfinite(np.max(x))):  # nan reaches both
-        raise SingularSystem("non-finite solution; check boundary policy and weights")
-    return x
+    by dtbtrs on the band array of _march_bands, checked by _lapack.solved; a
+    Fortran-ordered rhs is overwritten."""
+    return _lapack.solved(*_lapack.provider().dtbtrs(ab, rhs), "tbtrs")
 
 
 def _sup_abs(x):

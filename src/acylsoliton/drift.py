@@ -120,12 +120,7 @@ def solve_mode(problem):
     rows = _mode_rows(problem)
     if not all(np.all(np.isfinite(x)) for x in rows):
         raise SingularSystem("array must not contain infs or NaNs")
-    u, info = _lapack.provider().dgtsv(*rows)
-    if info:
-        raise SingularSystem("singular matrix" if info > 0
-                             else f"illegal value in argument {-info} of LAPACK gtsv")
-    if not (np.isfinite(np.min(u)) and np.isfinite(np.max(u))):  # nan reaches both
-        raise SingularSystem("non-finite solution; check boundary policy and weights")
+    u = _lapack.solved(*_lapack.provider().dgtsv(*rows), "gtsv")
     rel = _backward_error(rows, u)
     if rel > RESIDUAL_RTOL:
         raise SingularSystem(f"interior residual {rel:.3e} exceeds {RESIDUAL_RTOL:.0e}")

@@ -5,13 +5,15 @@ k* in the dual lattice with coefficients alpha; the eigenvalue is
 mu = (2 pi j / l_theta)^2 + mu_torus(alpha) with mu_torus = |2 pi k*|^2.  The
 alpha are enumerated over the ellipsoid mu_torus <= mu_max (Fincke and Pohst,
 Math. Comp. 44 (1985), one level), at a cost of the kept vectors plus at most
-two candidates per prefix.  The spectrum is symmetric under conjugation
-(j, alpha) -> (-j, -alpha): mu_torus(-alpha) has the same bits as
-mu_torus(alpha), -alpha has the orbit size of alpha (R is linear), and
-m | j L exactly when m | -j L.  So only one alpha of each pair +-alpha != 0
-is enumerated and counted twice, and j runs over 0..j_max with weight 2 for
-j > 0.  On S^1 x T^4 at mu_max 100 that is 29 012 candidates for 24 844
-pairs, where the whole ellipsoid took 58 025 for 49 689 vectors and the
+two candidates per prefix.  The prefixes lie in the box |alpha_i| <= a_max,
+the largest per-axis bound sqrt(mu_max (G^-1)_ii) of alpha^T G alpha <= mu_max
+(G the dual Gram matrix), which needs no eigensolver.  The spectrum is
+symmetric under conjugation (j, alpha) -> (-j, -alpha): mu_torus(-alpha) has
+the same bits as mu_torus(alpha), -alpha has the orbit size of alpha (R is
+linear), and m | j L exactly when m | -j L.  So only one alpha of each pair
++-alpha != 0 is enumerated and counted twice, and j runs over 0..j_max with
+weight 2 for j > 0.  On S^1 x T^4 at mu_max 100 that is 29 012 candidates for
+24 844 pairs, where the whole ellipsoid took 58 025 for 49 689 vectors and the
 integer box [-a_max, a_max]^4 194 481.
 
 A finite cyclic quotient (theta shift by 2 pi/m together with an integer
@@ -22,12 +24,11 @@ subspace: 1 if m divides j * L, where the orbit size L of alpha is the least
 L >= 1 with (R^T)^L alpha = alpha.  So the lattice vectors are reduced, for
 each L = 1..m, to their distinct torus values with member counts (np.unique
 with counts, no inverse), and j is broadcast against these groups only; the
-full spectrum is the order-1 case m = 1, R = I, and spectra() forms both
-from one enumeration.  The kept eigenvalues are sorted once.  Each gap of more
-than MERGE_TOL between neighbours starts a new cluster, so a run of closer
-gaps is one cluster, reported at its smallest value, and np.add.reduceat sums
-the integer weights of each cluster, so the order of the groups does not
-matter.
+full spectrum is the order-1 case m = 1, R = I.  The kept eigenvalues are
+sorted once.  Each gap of more than MERGE_TOL between neighbours starts a new
+cluster, so a run of closer gaps is one cluster, reported at its smallest
+value, and np.add.reduceat sums the integer weights of each cluster, so the
+order of the groups does not matter.
 """
 
 from dataclasses import dataclass, field
@@ -138,16 +139,6 @@ def invariant_spectrum(cs, mu_max):
     return _grouped(cs.circle_length, bound, torus, size, m)
 
 
-def spectra(cs, mu_max):
-    """(spectrum(cs, mu_max), invariant_spectrum(cs, mu_max)) from one enumeration
-    of the lattice; with no quotient both are the same list."""
-    bound, torus, size = _lattice_modes(cs, mu_max, cs.quotient)
-    full = _grouped(cs.circle_length, bound, torus, None, 1)
-    if cs.quotient is None:
-        return full, full
-    return full, _grouped(cs.circle_length, bound, torus, size, cs.quotient.order)
-
-
 def _lattice_modes(cs, mu_max, quotient):
     """bound = mu_max + MERGE_TOL, the torus values <= bound of the enumerated alpha
     (one of each pair +-alpha != 0) and their orbit sizes under quotient (all 1 if None)."""
@@ -156,8 +147,10 @@ def _lattice_modes(cs, mu_max, quotient):
     bound = mu_max + MERGE_TOL
     gram = cs.dual_gram
     d = gram.shape[0]
-    # |alpha| bound from the smallest eigenvalue of the dual Gram matrix
-    a_max = int(np.floor(np.sqrt(bound / np.linalg.eigvalsh(gram)[0]))) if d > 0 else 0
+    # alpha^T G alpha <= bound gives |alpha_i| <= sqrt(bound (G^-1)_ii) (Fincke and
+    # Pohst); the box takes the largest, with _ellipsoid's rounding slack
+    widest = np.max(np.linalg.inv(gram).diagonal(), initial=0.0)
+    a_max = int(np.sqrt(bound * (1 + 1e-9) * widest))
     m, R = (quotient.order, quotient.lattice_map) if quotient else (1, np.eye(d))
     # narrowest integers holding every coefficient, R and the partial sums of alpha @ R
     dtype = np.min_scalar_type(-(a_max + 1) * int(np.abs(R).sum(axis=0).max(initial=1)))

@@ -278,6 +278,28 @@ def test_step_records_have_reference_bits(kind, h):
         v = it.v
 
 
+@pytest.mark.parametrize("h", [1e-2, 1e-3])
+@pytest.mark.parametrize("kind", ["cigar", "cylinder", "glued"])
+def test_solution_residual_has_the_newton_rows_bits(kind, h):
+    """At the solution, the interior of ma_residual_radial at s = 1 equals the rows
+    the Newton solver forms from the same increments, to the bit, so the path
+    records, read from those rows, describe the residual a caller recomputes."""
+    from acylsoliton.continuity import _RadialNewton
+
+    if kind == "glued":
+        model = ak.glued_model(ak.cigar_model(2))
+        forcing = ak.glued_forcing(model, (-12.0, 20.0, h))
+    else:
+        model = ak.cigar_model(2) if kind == "cigar" else ak.cylinder_model(2)
+        psi = ak.manufactured_potential((-12.0 if kind == "cigar" else 0.0, 20.0, h))
+        forcing = ak.ma_residual_radial(model, psi, None, 0.0)
+    phi = ak.continuity_solve(model, forcing).phi
+    newton = _RadialNewton(model, forcing, ak.ContinuityConfig())
+    rows = fresh_residual(newton, phi.increments, np.multiply(1.0, forcing.values[1:-1])).r
+    assert ak.ma_residual_radial(model, phi, forcing, 1.0).values[1:-1].tobytes() == \
+        rows.tobytes()
+
+
 @pytest.mark.parametrize("kind", ["cigar", "cylinder"])
 def test_converged_start_in_idle_buffer_is_only_read(kind):
     """A converged start written into the solver's idle increment buffer, as the

@@ -64,7 +64,7 @@ def test_spectrum_matches_brute_force(circle_length, lattice_name):
 
 def test_invariant_spectrum_is_basis_invariant():
     # the hexagonal lattice in the skewed basis U B, with the rotation conjugated to
-    # U^-T R U^T = [[-8, -1], [57, 7]]: a_max grows 38 -> 240, past 8-bit coefficients
+    # U^-T R U^T = [[-8, -1], [57, 7]]: a_max grows 31 -> 238, past 8-bit coefficients
     U = np.array([[1, 7], [0, 1]])
     rotation = ak.hexagonal_rotation_quotient()
     skewed_map = np.round(np.linalg.inv(U)).astype(int).T @ rotation.lattice_map @ U.T
@@ -124,6 +124,39 @@ def test_pair_enumeration_matches_brute_force(case):
         assert (TWO_PI / circle) ** 2 > mu_max and sum(full.values()) == 161
 
 
+# mu_max is a torus value that is attained, by a mode whose largest coefficient
+# is a_max: (2, 20) in the skewed basis U (2 pi I), where G^-1 = U U^T has
+# condition number 1.04e4, (2, 1) on the hexagonal lattice and (2, 0, 0, 0) on
+# the four-torus
+EXACT_BOX_CASES = {
+    "skewed": (np.array([[1, 0], [10, 1]]) @ ak.square_lattice(), ak.negation_quotient(), 4.0),
+    "hexagonal": (ak.hexagonal_lattice(), ak.hexagonal_rotation_quotient(), 4.0),
+    "four_torus": (FOUR_TORUS, FOUR_TORUS_NEGATION, 4.0),
+}
+
+
+@pytest.mark.parametrize("case", list(EXACT_BOX_CASES))
+def test_box_without_eigensolver_is_exact(monkeypatch, case):
+    """The per-axis box sqrt(mu_max (G^-1)_ii) keeps every mode of the direct-box
+    oracles, whose box |alpha_i| <= |alpha| <= sqrt(mu_max trace G^-1) holds all,
+    and the enumeration calls no eigensolver."""
+    lattice, quotient, mu_max = EXACT_BOX_CASES[case]
+    full, invariant = (ak.CrossSection(TWO_PI, lattice, q) for q in (None, quotient))
+    box = int(np.ceil(np.sqrt(mu_max * np.trace(np.linalg.inv(full.dual_gram)))))
+    want_full = brute_force_spectrum(TWO_PI, lattice, mu_max, index_bound=box)
+    want_invariant = character_projection_spectrum(TWO_PI, lattice, quotient.order,
+                                                   quotient.lattice_map, mu_max,
+                                                   index_bound=box)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the lattice box called an eigensolver")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert as_dict(ak.spectrum(full, mu_max)) == as_dict(want_full)
+    assert as_dict(ak.invariant_spectrum(invariant, mu_max)) == as_dict(want_invariant)
+    assert as_dict(ak.invariant_spectrum(full, mu_max)) == as_dict(want_full)
+
+
 def test_invariant_spectrum_negation_quotient():
     cs = ak.CrossSection(TWO_PI, ak.square_lattice(), ak.negation_quotient())
     inv = as_dict(ak.invariant_spectrum(cs, 2.5))
@@ -171,7 +204,8 @@ def test_four_torus_negation_quotient_matches_character_projection():
 
 
 def test_mode_on_the_enumeration_bound_is_kept():
-    # sqrt(mu_max / lambda_min) rounds to just below 3 for the mode alpha = (3, 0)
+    # the mode alpha = (3, 0) is on the box's edge: sqrt(mu_max (G^-1)_ii) is 3.0
+    # to the bit, and sqrt(mu_max / lambda_min) rounded to just below 3
     lattice = 0.7 * np.eye(2)
     mu_max = 725.1137927330958
     got = ak.spectrum(ak.CrossSection(0.5, lattice), mu_max)
@@ -265,27 +299,15 @@ def test_merged_clusters_span_at_most_merge_tol(monkeypatch, circle, lattice, qu
         return cluster_starts(values)
 
     monkeypatch.setattr(spectrum_module, "_cluster_starts", recorded)
-    spectrum_module.spectra(ak.CrossSection(circle, lattice, quotient), mu_max)
+    cs = ak.CrossSection(circle, lattice, quotient)
+    ak.spectrum(cs, mu_max)
+    if quotient is not None:
+        ak.invariant_spectrum(cs, mu_max)
     assert len(sorted_values) == (1 if quotient is None else 2)
     for values in sorted_values:
         starts = np.flatnonzero(cluster_starts(values))
         ends = np.append(starts[1:], len(values)) - 1
         assert np.all(values[ends] - values[starts] <= MERGE_TOL)
-
-
-@pytest.mark.parametrize("circle,lattice,quotient,mu_max", [
-    (TWO_PI, ak.square_lattice(), None, 40.0),
-    (TWO_PI, FOUR_TORUS, FOUR_TORUS_NEGATION, 20.0),
-    (1.3, ak.square_lattice(), ak.negation_quotient(), 300.0),
-    (TWO_PI / np.sqrt(3), ak.hexagonal_lattice(), ak.hexagonal_rotation_quotient(), 60.0),
-], ids=["square", "four_torus_negation", "square_negation_short_circle",
-        "hexagonal_rotation_merge_order"])
-def test_spectra_share_one_enumeration(circle, lattice, quotient, mu_max):
-    """The CLI's one enumeration gives both lists of the two separate calls."""
-    from acylsoliton.spectrum import spectra
-
-    cs = ak.CrossSection(circle, lattice, quotient)
-    assert spectra(cs, mu_max) == (ak.spectrum(cs, mu_max), ak.invariant_spectrum(cs, mu_max))
 
 
 def test_invariant_multiplicities_bounded_by_full():
