@@ -34,10 +34,10 @@ the secant extrapolation v_k + (v_k - v_{k-1}) (s_{k+1} - s_k)/(s_k - s_{k-1})
 of the last two accepted points (s_0 = 0, v_0 = 0), or at v_k when that start
 is not admissible.  On the manufactured problems this takes 3 iterations at
 the first step and 2 at the others, against 3 at every step from v_k.  A
-solve allocates its 12 grid-sized arrays once (14 for the cylinder; named,
-with the rule each sharing rests on, by _RadialNewton), so neither a Newton
-iteration nor a continuation step allocates one, and every output has the
-bits of separate arrays.
+solve allocates its 12 grid-sized arrays once, for either inner closure
+(named, with the rule each sharing rests on, by _RadialNewton), so neither a
+Newton iteration nor a continuation step allocates one, and every output has
+the bits of separate arrays.
 
 The solve is single-threaded and deterministic; independent problem
 instances may run in parallel (no shared mutable state).
@@ -171,18 +171,18 @@ class _RadialNewton:
     quadratically.  It takes any grid of at least 3 nodes (one interior row).
 
     The solver lives for one continuity_solve (or uniqueness_check) and owns
-    its grid-sized arrays for that long: a, two increment buffers, s F, the
-    direction, the march rows (two arrays, whose first 2m values also hold
-    the (psi''/2, rows) pair; the cylinder adds two march columns) and a
-    scratch array; with the continuation's f, record weight and last two
-    accepted increments, 12.  Sharing is safe as the iterate's pair is dead
-    once the step has formed a_phi and the right-hand side from it, so the
-    march bands write over it, and the bands are dead once the march has
-    run, so trials write their pair over them; the scratch holds the
-    residual's psi' until the step writes a_phi and then a_phi/h over it, so
-    after solve it holds the iterate's psi'; a trial's v goes to idle(it.v),
-    so a start is only read; and after solve, idle(it.v) is free for the
-    path record and the secant start.
+    its grid-sized arrays for that long, one layout for either closure: a, two
+    increment buffers, s F, the direction, the march rows (two arrays, whose
+    first 2m values also hold the (psi''/2, rows) pair) and a scratch array;
+    with the continuation's f, record weight and last two accepted
+    increments, 12.  Sharing is safe as the iterate's pair is dead once the
+    step has formed a_phi and the right-hand side from it, so the march bands
+    write over it, and the bands are dead once the march has run, so trials
+    write their pair over them; the scratch holds the residual's psi' until
+    the step writes a_phi, a_phi/h and (Dirichlet) z over it, so after solve
+    it holds the iterate's psi'; a trial's v goes to idle(it.v), so a start
+    is only read; and after solve, idle(it.v) is free for the path record
+    and the secant start.
     """
 
     def __init__(self, model, forcing, config):
@@ -201,8 +201,7 @@ class _RadialNewton:
         self._direction = np.empty(m + 1)
         self._rows = np.zeros(2 * m + 1)  # _march_bands rows; the last element stays 0
         self._pair = (self._rows[:m], self._rows[m:2 * m])  # psi''/2 and the rows
-        self._columns = None if self.neumann_inner else np.empty((m, 2), order="F")
-        self._scratch = np.empty(m)  # psi' of the last residual, then a_phi and a_phi/h in a step
+        self._scratch = np.empty(m)  # psi' of the last residual, then a_phi, a_phi/h and z
 
     def idle(self, v):
         """The increment buffer that does not hold v (the second when v is neither)."""
@@ -238,12 +237,14 @@ class _RadialNewton:
             rhs[0] += sub0 * dv[0]
             _forward_march(ab, rhs[:, None])  # overwrites rhs with dv[1:]
         else:
-            # dv = y + dv_0 z, z the march of a unit dv_0; then sum(v + dv) = 0
-            columns = self._columns
-            columns[:, 0], columns[:, 1], columns[0, 1] = rhs, 0.0, sub0
-            y, z = _forward_march(ab, columns).T
-            dv[0] = -(np.sum(v) + np.sum(y)) / (1.0 + np.sum(z))
-            np.add(y, np.multiply(z, dv[0], out=rhs), out=rhs)
+            # dv = y + dv_0 z, y the march of rhs and z of a unit dv_0, each in place
+            # (z over a_phi/h, which the bands no longer need); then sum(v + dv) = 0
+            z = self._scratch
+            z[0], z[1:] = sub0, 0.0
+            _forward_march(ab, rhs[:, None])
+            _forward_march(ab, z[:, None])
+            dv[0] = -(np.sum(v) + np.sum(rhs)) / (1.0 + np.sum(z))
+            np.add(rhs, np.multiply(z, dv[0], out=z), out=rhs)
         return dv
 
     def solve(self, v, s):

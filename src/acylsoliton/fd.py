@@ -1,13 +1,15 @@
 """The finite-difference stencil on uniform grids.
 
-Every derivative along t in the package, first or second, comes from one
-stencil, increment_derivatives, which reads the increments v = diff(u) of
-the samples, not the samples: rounding then costs about eps |u'| / h
+Every derivative along t in the package, first or second, has the bits of
+one stencil, increment_derivatives, which reads the increments v = diff(u)
+of the samples, not the samples: rounding then costs about eps |u'| / h
 instead of eps |u| / h^2.  Interior nodes use 2nd-order central
-differences.  The two end nodes use one-sided stencils of order 4 so that
-boundary values of reported residuals are not the accuracy bottleneck (the
-radial operators divide second derivatives by coefficients as small as
-e^{2t}, which magnifies stencil truncation error near the inner end).
+differences; the Newton solver alone forms them inline, into its own
+buffers (continuity._RadialNewton.residual and _make_record), with the same
+bits.  The two end nodes use one-sided stencils of order 4 so that boundary
+values of reported residuals are not the accuracy bottleneck (the radial
+operators divide second derivatives by coefficients as small as e^{2t},
+which magnifies stencil truncation error near the inner end).
 """
 
 import numpy as np

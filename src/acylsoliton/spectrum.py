@@ -5,14 +5,15 @@ k* in the dual lattice with coefficients alpha; the eigenvalue is
 mu = (2 pi j / l_theta)^2 + mu_torus(alpha) with mu_torus = |2 pi k*|^2.  The
 alpha are enumerated over the ellipsoid mu_torus <= mu_max (Fincke and Pohst,
 Math. Comp. 44 (1985), one level), at a cost of the kept vectors plus at most
-two candidates per prefix.  The prefixes lie in the box |alpha_i| <= a_max,
-the largest per-axis bound sqrt(mu_max (G^-1)_ii) of alpha^T G alpha <= mu_max
-(G the dual Gram matrix), which needs no eigensolver.  The spectrum is
-symmetric under conjugation (j, alpha) -> (-j, -alpha): mu_torus(-alpha) has
-the same bits as mu_torus(alpha), -alpha has the orbit size of alpha (R is
-linear), and m | j L exactly when m | -j L.  So only one alpha of each pair
-+-alpha != 0 is enumerated and counted twice, and j runs over 0..j_max with
-weight 2 for j > 0.  On S^1 x T^4 at mu_max 100 that is 29 012 candidates for
+two candidates per prefix.  The prefixes lie in the box |alpha_i| <= r_i,
+each axis's own bound r_i = sqrt(mu_max (G^-1)_ii) of alpha^T G alpha <= mu_max
+(G the dual Gram matrix), which needs no eigensolver; a long axis leaves the
+others their short reach.  The spectrum is symmetric under conjugation
+(j, alpha) -> (-j, -alpha): mu_torus(-alpha) has the same bits as
+mu_torus(alpha), -alpha has the orbit size of alpha (R is linear), and
+m | j L exactly when m | -j L.  So only one alpha of each pair +-alpha != 0
+is enumerated and counted twice, and j runs over 0..j_max with weight 2 for
+j > 0.  On S^1 x T^4 at mu_max 100 that is 29 012 candidates for
 24 844 pairs, where the whole ellipsoid took 58 025 for 49 689 vectors and the
 integer box [-a_max, a_max]^4 194 481.
 
@@ -31,6 +32,7 @@ value, and np.add.reduceat sums the integer weights of each cluster, so the
 order of the groups does not matter.
 """
 
+import math
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Optional
@@ -97,25 +99,27 @@ class CrossSection:
         object.__setattr__(self, "dual_gram", 4.0 * np.pi**2 * np.linalg.inv(gram))
 
 
-def _ellipsoid(gram, bound, a_max, dtype):
-    """One alpha of each pair +-alpha != 0 in [-a_max, a_max]^d with alpha^T gram alpha
-    <= bound, the one whose first nonzero coefficient is positive, and a few more.
+def _ellipsoid(gram, bound, reach, dtype):
+    """One alpha of each pair +-alpha != 0 in the box |alpha_i| <= reach[i] with
+    alpha^T gram alpha <= bound, the one whose first nonzero coefficient is positive,
+    and a few more.
 
     For each prefix of d - 1 coefficients the last coefficient x runs between the roots
-    of g x^2 + 2 b x + c = bound, padded by one and clipped to +-a_max.  np.indices lists
-    the prefixes lexicographically, so the representatives are the prefixes after the
-    zero prefix (the middle one), and the zero prefix itself with x >= 1."""
-    d, side = gram.shape[0], 2 * a_max + 1
-    zero = side ** (d - 1) // 2  # row of the zero prefix
-    prefix = np.indices((side,) * (d - 1)).reshape(d - 1, 2 * zero + 1)[:, zero:].T - a_max
+    of g x^2 + 2 b x + c = bound, padded by one and clipped to +-reach[-1].  np.indices
+    lists the prefixes lexicographically over odd sides, so the representatives are the
+    prefixes after the zero prefix (the middle one), and the zero prefix itself with x >= 1."""
+    d, last = gram.shape[0], reach[-1]
+    sides = [2 * r + 1 for r in reach[:-1]]
+    zero = math.prod(sides) // 2  # row of the zero prefix
+    prefix = np.indices(sides).reshape(d - 1, 2 * zero + 1)[:, zero:].T - reach[:-1]
     g, b = gram[-1, -1], prefix @ gram[:-1, -1]
     c = np.einsum("ki,ij,kj->k", prefix, gram[:-1, :-1], prefix) - bound * (1 + 1e-9)  # rounding
     disc = b * b - g * c
     real = disc >= 0  # true for the zero prefix (c < 0), which stays first
     root, b = np.sqrt(disc[real]), b[real]
-    lo = np.maximum(np.ceil((-b - root) / g) - 1, -a_max)
+    lo = np.maximum(np.ceil((-b - root) / g) - 1, -last)
     lo[0] = max(lo[0], 1)
-    hi = np.minimum(np.floor((root - b) / g) + 1, a_max)
+    hi = np.minimum(np.floor((root - b) / g) + 1, last)
     count = np.maximum(hi - lo + 1, 0).astype(np.intp)
     alphas = np.empty((count.sum(), d), dtype, order="F")  # einsum runs 3x faster on columns
     alphas[:, :-1] = np.repeat(prefix[real], count, axis=0)
@@ -148,13 +152,14 @@ def _lattice_modes(cs, mu_max, quotient):
     gram = cs.dual_gram
     d = gram.shape[0]
     # alpha^T G alpha <= bound gives |alpha_i| <= sqrt(bound (G^-1)_ii) (Fincke and
-    # Pohst); the box takes the largest, with _ellipsoid's rounding slack
-    widest = np.max(np.linalg.inv(gram).diagonal(), initial=0.0)
-    a_max = int(np.sqrt(bound * (1 + 1e-9) * widest))
+    # Pohst), with _ellipsoid's rounding slack; Python ints, as intp array arithmetic
+    # on the reaches raised a spectrum command's peak RSS by 64 KB
+    reach = [int(r) for r in np.sqrt(bound * (1 + 1e-9) * np.linalg.inv(gram).diagonal())]
+    a_max = max(reach, default=0)
     m, R = (quotient.order, quotient.lattice_map) if quotient else (1, np.eye(d))
     # narrowest integers holding every coefficient, R and the partial sums of alpha @ R
     dtype = np.min_scalar_type(-(a_max + 1) * int(np.abs(R).sum(axis=0).max(initial=1)))
-    alphas = _ellipsoid(gram, bound, a_max, dtype) if d > 0 else np.zeros((0, 0), dtype)
+    alphas = _ellipsoid(gram, bound, reach, dtype) if d > 0 else np.zeros((0, 0), dtype)
     mus_torus = np.einsum("ki,ij,kj->k", alphas, gram, alphas)
     keep = mus_torus <= bound
     # orbit size: least L >= 1 with (R^T)^L alpha = alpha (rows: alpha R^L), so m

@@ -125,13 +125,15 @@ def test_pair_enumeration_matches_brute_force(case):
 
 
 # mu_max is a torus value that is attained, by a mode whose largest coefficient
-# is a_max: (2, 20) in the skewed basis U (2 pi I), where G^-1 = U U^T has
-# condition number 1.04e4, (2, 1) on the hexagonal lattice and (2, 0, 0, 0) on
-# the four-torus
+# is the reach of its axis: (2, 20) in the skewed basis U (2 pi I), where
+# G^-1 = U U^T has condition number 1.04e4, (2, 1) on the hexagonal lattice,
+# (2, 0, 0, 0) on the four-torus and (0, 8) on 2 pi diag(1, 4), whose reaches
+# are (2, 8)
 EXACT_BOX_CASES = {
     "skewed": (np.array([[1, 0], [10, 1]]) @ ak.square_lattice(), ak.negation_quotient(), 4.0),
     "hexagonal": (ak.hexagonal_lattice(), ak.hexagonal_rotation_quotient(), 4.0),
     "four_torus": (FOUR_TORUS, FOUR_TORUS_NEGATION, 4.0),
+    "long_axis": (TWO_PI * np.diag([1.0, 4.0]), ak.negation_quotient(), 4.0),
 }
 
 
@@ -155,6 +157,27 @@ def test_box_without_eigensolver_is_exact(monkeypatch, case):
     assert as_dict(ak.spectrum(full, mu_max)) == as_dict(want_full)
     assert as_dict(ak.invariant_spectrum(invariant, mu_max)) == as_dict(want_invariant)
     assert as_dict(ak.invariant_spectrum(full, mu_max)) == as_dict(want_full)
+
+
+def test_long_axis_leaves_the_short_axes_a_small_box():
+    """On 2 pi diag(1, 1, 1, 4) at mu_max 100 the reaches are (10, 10, 10, 40), so
+    the prefixes of three coefficients are half of 21^3 (4 631 rows), not half of
+    the 81^3 of a cube of the longest reach (265 721), and the traced peak of a
+    spectrum call is about 3.1 MiB (18.25 MiB with the cube)."""
+    import tracemalloc
+
+    cs = ak.CrossSection(TWO_PI, TWO_PI * np.diag([1.0, 1.0, 1.0, 4.0]))
+    ak.spectrum(cs, 100.0)  # warm up outside the trace
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        pairs = ak.spectrum(cs, 100.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert sum(mult for _, mult in pairs) == 2_103_657
+    assert peak <= 6 * 2**20, peak / 2**20
 
 
 def test_invariant_spectrum_negation_quotient():
