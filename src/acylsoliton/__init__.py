@@ -10,8 +10,11 @@ surrogates (weighted Poincare constant, path bounds, decay rates).
 
 Submodules load on first use (PEP 562): `import acylsoliton` runs only the
 spectrum module, and each public name imports its submodule the first time
-it is read.  `spectrum` is bound eagerly, because importing the submodule of
-the same name would otherwise leave the package attribute set to the module.
+it is read.  The package keeps no copy of a lazy name: each read returns the
+submodule's attribute as it is then, so a function patched in its submodule
+and put back reads as the original here too.  `spectrum` is bound eagerly,
+because importing the submodule of the same name would otherwise leave the
+package attribute set to the module.
 """
 
 import importlib
@@ -47,9 +50,7 @@ def __getattr__(name):
         return importlib.import_module(f"{__name__}.{name}")
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
-    globals()[name] = value
-    return value
+    return getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
 
 
 def __dir__():

@@ -270,9 +270,9 @@ class _RadialNewton:
             tau, trial = 1.0, np.add(direction, it.v, out=self.idle(it.v))  # tau = 1: no product
             while tau > 1e-8:
                 candidate = self.residual(trial, target, self._pair)
+                # the guard also rejects sup = None (min_ratio <= 0) and a NaN min_ratio
                 if (
-                    candidate.sup is not None
-                    and candidate.min_ratio > POSITIVITY_GUARD
+                    candidate.min_ratio > POSITIVITY_GUARD
                     and candidate.sup <= (1.0 - ARMIJO_DECREASE * tau) * it.sup
                 ):
                     break

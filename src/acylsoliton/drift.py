@@ -142,7 +142,7 @@ def solve_field(model, cross_section, rhs_by_mode):
     if not mus:
         return {}
     # the j = 0 values: the torus values up to max(mu) + 1, and 0 for alpha = 0
-    _, torus, _ = _lattice_modes(cross_section, max(mus) + 1.0, None)
+    _, torus, _, _ = _lattice_modes(cross_section, max(mus) + 1.0, None)
     allowed = np.append(torus, 0.0)
     out = {}
     for mu in mus:

@@ -25,8 +25,9 @@ subspace: 1 if m divides j * L, where the orbit size L of alpha is the least
 L >= 1 with (R^T)^L alpha = alpha.  So the lattice vectors are reduced, for
 each L = 1..m, to their distinct torus values with member counts (np.unique
 with counts, no inverse), and j is broadcast against these groups only; the
-full spectrum is the order-1 case m = 1, R = I.  The kept eigenvalues are
-sorted once.  Each gap of more than MERGE_TOL between neighbours starts a new
+full spectrum is the order-1 case m = 1, R = I.  m comes from _lattice_modes
+alone, which returns it with the orbit sizes.  The kept eigenvalues are sorted
+once.  Each gap of more than MERGE_TOL between neighbours starts a new
 cluster, so a run of closer gaps is one cluster, reported at its smallest
 value, and np.add.reduceat sums the integer weights of each cluster, so the
 order of the groups does not matter.
@@ -129,8 +130,7 @@ def _ellipsoid(gram, bound, reach, dtype):
 
 def spectrum(cs, mu_max):
     """Sorted list of (mu, multiplicity) with mu <= mu_max."""
-    bound, torus, _ = _lattice_modes(cs, mu_max, None)
-    return _grouped(cs.circle_length, bound, torus, None, 1)
+    return _grouped(cs.circle_length, *_lattice_modes(cs, mu_max, None))
 
 
 def invariant_spectrum(cs, mu_max):
@@ -138,14 +138,13 @@ def invariant_spectrum(cs, mu_max):
 
     With no quotient this equals spectrum(cs, mu_max).
     """
-    bound, torus, size = _lattice_modes(cs, mu_max, cs.quotient)
-    m = cs.quotient.order if cs.quotient else 1
-    return _grouped(cs.circle_length, bound, torus, size, m)
+    return _grouped(cs.circle_length, *_lattice_modes(cs, mu_max, cs.quotient))
 
 
 def _lattice_modes(cs, mu_max, quotient):
-    """bound = mu_max + MERGE_TOL, the torus values <= bound of the enumerated alpha
-    (one of each pair +-alpha != 0) and their orbit sizes under quotient (all 1 if None)."""
+    """(bound, torus, size, m): bound = mu_max + MERGE_TOL, the torus values <= bound
+    of the enumerated alpha (one of each pair +-alpha != 0), their orbit sizes under
+    quotient and its order m (all sizes 1 and m = 1 if None)."""
     if not 0 < mu_max < np.inf:
         raise DomainError(f"mu_max must be positive and finite, got {mu_max}")
     bound = mu_max + MERGE_TOL
@@ -172,7 +171,7 @@ def _lattice_modes(cs, mu_max, quotient):
             image = image @ R
             fixed = np.logical_and.reduce([image[:, i] == alphas[:, i] for i in range(d)])
             size[(size == m) & fixed] = power
-    return bound, mus_torus[keep], size
+    return bound, mus_torus[keep], size, m
 
 
 def _grouped(circle_length, bound, torus, size, m):
@@ -182,7 +181,7 @@ def _grouped(circle_length, bound, torus, size, m):
     # representative stands for +-alpha, and alpha = 0 (value 0.0, size 1) for itself
     values, orbit, members = [np.zeros(1)], [np.ones(1, np.int64)], [np.ones(1, np.int64)]
     for L in range(1, m + 1):
-        group, count = np.unique(torus if m == 1 else torus[size == L], return_counts=True)
+        group, count = np.unique(torus[size == L], return_counts=True)
         values.append(group)
         orbit.append(np.full(len(group), L, np.int64))
         members.append(2 * count)

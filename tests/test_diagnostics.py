@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -73,6 +74,16 @@ def test_poincare_off_diagonal_does_not_overflow():
     assert np.all(off < 0)
     expected = dense_poincare_lambda(model.a, model.f, 0.0, 200.0, 0.1)
     assert ak.poincare_rayleigh(model, (0.0, 200.0, 0.1)) == pytest.approx(expected, rel=1e-12)
+
+
+def test_poincare_matrix_rejects_a_vanishing_coefficient():
+    """With a at the least subnormal double, the masses w_i h underflow to 0 and
+    diag divides by them; the matrix is refused, not handed to LAPACK."""
+    tiny = np.finfo(float).smallest_subnormal
+    model = dataclasses.replace(ak.cylinder_model(1), a=lambda t: np.full_like(t, tiny))
+    with np.errstate(divide="ignore", invalid="ignore"), \
+            pytest.raises(ak.DomainError, match="Poincare matrix is not finite"):
+        _poincare_matrix(model, (0.0, 1.0, 0.1))
 
 
 @pytest.mark.parametrize("kind", ["cigar", "cylinder"])

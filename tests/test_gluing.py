@@ -238,6 +238,20 @@ def test_auto_rho_margin_holds_between_nodes(t0, tol):
     assert rho0 <= (1.0 + 1e-6) * need
 
 
+def test_auto_rho_raises_by_ulps_until_every_node_clears():
+    """Here the node estimate and its vertex refinement leave one node just
+    below the margin; auto_rho raises rho0 ulp by ulp to the least amplitude
+    at which every node clears it."""
+    inner = ak.cigar_model(2)
+    spec = ak.GlueSpec(t0=1.05, smoothstep_degree=3, margin=0.01)
+    rho0 = ak.auto_rho(spec, inner)
+    assert rho0 == 334.927460911294
+    c = ak.glue_coefficient(spec.grid, spec, inner, rho0)
+    assert np.min(c.values) >= spec.margin
+    below = ak.glue_coefficient(spec.grid, spec, inner, np.nextafter(rho0, -np.inf))
+    assert np.count_nonzero(below.values < spec.margin) == 1
+
+
 def test_auto_rho_evaluates_the_coefficient_once(monkeypatch):
     coefficient_calls, sizes = [], []
     glue_coefficient, transition = gluing.glue_coefficient, gluing._transition

@@ -8,6 +8,7 @@ import json
 import pathlib
 import re
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -145,6 +146,37 @@ def test_empty_bracket_takes_the_index_call(monkeypatch):
     diag, off = np.array([2.0, 2.0, 2.0]), np.array([-1.0, -1.0])  # eigenvalues < 4
     monkeypatch.setattr(diagnostics, "_lowest_bracket", lambda d, e: (10.0, 11.0))
     assert same_bits(np.array([_lowest_eigenvalue(diag, off)]), index_call(diag, off))
+
+
+def faulty_provider(monkeypatch, routine, fault):
+    """Make provider() the chosen one with routine's result passed through
+    fault(args, result)."""
+    chosen = PROVIDERS["chosen"]
+    methods = {name: getattr(chosen, name) for name in ("dgtsv", "dtbtrs", "dptsv", "dstebz")}
+    methods[routine] = lambda *args: fault(args, getattr(chosen, routine)(*args))
+    monkeypatch.setattr(_lapack, "_provider", types.SimpleNamespace(**methods))
+
+
+def test_solve_mode_rejects_a_solution_with_a_large_backward_error(monkeypatch):
+    """A dgtsv solution off by a relative 1e-9 is finite, so only the backward
+    error check catches it."""
+    faulty_provider(monkeypatch, "dgtsv", lambda args, result: (result[0] * (1 + 1e-9), result[1]))
+    with pytest.raises(ak.SingularSystem, match=r"interior residual \S+ exceeds 1e-12"):
+        ak.solve_mode(mode_problem("cigar", 1e-2))
+
+
+@pytest.mark.parametrize("call", ["V", "I"])
+def test_dstebz_failure_raises_singular_system(monkeypatch, call):
+    """info != 0 from the value-range bisection, or from the index call when
+    there is no bracket, raises SingularSystem; only that call fails, so the
+    other would return an eigenvalue."""
+    diag, off = _poincare_matrix(MODELS["cigar"], GRIDS["cigar"] + (1e-2,))
+    if call == "I":
+        monkeypatch.setattr(diagnostics, "_lowest_bracket", lambda d, e: None)
+    faulty_provider(monkeypatch, "dstebz",
+                    lambda args, result: (*result[:2], 1) if args[2] == call else result)
+    with pytest.raises(ak.SingularSystem, match=r"LAPACK dstebz failed \(info = 1\)"):
+        _lowest_eigenvalue(diag, off)
 
 
 def lapack_outputs(h):

@@ -1,5 +1,6 @@
 """The repository's pytest settings keep a failing test an ordinary failure,
-and make a misspelt marker or settings key an error."""
+make a misspelt marker or settings key an error, and fail an xfail-marked
+test that passes."""
 
 import subprocess
 import sys
@@ -26,6 +27,16 @@ import pytest
 
 
 @pytest.mark.slwo
+def test_marked():
+    pass
+"""
+
+
+PASSING_XFAIL = """
+import pytest
+
+
+@pytest.mark.xfail(reason="expected to fail, but passes")
 def test_marked():
     pass
 """
@@ -68,3 +79,11 @@ def test_unknown_settings_key_fails(tmp_path):
     done = run_probe(tmp_path, "def test_passes():\n    pass\n", config)
     assert done.returncode == 4, done.stdout + done.stderr  # usage error
     assert "Unknown config option: filterwarning" in done.stdout + done.stderr
+
+
+def test_passing_xfail_test_fails_the_run(tmp_path):
+    """xfail_strict reports an xfail-marked test that passes as XPASS(strict),
+    a failure, instead of an XPASS that leaves the run green."""
+    done = run_probe(tmp_path, PASSING_XFAIL)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "1 failed" in done.stdout and "XPASS(strict)" in done.stdout
