@@ -36,7 +36,7 @@ its name (the OpenBLAS configuration string, or "scipy <version>") is
 what the manifest records.
 
 sha256_hex() keeps another library out of the process, for the manifest
-and report digests: `import hashlib` loads OpenSSL's libcrypto through
+digests: `import hashlib` loads OpenSSL's libcrypto through
 _hashlib, about 3.6 MB of resident memory and a few ms per process, so it
 takes SHA-256 from CPython's built-in module (_sha2 from 3.12, _sha256
 before), as random.py does for its SHA-512, and imports hashlib only when

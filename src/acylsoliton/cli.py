@@ -15,8 +15,8 @@ in KEYS and each command's flags once in COMMANDS; a flag whose dest is a
 config key sets that key.  Each _cmd_* and _build_* function imports the
 library functions it calls, so a process loads only the modules of the
 command it runs.  It loads neither SciPy (the solves take LAPACK from the
-OpenBLAS numpy has loaded) nor OpenSSL (the manifest and report digests
-take CPython's built-in SHA-256); _lapack makes both choices.
+OpenBLAS numpy has loaded) nor OpenSSL (the manifest digests take
+CPython's built-in SHA-256); _lapack makes both choices.
 """
 
 import argparse
@@ -43,21 +43,17 @@ EXIT_VERIFICATION = 4
 MODELS = ("cigar", "cylinder", "glued")
 
 
-def _lattice_rows(text):
-    """The finite rows "a b; c d" of a square matrix as an array; else ValueError."""
+def _lattice(text):
+    """text, if a preset name (square, hexagonal); else the finite rows "a b; c d"
+    of a square matrix as a list of rows, or ValueError."""
+    if text in ("square", "hexagonal"):
+        return text
     lattice = np.array([[float(x) for x in row.split()] for row in text.split(";")])
     if lattice.ndim != 2 or lattice.shape[0] != lattice.shape[1]:
         raise ValueError(f"not the rows of a square matrix: {text!r}")
     if not np.isfinite(lattice).all():
         raise ValueError(f"non-finite lattice entry: {text!r}")
-    return lattice
-
-
-def _rows_text(text):
-    """text itself, if empty (the lattice preset applies) or rows _lattice_rows reads."""
-    if text:
-        _lattice_rows(text)
-    return text
+    return lattice.tolist()
 
 
 # key -> (default, parse, valid); the RunConfig field of key "a.b" is a_b
@@ -75,14 +71,12 @@ KEYS = {
     "glue.margin": (1e-2, float, lambda v: v > 0),
     "glue.degree": (7, int, lambda v: v >= 3 and v % 2 == 1),
     "cross_section.circle": (2.0 * np.pi, float, lambda v: v > 0),
-    "cross_section.lattice": ("square", str, lambda v: v in ("square", "hexagonal")),
-    "cross_section.lattice_rows": ("", _rows_text, lambda v: True),  # overrides the preset
+    "cross_section.lattice": ("square", _lattice, lambda v: True),
     "cross_section.quotient": (1, int, lambda v: v in (1, 2, 3)),
     "weights.mu_max": (10.0, float, lambda v: v > 0),
     "weights.window_lo": (-1.0, float, lambda v: True),
     "weights.window_hi": (3.0, float, lambda v: True),
     "output.dir": (".", str, lambda v: True),
-    "seed": (0, int, lambda v: v >= 0),
     # index raises ValueError on a word outside the six
     "plot": (False, lambda s: ("0", "false", "no", "1", "true", "yes").index(s.lower()) >= 3,
              lambda v: True),
@@ -151,11 +145,10 @@ def _build_cross_section(cfg):
     from .spectrum import (CrossSection, hexagonal_lattice, hexagonal_rotation_quotient,
                            negation_quotient, square_lattice)
 
-    if cfg.cross_section_lattice_rows:  # checked when the key was set
-        lattice = _lattice_rows(cfg.cross_section_lattice_rows)
-    elif cfg.cross_section_lattice == "square":
+    lattice = cfg.cross_section_lattice  # a preset name or the rows _lattice read
+    if lattice == "square":
         lattice = square_lattice()
-    else:
+    elif lattice == "hexagonal":
         lattice = hexagonal_lattice()
     quotient = None
     if cfg.cross_section_quotient == 2:
@@ -298,7 +291,6 @@ def _cmd_weights(cfg, run, args):
     cws = critical_weights(mus, (cfg.weights_window_lo, cfg.weights_window_hi))
     weights_to_csv(cws, run.path("weights.csv"))
     ok, margin = _fredholm_check(mus)
-    run.notes["fredholm_interval"] = [0.0, 2.0]
     run.notes["fredholm_clear"] = ok
     run.notes["margin"] = margin
     return EXIT_OK
@@ -408,7 +400,7 @@ def _cmd_report(cfg, run, args):
         invariant_spectrum(_build_cross_section(cfg), cfg.weights_mu_max))
     forcing = _manufactured_forcing(cfg, model)
     solution = _continuity_solve(cfg, model, forcing, run)
-    report = verify_solution(model, solution, forcing, metadata={"seed": cfg.seed})
+    report = verify_solution(model, solution, forcing)
     payload = report.as_dict()
     payload["exact_soliton_residual"] = exact
     payload["fredholm_window_clear"] = fredholm_ok

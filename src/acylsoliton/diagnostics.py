@@ -22,7 +22,6 @@ called, so the Poincare constant alone (the verify command) loads neither
 the continuity solver nor the drift solves.
 """
 
-import json
 from dataclasses import asdict, dataclass, field
 from typing import List
 
@@ -215,7 +214,7 @@ def _check_ge(name, value, threshold):
     return Check(name, float(value), float(threshold), ">=", bool(value >= threshold))
 
 
-def verify_solution(model, solution, forcing, metadata=None):
+def verify_solution(model, solution, forcing):
     """Verification report for a converged continuity solution.
 
     Checks: Monge-Ampere residual at s = 1 (sup <= 1e-9 over every node, the ends by
@@ -265,7 +264,4 @@ def verify_solution(model, solution, forcing, metadata=None):
         "forcing_decay_rate": forcing_rate,
         "reference_lambda0": REFERENCE_LAMBDA0,
     }
-    if metadata:
-        meta.update(metadata)
-    meta["config_hash"] = _lapack.sha256_hex(json.dumps(meta, sort_keys=True).encode())[:16]
     return VerificationReport(checks=checks, metadata=meta)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .grids import GridFunction, uniform_nodes, whole_number
+from .grids import GridFunction, uniform_nodes, whole_cells
 from .models import Kind, RadialKahlerModel, soliton_residual
 
 RHO_CAP = 1e6            # largest bump amplitude auto_rho returns
@@ -113,7 +113,8 @@ class GlueSpec:
     def grid(self):
         """(0, end, h), end the first node of the lattice h Z at or past t0 + 3."""
         cells = (self.t0 + 3.0) / self.h
-        end = self.t0 + 3.0 if whole_number(cells) is not None else math.ceil(cells) * self.h
+        exact = whole_cells(cells, f"gluing grid (0, {self.t0 + 3.0}, {self.h})") is not None
+        end = self.t0 + 3.0 if exact else math.ceil(cells) * self.h
         return 0.0, end, self.h
 
     def cutoff(self, t):

@@ -14,12 +14,17 @@ import numpy as np
 from .errors import DomainError
 
 _CSV_CHUNK_ROWS = 1024  # rows formatted by one % of the repeated row format
+# the most cells whose float node array numpy can size: its bytes fit in np.intp
+MAX_CELLS = np.iinfo(np.intp).max // np.dtype(float).itemsize - 1
 
 
-def whole_number(x):
-    """x rounded to an int when it is one to 1e-8 relative, else None."""
-    n = int(round(x))
-    return n if abs(x - n) <= 1e-8 * max(1.0, abs(x)) else None
+def whole_cells(cells, grid):
+    """The cell count cells rounded to an int when it is one to 1e-8 relative, else
+    None; DomainError naming grid when cells is not finite or exceeds MAX_CELLS."""
+    if not cells <= MAX_CELLS:
+        raise DomainError(f"{grid} has {cells} cells, more than {MAX_CELLS}")
+    n = int(round(cells))
+    return n if abs(cells - n) <= 1e-8 * max(1.0, abs(cells)) else None
 
 
 def uniform_nodes(t_min, t_max, h):
@@ -37,7 +42,7 @@ def node_count(t_min, t_max, h):
     if t_max <= t_min:
         raise DomainError(f"empty grid: t_max={t_max} <= t_min={t_min}")
     n_cells = (t_max - t_min) / h
-    n = whole_number(n_cells)
+    n = whole_cells(n_cells, f"grid ({t_min}, {t_max}, {h})")
     if n is None:
         raise DomainError(f"(t_max - t_min)/h = {n_cells} is not an integer")
     return n + 1

@@ -26,7 +26,7 @@ FIXTURE = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
 
 def test_parse_config_empty_gives_defaults():
     cfg = parse_config("")
-    assert cfg.grid_h == 0.01 and cfg.model_kind == "cigar" and cfg.seed == 0
+    assert cfg.grid_h == 0.01 and cfg.model_kind == "cigar"
 
 
 def test_parse_config_override():
@@ -73,6 +73,35 @@ def test_documented_config_keys_are_the_config_table():
         assert documented_keys(fh.read()) == list(KEYS)
 
 
+# config key -> (library dataclass, the field whose default the key's default repeats)
+LIBRARY_DEFAULTS = {
+    "solver.tol": (ak.ContinuityConfig, "newton_tol"),
+    "solver.s_steps": (ak.ContinuityConfig, "s_steps"),
+    "solver.max_newton": (ak.ContinuityConfig, "max_newton"),
+    "solver.min_step": (ak.ContinuityConfig, "min_step"),
+    "glue.t0": (ak.GlueSpec, "t0"),
+    "glue.margin": (ak.GlueSpec, "margin"),
+    "glue.degree": (ak.GlueSpec, "smoothstep_degree"),
+}
+
+
+@pytest.mark.parametrize("key", LIBRARY_DEFAULTS)
+def test_config_default_is_the_library_default(key):
+    kind, name = LIBRARY_DEFAULTS[key]
+    assert KEYS[key][0] == getattr(kind(), name)
+
+
+def test_readme_layout_lists_every_module():
+    """The Layout block of README.md names each file of src/acylsoliton once."""
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    with open(os.path.join(root, "README.md")) as fh:
+        block = fh.read().split("## Layout", 1)[1].split("```")[1]
+    listed = [line.split()[0] for line in block.splitlines()
+              if line.startswith("  ") and not line.startswith("   ")]
+    package = os.path.join(root, "src", "acylsoliton")
+    assert sorted(listed) == sorted(name for name in os.listdir(package) if name.endswith(".py"))
+
+
 def run_cli(args, outdir):
     return run(args + ["--output", str(outdir)])
 
@@ -115,7 +144,7 @@ def test_negation_quotient_on_four_torus(tmp_path):
     # cross_section.quotient = 2 negates a lattice of any dimension
     rows = "; ".join(" ".join(repr(2 * np.pi * (i == k)) for k in range(4)) for i in range(4))
     config = tmp_path / "s1t4_z2.cfg"
-    config.write_text(f"cross_section.lattice_rows = {rows}\ncross_section.quotient = 2\n")
+    config.write_text(f"cross_section.lattice = {rows}\ncross_section.quotient = 2\n")
     for command in ("spectrum", "weights"):
         assert run_cli([command, "--config", str(config)], tmp_path / command) == 0
     quotient = ak.CyclicQuotient(2, -np.eye(4, dtype=int))
@@ -131,7 +160,7 @@ def test_order_three_quotient_on_explicit_hexagonal_rows(tmp_path):
     # the rotation is an isometry of the rows themselves, preset or not
     rows = "; ".join(" ".join(map(repr, row)) for row in ak.hexagonal_lattice().tolist())
     configs = {"preset": "cross_section.lattice = hexagonal",
-               "rows": f"cross_section.lattice_rows = {rows}"}
+               "rows": f"cross_section.lattice = {rows}"}
     for name, line in configs.items():
         (tmp_path / f"{name}.cfg").write_text(f"{line}\ncross_section.quotient = 3\n")
         assert run_cli(["spectrum", "--config", str(tmp_path / f"{name}.cfg")],
@@ -513,14 +542,17 @@ def test_poincare_weight_nonpositive_f_is_a_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("command,key,value", [
     ("solve-linear", "plot", "banana"),
-    ("spectrum", "cross_section.lattice_rows", "1 x; 0 1"),
-    ("glue", "cross_section.lattice_rows", "1 x; 0 1"),
-    ("spectrum", "cross_section.lattice_rows", "1 0 0; 0 1 0"),
-    ("spectrum", "cross_section.lattice_rows", "nan 0; 0 1"),
-], ids=["plot_word", "word_in_rows", "word_in_rows_glue", "non_square_rows", "nan_lattice_rows"])
+    ("spectrum", "cross_section.lattice", "1 x; 0 1"),
+    ("glue", "cross_section.lattice", "1 x; 0 1"),
+    ("spectrum", "cross_section.lattice", "1 0 0; 0 1 0"),
+    ("spectrum", "cross_section.lattice", "nan 0; 0 1"),
+    ("spectrum", "cross_section.lattice", "triangular"),
+], ids=["plot_word", "word_in_rows", "word_in_rows_glue", "non_square_rows", "nan_lattice_rows",
+        "lattice_word"])
 def test_malformed_config_value_exits_1_before_any_output(tmp_path, capsys, command, key, value):
-    """plot takes six words only, and the lattice rows (finite, square) are read
-    with the config: both name the line before manifest.json is written."""
+    """plot takes six words only, and the lattice a preset name or the rows of a
+    finite square matrix: both are read with the config and name the line before
+    manifest.json is written."""
     path = tmp_path / "bad.cfg"
     path.write_text(f"grid.h = 0.01\n{key} = {value}\n")
     args = ["--rhs", decaying_rhs(tmp_path)[0]] if command == "solve-linear" else []
@@ -533,14 +565,24 @@ def test_malformed_config_value_exits_1_before_any_output(tmp_path, capsys, comm
 @pytest.mark.parametrize("command,config,message", [
     # grid.h = 8 on [-12, 20] gives 5 nodes; the stencils need 6
     ("report", "grid.h = 8", "error: need at least 6 nodes, got 5"),
-    # the rows, not the preset they override, decide whether the rotation acts
-    ("spectrum", "cross_section.lattice = hexagonal\n"
-     "cross_section.lattice_rows = 6.283185307179586 0; 0 6.283185307179586\n"
+    # the rotation acts on the hexagonal rows only, not on the square ones
+    ("spectrum", "cross_section.lattice = 6.283185307179586 0; 0 6.283185307179586\n"
      "cross_section.quotient = 3", "error: lattice map is not an isometry of the lattice"),
     ("weights --window 2 0", "", "error: empty window (2.0, 0.0)"),
     # the cigar's c(0) = 1/2 lies below the margin, left of the bump support
     ("glue --margin 1e7", "", "error: c = 0.5 < margin at t=0, outside the bump"),
-], ids=["five_node_grid", "square_rows_order_three", "empty_window", "glue_margin"])
+    # a cell count that overflows, or that no float array can hold, names its grid
+    ("glue --t0 1e308", "", "error: gluing grid (0, 1e+308, 0.005) has inf cells"),
+    ("glue --t0 1e20", "", "error: gluing grid (0, 1e+20, 0.005) has 2e+22 cells"),
+    ("verify", "grid.t_min = -1e308\ngrid.t_max = 1e308",
+     "error: grid (-1e+308, 1e+308, 0.01) has inf cells"),
+    ("verify", "grid.h = 1e-300",
+     "error: grid (-12.0, 20.0, 1e-300) has 3.1999999999999997e+301 cells"),
+    # fewer cells than np.intp counts, but more float bytes than it does
+    ("verify", "grid.h = 1e-17", "error: grid (-12.0, 20.0, 1e-17) has 3.2e+18 cells"),
+], ids=["five_node_grid", "square_rows_order_three", "empty_window", "glue_margin",
+        "glue_inf_cells", "glue_too_many_cells", "grid_inf_cells", "grid_too_many_cells",
+        "grid_too_many_bytes"])
 def test_config_the_computation_rejects_is_a_usage_error(tmp_path, capsys, command, config,
                                                          message):
     path = tmp_path / "bad.cfg"
@@ -890,7 +932,7 @@ PUBLIC_SIGNATURES = {
     "square_lattice": "",
     "uniform_nodes": "t_min t_max h",
     "uniqueness_check": "model forcing initializations",
-    "verify_solution": "model solution forcing metadata",
+    "verify_solution": "model solution forcing",
     "weighted_sup_norm": "u k epsilon",
 }
 

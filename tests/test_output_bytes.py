@@ -68,7 +68,7 @@ DIGESTS = {
     "verify/poincare.json":
         "d7384840b11b2cdb8e26e58b53e49a038bf21305a254c25982576d417583555b",
     "report/report.json":
-        "a0ec3fcbc40570b4183c048b396e507618742e290e331afa6a76221e147d605b",
+        "0a397ddf3ed9531fdfa9fd665cecd327fd24755b925d4f28566a1b072278fc9d",
     "solve_ma_glued/path.json":
         "b245e29ef6173bbdceca77755a159ecdbdc9c4f1ec5013cf7810b2bf6e317095",
     "solve_ma_glued/phi.csv":
